@@ -8,8 +8,10 @@ half-amplitude matrix
 
     X(n, m) = a(n, m)/2   (n != m),      X(n, n) = lam * a0(n),
 
-under which the walk sums are ordinary matrix products.  Base amplitudes
-come from the action sum rule
+under which the walk sums are ordinary matrix products.  X is held as a
+NumPy coefficient stack (OperatorMatrix), one dim x dim layer per power
+of lam, so a product of series matrices is a few array products.  Base
+amplitudes come from the action sum rule
 
     pi*m*omega * [a^2(n+1, n) - a^2(n, n-1)] = h,  a(0,-1) = 0
     =>  a^2(n, n-1) = n*h / (pi*m*omega),
@@ -31,6 +33,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .oscillator import Kind, OscillatorSpec
 from .series import LambdaSeries
 
@@ -45,39 +49,41 @@ class LadderError(ValueError):
 # operator matrices of series
 
 
-class OperatorMatrix:
-    """Square matrix of lam-series entries with symmetric products."""
+def _series_product(a: np.ndarray, b: np.ndarray, max_order: int, op) -> np.ndarray:
+    """(ab)_k = sum_{i+j=k} op(a_i, b_j) for k <= max_order.
 
-    def __init__(self, dim: int, entries: Optional[List[List[LambdaSeries]]] = None):
-        self.dim = dim
-        if entries is None:
-            z = LambdaSeries.zero()
-            entries = [[z for _ in range(dim)] for _ in range(dim)]
-        self.entries = entries
+    a and b are coefficient stacks (a[k] is the lam^k part); op is
+    np.matmul for operator products and np.multiply for entrywise ones.
+    The result always has max_order + 1 layers.
+    """
+    out = np.zeros((max_order + 1,) + a.shape[1:])
+    for i in range(min(len(a), max_order + 1)):
+        for j in range(min(len(b), max_order + 1 - i)):
+            out[i + j] += op(a[i], b[j])
+    return out
+
+
+class OperatorMatrix:
+    """Square matrix of lam-series entries as a coefficient stack.
+
+    c has shape (order+1, dim, dim) and c[k] holds the lam^k part, so a
+    product is (AB)_k = sum_{i+j=k} A_i @ B_j.
+    """
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    @property
+    def dim(self) -> int:
+        return self.c.shape[1]
 
     def entry(self, n: int, m: int) -> LambdaSeries:
         if 0 <= n < self.dim and 0 <= m < self.dim:
-            return self.entries[n][m]
+            return LambdaSeries.from_coeffs(self.c[:, n, m].tolist())
         return LambdaSeries.zero()
 
-    def set(self, n: int, m: int, value: LambdaSeries) -> None:
-        self.entries[n][m] = value
-
     def mul(self, other: "OperatorMatrix", max_order: int) -> "OperatorMatrix":
-        out = OperatorMatrix(self.dim)
-        for n in range(self.dim):
-            row = self.entries[n]
-            for m in range(self.dim):
-                acc = LambdaSeries.zero()
-                for k in range(self.dim):
-                    a = row[k]
-                    if not a:
-                        continue
-                    b = other.entries[k][m]
-                    if b:
-                        acc = acc + (a * b)
-                out.entries[n][m] = acc.truncated(max_order)
-        return out
+        return OperatorMatrix(_series_product(self.c, other.c, max_order, np.matmul))
 
     def power(self, p: int, max_order: int) -> "OperatorMatrix":
         out = self
@@ -85,16 +91,12 @@ class OperatorMatrix:
             out = out.mul(self, max_order)
         return out
 
-    def max_offdiag_abs(self, order_k: int, n_limit: int):
-        best = 0
-        for n in range(min(self.dim, n_limit + 1)):
-            for m in range(min(self.dim, n_limit + 1)):
-                if n == m:
-                    continue
-                v = abs(self.entries[n][m][order_k])
-                if v > best:
-                    best = v
-        return best
+    def max_offdiag_abs(self, order_k: int, n_limit: int) -> float:
+        if order_k >= len(self.c):
+            return 0.0
+        block = np.abs(self.c[order_k, : n_limit + 1, : n_limit + 1])
+        np.fill_diagonal(block, 0.0)
+        return float(block.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,37 +166,32 @@ class TransitionTable:
         """Half-amplitude matrix X over the internal ladder."""
         if dim is None:
             dim = self.n_top + 3
-        x = OperatorMatrix(dim)
-        for (hi, lo), series in self.amps.items():
-            if hi >= dim:
-                continue
-            half = series.scaled(0.5)
-            x.set(hi, lo, half)
-            x.set(lo, hi, half)
-        for n, series in self.dc.items():
-            if n < dim and series:
-                x.set(n, n, series.shifted(1))
-        return x
+        amps = [(hi, lo, s) for (hi, lo), s in self.amps.items() if hi < dim and s]
+        dc = [(n, s) for n, s in self.dc.items() if n < dim and s]
+        top = max([s.order for _, _, s in amps] + [s.order + 1 for _, s in dc], default=0)
+        c = np.zeros((top + 1, dim, dim))
+        for hi, lo, s in amps:
+            half = np.multiply(s.coeffs, 0.5)
+            c[: len(half), hi, lo] = c[: len(half), lo, hi] = half
+        for n, s in dc:
+            c[1 : len(s.coeffs) + 1, n, n] = s.coeffs
+        return OperatorMatrix(c)
 
     def base_amplitude(self, n: int) -> float:
         """Order-0 a(n, n-1) = sqrt(n*h/(pi*m*omega0))."""
         return self.spec.ladder_amplitude * math.sqrt(n)
 
 
-def amplitude_scale(spec: OscillatorSpec) -> float:
-    return spec.ladder_amplitude
-
-
 def residual_scale(spec: OscillatorSpec, k: int) -> float:
     """Size of a lam^k equation-of-motion residual coefficient."""
-    a = amplitude_scale(spec)
+    a = spec.ladder_amplitude
     u = spec.coupling_unit(a) or 1.0
     return spec.omega0**2 * a * u**k
 
 
 def energy_scale(spec: OscillatorSpec, k: int) -> float:
     """Size of a lam^k energy-matrix entry."""
-    a = amplitude_scale(spec)
+    a = spec.ladder_amplitude
     u = spec.coupling_unit(a) or 1.0
     return spec.m * spec.omega0**2 * a * a * u**k
 
@@ -256,116 +253,111 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
         p = spec.kind.force_power
         dim = table.n_top + 3
         x0 = table.position_matrix(dim)
-        prod0 = x0.power(p, max_order=0)
+        prod0 = x0.power(p, max_order=0).c[0]
 
         if spec.kind is Kind.QUADRATIC_FORCE:
+            dc = np.diagonal(prod0).tolist()
+            two = np.diagonal(prod0, -2).tolist()  # two[n-2] = (X^2)(n, n-2)
             for n in range(dim):
                 # DC entry: omega0^2 * X(n,n) + (X^2)(n,n) = 0
-                v = prod0.entry(n, n)[0]
-                if v:
-                    table.dc[n] = LambdaSeries.const(-v / w0sq)
+                if dc[n]:
+                    table.dc[n] = LambdaSeries.const(-dc[n] / w0sq)
                 # two steps down: divisor (2^2 - 1) * omega0^2
-                v2 = prod0.entry(n, n - 2)[0] if n >= 2 else 0.0
-                if v2:
+                if n >= 2 and two[n - 2]:
                     table.amps[(n, n - 2)] = LambdaSeries.from_coeffs(
-                        (0.0, 2.0 * v2 / (3.0 * w0sq))
+                        (0.0, 2.0 * two[n - 2] / (3.0 * w0sq))
                     )
         else:  # CUBIC_FORCE
-            for n in range(dim):
-                if n >= 3:
-                    v3 = prod0.entry(n, n - 3)[0]
-                    if v3:
-                        table.amps[(n, n - 3)] = LambdaSeries.from_coeffs(
-                            (0.0, 2.0 * v3 / (8.0 * w0sq))
-                        )
-                if n >= 1:
-                    # fundamental entry fixes the frequency shift:
-                    # omega^2(n,n-1) = omega0^2 + lam * (X^3)(n,n-1)/X(n,n-1)
-                    x_nn1 = x0.entry(n, n - 1)[0]
-                    wsq1 = prod0.entry(n, n - 1)[0] / x_nn1
-                    w1 = wsq1 / (2.0 * spec.omega0)
-                    table.omega_fund[n] = LambdaSeries.from_coeffs((spec.omega0, w1))
-                    # sum rule at the shifted frequency:
-                    # a^2(n,n-1)*omega(n,n-1) = n*h/(pi*m)
-                    a0 = table.base_amplitude(n)
-                    table.amps[(n, n - 1)] = LambdaSeries.from_coeffs(
-                        (a0, -a0 * w1 / (2.0 * spec.omega0))
+            three = np.diagonal(prod0, -3).tolist()
+            fund = np.diagonal(prod0, -1).tolist()
+            x_fund = np.diagonal(x0.c[0], -1).tolist()
+            for n in range(1, dim):
+                if n >= 3 and three[n - 3]:
+                    table.amps[(n, n - 3)] = LambdaSeries.from_coeffs(
+                        (0.0, 2.0 * three[n - 3] / (8.0 * w0sq))
                     )
+                # fundamental entry fixes the frequency shift:
+                # omega^2(n,n-1) = omega0^2 + lam * (X^3)(n,n-1)/X(n,n-1)
+                w1 = fund[n - 1] / x_fund[n - 1] / (2.0 * spec.omega0)
+                table.omega_fund[n] = LambdaSeries.from_coeffs((spec.omega0, w1))
+                # sum rule at the shifted frequency:
+                # a^2(n,n-1)*omega(n,n-1) = n*h/(pi*m)
+                a0 = table.base_amplitude(n)
+                table.amps[(n, n - 1)] = LambdaSeries.from_coeffs(
+                    (a0, -a0 * w1 / (2.0 * spec.omega0))
+                )
 
         # one level deeper: leading coefficient of the next harmonic,
         # from the order-1 slice of the product with the solved X
-        x1 = table.position_matrix(dim)
-        prod1 = x1.power(p, max_order=1)
+        prod1 = table.position_matrix(dim).power(p, max_order=1).c[1]
         step = 3 if spec.kind is Kind.QUADRATIC_FORCE else 5
         divisor = (step * step - 1.0) * w0sq
+        far = np.diagonal(prod1, -step).tolist()
         for n in range(step, dim):
-            v = prod1.entry(n, n - step)[1]
-            if v:
+            if far[n - step]:
                 table.amps[(n, n - step)] = LambdaSeries.from_coeffs(
-                    (0.0, 0.0, 2.0 * v / divisor)
+                    (0.0, 0.0, 2.0 * far[n - step] / divisor)
                 )
 
     return energy_levels(spec, table)
 
 
-def _omega_chain(table: TransitionTable, n: int, m: int) -> LambdaSeries:
-    """omega(n, m) as the sum of fundamental frequencies along the ladder."""
-    if n == m:
-        return LambdaSeries.zero()
-    lo, hi = (m, n) if n > m else (n, m)
-    acc = LambdaSeries.zero()
-    for i in range(lo + 1, hi + 1):
-        acc = acc + table.omega_fund.get(i, LambdaSeries.const(table.spec.omega0))
-    return acc if n > m else -acc
+def _stack(series: List[LambdaSeries]) -> np.ndarray:
+    """Coefficient array of shape (order+1, len(series)), zero-padded."""
+    out = np.zeros((max([s.order for s in series], default=0) + 1, len(series)))
+    for i, s in enumerate(series):
+        out[: len(s.coeffs), i] = s.coeffs
+    return out
+
+
+def level_omega(table: TransitionTable, dim: int) -> np.ndarray:
+    """Stack of omega(n, m) = (2*pi/h)(W(n) - W(m)) for n, m < dim."""
+    w = _stack([table.level(n) for n in range(dim)])
+    return (w[:, :, None] - w[:, None, :]) * (TWO_PI / table.spec.planck_h)
+
+
+def chain_omega(table: TransitionTable, dim: int) -> np.ndarray:
+    """Stack of omega(n, m) as the sum of the fundamentals omega_fund(i) for
+    min(n,m) < i <= max(n,m), on the diagonals where the table has
+    amplitudes (elsewhere X vanishes and omega is never used).
+
+    Each diagonal's sums are windows over the rungs, added in increasing i;
+    differences of cumulative sums would lose precision high on the ladder.
+    """
+    band = max((hi - lo for hi, lo in table.amps), default=0)
+    fund = _stack([LambdaSeries.zero()] + [table.omega_fund[i] for i in range(1, dim)])
+    out = np.zeros((len(fund), dim, dim))
+    window = np.zeros_like(fund)  # window[:, n]: sum of the d rungs ending at n
+    for d in range(1, min(band, dim - 1) + 1):
+        window[:, d:] = window[:, d - 1 : -1] + fund[:, d:]
+        n = np.arange(d, dim)
+        out[:, n, n - d] = window[:, d:]
+        out[:, n - d, n] = -window[:, d:]
+    return out
 
 
 def energy_matrix(
-    spec: OscillatorSpec, table: TransitionTable, max_order: int, freq_source: str = "levels"
+    spec: OscillatorSpec, table: TransitionTable, max_order: int, omega: np.ndarray
 ) -> OperatorMatrix:
     """Full energy matrix m*(Xdot^2 + omega0^2 X^2)/2 + anharmonic potential.
 
-    Xdot(n,m) carries i*omega(n,m)*X(n,m); products combine tags by
-    frequency addition, so the matrix is well formed.  freq_source picks
-    where omega(n,m) comes from: "levels" (the defining convention) or
-    "chain" (solve-time fundamentals, used to bootstrap the levels).
+    Xdot = iY with Y = omega o X, the entrywise product with the stack
+    omega(n, m); when omega comes from the levels this is the Born-Jordan
+    commutator Xdot = i(2*pi/h)[W, X].  So
+
+        E = (m/2)(omega0^2 X^2 - Y^2) + m/(p+1) * lam * X^(p+1).
+
+    omega is level_omega (the defining convention) or chain_omega
+    (solve-time fundamentals, used to bootstrap the levels); its size
+    sets the ladder the matrix is built on.
     """
-    dim = table.n_top + 3
-    x = table.position_matrix(dim)
-
-    if freq_source == "levels":
-        def omega_of(n: int, m: int) -> LambdaSeries:
-            return (table.levels[n] - table.levels[m]).scaled(TWO_PI / spec.planck_h)
-    else:
-        def omega_of(n: int, m: int) -> LambdaSeries:
-            return _omega_chain(table, n, m)
-
-    half_m = 0.5 * spec.m
-    e = OperatorMatrix(dim)
-    for n in range(dim):
-        for m in range(dim):
-            acc = LambdaSeries.zero()
-            for k in range(dim):
-                a = x.entry(n, k)
-                if not a:
-                    continue
-                b = x.entry(k, m)
-                if not b:
-                    continue
-                wa = omega_of(n, k)
-                wb = omega_of(k, m)
-                kin = -(wa * wb * a * b)
-                acc = acc + kin + (a * b).scaled(spec.omega0**2)
-            e.set(n, m, acc.scaled(half_m).truncated(max_order))
-
+    x = table.position_matrix(omega.shape[1])
+    y = OperatorMatrix(_series_product(omega, x.c, max_order, np.multiply))
+    e = (0.5 * spec.m) * (spec.omega0**2 * x.mul(x, max_order).c - y.mul(y, max_order).c)
     p = spec.kind.force_power
-    if p:
-        pot = x.power(p + 1, max_order)
-        coeff = spec.m / (p + 1.0)
-        for n in range(dim):
-            for m in range(dim):
-                v = e.entry(n, m) + pot.entry(n, m).shifted(1).scaled(coeff)
-                e.set(n, m, v.truncated(max_order))
-    return e
+    if p and max_order >= 1:
+        e[1:] += (spec.m / (p + 1.0)) * x.power(p + 1, max_order - 1).c
+    return OperatorMatrix(e)
 
 
 def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTable:
@@ -376,11 +368,12 @@ def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTab
     frequency_consistency), after which omega(n, m) is always derived
     from the levels.
     """
-    for n in range(1, table.n_top + 3):
+    dim = table.n_top + 3
+    for n in range(1, dim):
         table.omega_fund.setdefault(n, LambdaSeries.const(spec.omega0))
-    e = energy_matrix(spec, table, max_order=table.order, freq_source="chain")
-    for n in range(table.n_top + 3):
-        table.levels[n] = e.entry(n, n).truncated(table.order)
+    e = energy_matrix(spec, table, table.order, chain_omega(table, dim))
+    for n in range(dim):
+        table.levels[n] = e.entry(n, n)
     return table
 
 
@@ -430,23 +423,25 @@ def quantum_residuals(
     each entry reproduces the cosine-coefficient equations term for term.
     """
     dim = table.n_top + 3
+    top = table.order + 1
     x = table.position_matrix(dim)
+    omega = level_omega(table, dim)
+    wsq = _series_product(omega, omega, top, np.multiply)
+    r = np.zeros((top + 1, dim, dim))
+    k = min(len(x.c), top + 1)
+    r[:k] = spec.omega0**2 * x.c[:k]
+    r -= _series_product(wsq, x.c, top, np.multiply)
     p = spec.kind.force_power
-    prod = x.power(p, max_order=table.order + 1) if p else None
-    w0sq = spec.omega0**2
+    if p:
+        r[1:] += x.power(p, top - 1).c
+    r *= np.where(np.eye(dim, dtype=bool), 1.0, 2.0)
 
-    out: Dict[Tuple[int, int], LambdaSeries] = {}
-    for n in range(table.n_max + 1):
-        for m in range(n + 1):
-            wsq = table.freq_sq(n, m)
-            lin = x.entry(n, m).scaled(w0sq) - wsq * x.entry(n, m)
-            r = lin
-            if prod is not None:
-                r = r + prod.entry(n, m).shifted(1)
-            if n != m:
-                r = r.scaled(2.0)
-            out[(n, m)] = r.truncated(table.order + 1)
-    return out
+    entries = r.transpose(1, 2, 0).tolist()
+    return {
+        (n, m): LambdaSeries.from_coeffs(entries[n][m])
+        for n in range(table.n_max + 1)
+        for m in range(n + 1)
+    }
 
 
 def max_scaled_residual(spec: OscillatorSpec, table: TransitionTable) -> float:
@@ -465,7 +460,7 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     All periodic parts of the energy must vanish to the solved order; this
     is the internal-consistency check of the whole labeling.
     """
-    e = energy_matrix(spec, table, max_order=table.order, freq_source="levels")
+    e = energy_matrix(spec, table, table.order, level_omega(table, table.n_top + 3))
     worst = 0.0
     for k in range(table.order + 1):
         v = e.max_offdiag_abs(k, table.n_max) / energy_scale(spec, k)

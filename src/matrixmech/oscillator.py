@@ -53,8 +53,9 @@ class SmallnessWarning(UserWarning):
 class OscillatorSpec:
     """Physical parameters of one oscillator.
 
-    m, omega0 and planck_h must be positive; lam carries the units that
-    make lam*x^p an acceleration.  The harmonic kind forces lam == 0.
+    Every parameter must be finite; m, omega0 and planck_h must be
+    positive.  lam carries the units that make lam*x^p an acceleration.
+    The harmonic kind forces lam == 0.
     """
 
     m: float = 1.0
@@ -64,6 +65,8 @@ class OscillatorSpec:
     kind: Kind = Kind.HARMONIC
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m, self.omega0, self.planck_h, self.lam))):
+            raise ValueError("m, omega0, planck_h and lambda must all be finite")
         if not (self.m > 0 and self.omega0 > 0 and self.planck_h > 0):
             raise ValueError("m, omega0 and planck_h must all be positive")
         if self.kind is Kind.HARMONIC and self.lam != 0:

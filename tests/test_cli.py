@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,36 @@ def test_oracle_compare_smoke(capsys):
     assert payload["passed"] is True
     for fit in payload["fits"]:
         assert abs(fit["exponent"] - 2.0) < 0.2
+
+
+@pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--m", "inf")])
+def test_non_finite_input_exits_2(capsys, flag, value):
+    code, out, err = run(capsys, "levels", "--kind", "x3", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_verify_flags_unconverged_hardest_coupling(capsys):
+    # the oracle sweep runs lam/2 .. 4*lam; at 4*lam = 0.16 the x2 spectrum
+    # is not converged under basis doubling, and the check must say so
+    code, out, _ = run(capsys, "verify", "--kind", "x2", "--lambda", "0.04", "--nmax", "10")
+    assert code == 1
+    rows = {r.split(",")[0]: r.split(",") for r in out.strip().splitlines()[1:]}
+    assert rows["oracle_convergence"][1] == "FAIL"
+    assert float(rows["oracle_convergence"][2]) > 1.0
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "matrixmech", "levels", "--kind", "x3",
+         "--lambda", "0.001", "--nmax", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "n,W0,W1,W_total"
+    assert len(lines) == 5

@@ -135,3 +135,13 @@ def test_compare_uses_solved_table_for_series_form():
         assert math.isclose(a.series_form, expect, rel_tol=1e-13)
         # the series form agrees with the measurement to second order
         assert a.rel_error_series < 25 * (a.n * a.lam) ** 2 + 1e-8
+
+
+def test_compare_keeps_every_coupling_delta():
+    # at 4*lam = 0.16 the x2 spectrum has collapsed and the basis doubling
+    # moves the tracked levels by O(50); lam/2 alone would look converged
+    spec = OscillatorSpec(m=1, omega0=1, lam=0.04, kind=Kind.QUADRATIC_FORCE)
+    rep = compare(spec, [0.02, 0.04, 0.08, 0.16], n_track=5)
+    assert len(rep.convergence_deltas) == 4
+    assert rep.convergence_deltas[0] < 1e-10
+    assert rep.convergence_delta == max(rep.convergence_deltas) > 1.0

@@ -45,3 +45,11 @@ def test_smallness_ratio_by_kind():
     x3 = OscillatorSpec(lam=0.01, omega0=2.0, kind=Kind.CUBIC_FORCE)
     assert math.isclose(x3.smallness_ratio(0.5), 0.01 * 0.25 / 4.0)
     assert OscillatorSpec().smallness_ratio() == 0.0
+
+
+def test_non_finite_parameters_rejected():
+    for bad in (dict(m=math.inf), dict(omega0=math.nan), dict(planck_h=math.inf),
+                dict(lam=math.nan, kind=Kind.CUBIC_FORCE),
+                dict(lam=-math.inf, kind=Kind.QUADRATIC_FORCE)):
+        with pytest.raises(ValueError, match="finite"):
+            OscillatorSpec(**bad)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matrixmech.ladder import (
     LadderError,
+    OperatorMatrix,
     base_amplitudes,
     correspondence_check,
     energy_matrix,
@@ -370,3 +372,34 @@ def test_solution_invariants_property(m, omega0, h, kind):
     assert frequency_consistency(t) < 1e-12
     for n in range(4):
         assert abs(quantization_residual(spec, t, n)) < 1e-12 * h
+
+
+# ------------------------------------------------------- operator products
+
+
+def test_operator_product_matches_series_product():
+    # the coefficient-stack product against the per-entry series product
+    rng = np.random.default_rng(7)
+    dim = 6
+    for orders in [(0, 0), (0, 2), (1, 1), (2, 1), (2, 2)]:
+        a, b = (OperatorMatrix(rng.uniform(-1, 1, (k + 1, dim, dim))) for k in orders)
+        for max_order in range(4):
+            got = a.mul(b, max_order)
+            for n in range(dim):
+                for m in range(dim):
+                    ref = LambdaSeries.zero()
+                    for k in range(dim):
+                        ref = ref + a.entry(n, k) * b.entry(k, m)
+                    ref = ref.truncated(max_order)
+                    e = got.entry(n, m)
+                    for j in range(max_order + 1):
+                        assert abs(e[j] - ref[j]) <= 1e-14
+
+
+def test_x3_levels_on_a_long_ladder():
+    # guards the solver's scaling: the whole ladder up to n_max = 160
+    t = solve_quantum(X3, n_max=160, order=1)
+    for n in range(161):
+        w = t.level(n)
+        assert math.isclose(w[0], n + 0.5, rel_tol=1e-12)
+        assert math.isclose(w[1], 0.375 * (n * n + n + 0.5), rel_tol=1e-12)

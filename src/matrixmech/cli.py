@@ -277,10 +277,9 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_oracle_compare(config: RunConfig) -> int:
     spec = config.spec()
-    lam = config.lam
-    lambdas = [lam / 2, lam, 2 * lam, 4 * lam] if lam != 0 else [0.0]
     n_track = min(5, config.n_max)
-    report = orc.compare(spec, lambdas, n_track=n_track, n_basis=config.oracle_n)
+    report = orc.compare(spec, orc.coupling_sweep(config.lam), n_track=n_track,
+                         n_basis=config.oracle_n)
     if config.fmt == "json":
         payload = {
             "passed": report.passed,

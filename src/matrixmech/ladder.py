@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .classical import leading_order
 from .oscillator import Kind, OscillatorSpec
 from .series import LambdaSeries
 
@@ -228,13 +229,21 @@ def quantization_residual(spec: OscillatorSpec, table: TransitionTable, n: int) 
 def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTable:
     """Solve amplitudes and levels through lam^order (order 0 or 1).
 
-    Order 1 pins, per the equations of motion at each matrix entry:
-    the DC offsets and two-step amplitudes (x2 kind), the three-step
-    amplitudes and the fundamental frequency shift (x3 kind), the
-    fundamental amplitude correction via the sum rule at the shifted
-    frequency, plus the leading coefficient of the next harmonic up
-    (three-step at lam^2 for x2, five-step at lam^2 for x3).
-    Levels are then filled by energy_levels.
+    At order 1 every entry (n, m), tau = n - m >= 0, is fixed by its
+    equation of motion at lam^k for k = 1 .. order+1,
+
+        (1 - tau^2) * omega0^2 * X_k(n, m) + F(n, m) = 0,
+        F = (X^p)_{k-1}  (the force from the orders already solved),
+
+    one rule for every kind: tau = 0 gives the DC offset, tau >= 2 an
+    overtone amplitude with divisor (tau^2 - 1)*omega0^2, and tau = 1
+    (where the divisor vanishes) the frequency shift of the fundamental,
+    whose amplitude then follows from the sum rule at the shifted
+    frequency.  The pass at k = order+1 only fills harmonics that are
+    still zero, i.e. the leading coefficient of the next harmonic up.
+    Through order 1 no frequency correction enters any entry solved this
+    way, so the omega^2 term reduces to omega0^2.  Levels are then filled
+    by energy_levels.
     """
     if order not in (0, 1):
         raise LadderError("quantum solve supports order 0 or 1")
@@ -249,55 +258,31 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
     if w0sq < 1e-300:
         raise LadderError("vanishing harmonic-balance divisor (omega0^2 underflow)")
 
-    if order >= 1 and spec.kind is not Kind.HARMONIC:
-        p = spec.kind.force_power
-        dim = table.n_top + 3
-        x0 = table.position_matrix(dim)
-        prod0 = x0.power(p, max_order=0).c[0]
-
-        if spec.kind is Kind.QUADRATIC_FORCE:
-            dc = np.diagonal(prod0).tolist()
-            two = np.diagonal(prod0, -2).tolist()  # two[n-2] = (X^2)(n, n-2)
-            for n in range(dim):
-                # DC entry: omega0^2 * X(n,n) + (X^2)(n,n) = 0
-                if dc[n]:
-                    table.dc[n] = LambdaSeries.const(-dc[n] / w0sq)
-                # two steps down: divisor (2^2 - 1) * omega0^2
-                if n >= 2 and two[n - 2]:
-                    table.amps[(n, n - 2)] = LambdaSeries.from_coeffs(
-                        (0.0, 2.0 * two[n - 2] / (3.0 * w0sq))
-                    )
-        else:  # CUBIC_FORCE
-            three = np.diagonal(prod0, -3).tolist()
-            fund = np.diagonal(prod0, -1).tolist()
-            x_fund = np.diagonal(x0.c[0], -1).tolist()
-            for n in range(1, dim):
-                if n >= 3 and three[n - 3]:
-                    table.amps[(n, n - 3)] = LambdaSeries.from_coeffs(
-                        (0.0, 2.0 * three[n - 3] / (8.0 * w0sq))
-                    )
-                # fundamental entry fixes the frequency shift:
-                # omega^2(n,n-1) = omega0^2 + lam * (X^3)(n,n-1)/X(n,n-1)
-                w1 = fund[n - 1] / x_fund[n - 1] / (2.0 * spec.omega0)
-                table.omega_fund[n] = LambdaSeries.from_coeffs((spec.omega0, w1))
-                # sum rule at the shifted frequency:
-                # a^2(n,n-1)*omega(n,n-1) = n*h/(pi*m)
+    p = spec.kind.force_power
+    dim = table.n_top + 3
+    top = order + 1 if order >= 1 and p else 0
+    for k in range(1, top + 1):
+        x = table.position_matrix(dim)
+        f = np.tril(x.power(p, k - 1).c[k - 1])
+        if k > order:
+            f[x.c.any(axis=0)] = 0.0
+        ns, ms = np.nonzero(f)
+        x0 = x.c[0][ns, ms].tolist()
+        for n, m, fk, x0k in zip(ns.tolist(), ms.tolist(), f[ns, ms].tolist(), x0):
+            tau = n - m
+            if tau == 0:  # X(n, n) = lam * a0(n), so a0 enters at lam^(k-1)
+                table.dc[n] = LambdaSeries.from_coeffs((0.0,) * (k - 1) + (-fk / w0sq,))
+            elif tau >= 2:
+                a = 2.0 * fk / ((tau * tau - 1.0) * w0sq)
+                table.amps[(n, m)] = LambdaSeries.from_coeffs((0.0,) * k + (a,))
+            else:
+                # only at k = 1 (the k = order+1 pass skips the fundamentals):
+                # omega^2(n,m) = omega0^2 + lam*F/X0, and the sum rule
+                # a^2(n,m)*omega(n,m) = n*h/(pi*m)
+                w1 = fk / x0k / (2.0 * spec.omega0)
                 a0 = table.base_amplitude(n)
-                table.amps[(n, n - 1)] = LambdaSeries.from_coeffs(
-                    (a0, -a0 * w1 / (2.0 * spec.omega0))
-                )
-
-        # one level deeper: leading coefficient of the next harmonic,
-        # from the order-1 slice of the product with the solved X
-        prod1 = table.position_matrix(dim).power(p, max_order=1).c[1]
-        step = 3 if spec.kind is Kind.QUADRATIC_FORCE else 5
-        divisor = (step * step - 1.0) * w0sq
-        far = np.diagonal(prod1, -step).tolist()
-        for n in range(step, dim):
-            if far[n - step]:
-                table.amps[(n, n - step)] = LambdaSeries.from_coeffs(
-                    (0.0, 0.0, 2.0 * far[n - step] / divisor)
-                )
+                table.omega_fund[n] = LambdaSeries.from_coeffs((spec.omega0, w1))
+                table.amps[(n, m)] = LambdaSeries.from_coeffs((a0, -a0 * w1 / (2.0 * spec.omega0)))
 
     return energy_levels(spec, table)
 
@@ -394,23 +379,16 @@ def frequency_consistency(table: TransitionTable) -> float:
 
 def trusted_residual_order(kind: Kind, order: int, delta: int) -> int:
     """Highest lam power at which the (n, m) equation holds for the
-    order-`order` solution, delta = |n - m|."""
-    if kind is Kind.HARMONIC:
+    order-`order` solution, delta = |n - m|.
+
+    Every equation holds through lam^order.  At lam^(order+1) it also holds
+    where harmonic delta first appears later, or exactly then and its
+    leading coefficient was solved (order >= 1); the x3 kind's even
+    harmonics vanish identically by parity.
+    """
+    if kind is Kind.HARMONIC or (kind is Kind.CUBIC_FORCE and delta % 2 == 0):
         return order + 1
-    if kind is Kind.QUADRATIC_FORCE:
-        if delta <= 2:
-            return order
-        if delta == 3:
-            return order + 1
-        return min(delta - 2, order + 1)
-    # cubic: even entries vanish identically by parity
-    if delta % 2 == 0:
-        return order + 1
-    if delta <= 3:
-        return order
-    if delta == 5:
-        return order + 1
-    return min((delta - 3) // 2, order + 1)
+    return order if leading_order(kind, delta) <= max(order, 1) else order + 1
 
 
 def quantum_residuals(
@@ -444,14 +422,20 @@ def quantum_residuals(
     }
 
 
-def max_scaled_residual(spec: OscillatorSpec, table: TransitionTable) -> float:
-    """Largest nondimensionalized trusted residual coefficient."""
-    worst = 0.0
+def worst_scaled_residuals(spec: OscillatorSpec, table: TransitionTable) -> Dict[int, float]:
+    """Largest nondimensionalized trusted residual coefficient per
+    delta = n - m."""
+    worst: Dict[int, float] = {}
     for (n, m), series in quantum_residuals(spec, table).items():
         top = trusted_residual_order(spec.kind, table.order, n - m)
         for k in range(top + 1):
-            worst = max(worst, abs(series[k]) / residual_scale(spec, k))
+            worst[n - m] = max(worst.get(n - m, 0.0), abs(series[k]) / residual_scale(spec, k))
     return worst
+
+
+def max_scaled_residual(spec: OscillatorSpec, table: TransitionTable) -> float:
+    """Largest nondimensionalized trusted residual coefficient."""
+    return max(worst_scaled_residuals(spec, table).values(), default=0.0)
 
 
 def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> float:

@@ -196,6 +196,11 @@ class ComparisonReport:
         return not self.failures
 
 
+def coupling_sweep(lam: float) -> List[float]:
+    """Couplings at which the oracle checks a run at lam: lam/2 .. 4*lam."""
+    return [lam / 2, lam, 2 * lam, 4 * lam] if lam != 0 else [0.0]
+
+
 def compare(
     spec: OscillatorSpec,
     lambdas: Sequence[float],
@@ -209,10 +214,11 @@ def compare(
     residual is fit to C*lam^q per level (q should sit near 2, the first
     neglected order).  The basis-doubling delta is kept per coupling and
     convergence_delta is the largest, so the hardest coupling is checked.
-    Amplitudes are compared at the first coupling, both against the
-    sum-rule form at the measured transition frequency and against the
-    first-order series.  Mismatches beyond the second-order envelope are
-    recorded as failures, never silently dropped.
+    Amplitudes are compared at the first nonzero coupling, from that
+    coupling's own decomposition, both against the sum-rule form at the
+    measured transition frequency and against the first-order series.
+    Mismatches beyond the second-order envelope are recorded as failures,
+    never silently dropped.
     """
     if n_basis is None:
         n_basis = default_basis_size(n_track)
@@ -221,10 +227,15 @@ def compare(
     )
 
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
+    base_lam = next((l for l in lambdas if l != 0), None)
+    base = None  # (eigenvalues, x_elements) of the tracked states at base_lam
     for lam in lambdas:
         s = OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind)
         result = diagonalize(build_hamiltonian(s, n_basis), n_track=n_track)
         report.convergence_deltas.append(result.convergence_delta)
+        if lam == base_lam and base is None:
+            k = n_track + 1
+            base = (result.eigenvalues[:k].copy(), result.x_elements[:k, :k].copy())
         for n in range(n_track + 1):
             row = LevelComparison(
                 lam=lam,
@@ -254,18 +265,17 @@ def compare(
             report.fit_constant[n] = float(math.exp(intercept))
 
     # amplitude comparison at the first nonzero coupling
-    base_lam = next((l for l in lambdas if l != 0), None)
-    if base_lam is not None and spec.kind is not Kind.HARMONIC:
+    if base is not None and spec.kind is not Kind.HARMONIC:
+        evals, x_elem = base
         s = OscillatorSpec(spec.m, spec.omega0, base_lam, spec.planck_h, spec.kind)
-        result = diagonalize(build_hamiltonian(s, n_basis), n_track=n_track, check_convergence=False)
         if table is None:
             table = solve_quantum(s, n_max=max(n_track + 1, 4), order=1)
         for n in range(1, n_track + 1):
-            omega_exact = float(result.eigenvalues[n] - result.eigenvalues[n - 1]) / s.hbar
+            omega_exact = float(evals[n] - evals[n - 1]) / s.hbar
             sum_rule = math.sqrt(n * s.planck_h / (math.pi * s.m * omega_exact))
             row = AmplitudeComparison(
                 n=n,
-                measured=2.0 * float(result.x_elements[n - 1, n]),
+                measured=2.0 * float(x_elem[n - 1, n]),
                 sum_rule_form=sum_rule,
                 series_form=table.amp(n, n - 1).eval(base_lam),
                 lam=base_lam,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from . import classical as cl
 from . import ladder as ld
@@ -77,12 +77,9 @@ def _residual_groups(spec, table, report, tol):
               5: "eom_residual_overtone5"}
     worst: Dict[str, float] = {name: 0.0 for name in groups.values()}
     worst["eom_residual_other"] = 0.0
-    for (n, m), series in ld.quantum_residuals(spec, table).items():
-        name = groups.get(n - m, "eom_residual_other")
-        top = ld.trusted_residual_order(spec.kind, table.order, n - m)
-        for k in range(top + 1):
-            v = abs(series[k]) / ld.residual_scale(spec, k)
-            worst[name] = max(worst[name], v)
+    for delta, v in ld.worst_scaled_residuals(spec, table).items():
+        name = groups.get(delta, "eom_residual_other")
+        worst[name] = max(worst[name], v)
     for name, v in worst.items():
         report.add(name, v, tol)
 
@@ -93,7 +90,6 @@ def run_verification(
     order: int = 1,
     tol: float = 1e-12,
     oracle_n: Optional[int] = None,
-    lambdas: Optional[Sequence[float]] = None,
     mutate: Optional[str] = None,
 ) -> VerificationReport:
     """Run every applicable invariant check and return the full report."""
@@ -178,10 +174,9 @@ def run_verification(
     report.add("classical_energy_periodic", energy.max_periodic() / scale, tol)
 
     # oracle comparison
-    if lambdas is None:
-        lambdas = [lam / 2, lam, 2 * lam, 4 * lam] if lam != 0 else [0.0]
     n_track = min(5, n_max - 1)
-    rep = orc.compare(spec, lambdas, n_track=n_track, n_basis=oracle_n, table=table)
+    rep = orc.compare(spec, orc.coupling_sweep(lam), n_track=n_track, n_basis=oracle_n,
+                      table=table)
     level_fails = [f for f in rep.failures if f.startswith("level")]
     amp_fails = [f for f in rep.failures if f.startswith("amplitude")]
     report.add("oracle_levels", float(len(level_fails)), 0.0,

@@ -8,6 +8,7 @@ from matrixmech.oracle import (
     OracleError,
     build_hamiltonian,
     compare,
+    coupling_sweep,
     default_basis_size,
     diagonalize,
     perturbative_level,
@@ -145,3 +146,23 @@ def test_compare_keeps_every_coupling_delta():
     assert len(rep.convergence_deltas) == 4
     assert rep.convergence_deltas[0] < 1e-10
     assert rep.convergence_delta == max(rep.convergence_deltas) > 1.0
+
+
+def test_coupling_sweep():
+    assert coupling_sweep(1e-3) == [5e-4, 1e-3, 2e-3, 4e-3]
+    assert coupling_sweep(-2e-3) == [-1e-3, -2e-3, -4e-3, -8e-3]
+    assert coupling_sweep(0.0) == [0.0]
+
+
+def test_compare_decomposes_each_coupling_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rep = compare(X3, coupling_sweep(1e-3), n_track=5, n_basis=64)
+    assert len(calls) == 4
+    assert len(rep.amplitudes) == 5

@@ -345,6 +345,39 @@ def test_trusted_orders():
     assert trusted_residual_order(Kind.QUADRATIC_FORCE, 1, 4) == 2
     assert trusted_residual_order(Kind.CUBIC_FORCE, 1, 5) == 2
     assert trusted_residual_order(Kind.CUBIC_FORCE, 1, 2) == 2  # parity zero
+    # the full table, kind x order x delta = 0..8
+    expected = {
+        (Kind.HARMONIC, 0): [1, 1, 1, 1, 1, 1, 1, 1, 1],
+        (Kind.HARMONIC, 1): [2, 2, 2, 2, 2, 2, 2, 2, 2],
+        (Kind.QUADRATIC_FORCE, 0): [0, 0, 0, 1, 1, 1, 1, 1, 1],
+        (Kind.QUADRATIC_FORCE, 1): [1, 1, 1, 2, 2, 2, 2, 2, 2],
+        (Kind.CUBIC_FORCE, 0): [1, 0, 1, 0, 1, 1, 1, 1, 1],
+        (Kind.CUBIC_FORCE, 1): [2, 1, 2, 1, 2, 2, 2, 2, 2],
+    }
+    for (kind, order), tops in expected.items():
+        assert [trusted_residual_order(kind, order, d) for d in range(9)] == tops
+
+
+@pytest.mark.parametrize(
+    "spec, order, top_power, has_dc",
+    [
+        (X2, 1, {1: 0, 2: 1, 3: 2}, True),
+        (X3, 1, {1: 1, 3: 1, 5: 2}, False),
+        (X2, 0, {1: 0}, False),
+        (X3, 0, {1: 0}, False),
+    ],
+)
+def test_solved_table_structure(spec, order, top_power, has_dc):
+    # top stored lam power per delta = n - m, and plain float coefficients
+    t = solve_quantum(spec, n_max=8, order=order)
+    tops = {}
+    for (hi, lo), s in t.amps.items():
+        tops[hi - lo] = max(tops.get(hi - lo, -1), s.order)
+    assert tops == top_power
+    assert bool(t.dc) == has_dc
+    coeffs = [c for d in (t.amps, t.dc, t.levels) for s in d.values() for c in s.coeffs]
+    coeffs += [c for s in t.omega_fund.values() for c in s.coeffs[1:]]  # [0] is omega0
+    assert coeffs and all(type(c) is float for c in coeffs)
 
 
 def test_solver_preconditions():

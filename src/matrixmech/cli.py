@@ -33,6 +33,14 @@ ENV_CONFIG = "MATRIXMECH_CONFIG"
 USAGE_ERROR = 2
 CHECK_ERROR = 1
 
+# Size caps, checked before any work.  The ladder's stacks are dense
+# (n_max+pad)^2 arrays: verify at n_max 512 takes about 2 s on one core
+# of a 2-core VM and peaks at 140 MiB.
+# The oracle's doubled basis at oracle-n 2048 is a 4096^2 float64 matrix,
+# 128 MiB.
+MAX_NMAX = 512
+MAX_ORACLE_N = 2048
+
 
 class ConfigError(ValueError):
     pass
@@ -156,12 +164,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, attr, None)
         if value is not None:
             setattr(config, attr, value)
-    if config.n_max < 1:
-        raise ConfigError("nmax must be >= 1")
+    if not 1 <= config.n_max <= MAX_NMAX:
+        raise ConfigError(f"nmax must be between 1 and {MAX_NMAX}")
     if config.order not in (0, 1):
         raise ConfigError("order must be 0 or 1")
-    if config.oracle_n is not None and config.oracle_n < 8:
-        raise ConfigError("oracle-n must be >= 8")
+    if config.oracle_n is not None and not 8 <= config.oracle_n <= MAX_ORACLE_N:
+        raise ConfigError(f"oracle-n must be between 8 and {MAX_ORACLE_N}")
     return config
 
 

@@ -40,14 +40,19 @@ class OracleResult:
     n_basis: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    x_elements: np.ndarray  # |<E_i| x |E_j>|
+    x_elements: np.ndarray  # |<E_i| x |E_j>| for the tracked states i, j <= n_track
     n_track: int
     convergence_delta: float
 
 
-def position_operator(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
+def _x_offdiagonal(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
+    """<k-1| x |k> for k = 1 .. n_basis-1: scale*sqrt(k)."""
     scale = math.sqrt(spec.hbar / (2.0 * spec.m * spec.omega0))
-    off = scale * np.sqrt(np.arange(1, n_basis))
+    return scale * np.sqrt(np.arange(1, n_basis))
+
+
+def position_operator(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
+    off = _x_offdiagonal(spec, n_basis)
     return np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -56,17 +61,30 @@ def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> TruncatedHamiltonia
 
     Kinetic plus harmonic potential are diagonal, (n + 1/2)*hbar*omega0;
     the anharmonic potential is m*lam*x^3/3 (x2 kind) or m*lam*x^4/4
-    (x3 kind), banded with coupling width 3 or 4.
+    (x3 kind), banded with coupling width q = 3 or 4.  Its diagonals come
+    from applying the tridiagonal x q times in band storage, O(q^2 N),
+    and each upper diagonal is copied from the lower one, so the dense
+    matrix returned is exactly symmetric.
     """
     if n_basis < 8:
         raise OracleError("basis size must be at least 8")
     n = np.arange(n_basis)
     h = np.diag((n + 0.5) * spec.hbar * spec.omega0)
-    p = spec.kind.force_power
-    if p:
-        x = position_operator(spec, n_basis)
-        pot = np.linalg.matrix_power(x, p + 1) * (spec.m * spec.lam / (p + 1))
-        h = h + pot
+    q = spec.kind.force_power + 1
+    if q > 1:
+        off = _x_offdiagonal(spec, n_basis)
+        band = np.zeros((2 * q + 1, n_basis))  # band[q + d, i] = <i + d| M |i>
+        band[q] = 1.0
+        for _ in range(q):  # M <- M x
+            new = np.zeros_like(band)
+            new[:-1, 1:] = off * band[1:, :-1]
+            new[1:, :-1] += off * band[:-1, 1:]
+            band = new
+        band *= spec.m * spec.lam / q
+        for d in range(q + 1):
+            i = np.arange(n_basis - d)
+            h[i + d, i] += band[q + d, : n_basis - d]
+            h[i, i + d] = h[i + d, i]
     return TruncatedHamiltonian(spec=spec, n_basis=n_basis, matrix=h)
 
 
@@ -77,7 +95,9 @@ def diagonalize(
 
     Deterministic for fixed input (LAPACK with index tie-breaking); the
     convergence delta is the largest change of the tracked eigenvalues
-    when the basis is doubled.
+    when the basis is doubled.  x_elements covers only the k = n_track+1
+    tracked states: |V_k^T (x V_k)|, with x V_k formed from the two
+    off-diagonals of x in O(N k).
     """
     spec = ham.spec
     try:
@@ -87,14 +107,18 @@ def diagonalize(
     if not np.all(np.diff(evals) >= -1e-9 * max(1.0, abs(evals[-1]))):
         raise OracleError("eigenvalues not sorted; decomposition failed")
 
-    x = position_operator(spec, ham.n_basis)
-    x_elem = np.abs(evecs.T @ x @ evecs)
+    k = min(n_track + 1, ham.n_basis)
+    vk = evecs[:, :k]
+    off = _x_offdiagonal(spec, ham.n_basis)[:, None]
+    xv = np.zeros_like(vk)
+    xv[:-1] = off * vk[1:]
+    xv[1:] += off * vk[:-1]
+    x_elem = np.abs(vk.T @ xv)
 
     delta = 0.0
     if check_convergence:
         big = build_hamiltonian(spec, 2 * ham.n_basis)
         evals2 = np.linalg.eigvalsh(big.matrix)
-        k = min(n_track + 1, ham.n_basis)
         delta = float(np.max(np.abs(evals[:k] - evals2[:k])))
 
     return OracleResult(

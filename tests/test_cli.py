@@ -235,3 +235,35 @@ def test_module_entry_point():
     lines = proc.stdout.splitlines()
     assert lines[0] == "n,W0,W1,W_total"
     assert len(lines) == 5
+
+
+def test_size_caps_checked_before_work(capsys, monkeypatch):
+    from matrixmech import cli, ladder, oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", forbidden)
+    monkeypatch.setattr(oracle, "solve_quantum", forbidden)
+    monkeypatch.setattr(ladder, "solve_quantum", forbidden)
+
+    over_n = str(cli.MAX_ORACLE_N + 1)
+    for command in ("oracle-compare", "verify"):
+        code, out, err = run(capsys, command, "--kind", "x3", "--lambda", "0.001",
+                             "--oracle-n", over_n)
+        assert code == 2 and out == ""
+        assert str(cli.MAX_ORACLE_N) in err
+
+    over_nmax = str(cli.MAX_NMAX + 1)
+    for command in ("levels", "lines", "verify", "oracle-compare"):
+        code, out, err = run(capsys, command, "--kind", "x3", "--lambda", "0.001",
+                             "--nmax", over_nmax)
+        assert code == 2 and out == ""
+        assert str(cli.MAX_NMAX) in err
+
+    # the caps themselves are accepted
+    args = cli.build_parser().parse_args(
+        ["verify", "--nmax", str(cli.MAX_NMAX), "--oracle-n", str(cli.MAX_ORACLE_N)])
+    config = cli.resolve_config(args)
+    assert (config.n_max, config.oracle_n) == (cli.MAX_NMAX, cli.MAX_ORACLE_N)
+    assert cli.MAX_NMAX > 160

@@ -166,3 +166,46 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
     rep = compare(X3, coupling_sweep(1e-3), n_track=5, n_basis=64)
     assert len(calls) == 4
     assert len(rep.amplitudes) == 5
+
+
+SIZES = [8, 9, 64, 768]
+ODD_UNITS = dict(m=1.7, omega0=0.6, planck_h=3.1)
+
+
+@pytest.mark.parametrize("units", [{}, ODD_UNITS])
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+@pytest.mark.parametrize("n", SIZES)
+def test_banded_build_matches_matrix_power(kind, n, units):
+    spec = OscillatorSpec(lam=2e-3, kind=kind, **units)
+    h = build_hamiltonian(spec, n).matrix
+    q = kind.force_power + 1
+    x = position_operator(spec, n)
+    expect = np.diag((np.arange(n) + 0.5) * spec.hbar * spec.omega0)
+    expect = expect + np.linalg.matrix_power(x, q) * (spec.m * spec.lam / q)
+    assert np.max(np.abs(h - expect)) <= 1e-13 * np.max(np.abs(h))
+    i, j = np.indices(h.shape)
+    assert not np.any(h[np.abs(i - j) > q])
+    assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n_basis,n_track", [(8, 3), (8, 12), (64, 5), (256, 5)])
+def test_tracked_x_elements_match_full_product(kind, n_basis, n_track):
+    spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
+    r = diagonalize(build_hamiltonian(spec, n_basis), n_track=n_track,
+                    check_convergence=False)
+    k = min(n_track + 1, n_basis)
+    assert r.x_elements.shape == (k, k)
+    v = r.eigenvectors
+    full = np.abs(v.T @ position_operator(spec, n_basis) @ v)
+    assert np.max(np.abs(r.x_elements - full[:k, :k])) <= 1e-12
+
+
+def test_compare_builds_without_matrix_power(monkeypatch):
+    def tripwire(*args, **kwargs):
+        raise AssertionError("dense matrix power in the oracle")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", tripwire)
+    for spec in (X2, X3):
+        rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
+        assert rep.passed, rep.failures

@@ -92,13 +92,6 @@ class OperatorMatrix:
             out = out.mul(self, max_order)
         return out
 
-    def max_offdiag_abs(self, order_k: int, n_limit: int) -> float:
-        if order_k >= len(self.c):
-            return 0.0
-        block = np.abs(self.c[order_k, : n_limit + 1, : n_limit + 1])
-        np.fill_diagonal(block, 0.0)
-        return float(block.max(initial=0.0))
-
 
 # ---------------------------------------------------------------------------
 # transition table
@@ -183,15 +176,23 @@ class TransitionTable:
         return self.spec.ladder_amplitude * math.sqrt(n)
 
 
+# Share of the size of the terms that cancel in a residual or energy entry
+# below which the entry's scale never falls.  In double precision an entry
+# carries round-off of up to about 3.6 ulp of that size (measured for
+# n_max up to 512), while its natural unit does not grow with n.  At the
+# default tolerance 1e-12 this share admits 6 ulp.
+ROUNDOFF_SHARE = 6.0 * np.finfo(float).eps / 1e-12
+
+
 def residual_scale(spec: OscillatorSpec, k: int) -> float:
-    """Size of a lam^k equation-of-motion residual coefficient."""
+    """Natural unit of a lam^k equation-of-motion residual coefficient."""
     a = spec.ladder_amplitude
     u = spec.coupling_unit(a) or 1.0
     return spec.omega0**2 * a * u**k
 
 
 def energy_scale(spec: OscillatorSpec, k: int) -> float:
-    """Size of a lam^k energy-matrix entry."""
+    """Natural unit of a lam^k energy-matrix entry."""
     a = spec.ladder_amplitude
     u = spec.coupling_unit(a) or 1.0
     return spec.m * spec.omega0**2 * a * a * u**k
@@ -301,6 +302,13 @@ def level_omega(table: TransitionTable, dim: int) -> np.ndarray:
     return (w[:, :, None] - w[:, None, :]) * (TWO_PI / table.spec.planck_h)
 
 
+def _level_omega_size(table: TransitionTable, dim: int) -> np.ndarray:
+    """Stack of (2*pi/h)(|W(n)| + |W(m)|): the size of the two levels whose
+    difference is omega(n, m), so omega carries round-off relative to it."""
+    w = np.abs(_stack([table.level(n) for n in range(dim)]))
+    return (w[:, :, None] + w[:, None, :]) * (TWO_PI / table.spec.planck_h)
+
+
 def chain_omega(table: TransitionTable, dim: int) -> np.ndarray:
     """Stack of omega(n, m) as the sum of the fundamentals omega_fund(i) for
     min(n,m) < i <= max(n,m), on the diagonals where the table has
@@ -391,14 +399,22 @@ def trusted_residual_order(kind: Kind, order: int, delta: int) -> int:
     return order if leading_order(kind, delta) <= max(order, 1) else order + 1
 
 
-def quantum_residuals(
-    spec: OscillatorSpec, table: TransitionTable
-) -> Dict[Tuple[int, int], LambdaSeries]:
-    """Equation-of-motion residual series per public entry (n, m), n >= m.
+def _scaled(value: np.ndarray, unit: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """|value| over its scale: the natural unit, or ROUNDOFF_SHARE of the
+    size of the terms that cancel in the entry when that is larger."""
+    return np.abs(value) / np.maximum(unit, ROUNDOFF_SHARE * size)
 
-    Residual = [omega0^2 - omega^2(n,m)] * X(n,m) + lam * (X^p)(n,m),
-    reported in the amplitude convention (off-diagonal entries doubled), so
-    each entry reproduces the cosine-coefficient equations term for term.
+
+def _residual_stacks(
+    spec: OscillatorSpec, table: TransitionTable
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Equation-of-motion residual stack and the size of its terms.
+
+    Residual = [omega0^2 - omega^2(n,m)] * X(n,m) + lam * (X^p)(n,m) over
+    the internal ladder, in the amplitude convention (off-diagonal entries
+    doubled).  The size is the same sum with every term taken by
+    magnitude, omega^2 counted as |omega| times the size of the levels
+    omega is the difference of, and X^p as |X|^p.
     """
     dim = table.n_top + 3
     top = table.order + 1
@@ -409,11 +425,30 @@ def quantum_residuals(
     k = min(len(x.c), top + 1)
     r[:k] = spec.omega0**2 * x.c[:k]
     r -= _series_product(wsq, x.c, top, np.multiply)
+
+    ax = np.abs(x.c)
+    size = np.zeros_like(r)
+    size[:k] = spec.omega0**2 * ax[:k]
+    wsq_size = _series_product(np.abs(omega), _level_omega_size(table, dim), top, np.multiply)
+    size += _series_product(wsq_size, ax, top, np.multiply)
     p = spec.kind.force_power
     if p:
         r[1:] += x.power(p, top - 1).c
-    r *= np.where(np.eye(dim, dtype=bool), 1.0, 2.0)
+        size[1:] += OperatorMatrix(ax).power(p, top - 1).c
+    convention = np.where(np.eye(dim, dtype=bool), 1.0, 2.0)
+    return r * convention, size * convention
 
+
+def quantum_residuals(
+    spec: OscillatorSpec, table: TransitionTable
+) -> Dict[Tuple[int, int], LambdaSeries]:
+    """Equation-of-motion residual series per public entry (n, m), n >= m.
+
+    Residual = [omega0^2 - omega^2(n,m)] * X(n,m) + lam * (X^p)(n,m),
+    reported in the amplitude convention (off-diagonal entries doubled), so
+    each entry reproduces the cosine-coefficient equations term for term.
+    """
+    r, _ = _residual_stacks(spec, table)
     entries = r.transpose(1, 2, 0).tolist()
     return {
         (n, m): LambdaSeries.from_coeffs(entries[n][m])
@@ -424,12 +459,16 @@ def quantum_residuals(
 
 def worst_scaled_residuals(spec: OscillatorSpec, table: TransitionTable) -> Dict[int, float]:
     """Largest nondimensionalized trusted residual coefficient per
-    delta = n - m."""
+    delta = n - m, over the public entries."""
+    r, size = _residual_stacks(spec, table)
+    unit = np.array([residual_scale(spec, k) for k in range(len(r))])[:, None]
     worst: Dict[int, float] = {}
-    for (n, m), series in quantum_residuals(spec, table).items():
-        top = trusted_residual_order(spec.kind, table.order, n - m)
-        for k in range(top + 1):
-            worst[n - m] = max(worst.get(n - m, 0.0), abs(series[k]) / residual_scale(spec, k))
+    for delta in range(table.n_max + 1):
+        k = trusted_residual_order(spec.kind, table.order, delta) + 1
+        n = np.arange(delta, table.n_max + 1)
+        worst[delta] = float(
+            _scaled(r[:k, n, n - delta], unit[:k], size[:k, n, n - delta]).max()
+        )
     return worst
 
 
@@ -442,14 +481,30 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     """Largest scaled off-diagonal energy-matrix entry over public states.
 
     All periodic parts of the energy must vanish to the solved order; this
-    is the internal-consistency check of the whole labeling.
+    is the internal-consistency check of the whole labeling.  An entry's
+    size is the energy formula with every term taken by magnitude, Y^2
+    counted as (|omega| o |X|)(Omega o |X|), Omega the size of the levels
+    omega is the difference of.
     """
-    e = energy_matrix(spec, table, table.order, level_omega(table, table.n_top + 3))
-    worst = 0.0
-    for k in range(table.order + 1):
-        v = e.max_offdiag_abs(k, table.n_max) / energy_scale(spec, k)
-        worst = max(worst, v)
-    return worst
+    dim = table.n_top + 3
+    order = table.order
+    omega = level_omega(table, dim)
+    e = energy_matrix(spec, table, order, omega).c
+
+    ax = np.abs(table.position_matrix(dim).c)
+    y = _series_product(np.abs(omega), ax, order, np.multiply)
+    dy = _series_product(_level_omega_size(table, dim), ax, order, np.multiply)
+    size = (0.5 * spec.m) * (spec.omega0**2 * _series_product(ax, ax, order, np.matmul)
+                             + _series_product(y, dy, order, np.matmul))
+    p = spec.kind.force_power
+    if p and order >= 1:
+        size[1:] += (spec.m / (p + 1.0)) * OperatorMatrix(ax).power(p + 1, order - 1).c
+
+    pub = table.n_max + 1
+    off = ~np.eye(pub, dtype=bool)  # public off-diagonal entries
+    unit = np.array([energy_scale(spec, k) for k in range(order + 1)])[:, None]
+    worst = _scaled(e[:, :pub, :pub][:, off], unit, size[:, :pub, :pub][:, off])
+    return float(worst.max(initial=0.0))
 
 
 def line_spectrum(table: TransitionTable) -> List[SpectralLine]:

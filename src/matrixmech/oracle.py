@@ -88,24 +88,86 @@ def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> TruncatedHamiltonia
     return TruncatedHamiltonian(spec=spec, n_basis=n_basis, matrix=h)
 
 
+# An even potential (x^4, or none) couples only states of equal parity.
+_PARITIES = (slice(0, None, 2), slice(1, None, 2))
+
+
+def _parity_blocks(spec: OscillatorSpec) -> Tuple[slice, ...]:
+    """Row sets of the diagonal blocks of H: even and odd number states
+    when the potential is even, else every state (x^3 couples both)."""
+    p = spec.kind.force_power
+    return _PARITIES if p == 0 or p % 2 == 1 else (slice(None),)
+
+
+def _decompose(solver, block: np.ndarray):
+    """solver(block), with LAPACK's eigenvalues checked to be ascending."""
+    try:
+        out = solver(block)
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"eigensolver did not converge: {exc}") from exc
+    evals = out[0] if isinstance(out, tuple) else out
+    if not np.all(np.diff(evals) >= -1e-9 * max(1.0, abs(evals[-1]))):
+        raise OracleError("eigenvalues not sorted; decomposition failed")
+    return out
+
+
+def _eigenvalues(ham: TruncatedHamiltonian) -> np.ndarray:
+    """Ascending eigenvalues of H, without eigenvectors.
+
+    Each parity block is decomposed on its own and the two spectra are
+    merged by a stable sort, so ties keep the even state first.
+    """
+    h = ham.matrix  # h[b, b] is a view: no block is copied before LAPACK
+    evals = [_decompose(np.linalg.eigvalsh, h[b, b]) for b in _parity_blocks(ham.spec)]
+    return np.sort(np.concatenate(evals), kind="stable")
+
+
+def _eigenpairs(ham: TruncatedHamiltonian) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of H with full-basis eigenvectors as columns.
+
+    Block eigenvectors are scattered into their parity rows, and the
+    columns follow the same stable merge as _eigenvalues.
+    """
+    h = ham.matrix
+    blocks = _parity_blocks(ham.spec)
+    if len(blocks) == 1:  # x2: no N x N scatter or column copy, which raise peak memory
+        return tuple(_decompose(np.linalg.eigh, h))
+    evals = []
+    evecs = np.zeros_like(h)
+    col = 0
+    for b in blocks:
+        w, v = _decompose(np.linalg.eigh, h[b, b])
+        evecs[b, col : col + len(w)] = v
+        evals.append(w)
+        col += len(w)
+    evals = np.concatenate(evals)
+    order = np.argsort(evals, kind="stable")
+    return evals[order], evecs[:, order]
+
+
+def _doubling_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> float:
+    """Largest change of the tracked eigenvalues when the basis is doubled."""
+    doubled = _eigenvalues(build_hamiltonian(spec, 2 * n_basis))
+    return float(np.max(np.abs(tracked - doubled[: len(tracked)])))
+
+
 def diagonalize(
     ham: TruncatedHamiltonian, n_track: int = 8, check_convergence: bool = True
 ) -> OracleResult:
-    """Dense symmetric eigendecomposition with a basis-doubling check.
+    """Symmetric eigendecomposition with a basis-doubling check.
 
-    Deterministic for fixed input (LAPACK with index tie-breaking); the
-    convergence delta is the largest change of the tracked eigenvalues
-    when the basis is doubled.  x_elements covers only the k = n_track+1
-    tracked states: |V_k^T (x V_k)|, with x V_k formed from the two
-    off-diagonals of x in O(N k).
+    An even potential (x3 kind, harmonic) makes H block diagonal in
+    parity, so its even and odd blocks are decomposed separately and the
+    eigenvalues merged by a stable sort; eigenvectors are still returned
+    in the full basis, one column per merged eigenvalue.  Deterministic
+    for fixed input.  The convergence delta is the largest change of the
+    tracked eigenvalues when the basis is doubled; the doubled basis is
+    decomposed for eigenvalues only.  x_elements covers only the
+    k = n_track+1 tracked states: |V_k^T (x V_k)|, with x V_k formed from
+    the two off-diagonals of x in O(N k).
     """
     spec = ham.spec
-    try:
-        evals, evecs = np.linalg.eigh(ham.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"eigensolver did not converge: {exc}") from exc
-    if not np.all(np.diff(evals) >= -1e-9 * max(1.0, abs(evals[-1]))):
-        raise OracleError("eigenvalues not sorted; decomposition failed")
+    evals, evecs = _eigenpairs(ham)
 
     k = min(n_track + 1, ham.n_basis)
     vk = evecs[:, :k]
@@ -115,11 +177,7 @@ def diagonalize(
     xv[1:] += off * vk[:-1]
     x_elem = np.abs(vk.T @ xv)
 
-    delta = 0.0
-    if check_convergence:
-        big = build_hamiltonian(spec, 2 * ham.n_basis)
-        evals2 = np.linalg.eigvalsh(big.matrix)
-        delta = float(np.max(np.abs(evals[:k] - evals2[:k])))
+    delta = _doubling_delta(spec, ham.n_basis, evals[:k]) if check_convergence else 0.0
 
     return OracleResult(
         spec=spec,
@@ -238,9 +296,11 @@ def compare(
     residual is fit to C*lam^q per level (q should sit near 2, the first
     neglected order).  The basis-doubling delta is kept per coupling and
     convergence_delta is the largest, so the hardest coupling is checked.
-    Amplitudes are compared at the first nonzero coupling, from that
-    coupling's own decomposition, both against the sum-rule form at the
-    measured transition frequency and against the first-order series.
+    Amplitudes are compared at the first nonzero coupling, both against
+    the sum-rule form at the measured transition frequency and against
+    the first-order series; that coupling alone is diagonalized with
+    eigenvectors (for x_elements), every other coupling and every doubled
+    basis is decomposed for eigenvalues only.
     Mismatches beyond the second-order envelope are recorded as failures,
     never silently dropped.
     """
@@ -253,19 +313,24 @@ def compare(
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
     base_lam = next((l for l in lambdas if l != 0), None)
     base = None  # (eigenvalues, x_elements) of the tracked states at base_lam
+    k = min(n_track + 1, n_basis)
     for lam in lambdas:
         s = OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind)
-        result = diagonalize(build_hamiltonian(s, n_basis), n_track=n_track)
-        report.convergence_deltas.append(result.convergence_delta)
+        ham = build_hamiltonian(s, n_basis)
         if lam == base_lam and base is None:
-            k = n_track + 1
-            base = (result.eigenvalues[:k].copy(), result.x_elements[:k, :k].copy())
+            result = diagonalize(ham, n_track=n_track)
+            evals, delta = result.eigenvalues, result.convergence_delta
+            base = (evals, result.x_elements)
+        else:
+            evals = _eigenvalues(ham)
+            delta = _doubling_delta(s, n_basis, evals[:k])
+        report.convergence_deltas.append(delta)
         for n in range(n_track + 1):
             row = LevelComparison(
                 lam=lam,
                 n=n,
                 perturbative=perturbative_level(s, n),
-                exact=float(result.eigenvalues[n]),
+                exact=float(evals[n]),
             )
             report.levels.append(row)
             if lam != 0:

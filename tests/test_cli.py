@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from matrixmech.cli import main
+from matrixmech.oscillator import Kind, OscillatorSpec
+from matrixmech.verify import run_verification
 
 
 def run(capsys, *argv):
@@ -139,6 +141,40 @@ def test_verify_mutations_fail_named_check(capsys, kind, mutate, expected_fail):
     assert payload["passed"] is False
     status = {c["name"]: c["passed"] for c in payload["checks"]}
     assert status[expected_fail] is False
+
+
+# The named check's measured value before entry scales took the size of
+# the cancelling terms into account; a mutation must fail at least as far
+# above the tolerance as it did then.
+MUTATION_MARGINS = {
+    ("a2", 5): 1.118033988749893, ("a2", 6): 1.3693063937629104,
+    ("a2", 10): 2.371708245126268, ("a2", 20): 4.873397172404482,
+    ("a0", 5): 5.590169943749474, ("a0", 6): 7.348469228349535,
+    ("a0", 10): 15.811388300841896, ("a0", 20): 44.721359549995796,
+    ("w", 5): 1.0000000005838672e-06, ("w", 6): 1.0000000005838672e-06,
+    ("w", 10): 1.0000000028043132e-06, ("w", 20): 1.0000000028043132e-06,
+}
+MUTATION_TARGETS = {"a2": ("x2", "eom_residual_overtone2"),
+                    "a0": ("x2", "offdiagonal_energy"),
+                    "w": ("x3", "frequency_consistency")}
+
+
+@pytest.mark.parametrize("mutate,n_max", sorted(MUTATION_MARGINS))
+def test_verify_mutations_keep_their_margin(mutate, n_max):
+    kind, name = MUTATION_TARGETS[mutate]
+    spec = OscillatorSpec(lam=1e-3, kind=Kind.from_name(kind))
+    report = run_verification(spec, n_max=n_max, mutate=mutate)
+    check = next(c for c in report.checks if c.name == name)
+    assert not check.passed
+    assert check.measured / check.tolerance >= MUTATION_MARGINS[mutate, n_max] / 1e-12
+
+
+def test_verify_x3_round_off_passes_high_on_the_ladder(capsys):
+    # at n_max 48 the x3 residuals' terms are ~500 natural units, so their
+    # round-off alone used to exceed 1e-12 of the unit
+    code, out, _ = run(capsys, "verify", "--kind", "x3", "--lambda", "0.001",
+                       "--nmax", "48", "--format", "json")
+    assert code == 0, [c for c in json.loads(out)["checks"] if not c["passed"]]
 
 
 def test_verify_mutation_kind_mismatch_is_config_error(capsys):

@@ -6,6 +6,7 @@ import pytest
 from matrixmech.ladder import solve_quantum
 from matrixmech.oracle import (
     OracleError,
+    _eigenvalues,
     build_hamiltonian,
     compare,
     coupling_sweep,
@@ -90,6 +91,13 @@ def test_determinism():
     b = diagonalize(build_hamiltonian(X3, 48), n_track=4, check_convergence=False)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.x_elements, b.x_elements)
+    # every kind, odd N, with the merged parity blocks and the doubling check
+    for spec in (OscillatorSpec(), X2, X3):
+        a = diagonalize(build_hamiltonian(spec, 65), n_track=5)
+        b = diagonalize(build_hamiltonian(spec, 65), n_track=5)
+        for name in ("eigenvalues", "eigenvectors", "x_elements"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.convergence_delta == b.convergence_delta
 
 
 def test_basis_size_validation():
@@ -154,18 +162,40 @@ def test_coupling_sweep():
     assert coupling_sweep(0.0) == [0.0]
 
 
+def _count_decompositions(monkeypatch):
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, shapes in calls.items():
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, _shapes=shapes, **kwargs):
+            _shapes.append(a.shape)
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def test_compare_decomposes_each_coupling_once(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+    # x^4 is even: parity blocks only; x^3 is not: the whole matrix
+    for spec, blocks in ((X3, 2), (X2, 1)):
+        calls = _count_decompositions(monkeypatch)
+        rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
+        n, n2 = 64 // blocks, 128 // blocks
+        # eigenvectors at the base coupling only, for x_elements
+        assert calls["eigh"] == [(n, n)] * blocks
+        # eigenvalues only at the other three couplings and every doubled basis
+        others = ([(n, n)] * blocks + [(n2, n2)] * blocks) * 3
+        assert calls["eigvalsh"] == [(n2, n2)] * blocks + others
+        assert len(rep.amplitudes) == 5
+        assert len(rep.convergence_deltas) == 4
+        monkeypatch.undo()
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    rep = compare(X3, coupling_sweep(1e-3), n_track=5, n_basis=64)
-    assert len(calls) == 4
-    assert len(rep.amplitudes) == 5
+def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
+    assert rep.passed
+    assert calls == {"eigh": [], "eigvalsh": [(32, 32)] * 2 + [(64, 64)] * 2}
 
 
 SIZES = [8, 9, 64, 768]
@@ -209,3 +239,37 @@ def test_compare_builds_without_matrix_power(monkeypatch):
     for spec in (X2, X3):
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
         assert rep.passed, rep.failures
+
+
+EVEN_KINDS = [Kind.HARMONIC, Kind.CUBIC_FORCE]
+
+
+def _even_spec(kind, units):
+    return OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 2e-3, kind=kind, **units)
+
+
+@pytest.mark.parametrize("units", [{}, ODD_UNITS])
+@pytest.mark.parametrize("kind", EVEN_KINDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_parity_blocks_match_unsplit_eigenvalues(kind, n, units):
+    ham = build_hamiltonian(_even_spec(kind, units), n)
+    expect = np.linalg.eigvalsh(ham.matrix)
+    bound = 1e-13 * np.max(np.abs(expect))
+    assert np.max(np.abs(_eigenvalues(ham) - expect)) <= bound
+    r = diagonalize(ham, n_track=5, check_convergence=False)
+    assert np.max(np.abs(r.eigenvalues - expect)) <= bound
+
+
+@pytest.mark.parametrize("units", [{}, ODD_UNITS])
+@pytest.mark.parametrize("kind", EVEN_KINDS)
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_parity_block_eigenvectors(kind, n, units):
+    r = diagonalize(build_hamiltonian(_even_spec(kind, units), n), n_track=5,
+                    check_convergence=False)
+    v = r.eigenvectors
+    assert v.shape == (n, n)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+    for col in v.T:
+        # each eigenvector lives on one parity: zero on the other
+        assert not np.any(col[0::2]) or not np.any(col[1::2])
+

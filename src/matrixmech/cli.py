@@ -170,6 +170,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("order must be 0 or 1")
     if config.oracle_n is not None and not 8 <= config.oracle_n <= MAX_ORACLE_N:
         raise ConfigError(f"oracle-n must be between 8 and {MAX_ORACLE_N}")
+    if not (math.isfinite(config.tol) and config.tol > 0):
+        raise ConfigError("tol must be a finite number above 0")
+    if not math.isfinite(config.a1):
+        raise ConfigError("a1 must be finite")
     return config
 
 
@@ -180,9 +184,7 @@ def _emit_csv(header: str, rows: List[List[str]]) -> None:
 
 
 def _solved_table(config: RunConfig) -> ld.TransitionTable:
-    # the solver needs a few states of headroom; report only 0..n_max
-    n_eff = max(config.n_max, 3 * config.order + 1)
-    table = ld.solve_quantum(config.spec(), n_max=n_eff, order=config.order)
+    table = ld.solve_quantum(config.spec(), n_max=config.n_max, order=config.order)
     if config.mutate:
         vf.apply_mutation(table, config.mutate)
     return table
@@ -211,11 +213,7 @@ def cmd_levels(config: RunConfig) -> int:
 
 def cmd_lines(config: RunConfig) -> int:
     table = _solved_table(config)
-    lines = [l for l in ld.line_spectrum(table) if l.upper <= config.n_max]
-    peak = max((l.rel_intensity for l in lines), default=0.0)
-    if peak:
-        for l in lines:
-            l.rel_intensity /= peak
+    lines = ld.line_spectrum(table)
     if config.fmt == "json":
         payload = {
             "lines": [

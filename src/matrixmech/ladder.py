@@ -10,8 +10,11 @@ half-amplitude matrix
 
 under which the walk sums are ordinary matrix products.  X is held as a
 NumPy coefficient stack (OperatorMatrix), one dim x dim layer per power
-of lam, so a product of series matrices is a few array products.  Base
-amplitudes come from the action sum rule
+of lam, so a product of series matrices is a few array products.  The
+transition table stores X, the level energies W(n) and the solved
+fundamental frequencies as such stacks and nothing else; its accessors
+are LambdaSeries views of them.  Base amplitudes come from the action
+sum rule
 
     pi*m*omega * [a^2(n+1, n) - a^2(n, n-1)] = h,  a(0,-1) = 0
     =>  a^2(n, n-1) = n*h / (pi*m*omega),
@@ -30,7 +33,7 @@ above n_max; every public state 0..n_max is then fully validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -108,23 +111,32 @@ class SpectralLine:
 
 @dataclass
 class TransitionTable:
-    """Amplitudes, DC offsets and level energies, all as lam-series.
+    """Amplitudes, DC offsets and level energies as coefficient stacks.
 
-    Amplitudes are stored once per unordered pair {n, m} (a(n,m) = a(m,n));
-    any reference below the ladder floor is identically zero.  The table is
-    solved on an internal ladder of pad extra states so that every public
-    state n <= n_max has complete equations; public accessors expose only
-    0..n_max, and trusted(n) is true exactly there.
+    The table is solved on an internal ladder of dim = n_max + pad + 3
+    states, so that every public state n <= n_max has complete equations;
+    trusted(n) is true exactly for 0..n_max.  It holds three stacks:
+
+    x     the half-amplitude matrix X, layers lam^0 .. lam^(order+1) (the
+          last holds the leading coefficients of the next harmonics up),
+          symmetric, with the DC offsets a0(n) on its diagonal one layer up;
+    fund  the solved fundamental frequencies omega(n, n-1), shape
+          (order+1, dim), column 0 unused;
+    w     the level energies W(n), shape (order+1, dim), unset until
+          energy_levels fills it.
+
+    amp, dc_series, level and freq are lam-series views of these with
+    Python float coefficients; references below the ladder floor or off
+    the table are identically zero.
     """
 
     spec: OscillatorSpec
     n_max: int
     order: int
     pad: int
-    amps: Dict[Tuple[int, int], LambdaSeries] = field(default_factory=dict)
-    dc: Dict[int, LambdaSeries] = field(default_factory=dict)
-    levels: Dict[int, LambdaSeries] = field(default_factory=dict)
-    omega_fund: Dict[int, LambdaSeries] = field(default_factory=dict)
+    x: OperatorMatrix
+    fund: np.ndarray
+    w: Optional[np.ndarray] = None
 
     @property
     def n_top(self) -> int:
@@ -134,19 +146,20 @@ class TransitionTable:
         return 0 <= n <= self.n_max
 
     def amp(self, n: int, m: int) -> LambdaSeries:
-        """Amplitude series a(n, m); zero below the floor or off the table."""
-        if n < 0 or m < 0:
+        """Amplitude series a(n, m) = 2X(n, m); zero on the diagonal, below
+        the floor or off the table."""
+        if n == m:
             return LambdaSeries.zero()
-        hi, lo = (n, m) if n >= m else (m, n)
-        return self.amps.get((hi, lo), LambdaSeries.zero())
+        return self.x.entry(n, m).scaled(2.0)
 
     def dc_series(self, n: int) -> LambdaSeries:
-        return self.dc.get(n, LambdaSeries.zero())
+        """DC offset a0(n), with X(n, n) = lam * a0(n)."""
+        return LambdaSeries(self.x.entry(n, n).coeffs[1:])
 
     def level(self, n: int) -> LambdaSeries:
-        if n not in self.levels:
+        if self.w is None or not 0 <= n < self.w.shape[1]:
             raise LadderError(f"level {n} not filled (call energy_levels)")
-        return self.levels[n]
+        return LambdaSeries.from_coeffs(self.w[:, n].tolist())
 
     def freq(self, n: int, m: int) -> LambdaSeries:
         """omega(n, m) = (2*pi/h)*(W(n) - W(m)) as a lam-series."""
@@ -155,21 +168,6 @@ class TransitionTable:
     def freq_sq(self, n: int, m: int) -> LambdaSeries:
         w = self.freq(n, m)
         return w * w
-
-    def position_matrix(self, dim: Optional[int] = None) -> OperatorMatrix:
-        """Half-amplitude matrix X over the internal ladder."""
-        if dim is None:
-            dim = self.n_top + 3
-        amps = [(hi, lo, s) for (hi, lo), s in self.amps.items() if hi < dim and s]
-        dc = [(n, s) for n, s in self.dc.items() if n < dim and s]
-        top = max([s.order for _, _, s in amps] + [s.order + 1 for _, s in dc], default=0)
-        c = np.zeros((top + 1, dim, dim))
-        for hi, lo, s in amps:
-            half = np.multiply(s.coeffs, 0.5)
-            c[: len(half), hi, lo] = c[: len(half), lo, hi] = half
-        for n, s in dc:
-            c[1 : len(s.coeffs) + 1, n, n] = s.coeffs
-        return OperatorMatrix(c)
 
     def base_amplitude(self, n: int) -> float:
         """Order-0 a(n, n-1) = sqrt(n*h/(pi*m*omega0))."""
@@ -202,19 +200,27 @@ def energy_scale(spec: OscillatorSpec, k: int) -> float:
 # solving
 
 
+def _base_ladder(spec: OscillatorSpec, n_max: int, order: int, pad: int) -> TransitionTable:
+    """Table with the order-0 ladder in stacks sized for a solve to `order`."""
+    if n_max < 1:
+        raise LadderError("n_max must be at least 1")
+    dim = n_max + pad + 3
+    n = np.arange(1, dim)
+    x = np.zeros((order + 2, dim, dim))
+    x[0, n, n - 1] = x[0, n - 1, n] = 0.5 * (spec.ladder_amplitude * np.sqrt(n))
+    fund = np.zeros((order + 1, dim))
+    fund[0, 1:] = spec.omega0
+    return TransitionTable(spec=spec, n_max=n_max, order=order, pad=pad,
+                           x=OperatorMatrix(x), fund=fund)
+
+
 def base_amplitudes(spec: OscillatorSpec, n_max: int, pad: int = 2) -> TransitionTable:
     """Ladder of nearest-neighbor amplitudes satisfying the sum rule.
 
     a(n, n-1) = sqrt(n*h/(pi*m*omega0)) with a(0,-1) = 0; every amplitude
     with |n - m| >= 2 is zero at this order.
     """
-    if n_max < 1:
-        raise LadderError("n_max must be at least 1")
-    table = TransitionTable(spec=spec, n_max=n_max, order=0, pad=pad)
-    for n in range(1, table.n_top + 3):
-        table.amps[(n, n - 1)] = LambdaSeries.const(table.base_amplitude(n))
-        table.omega_fund[n] = LambdaSeries.const(spec.omega0)
-    return table
+    return _base_ladder(spec, n_max, 0, pad)
 
 
 def quantization_residual(spec: OscillatorSpec, table: TransitionTable, n: int) -> float:
@@ -243,82 +249,71 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
     frequency.  The pass at k = order+1 only fills harmonics that are
     still zero, i.e. the leading coefficient of the next harmonic up.
     Through order 1 no frequency correction enters any entry solved this
-    way, so the omega^2 term reduces to omega0^2.  Levels are then filled
-    by energy_levels.
+    way, so the omega^2 term reduces to omega0^2.  Each pass writes its
+    entries into both triangles of the table's X stack; levels are then
+    filled by energy_levels.  The pad of 3*order + 2 states covers the
+    equations of the top public states at any n_max >= 1.
     """
     if order not in (0, 1):
         raise LadderError("quantum solve supports order 0 or 1")
-    if n_max < 3 * order + 1:
-        raise LadderError("n_max too small for the requested order")
     spec.check_smallness()
 
-    pad = 3 * order + 2
-    table = base_amplitudes(spec, n_max, pad=pad)
-    table.order = order
+    table = _base_ladder(spec, n_max, order, pad=3 * order + 2)
     w0sq = spec.omega0**2
     if w0sq < 1e-300:
         raise LadderError("vanishing harmonic-balance divisor (omega0^2 underflow)")
 
     p = spec.kind.force_power
-    dim = table.n_top + 3
+    x = table.x.c
     top = order + 1 if order >= 1 and p else 0
     for k in range(1, top + 1):
-        x = table.position_matrix(dim)
-        f = np.tril(x.power(p, k - 1).c[k - 1])
+        f = np.tril(table.x.power(p, k - 1).c[k - 1])
         if k > order:
-            f[x.c.any(axis=0)] = 0.0
-        ns, ms = np.nonzero(f)
-        x0 = x.c[0][ns, ms].tolist()
-        for n, m, fk, x0k in zip(ns.tolist(), ms.tolist(), f[ns, ms].tolist(), x0):
-            tau = n - m
-            if tau == 0:  # X(n, n) = lam * a0(n), so a0 enters at lam^(k-1)
-                table.dc[n] = LambdaSeries.from_coeffs((0.0,) * (k - 1) + (-fk / w0sq,))
-            elif tau >= 2:
-                a = 2.0 * fk / ((tau * tau - 1.0) * w0sq)
-                table.amps[(n, m)] = LambdaSeries.from_coeffs((0.0,) * k + (a,))
-            else:
-                # only at k = 1 (the k = order+1 pass skips the fundamentals):
-                # omega^2(n,m) = omega0^2 + lam*F/X0, and the sum rule
-                # a^2(n,m)*omega(n,m) = n*h/(pi*m)
-                w1 = fk / x0k / (2.0 * spec.omega0)
-                a0 = table.base_amplitude(n)
-                table.omega_fund[n] = LambdaSeries.from_coeffs((spec.omega0, w1))
-                table.amps[(n, m)] = LambdaSeries.from_coeffs((a0, -a0 * w1 / (2.0 * spec.omega0)))
+            f[x.any(axis=0)] = 0.0
+        n, m = np.nonzero(f)
+        fk = f[n, m]
+        tau = n - m
+        rung = tau == 1
+        # tau = 0 (X(n, n) = lam * a0(n)) and tau >= 2
+        n0, m0, t0 = n[~rung], m[~rung], tau[~rung]
+        x[k, n0, m0] = x[k, m0, n0] = fk[~rung] / ((t0 * t0 - 1.0) * w0sq)
+        # tau = 1, only at k = 1 (the k = order+1 pass skips the fundamentals):
+        # omega^2(n,m) = omega0^2 + lam*F/X0, and the sum rule
+        # a^2(n,m)*omega(n,m) = n*h/(pi*m)
+        n1, m1 = n[rung], m[rung]
+        x0 = x[0, n1, m1]
+        w1 = fk[rung] / x0 / (2.0 * spec.omega0)
+        table.fund[1, n1] = w1
+        x[1, n1, m1] = x[1, m1, n1] = -x0 * w1 / (2.0 * spec.omega0)
 
     return energy_levels(spec, table)
 
 
-def _stack(series: List[LambdaSeries]) -> np.ndarray:
-    """Coefficient array of shape (order+1, len(series)), zero-padded."""
-    out = np.zeros((max([s.order for s in series], default=0) + 1, len(series)))
-    for i, s in enumerate(series):
-        out[: len(s.coeffs), i] = s.coeffs
-    return out
-
-
-def level_omega(table: TransitionTable, dim: int) -> np.ndarray:
-    """Stack of omega(n, m) = (2*pi/h)(W(n) - W(m)) for n, m < dim."""
-    w = _stack([table.level(n) for n in range(dim)])
+def level_omega(table: TransitionTable) -> np.ndarray:
+    """Stack of omega(n, m) = (2*pi/h)(W(n) - W(m)) over the internal ladder."""
+    w = table.w
     return (w[:, :, None] - w[:, None, :]) * (TWO_PI / table.spec.planck_h)
 
 
-def _level_omega_size(table: TransitionTable, dim: int) -> np.ndarray:
+def _level_omega_size(table: TransitionTable) -> np.ndarray:
     """Stack of (2*pi/h)(|W(n)| + |W(m)|): the size of the two levels whose
     difference is omega(n, m), so omega carries round-off relative to it."""
-    w = np.abs(_stack([table.level(n) for n in range(dim)]))
+    w = np.abs(table.w)
     return (w[:, :, None] + w[:, None, :]) * (TWO_PI / table.spec.planck_h)
 
 
-def chain_omega(table: TransitionTable, dim: int) -> np.ndarray:
-    """Stack of omega(n, m) as the sum of the fundamentals omega_fund(i) for
-    min(n,m) < i <= max(n,m), on the diagonals where the table has
+def chain_omega(table: TransitionTable) -> np.ndarray:
+    """Stack of omega(n, m) as the sum of the solved fundamentals fund(i)
+    for min(n,m) < i <= max(n,m), on the diagonals where the table has
     amplitudes (elsewhere X vanishes and omega is never used).
 
     Each diagonal's sums are windows over the rungs, added in increasing i;
     differences of cumulative sums would lose precision high on the ladder.
     """
-    band = max((hi - lo for hi, lo in table.amps), default=0)
-    fund = _stack([LambdaSeries.zero()] + [table.omega_fund[i] for i in range(1, dim)])
+    fund = table.fund
+    dim = fund.shape[1]
+    hi, lo = np.nonzero(table.x.c.any(axis=0))
+    band = int((hi - lo).max(initial=0))
     out = np.zeros((len(fund), dim, dim))
     window = np.zeros_like(fund)  # window[:, n]: sum of the d rungs ending at n
     for d in range(1, min(band, dim - 1) + 1):
@@ -341,10 +336,9 @@ def energy_matrix(
         E = (m/2)(omega0^2 X^2 - Y^2) + m/(p+1) * lam * X^(p+1).
 
     omega is level_omega (the defining convention) or chain_omega
-    (solve-time fundamentals, used to bootstrap the levels); its size
-    sets the ladder the matrix is built on.
+    (solve-time fundamentals, used to bootstrap the levels).
     """
-    x = table.position_matrix(omega.shape[1])
+    x = table.x
     y = OperatorMatrix(_series_product(omega, x.c, max_order, np.multiply))
     e = (0.5 * spec.m) * (spec.omega0**2 * x.mul(x, max_order).c - y.mul(y, max_order).c)
     p = spec.kind.force_power
@@ -361,24 +355,18 @@ def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTab
     frequency_consistency), after which omega(n, m) is always derived
     from the levels.
     """
-    dim = table.n_top + 3
-    for n in range(1, dim):
-        table.omega_fund.setdefault(n, LambdaSeries.const(spec.omega0))
-    e = energy_matrix(spec, table, table.order, chain_omega(table, dim))
-    for n in range(dim):
-        table.levels[n] = e.entry(n, n)
+    e = energy_matrix(spec, table, table.order, chain_omega(table))
+    table.w = np.diagonal(e.c, axis1=1, axis2=2).copy()
     return table
 
 
 def frequency_consistency(table: TransitionTable) -> float:
-    """Max |(2*pi/h)(W(n)-W(n-1)) - omega_fund(n)| coefficient, scaled by
-    omega0, over public n."""
-    spec = table.spec
-    worst = 0.0
-    for n in range(1, table.n_max + 1):
-        diff = table.freq(n, n - 1) - table.omega_fund[n]
-        worst = max(worst, diff.max_abs(table.order) / spec.omega0)
-    return worst
+    """Max |(2*pi/h)(W(n)-W(n-1)) - fund(n)| coefficient, scaled by omega0,
+    over public n."""
+    pub = table.n_max + 1
+    w = table.w[:, :pub]
+    diff = (w[:, 1:] - w[:, :-1]) * (TWO_PI / table.spec.planck_h) - table.fund[:, 1:pub]
+    return float(np.abs(diff).max()) / table.spec.omega0
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +404,20 @@ def _residual_stacks(
     magnitude, omega^2 counted as |omega| times the size of the levels
     omega is the difference of, and X^p as |X|^p.
     """
-    dim = table.n_top + 3
+    x = table.x
     top = table.order + 1
-    x = table.position_matrix(dim)
-    omega = level_omega(table, dim)
+    omega = level_omega(table)
     wsq = _series_product(omega, omega, top, np.multiply)
-    r = np.zeros((top + 1, dim, dim))
-    k = min(len(x.c), top + 1)
-    r[:k] = spec.omega0**2 * x.c[:k]
-    r -= _series_product(wsq, x.c, top, np.multiply)
+    r = spec.omega0**2 * x.c - _series_product(wsq, x.c, top, np.multiply)
 
     ax = np.abs(x.c)
-    size = np.zeros_like(r)
-    size[:k] = spec.omega0**2 * ax[:k]
-    wsq_size = _series_product(np.abs(omega), _level_omega_size(table, dim), top, np.multiply)
-    size += _series_product(wsq_size, ax, top, np.multiply)
+    wsq_size = _series_product(np.abs(omega), _level_omega_size(table), top, np.multiply)
+    size = spec.omega0**2 * ax + _series_product(wsq_size, ax, top, np.multiply)
     p = spec.kind.force_power
     if p:
         r[1:] += x.power(p, top - 1).c
         size[1:] += OperatorMatrix(ax).power(p, top - 1).c
-    convention = np.where(np.eye(dim, dtype=bool), 1.0, 2.0)
+    convention = np.where(np.eye(x.dim, dtype=bool), 1.0, 2.0)
     return r * convention, size * convention
 
 
@@ -486,14 +468,13 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     counted as (|omega| o |X|)(Omega o |X|), Omega the size of the levels
     omega is the difference of.
     """
-    dim = table.n_top + 3
     order = table.order
-    omega = level_omega(table, dim)
+    omega = level_omega(table)
     e = energy_matrix(spec, table, order, omega).c
 
-    ax = np.abs(table.position_matrix(dim).c)
+    ax = np.abs(table.x.c)
     y = _series_product(np.abs(omega), ax, order, np.multiply)
-    dy = _series_product(_level_omega_size(table, dim), ax, order, np.multiply)
+    dy = _series_product(_level_omega_size(table), ax, order, np.multiply)
     size = (0.5 * spec.m) * (spec.omega0**2 * _series_product(ax, ax, order, np.matmul)
                              + _series_product(y, dy, order, np.matmul))
     p = spec.kind.force_power
@@ -507,31 +488,35 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     return float(worst.max(initial=0.0))
 
 
+def _horner(c: np.ndarray, lam: float) -> np.ndarray:
+    """Value at lam of every series in a coefficient stack, by Horner's
+    rule over the layers in the order LambdaSeries.eval takes them."""
+    acc = np.zeros(c.shape[1:])
+    for layer in c[::-1]:
+        acc = acc * lam + layer
+    return acc
+
+
 def line_spectrum(table: TransitionTable) -> List[SpectralLine]:
     """Emission lines (n -> m, n > m) with intensities ~ a(n,m)^2.
 
     Frequencies are level differences evaluated at the oscillator's
     coupling; relative intensity (a convention: amplitude squared) is
-    normalized to the strongest line.
+    normalized to the strongest line.  Lines run over the public states
+    with a nonzero amplitude, by upper then lower state.
     """
     spec = table.spec
-    lam = spec.lam
-    raw = []
-    for n in range(1, table.n_max + 1):
-        for m in range(n):
-            series = table.amp(n, m)
-            if not series:
-                continue
-            a = series.eval(lam)
-            omega = table.freq(n, m).eval(lam)
-            lead = next((k for k, c in enumerate(series.coeffs) if c), 0)
-            raw.append((n, m, omega, a * a, lead))
-    peak = max((r[3] for r in raw), default=0.0)
-    lines = [
-        SpectralLine(n, m, omega, (inten / peak if peak else 0.0), lead)
-        for (n, m, omega, inten, lead) in raw
-    ]
-    return lines
+    pub = table.n_max + 1
+    x = table.x.c[:, :pub, :pub]
+    n, m = np.nonzero(np.tril(x.any(axis=0), -1))
+    a = _horner(2.0 * x[:, n, m], spec.lam)
+    omega = _horner((table.w[:, n] - table.w[:, m]) * (TWO_PI / spec.planck_h), spec.lam)
+    inten = a * a
+    peak = inten.max(initial=0.0)
+    rel = inten / peak if peak else np.zeros_like(inten)
+    lead = (x[:, n, m] != 0).argmax(axis=0)  # lam power at which a(n, m) first appears
+    rows = zip(n.tolist(), m.tolist(), omega.tolist(), rel.tolist(), lead.tolist())
+    return [SpectralLine(*row) for row in rows]
 
 
 @dataclass

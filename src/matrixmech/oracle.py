@@ -358,7 +358,7 @@ def compare(
         evals, x_elem = base
         s = OscillatorSpec(spec.m, spec.omega0, base_lam, spec.planck_h, spec.kind)
         if table is None:
-            table = solve_quantum(s, n_max=max(n_track + 1, 4), order=1)
+            table = solve_quantum(s, n_max=n_track + 1, order=1)
         for n in range(1, n_track + 1):
             omega_exact = float(evals[n] - evals[n - 1]) / s.hbar
             sum_rule = math.sqrt(n * s.planck_h / (math.pi * s.m * omega_exact))

@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from . import classical as cl
 from . import ladder as ld
 from . import oracle as orc
 from .oscillator import Kind, OscillatorSpec
-from .series import LambdaSeries
 
 MUTATIONS = ("a2", "a0", "w")
 
@@ -50,23 +51,19 @@ def apply_mutation(table: ld.TransitionTable, mutate: str) -> None:
     a0: flip the sign of every DC offset
     w:  shift every odd level by 1e-6 * hbar * omega0
     """
-    spec = table.spec
+    x = table.x.c
+    n = np.arange(x.shape[1])
     if mutate == "a2":
-        keys = [k for k in table.amps if k[0] - k[1] == 2]
-        if not keys:
+        if not np.diagonal(x, -2, 1, 2).any():
             raise ValueError("mutation 'a2' needs two-step amplitudes (x2 kind)")
-        for k in keys:
-            table.amps[k] = table.amps[k].scaled(1.5)
+        x[:, n[2:], n[:-2]] *= 1.5
+        x[:, n[:-2], n[2:]] *= 1.5
     elif mutate == "a0":
-        if not table.dc:
+        if not x[1:, n, n].any():
             raise ValueError("mutation 'a0' needs DC offsets (x2 kind)")
-        for n in list(table.dc):
-            table.dc[n] = -table.dc[n]
+        x[1:, n, n] *= -1.0
     elif mutate == "w":
-        bump = 1e-6 * spec.hbar * spec.omega0
-        for n in list(table.levels):
-            if n % 2 == 1:
-                table.levels[n] = table.levels[n] + LambdaSeries.const(bump)
+        table.w[0, 1::2] += 1e-6 * table.spec.hbar * table.spec.omega0
     else:
         raise ValueError(f"unknown mutation {mutate!r} (expected one of {MUTATIONS})")
 

@@ -303,3 +303,46 @@ def test_size_caps_checked_before_work(capsys, monkeypatch):
     config = cli.resolve_config(args)
     assert (config.n_max, config.oracle_n) == (cli.MAX_NMAX, cli.MAX_ORACLE_N)
     assert cli.MAX_NMAX > 160
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tol", "inf"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "-1"),
+    ("verify", "--tol", "0"),
+    ("classical", "--a1", "nan"),
+    ("classical", "--a1", "inf"),
+    ("classical", "--a1", "-inf"),
+])
+def test_out_of_range_tol_and_a1_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert argv[1].lstrip("-") in err
+
+
+def test_out_of_range_tol_in_config_file_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol=inf\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == "" and "tol" in err
+
+
+@pytest.mark.parametrize("kind", ["x2", "x3"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_small_ladders_solve_at_order_one(capsys, kind, n_max):
+    # the solver's pad covers the top states at every n_max >= 1
+    code, out, _ = run(capsys, "verify", "--kind", kind, "--lambda", "0.001",
+                       "--nmax", str(n_max))
+    assert code == 0, out
+    code, small, _ = run(capsys, "levels", "--kind", kind, "--lambda", "0.001",
+                         "--nmax", str(n_max))
+    assert code == 0
+    _, large, _ = run(capsys, "levels", "--kind", kind, "--lambda", "0.001", "--nmax", "8")
+    assert small.splitlines() == large.splitlines()[: n_max + 2]
+    code, out, _ = run(capsys, "lines", "--kind", kind, "--lambda", "0.001",
+                       "--nmax", str(n_max))
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert rows and all(int(r[0]) <= n_max for r in rows)
+    assert max(float(r[3]) for r in rows) == 1.0

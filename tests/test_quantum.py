@@ -28,6 +28,11 @@ X2 = OscillatorSpec(m=1, omega0=1, lam=1e-3, planck_h=H_PI, kind=Kind.QUADRATIC_
 X3 = OscillatorSpec(m=1, omega0=1, lam=1e-3, kind=Kind.CUBIC_FORCE)  # h = 2*pi
 
 
+def has_dc(t):
+    # DC offsets sit on the diagonal of the X stack, X(n, n) = lam * a0(n)
+    return bool(np.diagonal(t.x.c, axis1=1, axis2=2).any())
+
+
 # ---------------------------------------------------------------- base ladder
 
 
@@ -55,7 +60,7 @@ def test_quantization_residual_detects_scaling():
     spec = OscillatorSpec()
     t = base_amplitudes(spec, 6)
     orig = t.amp(3, 2)[0]
-    t.amps[(3, 2)] = t.amps[(3, 2)].scaled(2.0)
+    t.x.c[:, [3, 2], [2, 3]] *= 2.0
     r = quantization_residual(spec, t, 2)
     assert math.isclose(r, 3.0 * math.pi * spec.m * spec.omega0 * orig**2, rel_tol=1e-12)
 
@@ -121,7 +126,7 @@ def test_residual_sensitivity_to_overtone_amplitude():
     t = solve_quantum(X2, n_max=8, order=1)
     before = quantum_residuals(X2, t)[(4, 2)]
     eps = 1e-5
-    t.amps[(4, 2)] = t.amps[(4, 2)] + LambdaSeries.from_coeffs((0.0, eps))
+    t.x.c[1, [4, 2], [2, 4]] += eps / 2  # X = a/2
     after = quantum_residuals(X2, t)[(4, 2)]
     # reported in the amplitude convention: d(residual)/d(a) = -3 w0^2
     assert math.isclose(after[1] - before[1], -3.0 * eps, rel_tol=1e-9)
@@ -130,8 +135,8 @@ def test_residual_sensitivity_to_overtone_amplitude():
 def test_dc_sign_flip_breaks_energy_offdiagonal():
     t = solve_quantum(X2, n_max=8, order=1)
     assert offdiagonal_energy_check(X2, t) < 1e-12
-    for n in list(t.dc):
-        t.dc[n] = -t.dc[n]
+    diag = np.arange(t.x.dim)
+    t.x.c[:, diag, diag] *= -1.0
     assert offdiagonal_energy_check(X2, t) > 1e-3
 
 
@@ -173,7 +178,7 @@ def test_negative_coupling_consistency():
 def test_order_zero_solve():
     t = solve_quantum(X3, n_max=6, order=0)
     assert t.order == 0
-    assert not t.dc and not t.amp(3, 0)
+    assert not has_dc(t) and not t.amp(3, 0)
     for n in range(6):
         assert math.isclose(t.level(n).eval(0.0), n + 0.5, rel_tol=1e-12)
         assert t.level(n).order == 0  # no coupling terms at order 0
@@ -232,7 +237,7 @@ def test_x3_residuals_and_energy_offdiagonal():
 
 def test_x3_parity_zeros():
     t = solve_quantum(X3, n_max=8, order=1)
-    assert not t.dc  # no DC offsets for an odd force
+    assert not has_dc(t)  # no DC offsets for an odd force
     assert not t.amp(4, 2)  # even steps never appear
 
 
@@ -298,7 +303,7 @@ def test_solved_series_independent_of_coupling():
     strong = OscillatorSpec(m=1, omega0=1, lam=5e-3, kind=Kind.CUBIC_FORCE)
     a = solve_quantum(weak, n_max=5, order=1)
     b = solve_quantum(strong, n_max=5, order=1)
-    assert a.amps == b.amps
+    assert np.array_equal(a.x.c, b.x.c)
     assert all(a.level(n) == b.level(n) for n in range(6))
 
 
@@ -359,7 +364,7 @@ def test_trusted_orders():
 
 
 @pytest.mark.parametrize(
-    "spec, order, top_power, has_dc",
+    "spec, order, top_power, has_dc_expected",
     [
         (X2, 1, {1: 0, 2: 1, 3: 2}, True),
         (X3, 1, {1: 1, 3: 1, 5: 2}, False),
@@ -367,22 +372,27 @@ def test_trusted_orders():
         (X3, 0, {1: 0}, False),
     ],
 )
-def test_solved_table_structure(spec, order, top_power, has_dc):
+def test_solved_table_structure(spec, order, top_power, has_dc_expected):
     # top stored lam power per delta = n - m, and plain float coefficients
     t = solve_quantum(spec, n_max=8, order=order)
+    dim = t.x.dim
     tops = {}
-    for (hi, lo), s in t.amps.items():
-        tops[hi - lo] = max(tops.get(hi - lo, -1), s.order)
+    for hi in range(dim):
+        for lo in range(hi):
+            s = t.amp(hi, lo)
+            if s:
+                tops[hi - lo] = max(tops.get(hi - lo, -1), s.order)
     assert tops == top_power
-    assert bool(t.dc) == has_dc
-    coeffs = [c for d in (t.amps, t.dc, t.levels) for s in d.values() for c in s.coeffs]
-    coeffs += [c for s in t.omega_fund.values() for c in s.coeffs[1:]]  # [0] is omega0
+    assert has_dc(t) == has_dc_expected
+    coeffs = [c for n in range(dim) for s in (t.dc_series(n), t.level(n)) for c in s.coeffs]
+    coeffs += [c for n in range(dim) for m in range(n) for c in t.amp(n, m).coeffs]
+    coeffs += [c for n in range(1, dim) for c in t.freq(n, n - 1).coeffs]
     assert coeffs and all(type(c) is float for c in coeffs)
 
 
 def test_solver_preconditions():
     with pytest.raises(LadderError):
-        solve_quantum(X2, n_max=3, order=1)
+        solve_quantum(X2, n_max=0, order=1)
     with pytest.raises(LadderError):
         solve_quantum(X2, n_max=10, order=2)
     tiny = OscillatorSpec(omega0=1e-200, kind=Kind.QUADRATIC_FORCE)
@@ -436,3 +446,69 @@ def test_x3_levels_on_a_long_ladder():
         w = t.level(n)
         assert math.isclose(w[0], n + 0.5, rel_tol=1e-12)
         assert math.isclose(w[1], 0.375 * (n * n + n + 0.5), rel_tol=1e-12)
+
+
+# ------------------------------------------------------------- one store
+
+
+def _apply(t, mutate):
+    from matrixmech.verify import apply_mutation
+
+    if mutate:
+        apply_mutation(t, mutate)
+    return t
+
+
+def _accessor_series(t):
+    dim = t.x.dim
+    out = [t.amp(n, m) for n in range(-1, dim + 1) for m in range(-1, dim + 1)]
+    out += [t.dc_series(n) for n in range(-1, dim + 1)]
+    out += [t.level(n) for n in range(dim)]
+    out += [t.freq(n, m) for n in range(dim) for m in range(dim)]
+    return out
+
+
+@pytest.mark.parametrize("spec, mutate", [
+    (X2, None), (X3, None), (OscillatorSpec(), None),
+    (X2, "a2"), (X2, "a0"), (X3, "w"),
+])
+def test_store_invariants(spec, mutate):
+    t = _apply(solve_quantum(spec, n_max=6, order=1), mutate)
+    x = t.x.c
+    assert x.shape == (3, t.n_top + 3, t.n_top + 3)
+    assert np.array_equal(x, x.transpose(0, 2, 1))  # X is symmetric
+    for n in range(-1, t.x.dim + 1):
+        for m in range(-1, t.x.dim + 1):
+            assert t.amp(n, m) == t.amp(m, n)
+    assert all(type(c) is float for s in _accessor_series(t) for c in s.coeffs)
+
+
+def test_level_unset_until_energy_levels():
+    from matrixmech.ladder import energy_levels
+
+    t = base_amplitudes(OscillatorSpec(), 4)
+    with pytest.raises(LadderError):
+        t.level(0)
+    energy_levels(t.spec, t)
+    assert t.level(0) and not t.amp(2, 2)
+    with pytest.raises(LadderError):
+        t.level(-1)
+    with pytest.raises(LadderError):
+        t.level(t.x.dim)
+
+
+@pytest.mark.parametrize("spec, order, mutate", [
+    (X2, 0, None), (X3, 0, None), (OscillatorSpec(), 0, None),
+    (X2, 1, None), (X3, 1, None), (OscillatorSpec(), 1, None),
+    (X2, 1, "a2"), (X2, 1, "a0"), (X3, 1, "w"),
+])
+def test_public_states_do_not_depend_on_n_max(spec, order, mutate):
+    # the entries of the padded ladder are local, so the public states of an
+    # n_max = 1 table equal those of a larger one exactly
+    small = _apply(solve_quantum(spec, n_max=1, order=order), mutate)
+    large = _apply(solve_quantum(spec, n_max=8, order=order), mutate)
+    for n in range(2):
+        assert small.level(n).coeffs == large.level(n).coeffs
+        assert small.dc_series(n).coeffs == large.dc_series(n).coeffs
+        for m in range(2):
+            assert small.amp(n, m).coeffs == large.amp(n, m).coeffs

@@ -36,8 +36,8 @@ CHECK_ERROR = 1
 # Size caps, checked before any work.  The ladder's stacks are dense
 # (n_max+pad)^2 arrays: verify at n_max 512 takes about 2 s on one core
 # of a 2-core VM and peaks at 140 MiB.
-# The oracle's doubled basis at oracle-n 2048 is a 4096^2 float64 matrix,
-# 128 MiB.
+# The oracle's doubled basis at oracle-n 2048, where it is decomposed
+# (an unconverged basis), is a 4096^2 float64 matrix, 128 MiB.
 MAX_NMAX = 512
 MAX_ORACLE_N = 2048
 
@@ -283,9 +283,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_oracle_compare(config: RunConfig) -> int:
     spec = config.spec()
-    n_track = min(5, config.n_max)
-    report = orc.compare(spec, orc.coupling_sweep(config.lam), n_track=n_track,
-                         n_basis=config.oracle_n)
+    report = orc.compare(spec, orc.coupling_sweep(config.lam),
+                         n_track=orc.tracked_levels(config.n_max), n_basis=config.oracle_n)
     if config.fmt == "json":
         payload = {
             "passed": report.passed,

@@ -56,35 +56,50 @@ def position_operator(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
     return np.diag(off, 1) + np.diag(off, -1)
 
 
-def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> TruncatedHamiltonian:
-    """H in the harmonic number basis of frequency omega0.
+def _hamiltonian_band(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
+    """Lower band of H: band[d, i] = <i + d| H |i> for d = 0 .. q.
 
     Kinetic plus harmonic potential are diagonal, (n + 1/2)*hbar*omega0;
     the anharmonic potential is m*lam*x^3/3 (x2 kind) or m*lam*x^4/4
-    (x3 kind), banded with coupling width q = 3 or 4.  Its diagonals come
-    from applying the tridiagonal x q times in band storage, O(q^2 N),
-    and each upper diagonal is copied from the lower one, so the dense
-    matrix returned is exactly symmetric.
+    (x3 kind), banded with coupling width q = 3 or 4 (q = 0 for the
+    harmonic kind).  Its diagonals come from applying the tridiagonal x
+    q times in band storage, O(q^2 N).  Entries past the basis are zero.
+    """
+    n = np.arange(n_basis)
+    diag = (n + 0.5) * spec.hbar * spec.omega0
+    q = spec.kind.force_power + 1
+    if q == 1:
+        return diag[None, :]
+    off = _x_offdiagonal(spec, n_basis)
+    band = np.zeros((2 * q + 1, n_basis))  # band[q + d, i] = <i + d| M |i>
+    band[q] = 1.0
+    for _ in range(q):  # M <- M x
+        new = np.zeros_like(band)
+        new[:-1, 1:] = off * band[1:, :-1]
+        new[1:, :-1] += off * band[:-1, 1:]
+        band = new
+    lower = band[q:] * (spec.m * spec.lam / q)
+    lower[0] += diag
+    for d in range(1, q + 1):
+        lower[d, n_basis - d :] = 0.0
+    return lower
+
+
+def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> TruncatedHamiltonian:
+    """H in the harmonic number basis of frequency omega0, dense.
+
+    Built from _hamiltonian_band in O(N): each lower diagonal is
+    scattered into the matrix and copied to the upper one, so the matrix
+    returned is exactly symmetric.
     """
     if n_basis < 8:
         raise OracleError("basis size must be at least 8")
-    n = np.arange(n_basis)
-    h = np.diag((n + 0.5) * spec.hbar * spec.omega0)
-    q = spec.kind.force_power + 1
-    if q > 1:
-        off = _x_offdiagonal(spec, n_basis)
-        band = np.zeros((2 * q + 1, n_basis))  # band[q + d, i] = <i + d| M |i>
-        band[q] = 1.0
-        for _ in range(q):  # M <- M x
-            new = np.zeros_like(band)
-            new[:-1, 1:] = off * band[1:, :-1]
-            new[1:, :-1] += off * band[:-1, 1:]
-            band = new
-        band *= spec.m * spec.lam / q
-        for d in range(q + 1):
-            i = np.arange(n_basis - d)
-            h[i + d, i] += band[q + d, : n_basis - d]
-            h[i, i + d] = h[i + d, i]
+    band = _hamiltonian_band(spec, n_basis)
+    h = np.zeros((n_basis, n_basis))
+    for d in range(len(band)):
+        i = np.arange(n_basis - d)
+        h[i + d, i] = band[d, : n_basis - d]
+        h[i, i + d] = h[i + d, i]
     return TruncatedHamiltonian(spec=spec, n_basis=n_basis, matrix=h)
 
 
@@ -145,10 +160,117 @@ def _eigenpairs(ham: TruncatedHamiltonian) -> Tuple[np.ndarray, np.ndarray]:
     return evals[order], evecs[:, order]
 
 
-def _doubling_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> float:
+# The basis-doubling check asks whether every tracked eigenvalue of the
+# doubled basis lies within eps*hbar*omega0 of its N-basis value, for eps
+# on this ladder.  Its top rung is the gate: a larger delta means the
+# N basis has not converged.
+CONVERGENCE_LADDER = (1e-13, 1e-12, 1e-11, 1e-10)
+CONVERGENCE_GATE = CONVERGENCE_LADDER[-1]
+
+# Doubled parity blocks with fewer rows than this are decomposed with
+# eigvalsh instead of counted: there a dense eigensolve takes a few ms
+# and reports the delta itself, not a bound.  Measured on one BLAS
+# thread (README, Internals).
+INERTIA_MIN_ROWS = 160
+
+
+def _doubled_block_rows(spec: OscillatorSpec, n_basis: int) -> int:
+    return 2 * n_basis // len(_parity_blocks(spec))
+
+
+def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> float:
     """Largest change of the tracked eigenvalues when the basis is doubled."""
     doubled = _eigenvalues(build_hamiltonian(spec, 2 * n_basis))
     return float(np.max(np.abs(tracked - doubled[: len(tracked)])))
+
+
+def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inertia counts of banded symmetric matrices, by LDL^T without pivoting.
+
+    bands[b, c, d, i] = <i + d| H_bc |i> is the lower band of block b at
+    coupling c; shifts[c, s] are that coupling's shifts.  Returns the
+    number of negative pivots of H_bc - shift, summed over the blocks,
+    as an array (C, S), and a flag per coupling that every pivot was
+    finite and nonzero.  By Sylvester's law of inertia the count is the
+    number of eigenvalues below the shift.  One sweep over the rows
+    serves every block, coupling and shift: the elimination window is
+    (w+1) x (w+1) with the batch as trailing axes, and each band row
+    broadcasts over the shifts of its coupling.
+    """
+    n_blocks, n_couplings, width, n = bands.shape
+    w = max(width - 1, 1)
+    # rows[j, t] = H[j, j - w + t], zero outside the matrix
+    rows = np.zeros((n + w, w + 1, n_blocks, n_couplings, 1))
+    for d in range(width):
+        rows[d:n, w - d, :, :, 0] = np.moveaxis(bands[:, :, d, : n - d], -1, 0)
+    window = np.zeros((w + 1, w + 1, n_blocks, n_couplings, shifts.shape[1]))
+    spare = np.empty_like(window)
+    ratio = np.empty((w, 1) + window.shape[2:])
+    update = np.empty((w, w) + window.shape[2:])
+    pivots = np.empty((n,) + window.shape[2:])
+    for a in range(w):  # the leading w x w block of H - shift
+        window[a, :a] = window[:a, a] = rows[a, w - a : w]
+        np.subtract(rows[a, w], shifts, out=window[a, a])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(n):  # append row j + w, eliminate row j
+            row = rows[j + w]
+            window[w, :w] = window[:w, w] = row[:w]
+            np.subtract(row[w], shifts, out=window[w, w])
+            pivots[j] = window[0, 0]
+            np.divide(window[1:, 0], window[0, 0], out=ratio[:, 0])
+            np.multiply(ratio, window[0, 1:], out=update)
+            np.subtract(window[1:, 1:], update, out=spare[:w, :w])
+            window, spare = spare, window
+    counts = np.count_nonzero(pivots < 0, axis=(0, 1))
+    sound = np.all(np.isfinite(pivots) & (pivots != 0), axis=(0, 1, 3))
+    return counts, sound
+
+
+def _certified_deltas(
+    specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
+) -> List[Optional[float]]:
+    """Smallest ladder rung eps*hbar*omega0 that bounds each coupling's
+    doubling delta, from inertia counts of the doubled basis; None where
+    the gate is not certified or a pivot was zero or non-finite.
+
+    Tracked eigenvalue i of H_2N lies within e of E_i exactly when
+    H_2N - (E_i - e) has at most i negative pivots and H_2N - (E_i + e)
+    at least i + 1.  H_2N comes from band storage, split into its parity
+    blocks; no dense doubled matrix is built.
+    """
+    eps = np.array(CONVERGENCE_LADDER) * (specs[0].hbar * specs[0].omega0)
+    levels = np.array(tracked)  # (C, k)
+    below = levels[:, None, :] - eps[:, None]
+    above = levels[:, None, :] + eps[:, None]
+    blocks = _parity_blocks(specs[0])
+    bands = np.array([
+        [band[:: len(blocks), b] for b in blocks]  # a parity block's band: every other diagonal
+        for band in (_hamiltonian_band(s, 2 * n_basis) for s in specs)
+    ]).swapaxes(0, 1)
+    shifts = np.concatenate([below, above], axis=1).reshape(len(specs), -1)
+    counts, sound = _negative_pivots(bands, shifts)
+    counts = counts.reshape(len(specs), 2, len(eps), -1)
+    i = np.arange(levels.shape[1])
+    certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)  # (C, rungs)
+    return [float(eps[np.argmax(ok)]) if good and ok[-1] else None
+            for ok, good in zip(certified, sound)]
+
+
+def _doubling_deltas(
+    specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
+) -> List[float]:
+    """Basis-doubling delta of each coupling's tracked eigenvalues.
+
+    From INERTIA_MIN_ROWS rows of a doubled parity block on, the delta is
+    the smallest certified rung of the ladder, an upper bound; a coupling
+    whose gate is not certified, and every coupling of a smaller basis,
+    gets an eigvalsh of the doubled basis and the measured delta.
+    """
+    deltas: List[Optional[float]] = [None] * len(specs)
+    if _doubled_block_rows(specs[0], n_basis) >= INERTIA_MIN_ROWS:
+        deltas = _certified_deltas(specs, n_basis, tracked)
+    return [_measured_delta(s, n_basis, t) if d is None else d
+            for s, t, d in zip(specs, tracked, deltas)]
 
 
 def diagonalize(
@@ -160,11 +282,11 @@ def diagonalize(
     parity, so its even and odd blocks are decomposed separately and the
     eigenvalues merged by a stable sort; eigenvectors are still returned
     in the full basis, one column per merged eigenvalue.  Deterministic
-    for fixed input.  The convergence delta is the largest change of the
-    tracked eigenvalues when the basis is doubled; the doubled basis is
-    decomposed for eigenvalues only.  x_elements covers only the
-    k = n_track+1 tracked states: |V_k^T (x V_k)|, with x V_k formed from
-    the two off-diagonals of x in O(N k).
+    for fixed input.  The convergence delta bounds the change of the
+    tracked eigenvalues when the basis is doubled (_doubling_deltas).
+    x_elements covers only the k = n_track+1 tracked states:
+    |V_k^T (x V_k)|, with x V_k formed from the two off-diagonals of x
+    in O(N k).
     """
     spec = ham.spec
     evals, evecs = _eigenpairs(ham)
@@ -177,7 +299,8 @@ def diagonalize(
     xv[1:] += off * vk[:-1]
     x_elem = np.abs(vk.T @ xv)
 
-    delta = _doubling_delta(spec, ham.n_basis, evals[:k]) if check_convergence else 0.0
+    delta = (_doubling_deltas([spec], ham.n_basis, [evals[:k]])[0]
+             if check_convergence else 0.0)
 
     return OracleResult(
         spec=spec,
@@ -188,6 +311,11 @@ def diagonalize(
         n_track=n_track,
         convergence_delta=delta,
     )
+
+
+def tracked_levels(n_max: int) -> int:
+    """Levels 0 .. n_track the oracle checks for a ladder solved to n_max."""
+    return min(5, n_max)
 
 
 def default_basis_size(n_track: int) -> int:
@@ -295,12 +423,14 @@ def compare(
     For each coupling, records |W_pert(n) - E_n|; across the couplings the
     residual is fit to C*lam^q per level (q should sit near 2, the first
     neglected order).  The basis-doubling delta is kept per coupling and
-    convergence_delta is the largest, so the hardest coupling is checked.
+    convergence_delta is the largest, so the hardest coupling is checked;
+    a delta above CONVERGENCE_GATE*hbar*omega0 is a failure.
     Amplitudes are compared at the first nonzero coupling, both against
     the sum-rule form at the measured transition frequency and against
     the first-order series; that coupling alone is diagonalized with
-    eigenvectors (for x_elements), every other coupling and every doubled
-    basis is decomposed for eigenvalues only.
+    eigenvectors (for x_elements), every other coupling is decomposed
+    for eigenvalues only, and the doubled bases are counted by inertia
+    or, below INERTIA_MIN_ROWS or on fallback, decomposed for eigenvalues.
     Mismatches beyond the second-order envelope are recorded as failures,
     never silently dropped.
     """
@@ -314,17 +444,31 @@ def compare(
     base_lam = next((l for l in lambdas if l != 0), None)
     base = None  # (eigenvalues, x_elements) of the tracked states at base_lam
     k = min(n_track + 1, n_basis)
+    batched = _doubled_block_rows(spec, n_basis) >= INERTIA_MIN_ROWS
+    sweep = []  # (spec, eigenvalues) per coupling
     for lam in lambdas:
         s = OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind)
         ham = build_hamiltonian(s, n_basis)
         if lam == base_lam and base is None:
-            result = diagonalize(ham, n_track=n_track)
-            evals, delta = result.eigenvalues, result.convergence_delta
+            result = diagonalize(ham, n_track=n_track, check_convergence=False)
+            evals = result.eigenvalues
             base = (evals, result.x_elements)
         else:
             evals = _eigenvalues(ham)
-            delta = _doubling_delta(s, n_basis, evals[:k])
-        report.convergence_deltas.append(delta)
+        sweep.append((s, evals))
+        if not batched:  # measured: each doubled basis right after its coupling
+            report.convergence_deltas += _doubling_deltas([s], n_basis, [evals[:k]])
+    if batched:  # one inertia sweep counts every coupling
+        report.convergence_deltas = _doubling_deltas(
+            [s for s, _ in sweep], n_basis, [evals[:k] for _, evals in sweep])
+
+    for (s, evals), delta in zip(sweep, report.convergence_deltas):
+        lam = s.lam
+        gate = CONVERGENCE_GATE * s.hbar * s.omega0
+        if delta > gate:
+            report.failures.append(
+                f"convergence lam={lam:g}: doubling delta {delta:.3e} > {gate:.3e}"
+            )
         for n in range(n_track + 1):
             row = LevelComparison(
                 lam=lam,

@@ -171,9 +171,8 @@ def run_verification(
     report.add("classical_energy_periodic", energy.max_periodic() / scale, tol)
 
     # oracle comparison
-    n_track = min(5, n_max - 1)
-    rep = orc.compare(spec, orc.coupling_sweep(lam), n_track=n_track, n_basis=oracle_n,
-                      table=table)
+    rep = orc.compare(spec, orc.coupling_sweep(lam), n_track=orc.tracked_levels(n_max),
+                      n_basis=oracle_n, table=table)
     level_fails = [f for f in rep.failures if f.startswith("level")]
     amp_fails = [f for f in rep.failures if f.startswith("amplitude")]
     report.add("oracle_levels", float(len(level_fails)), 0.0,
@@ -184,6 +183,8 @@ def run_verification(
                    detail=f"exponents {sorted(round(q, 3) for q in rep.fit_exponent.values())}")
         report.add("oracle_amplitudes", float(len(amp_fails)), 0.0,
                    detail="; ".join(amp_fails) or "within 5*lam^2")
-    report.add("oracle_convergence", rep.convergence_delta / hb_w, 1e-10)
+    conv_fails = [f for f in rep.failures if f.startswith("convergence")]
+    report.add("oracle_convergence", rep.convergence_delta / hb_w, orc.CONVERGENCE_GATE,
+               passed=not conv_fails)
 
     return report

@@ -258,6 +258,43 @@ def test_verify_flags_unconverged_hardest_coupling(capsys):
     assert float(rows["oracle_convergence"][2]) > 1.0
 
 
+def test_oracle_compare_fails_unconverged_basis(capsys):
+    # at 4*lam = 0.06 the x2 basis of 256 is not converged: exit 1, with
+    # a convergence failure of its own beside the level rows
+    argv = ("oracle-compare", "--kind", "x2", "--lambda", "0.015", "--nmax", "5",
+            "--oracle-n", "256")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("row,lambda,n,value1,value2,value3\nlevel,")
+    assert err == "mismatch: convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and not payload["passed"]
+    assert math.isclose(payload["convergence_delta"], 122.851274056317, rel_tol=1e-9)
+    assert [f.split(":")[0] for f in payload["failures"]] == ["convergence lam=0.06"]
+
+
+def test_verify_tracks_n_max_levels(monkeypatch):
+    # n_track = min(5, n_max) for verify and oracle-compare alike, so
+    # --nmax 1 compares the amplitude n = 1
+    from matrixmech import verify
+
+    reports = []
+    real_compare = verify.orc.compare
+
+    def spy(*args, **kwargs):
+        reports.append(real_compare(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verify.orc, "compare", spy)
+    spec = OscillatorSpec(lam=0.001, kind=Kind.QUADRATIC_FORCE)
+    for n_max, n_track in ((1, 1), (3, 3), (10, 5)):
+        assert run_verification(spec, n_max=n_max).passed
+        rep = reports[-1]
+        assert rep.n_track == n_track
+        assert [a.n for a in rep.amplitudes] == list(range(1, n_track + 1))
+
+
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from matrixmech import oracle
 from matrixmech.ladder import solve_quantum
 from matrixmech.oracle import (
+    CONVERGENCE_LADDER,
+    INERTIA_MIN_ROWS,
     OracleError,
+    _doubled_block_rows,
+    _doubling_deltas,
     _eigenvalues,
+    _hamiltonian_band,
+    _measured_delta,
+    _negative_pivots,
+    _parity_blocks,
     build_hamiltonian,
     compare,
     coupling_sweep,
@@ -16,6 +26,7 @@ from matrixmech.oracle import (
     position_operator,
     rs_first_order,
     second_order_envelope,
+    tracked_levels,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec
 
@@ -273,3 +284,139 @@ def test_parity_block_eigenvectors(kind, n, units):
         # each eigenvector lives on one parity: zero on the other
         assert not np.any(col[0::2]) or not np.any(col[1::2])
 
+
+
+# --- basis-doubling check by inertia counts ---------------------------------
+
+def _block_bands(spec, n):
+    """Lower bands of H's parity blocks, shaped for _negative_pivots (B, 1, w+1, n_b)."""
+    band = _hamiltonian_band(spec, n)
+    blocks = _parity_blocks(spec)
+    return np.array([[band[:: len(blocks), b]] for b in blocks])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from([Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE]),
+    lam=st.floats(1e-4, 0.3),
+    n=st.integers(8, 96),
+    split=st.booleans(),
+    data=st.data(),
+)
+def test_inertia_counts_match_eigvalsh(kind, lam, n, split, data):
+    # up to lam 0.3 the x2 spectrum has collapsed into the cubic well;
+    # shifts sit inside the gaps, below the lowest and above the highest
+    split = split and kind is Kind.CUBIC_FORCE
+    n -= n % 2 if split else 0  # a doubled basis splits into equal blocks
+    spec = OscillatorSpec(lam=lam, kind=kind)
+    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
+    scale = np.max(np.abs(evals))
+    gaps = np.concatenate([[evals[0] - scale], evals, [evals[-1] + scale]])
+    picks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12))
+    fracs = data.draw(st.lists(st.floats(0.05, 0.95), min_size=len(picks),
+                               max_size=len(picks)))
+    shifts = np.array([gaps[i] + f * (gaps[i + 1] - gaps[i]) for i, f in zip(picks, fracs)])
+    assume(np.min(np.abs(evals[:, None] - shifts)) > 1e-9 * scale)
+    if split:
+        bands = _block_bands(spec, n)
+    else:  # the whole band as one block, for either kind
+        bands = _hamiltonian_band(spec, n)[None, None]
+    counts, sound = _negative_pivots(bands, shifts[None])
+    assert sound.all()
+    assert counts[0].tolist() == [int(np.sum(evals < s)) for s in shifts]
+
+
+def test_inertia_counts_batch_blocks_and_couplings():
+    # one sweep serves every block, coupling and shift
+    n = 40
+    specs = [OscillatorSpec(lam=l, kind=Kind.CUBIC_FORCE) for l in (1e-3, 0.05)]
+    bands = np.concatenate([_block_bands(s, n) for s in specs], axis=1)
+    evals = [np.linalg.eigvalsh(build_hamiltonian(s, n).matrix) for s in specs]
+    shifts = np.array([[0.7, 3.2, 9.9, 30.5], [0.1, 2.6, 11.4, 55.5]])
+    counts, sound = _negative_pivots(bands, shifts)
+    assert sound.tolist() == [True, True]
+    for c in range(2):
+        assert counts[c].tolist() == [int(np.sum(evals[c] < s)) for s in shifts[c]]
+
+
+def test_zero_pivot_is_not_sound():
+    # x^3 has no diagonal, so H(0,0) - 0.5 is exactly zero
+    counts, sound = _negative_pivots(_hamiltonian_band(X2, 16)[None, None],
+                                     np.array([[0.5, 2.0]]))
+    assert sound.tolist() == [False]
+
+
+def _sweep_levels(spec, n_basis, k=6):
+    specs = [OscillatorSpec(lam=l, kind=spec.kind) for l in coupling_sweep(spec.lam)]
+    return specs, [_eigenvalues(build_hamiltonian(s, n_basis))[:k] for s in specs]
+
+
+@pytest.mark.parametrize("kind,lam,n_basis", [
+    (Kind.QUADRATIC_FORCE, 1e-3, 80),
+    (Kind.QUADRATIC_FORCE, 5e-3, 128),
+    (Kind.CUBIC_FORCE, 2e-4, 160),
+    (Kind.CUBIC_FORCE, 1e-2, 192),
+])
+def test_certified_delta_bounds_measured_delta(kind, lam, n_basis):
+    specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
+    assert _doubled_block_rows(specs[0], n_basis) >= INERTIA_MIN_ROWS
+    certified = _doubling_deltas(specs, n_basis, tracked)
+    for s, t, delta in zip(specs, tracked, certified):
+        assert delta in CONVERGENCE_LADDER  # hbar*omega0 = 1
+        assert delta >= _measured_delta(s, n_basis, t)
+
+
+def test_unsound_pivots_fall_back_to_eigvalsh(monkeypatch):
+    specs, tracked = _sweep_levels(OscillatorSpec(lam=1e-3, kind=Kind.QUADRATIC_FORCE), 80)
+    monkeypatch.setattr(oracle, "_negative_pivots",
+                        lambda bands, shifts: (np.zeros(shifts.shape, int),
+                                               np.zeros(len(shifts), bool)))
+    deltas = _doubling_deltas(specs, 80, tracked)
+    assert deltas == [_measured_delta(s, 80, t) for s, t in zip(specs, tracked)]
+
+
+def test_unconverged_coupling_reports_measured_delta():
+    # at 4*lam = 0.06 the x2 basis of 256 has not converged: the gate is
+    # not certified, the doubled basis is decomposed and the measured
+    # delta reported, as before the inertia route existed
+    spec = OscillatorSpec(lam=0.015, kind=Kind.QUADRATIC_FORCE)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
+    specs, tracked = _sweep_levels(spec, 256)
+    assert rep.convergence_deltas[:3] == [1e-13] * 3
+    assert rep.convergence_deltas[3] == _measured_delta(specs[3], 256, tracked[3])
+    assert math.isclose(rep.convergence_deltas[3], 122.851274056317, rel_tol=1e-9)
+    assert [f for f in rep.failures if f.startswith("convergence")] == [
+        "convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10"]
+    assert not rep.passed
+
+
+def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
+    for spec, n_basis, blocks in ((X2, 96, 1), (X3, 160, 2)):
+        assert _doubled_block_rows(spec, n_basis) >= INERTIA_MIN_ROWS
+        calls = _count_decompositions(monkeypatch)
+        built = []
+        real_build = oracle.build_hamiltonian
+
+        def recording(s, n, _built=built):
+            _built.append(n)
+            return real_build(s, n)
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", recording)
+        rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+        assert rep.passed, rep.failures
+        n = n_basis // blocks
+        assert calls["eigh"] == [(n, n)] * blocks
+        assert calls["eigvalsh"] == [(n, n)] * blocks * 3  # no doubled basis
+        assert built == [n_basis] * 4  # no dense doubled matrix either
+        assert rep.convergence_deltas == [1e-13] * 4
+        monkeypatch.undo()
+
+
+def test_default_basis_stays_on_eigvalsh():
+    # verify's default basis keeps the measured delta
+    for spec in (X2, X3, OscillatorSpec()):
+        assert _doubled_block_rows(spec, default_basis_size(5)) < INERTIA_MIN_ROWS
+
+
+def test_tracked_levels():
+    assert [tracked_levels(n) for n in (1, 2, 5, 6, 10, 20)] == [1, 2, 5, 5, 5, 5]

@@ -322,7 +322,7 @@ def test_inertia_counts_match_eigvalsh(kind, lam, n, split, data):
     else:  # the whole band as one block, for either kind
         bands = _hamiltonian_band(spec, n)[None, None]
     counts, sound = _negative_pivots(bands, shifts[None])
-    assert sound.all()
+    assume(sound.all())  # an exactly zero pivot sends the coupling to eigvalsh
     assert counts[0].tolist() == [int(np.sum(evals < s)) for s in shifts]
 
 

@@ -96,8 +96,9 @@ def _table_times_series(table: CosTable, series) -> CosTable:
     return out
 
 
-def _table_shift(table: CosTable, powers: int = 1) -> CosTable:
-    return {(t, k + powers): c for (t, k), c in table.items()}
+def _table_shift(table: CosTable) -> CosTable:
+    """Multiply by lam: the lam*x^p force and potential terms."""
+    return {(t, k + 1): c for (t, k), c in table.items()}
 
 
 def _table_power(table: CosTable, p: int) -> CosTable:
@@ -131,16 +132,13 @@ class FourierSeries:
         top = max((k for (t, k) in self.coeffs if t == tau), default=-1)
         return LambdaSeries.from_coeffs(self.coeff(tau, k) for k in range(top + 1))
 
-    def omega_at(self, lam: float) -> float:
-        return math.sqrt(self.omega_sq.eval(lam))
-
     @property
     def max_harmonic(self) -> int:
         return max((t for (t, _) in self.coeffs), default=1)
 
     def solved_set(self) -> set:
         """Keys (tau, k) whose balance equations this solution satisfies."""
-        return solved_keys(self.kind, self.max_order, self.extension_order)
+        return solved_keys(self.kind, self.max_order)
 
 
 def _harmonics(kind: Kind, max_tau: int):
@@ -162,7 +160,7 @@ def leading_order(kind: Kind, tau: int) -> int:
     return 0 if tau == 1 else None
 
 
-def solved_keys(kind: Kind, order: int, extension_order: int = 1) -> set:
+def solved_keys(kind: Kind, order: int) -> set:
     """All (tau, k) the order-by-order solve pins down.
 
     The full triangle k <= order for every admissible harmonic, plus the
@@ -178,19 +176,13 @@ def solved_keys(kind: Kind, order: int, extension_order: int = 1) -> set:
         for k in range(lead, order + 1):
             keys.add((tau, k))
     keys.add((1, 0))
-    if extension_order:
-        tau_ext = _ext_harmonic(kind, order)
-        keys.add((tau_ext, order + 1))
+    keys.add((_max_tau(kind, order + 1), order + 1))
     return keys
 
 
 def _max_tau(kind: Kind, order: int) -> int:
     # highest harmonic whose leading coefficient lies at lam^order
     return order + 1 if kind is Kind.QUADRATIC_FORCE else 2 * order + 1
-
-
-def _ext_harmonic(kind: Kind, order: int) -> int:
-    return order + 2 if kind is Kind.QUADRATIC_FORCE else 2 * order + 3
 
 
 def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
@@ -223,7 +215,7 @@ def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
     coeffs: CosTable = {(1, 0): a1}
     w = [w0sq]  # omega^2 series
     max_tau = _max_tau(spec.kind, order)
-    tau_ext = _ext_harmonic(spec.kind, order)
+    tau_ext = _max_tau(spec.kind, order + 1)
 
     for k in range(1, order + 2):
         # lam*x^p contributes (x^p)(tau, k-1) at lam^k; only orders < k
@@ -321,9 +313,8 @@ class ClassicalEnergy:
     anharmonic_constant: LambdaSeries
     valid_order: int
 
-    def max_periodic(self, max_order: int | None = None):
-        cap = self.valid_order if max_order is None else max_order
-        vals = [abs(c) for (t, k), c in self.periodic.items() if k <= cap]
+    def max_periodic(self):
+        vals = [abs(c) for (t, k), c in self.periodic.items() if k <= self.valid_order]
         return max(vals, default=0)
 
 

@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import classical as cl
 from . import ladder as ld
@@ -71,29 +71,35 @@ class RunConfig:
     mutate: Optional[str] = None
 
     def spec(self) -> OscillatorSpec:
-        try:
-            kind = Kind.from_name(self.kind)
-            return OscillatorSpec(
-                m=self.m, omega0=self.omega0, lam=self.lam,
-                planck_h=self.planck_h, kind=kind,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return OscillatorSpec(
+            m=self.m, omega0=self.omega0, lam=self.lam,
+            planck_h=self.planck_h, kind=Kind.from_name(self.kind),
+        )
 
 
-_CONFIG_KEYS = {
-    "m": ("m", float),
-    "omega0": ("omega0", float),
-    "lambda": ("lam", float),
-    "h": ("planck_h", float),
-    "kind": ("kind", str),
-    "nmax": ("n_max", int),
-    "order": ("order", int),
-    "format": ("fmt", str),
-    "tol": ("tol", float),
-    "oracle-n": ("oracle_n", int),
-    "a1": ("a1", float),
-    "mutate": ("mutate", str),
+@dataclass(frozen=True)
+class Option:
+    field: str  # RunConfig attribute
+    cast: type
+    choices: Optional[Tuple[str, ...]] = None
+    command: Optional[str] = None  # the one subcommand that takes the flag
+
+
+# Every option, keyed by its flag name, which is also its config-file key.
+# Flags and config-file values are cast and checked against choices alike.
+OPTIONS = {
+    "m": Option("m", float),
+    "omega0": Option("omega0", float),
+    "lambda": Option("lam", float),
+    "h": Option("planck_h", float),
+    "nmax": Option("n_max", int),
+    "order": Option("order", int),
+    "kind": Option("kind", str, tuple(k.cli_name for k in Kind)),
+    "format": Option("fmt", str, ("csv", "json")),
+    "tol": Option("tol", float),
+    "oracle-n": Option("oracle_n", int),
+    "mutate": Option("mutate", str, vf.MUTATIONS),
+    "a1": Option("a1", float, command="classical"),
 }
 
 
@@ -109,13 +115,17 @@ def read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, raw = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                attr, cast = _CONFIG_KEYS[key]
+                option = OPTIONS[key]
                 try:
-                    values[attr] = cast(raw.strip())
+                    value = option.cast(raw.strip())
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}") from exc
+                if option.choices is not None and value not in option.choices:
+                    raise ConfigError(f"{path}:{lineno}: {key} must be one of "
+                                      f"{', '.join(option.choices)}")
+                values[option.field] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -128,28 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
         "an exact-diagonalization cross-check.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("levels", "level energies per coupling order"),
-        ("lines", "spectral lines and relative intensities"),
-        ("classical", "classical harmonic-balance coefficients and energy"),
-        ("verify", "run every consistency check"),
-        ("oracle-compare", "perturbative vs diagonalized levels/amplitudes"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--m", type=float, default=None)
-        p.add_argument("--omega0", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--h", dest="planck_h", type=float, default=None)
-        p.add_argument("--nmax", dest="n_max", type=int, default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--kind", choices=[k.cli_name for k in Kind], default=None)
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--oracle-n", dest="oracle_n", type=int, default=None)
+        for key, option in OPTIONS.items():
+            if option.command in (None, name):
+                p.add_argument(f"--{key}", dest=option.field, type=option.cast,
+                               choices=option.choices, default=None)
         p.add_argument("--config", default=None)
-        p.add_argument("--mutate", choices=list(vf.MUTATIONS), default=None)
-        if name == "classical":
-            p.add_argument("--a1", type=float, default=None)
     return parser
 
 
@@ -159,11 +154,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if path:
         for attr, value in read_config_file(path).items():
             setattr(config, attr, value)
-    for attr in ("m", "omega0", "lam", "planck_h", "n_max", "order",
-                 "kind", "fmt", "tol", "oracle_n", "a1", "mutate"):
-        value = getattr(args, attr, None)
+    for option in OPTIONS.values():
+        value = getattr(args, option.field, None)
         if value is not None:
-            setattr(config, attr, value)
+            setattr(config, option.field, value)
     if not 1 <= config.n_max <= MAX_NMAX:
         raise ConfigError(f"nmax must be between 1 and {MAX_NMAX}")
     if config.order not in (0, 1):
@@ -322,12 +316,13 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     return 0 if report.passed else CHECK_ERROR
 
 
-_COMMANDS = {
-    "levels": cmd_levels,
-    "lines": cmd_lines,
-    "classical": cmd_classical,
-    "verify": cmd_verify,
-    "oracle-compare": cmd_oracle_compare,
+# subcommand -> (handler, help text)
+COMMANDS = {
+    "levels": (cmd_levels, "level energies per coupling order"),
+    "lines": (cmd_lines, "spectral lines and relative intensities"),
+    "classical": (cmd_classical, "classical harmonic-balance coefficients and energy"),
+    "verify": (cmd_verify, "run every consistency check"),
+    "oracle-compare": (cmd_oracle_compare, "perturbative vs diagonalized levels/amplitudes"),
 }
 
 
@@ -342,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = resolve_config(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = _COMMANDS[args.command](config)
+            code = COMMANDS[args.command][0](config)
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
         return code

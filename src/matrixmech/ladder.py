@@ -214,13 +214,14 @@ def _base_ladder(spec: OscillatorSpec, n_max: int, order: int, pad: int) -> Tran
                            x=OperatorMatrix(x), fund=fund)
 
 
-def base_amplitudes(spec: OscillatorSpec, n_max: int, pad: int = 2) -> TransitionTable:
+def base_amplitudes(spec: OscillatorSpec, n_max: int) -> TransitionTable:
     """Ladder of nearest-neighbor amplitudes satisfying the sum rule.
 
     a(n, n-1) = sqrt(n*h/(pi*m*omega0)) with a(0,-1) = 0; every amplitude
-    with |n - m| >= 2 is zero at this order.
+    with |n - m| >= 2 is zero at this order.  The pad is the order-0
+    solve's, 2 states.
     """
-    return _base_ladder(spec, n_max, 0, pad)
+    return _base_ladder(spec, n_max, 0, pad=2)
 
 
 def quantization_residual(spec: OscillatorSpec, table: TransitionTable, n: int) -> float:
@@ -325,9 +326,10 @@ def chain_omega(table: TransitionTable) -> np.ndarray:
 
 
 def energy_matrix(
-    spec: OscillatorSpec, table: TransitionTable, max_order: int, omega: np.ndarray
+    spec: OscillatorSpec, table: TransitionTable, omega: np.ndarray
 ) -> OperatorMatrix:
-    """Full energy matrix m*(Xdot^2 + omega0^2 X^2)/2 + anharmonic potential.
+    """Full energy matrix m*(Xdot^2 + omega0^2 X^2)/2 + anharmonic potential,
+    through the table's order.
 
     Xdot = iY with Y = omega o X, the entrywise product with the stack
     omega(n, m); when omega comes from the levels this is the Born-Jordan
@@ -339,11 +341,12 @@ def energy_matrix(
     (solve-time fundamentals, used to bootstrap the levels).
     """
     x = table.x
-    y = OperatorMatrix(_series_product(omega, x.c, max_order, np.multiply))
-    e = (0.5 * spec.m) * (spec.omega0**2 * x.mul(x, max_order).c - y.mul(y, max_order).c)
+    order = table.order
+    y = OperatorMatrix(_series_product(omega, x.c, order, np.multiply))
+    e = (0.5 * spec.m) * (spec.omega0**2 * x.mul(x, order).c - y.mul(y, order).c)
     p = spec.kind.force_power
-    if p and max_order >= 1:
-        e[1:] += (spec.m / (p + 1.0)) * x.power(p + 1, max_order - 1).c
+    if p and order >= 1:
+        e[1:] += (spec.m / (p + 1.0)) * x.power(p + 1, order - 1).c
     return OperatorMatrix(e)
 
 
@@ -355,7 +358,7 @@ def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTab
     frequency_consistency), after which omega(n, m) is always derived
     from the levels.
     """
-    e = energy_matrix(spec, table, table.order, chain_omega(table))
+    e = energy_matrix(spec, table, chain_omega(table))
     table.w = np.diagonal(e.c, axis1=1, axis2=2).copy()
     return table
 
@@ -470,7 +473,7 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     """
     order = table.order
     omega = level_omega(table)
-    e = energy_matrix(spec, table, order, omega).c
+    e = energy_matrix(spec, table, omega).c
 
     ax = np.abs(table.x.c)
     y = _series_product(np.abs(omega), ax, order, np.multiply)
@@ -530,15 +533,13 @@ class CorrespondenceReport:
 
 
 def correspondence_check(
-    spec: OscillatorSpec, table: TransitionTable, n: int, series=None
+    spec: OscillatorSpec, table: TransitionTable, n: int
 ) -> CorrespondenceReport:
     """Compare quantum amplitudes with classical Fourier coefficients.
 
     The two-step amplitude relates to its neighbor product exactly as the
     classical second harmonic relates to a1^2; the fundamental amplitude
-    matches the classical one whose orbit action equals n*h.  When a
-    solved classical FourierSeries is passed, the classical ratio is taken
-    from its coefficients instead of the closed form.
+    matches the classical one whose orbit action equals n*h.
     """
     if n < 2:
         raise LadderError("correspondence check needs n >= 2")
@@ -550,10 +551,7 @@ def correspondence_check(
     over = table.amp(n, n - 2)[1]
     if spec.kind is Kind.QUADRATIC_FORCE and over:
         q = over / (a_nm1 * a_nm1m2)
-        if series is not None:
-            classical = float(series.coeff(2, 1)) / float(series.a1) ** 2
-        else:
-            classical = 1.0 / (6.0 * spec.omega0**2)
+        classical = 1.0 / (6.0 * spec.omega0**2)
     else:
         q = None
         classical = None

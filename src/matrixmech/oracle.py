@@ -424,13 +424,16 @@ def compare(
     residual is fit to C*lam^q per level (q should sit near 2, the first
     neglected order).  The basis-doubling delta is kept per coupling and
     convergence_delta is the largest, so the hardest coupling is checked;
-    a delta above CONVERGENCE_GATE*hbar*omega0 is a failure.
+    a delta above CONVERGENCE_GATE*hbar*omega0 is a convergence failure,
+    and that coupling's level rows are still reported but add no level
+    failure and no point to the fit, since the basis, not the series, is
+    what failed there.
     Amplitudes are compared at the first nonzero coupling, both against
     the sum-rule form at the measured transition frequency and against
     the first-order series; that coupling alone is diagonalized with
     eigenvectors (for x_elements), every other coupling is decomposed
-    for eigenvalues only, and the doubled bases are counted by inertia
-    or, below INERTIA_MIN_ROWS or on fallback, decomposed for eigenvalues.
+    for eigenvalues only, and after the sweep one _doubling_deltas call
+    checks every coupling's doubled basis.
     Mismatches beyond the second-order envelope are recorded as failures,
     never silently dropped.
     """
@@ -444,7 +447,6 @@ def compare(
     base_lam = next((l for l in lambdas if l != 0), None)
     base = None  # (eigenvalues, x_elements) of the tracked states at base_lam
     k = min(n_track + 1, n_basis)
-    batched = _doubled_block_rows(spec, n_basis) >= INERTIA_MIN_ROWS
     sweep = []  # (spec, eigenvalues) per coupling
     for lam in lambdas:
         s = OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind)
@@ -456,16 +458,14 @@ def compare(
         else:
             evals = _eigenvalues(ham)
         sweep.append((s, evals))
-        if not batched:  # measured: each doubled basis right after its coupling
-            report.convergence_deltas += _doubling_deltas([s], n_basis, [evals[:k]])
-    if batched:  # one inertia sweep counts every coupling
-        report.convergence_deltas = _doubling_deltas(
-            [s for s, _ in sweep], n_basis, [evals[:k] for _, evals in sweep])
+    report.convergence_deltas = _doubling_deltas(
+        [s for s, _ in sweep], n_basis, [evals[:k] for _, evals in sweep])
 
     for (s, evals), delta in zip(sweep, report.convergence_deltas):
         lam = s.lam
         gate = CONVERGENCE_GATE * s.hbar * s.omega0
-        if delta > gate:
+        converged = delta <= gate
+        if not converged:
             report.failures.append(
                 f"convergence lam={lam:g}: doubling delta {delta:.3e} > {gate:.3e}"
             )
@@ -477,6 +477,8 @@ def compare(
                 exact=float(evals[n]),
             )
             report.levels.append(row)
+            if not converged:  # the basis, not the series, is at fault here
+                continue
             if lam != 0:
                 residuals[n].append((lam, row.residual))
             tol = max(second_order_envelope(s, n), 1e-10 * s.hbar * s.omega0)

@@ -45,6 +45,10 @@ class Kind(enum.Enum):
         raise ValueError(f"unknown oscillator kind {name!r} (harmonic|x2|x3)")
 
 
+# Smallness ratio r from which the truncated series is out of regime.
+R_MAX = 0.1
+
+
 class SmallnessWarning(UserWarning):
     """Coupling too large for the truncated series to be meaningful."""
 
@@ -103,12 +107,12 @@ class OscillatorSpec:
             amplitude = self.ladder_amplitude
         return abs(self.lam) * self.coupling_unit(amplitude)
 
-    def check_smallness(self, amplitude: float | None = None, r_max: float = 0.1) -> float:
-        """Warn (never silently accept) when the series is out of regime."""
+    def check_smallness(self, amplitude: float | None = None) -> float:
+        """Warn (never silently accept) when r reaches R_MAX."""
         r = self.smallness_ratio(amplitude)
-        if r >= r_max:
+        if r >= R_MAX:
             warnings.warn(
-                f"coupling ratio r={r:.3g} exceeds r_max={r_max:g}; "
+                f"coupling ratio r={r:.3g} exceeds r_max={R_MAX:g}; "
                 "truncated series results are unreliable",
                 SmallnessWarning,
                 stacklevel=2,

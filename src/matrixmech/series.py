@@ -112,6 +112,3 @@ class LambdaSeries:
                 continue
             parts.append(f"{c}" if k == 0 else f"{c}*lam^{k}")
         return " + ".join(parts) if parts else "0"
-
-
-ZERO = LambdaSeries.zero()

@@ -178,13 +178,15 @@ def run_verification(
     report.add("oracle_levels", float(len(level_fails)), 0.0,
                detail="; ".join(level_fails) or f"max residual within envelope, basis {rep.n_basis}")
     if spec.kind is not Kind.HARMONIC and lam != 0:
-        worst = max(abs(q - 2.0) for q in rep.fit_exponent.values())
+        # no fit at all (fewer than two converged couplings) is no pass
+        worst = max((abs(q - 2.0) for q in rep.fit_exponent.values()), default=0.0)
         report.add("oracle_scaling", worst, 0.2,
-                   detail=f"exponents {sorted(round(q, 3) for q in rep.fit_exponent.values())}")
+                   detail=f"exponents {sorted(round(q, 3) for q in rep.fit_exponent.values())}",
+                   passed=bool(rep.fit_exponent) and worst <= 0.2)
         report.add("oracle_amplitudes", float(len(amp_fails)), 0.0,
                    detail="; ".join(amp_fails) or "within 5*lam^2")
     conv_fails = [f for f in rep.failures if f.startswith("convergence")]
     report.add("oracle_convergence", rep.convergence_delta / hb_w, orc.CONVERGENCE_GATE,
-               passed=not conv_fails)
+               detail="; ".join(conv_fails), passed=not conv_fails)
 
     return report

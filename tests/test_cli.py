@@ -219,6 +219,16 @@ def test_bad_config_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "levels", "--kind", "bogus")
     assert code == 2
 
+    # a file value outside its allowed set exits 2 as the flag does
+    for line in ("format=xml", "kind=x4", "mutate=zz"):
+        cfg.write_text(line + "\n")
+        key, value = line.split("=")
+        for command in ("levels", "classical"):
+            code, out, err = run(capsys, command, "--config", str(cfg))
+            assert (code, out) == (2, "") and f"{key} must be one of" in err
+            code, out, _ = run(capsys, command, f"--{key}", value)
+            assert (code, out) == (2, "")
+
 
 def test_levels_order_zero(capsys):
     code, out, _ = run(capsys, "levels", "--kind", "x3", "--lambda", "0.001",
@@ -251,11 +261,32 @@ def test_non_finite_input_exits_2(capsys, flag, value):
 def test_verify_flags_unconverged_hardest_coupling(capsys):
     # the oracle sweep runs lam/2 .. 4*lam; at 4*lam = 0.16 the x2 spectrum
     # is not converged under basis doubling, and the check must say so
-    code, out, _ = run(capsys, "verify", "--kind", "x2", "--lambda", "0.04", "--nmax", "10")
+    argv = ("verify", "--kind", "x2", "--lambda", "0.04", "--nmax", "10")
+    code, out, _ = run(capsys, *argv)
     assert code == 1
     rows = {r.split(",")[0]: r.split(",") for r in out.strip().splitlines()[1:]}
     assert rows["oracle_convergence"][1] == "FAIL"
     assert float(rows["oracle_convergence"][2]) > 1.0
+    # the collapsed coupling is blamed on convergence alone
+    assert rows["oracle_levels"][1:3] == ["PASS", "0"]
+    assert rows["oracle_scaling"][1] == "PASS"
+    assert [r[1] for r in rows.values()].count("FAIL") == 1
+    # and the JSON detail names it
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["oracle_convergence"]["detail"] == (
+        "convergence lam=0.16: doubling delta 4.955e+01 > 1.000e-10")
+
+
+def test_verify_scaling_without_a_converged_fit_fails():
+    # every coupling but lam/2 = 0.15 has collapsed: one point fits no power law
+    spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
+    with pytest.warns(UserWarning):
+        report = run_verification(spec, n_max=4)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["oracle_scaling"].passed
+    assert checks["oracle_scaling"].detail == "exponents []"
 
 
 def test_oracle_compare_fails_unconverged_basis(capsys):

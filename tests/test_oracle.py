@@ -167,6 +167,20 @@ def test_compare_keeps_every_coupling_delta():
     assert rep.convergence_delta == max(rep.convergence_deltas) > 1.0
 
 
+def test_unconverged_coupling_is_blamed_on_convergence():
+    # the collapsed 4*lam point is the basis's failure, not the series':
+    # its level rows stay, but it adds no level failure and no fit point
+    spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    assert rep.failures == ["convergence lam=0.16: doubling delta 4.955e+01 > 1.000e-10"]
+    assert [r.lam for r in rep.levels] == [l for l in coupling_sweep(0.04) for _ in range(6)]
+    assert max(r.residual for r in rep.levels if r.lam == 0.16) > 0.5
+    converged = compare(spec, coupling_sweep(spec.lam)[:3], n_track=5)
+    assert converged.passed
+    assert rep.fit_exponent == converged.fit_exponent
+    assert all(2.0 < q < 2.05 for q in rep.fit_exponent.values())
+
+
 def test_coupling_sweep():
     assert coupling_sweep(1e-3) == [5e-4, 1e-3, 2e-3, 4e-3]
     assert coupling_sweep(-2e-3) == [-1e-3, -2e-3, -4e-3, -8e-3]
@@ -194,9 +208,10 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
         n, n2 = 64 // blocks, 128 // blocks
         # eigenvectors at the base coupling only, for x_elements
         assert calls["eigh"] == [(n, n)] * blocks
-        # eigenvalues only at the other three couplings and every doubled basis
-        others = ([(n, n)] * blocks + [(n2, n2)] * blocks) * 3
-        assert calls["eigvalsh"] == [(n2, n2)] * blocks + others
+        # eigenvalues only at the other three couplings and every doubled
+        # basis; the order of the calls is compare's own business
+        expected = [(n, n)] * (3 * blocks) + [(n2, n2)] * (4 * blocks)
+        assert sorted(calls["eigvalsh"]) == sorted(expected)
         assert len(rep.amplitudes) == 5
         assert len(rep.convergence_deltas) == 4
         monkeypatch.undo()

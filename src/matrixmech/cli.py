@@ -4,7 +4,8 @@ Subcommands: levels | lines | classical | verify | oracle-compare.
 All data goes to stdout with a fixed column order and 15 significant
 digits, so identical configurations produce byte-identical output;
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error, which includes a result that overflows
+double precision: it is reported before anything is printed.
 
 Options may come from a plain key=value config file (# comments allowed),
 selected with --config or the MATRIXMECH_CONFIG environment variable;
@@ -14,6 +15,7 @@ command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,7 +49,10 @@ class ConfigError(ValueError):
 
 
 def fmt(x) -> str:
-    return f"{float(x):.15g}"
+    x = float(x)
+    if not math.isfinite(x):
+        raise OverflowError(f"non-finite result {x}")
+    return f"{x:.15g}"
 
 
 def jnum(x) -> float:
@@ -146,6 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=option.choices, default=None)
         p.add_argument("--config", default=None)
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: the grammar is fixed,
+    and parse_args keeps no state between calls."""
+    return build_parser()
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -327,9 +339,9 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; never calls sys.exit."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 0 if exc.code in (0, None) else USAGE_ERROR
@@ -343,6 +355,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except (ConfigError, ValueError, ld.LadderError, cl.SeriesOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OverflowError as exc:
+        reason = exc.args[-1] if exc.args else "overflow"  # math's args are (errno, text)
+        print(f"error: the result overflows double precision at these parameters "
+              f"({reason})", file=sys.stderr)
         return USAGE_ERROR
 
 

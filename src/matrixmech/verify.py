@@ -170,21 +170,33 @@ def run_verification(
     scale = spec.m * spec.omega0**2 * a1 * a1
     report.add("classical_energy_periodic", energy.max_periodic() / scale, tol)
 
-    # oracle comparison
-    rep = orc.compare(spec, orc.coupling_sweep(lam), n_track=orc.tracked_levels(n_max),
+    # oracle comparison; a check that an unconverged basis left nothing to
+    # compare fails and names the coupling(s)
+    sweep = orc.coupling_sweep(lam)
+    rep = orc.compare(spec, sweep, n_track=orc.tracked_levels(n_max),
                       n_basis=oracle_n, table=table)
     level_fails = [f for f in rep.failures if f.startswith("level")]
     amp_fails = [f for f in rep.failures if f.startswith("amplitude")]
+    levels_compared = len(rep.unconverged) < len(sweep)
     report.add("oracle_levels", float(len(level_fails)), 0.0,
-               detail="; ".join(level_fails) or f"max residual within envelope, basis {rep.n_basis}")
+               detail="; ".join(level_fails) or (
+                   f"max residual within envelope, basis {rep.n_basis}" if levels_compared
+                   else "no level compared: unconverged lam="
+                   + ", ".join(f"{l:g}" for l in rep.unconverged)),
+               passed=levels_compared and not level_fails)
     if spec.kind is not Kind.HARMONIC and lam != 0:
         # no fit at all (fewer than two converged couplings) is no pass
         worst = max((abs(q - 2.0) for q in rep.fit_exponent.values()), default=0.0)
         report.add("oracle_scaling", worst, 0.2,
                    detail=f"exponents {sorted(round(q, 3) for q in rep.fit_exponent.values())}",
                    passed=bool(rep.fit_exponent) and worst <= 0.2)
+        base_lam = sweep[0]  # where compare gates the amplitudes
+        amps_compared = base_lam not in rep.unconverged
         report.add("oracle_amplitudes", float(len(amp_fails)), 0.0,
-                   detail="; ".join(amp_fails) or "within 5*lam^2")
+                   detail="; ".join(amp_fails) or (
+                       "within 5*lam^2" if amps_compared
+                       else f"no amplitude compared: unconverged lam={base_lam:g}"),
+                   passed=amps_compared and not amp_fails)
     conv_fails = [f for f in rep.failures if f.startswith("convergence")]
     report.add("oracle_convergence", rep.convergence_delta / hb_w, orc.CONVERGENCE_GATE,
                detail="; ".join(conv_fails), passed=not conv_fails)

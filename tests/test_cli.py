@@ -280,13 +280,29 @@ def test_verify_flags_unconverged_hardest_coupling(capsys):
 
 
 def test_verify_scaling_without_a_converged_fit_fails():
-    # every coupling but lam/2 = 0.15 has collapsed: one point fits no power law
+    # every coupling, lam/2 = 0.15 included, has collapsed: nothing to fit
     spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
     with pytest.warns(UserWarning):
         report = run_verification(spec, n_max=4)
     checks = {c.name: c for c in report.checks}
     assert not checks["oracle_scaling"].passed
     assert checks["oracle_scaling"].detail == "exponents []"
+
+
+def test_verify_unconverged_sweep_compares_nothing(capsys):
+    # no converged coupling leaves no level and no amplitude compared: both
+    # checks fail and name the couplings instead of passing or blaming the series
+    code, out, _ = run(capsys, "verify", "--kind", "x2", "--lambda", "0.3",
+                       "--nmax", "10", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["oracle_levels"] == {
+        "name": "oracle_levels", "passed": False, "measured": 0.0, "tolerance": 0.0,
+        "detail": "no level compared: unconverged lam=0.15, 0.3, 0.6, 1.2"}
+    assert checks["oracle_amplitudes"] == {
+        "name": "oracle_amplitudes", "passed": False, "measured": 0.0, "tolerance": 0.0,
+        "detail": "no amplitude compared: unconverged lam=0.15"}
+    assert not checks["oracle_convergence"]["passed"]
 
 
 def test_oracle_compare_fails_unconverged_basis(capsys):
@@ -414,3 +430,75 @@ def test_small_ladders_solve_at_order_one(capsys, kind, n_max):
     rows = [r.split(",") for r in out.strip().splitlines()[1:]]
     assert rows and all(int(r[0]) <= n_max for r in rows)
     assert max(float(r[3]) for r in rows) == 1.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("levels", "--kind", "x3", "--nmax", "40", "--lambda", "1e307"),
+    ("lines", "--kind", "x2", "--nmax", "2", "--lambda", "1e200"),
+    ("verify", "--kind", "x3", "--nmax", "4", "--lambda", "1e300"),
+    ("oracle-compare", "--kind", "x3", "--nmax", "4", "--lambda", "1e300"),
+])
+def test_overflowing_coupling_exits_2(capsys, argv, fmt):
+    # inf/nan rows or an OverflowError become a usage error before any output
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the result overflows double precision")
+
+
+def test_calls_in_one_process_are_independent(capsys, monkeypatch, tmp_path):
+    from matrixmech import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=x3\nlambda=0.001\nnmax=3\nformat=json\n")
+    verify_x3 = ("verify", "--kind", "x3", "--lambda", "0.001", "--nmax", "6")
+    steps = [  # (argv, MATRIXMECH_CONFIG, expected exit code)
+        (("levels", "--bogus"), None, 2),
+        (("--help",), None, 0),
+        (("levels", "--config", str(cfg)), None, 0),
+        (("levels",), None, 0),
+        (("levels",), str(cfg), 0),
+        (("levels",), None, 0),
+        (verify_x3 + ("--mutate", "w"), None, 1),
+        (verify_x3, None, 0),
+    ]
+
+    def run_steps():
+        results = []
+        for argv, env, _ in steps:
+            if env is None:
+                monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+            else:
+                monkeypatch.setenv(cli.ENV_CONFIG, env)
+            code, out, _ = run(capsys, *argv)
+            results.append((code, out))
+        return results
+
+    cli._parser.cache_clear()
+    shared = run_steps()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = run_steps()
+    assert [code for code, _ in shared] == [code for _, _, code in steps]
+    assert shared == fresh
+    assert shared[2] != shared[3] and shared[3] == shared[5] and shared[2] == shared[4]
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    from matrixmech import cli
+
+    builds = []
+    real_build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for i in range(10):
+            run(capsys, "levels", "--nmax", str(i + 1) if i % 3 else "--bogus")
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1

@@ -181,6 +181,19 @@ def test_unconverged_coupling_is_blamed_on_convergence():
     assert all(2.0 < q < 2.05 for q in rep.fit_exponent.values())
 
 
+def test_unconverged_base_coupling_adds_no_amplitude_failure():
+    # at lam 0.3 the whole sweep is unconverged, the base lam/2 = 0.15
+    # that gates the amplitudes included: their rows stay, their failures go
+    spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
+    with pytest.warns(UserWarning):
+        rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    assert rep.unconverged == coupling_sweep(spec.lam)
+    assert [f.split(":")[0] for f in rep.failures] == [
+        f"convergence lam={l:g}" for l in coupling_sweep(spec.lam)]
+    assert [a.n for a in rep.amplitudes] == [1, 2, 3, 4, 5]
+    assert max(a.rel_error_exact for a in rep.amplitudes) > 5.0 * 0.15**2
+
+
 def test_coupling_sweep():
     assert coupling_sweep(1e-3) == [5e-4, 1e-3, 2e-3, 4e-3]
     assert coupling_sweep(-2e-3) == [-1e-3, -2e-3, -4e-3, -8e-3]

@@ -5,15 +5,24 @@ fundamental frequency,
 
     x(t) = sum_{tau,k}  c[tau,k] * lam^k * cos(tau*w*t),      w^2 = sum_j w[j]*lam^j,
 
-and the equation of motion x'' + omega0^2 x + lam x^p = 0 is reduced with
-product-to-sum identities.  Matching the coefficient of lam^k cos(tau*w*t)
-to zero order by order determines every c[tau,k] (tau != 1) and the
-frequency corrections w[k]; the fundamental amplitude c[1,0] = a1 stays
-free and its higher corrections are fixed to zero by convention.
+and held as a two-sided coefficient stack, one row per power of lam,
 
-The recursion is generic over the force power p, so the same machinery
-that produces the textbook leading coefficients also produces the
-next-order ones used as cross-checks.
+    X[k, T+tau] = X[k, T-tau] = c[tau,k]/2  (tau >= 1),      X[k, T] = c[0,k]:
+
+the Toeplitz limit of the ladder's half-amplitude matrix X, with X[k, T+tau]
+in the place of X(n, n-tau).  A product of cosine series is a convolution
+along the harmonic axis (series_product with a centred np.convolve, where
+the ladder uses np.matmul), and xdot = i*w*Y with Y[tau] = tau*X[tau], so
+the energy takes the ladder's form
+
+    E = (m/2)(omega0^2 X*X - w^2 Y*Y) + m/(p+1) * lam * X^(p+1).
+
+Matching the coefficient of lam^k cos(tau*w*t) in x'' + omega0^2 x + lam x^p
+= 0 to zero order by order determines every c[tau,k] (tau != 1) and the
+frequency corrections w[k], for any force power p; the fundamental
+amplitude c[1,0] = a1 stays free and its higher corrections are fixed to
+zero by convention.  Stacks are float64 for float inputs and object arrays,
+which keep Fractions exact, otherwise; (tau, k) dicts are the stored form.
 """
 
 from __future__ import annotations
@@ -22,8 +31,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+import numpy as np
+
 from .oscillator import Kind, OscillatorSpec
-from .series import LambdaSeries
+from .series import LambdaSeries, series_product
 
 ORDER_CAP = 4
 
@@ -38,73 +49,36 @@ class DegenerateDivisorError(ArithmeticError):
     """A harmonic-balance divisor vanished (resonant harmonic)."""
 
 
-def _tab_add(table: CosTable, key, value) -> None:
-    if value:
-        table[key] = table.get(key, 0) + value
+def _dtype(values) -> np.dtype:
+    """float64 for float inputs; object, which keeps Fractions exact, else."""
+    return np.result_type(float, np.array(values).dtype)
 
 
-def cos_table_mul(a: CosTable, b: CosTable) -> CosTable:
-    """Product of two cosine tables, reduced to single cosines.
-
-    cos(p)cos(q) = [cos(p+q) + cos(p-q)]/2; the tau = 0 row is the plain
-    constant term, so it multiplies without the 1/2.
-    """
-    out: CosTable = {}
-    for (t1, k1), c1 in a.items():
-        if not c1:
-            continue
-        for (t2, k2), c2 in b.items():
-            v = c1 * c2
-            if not v:
-                continue
-            k = k1 + k2
-            if t1 == 0 or t2 == 0:
-                _tab_add(out, (t1 + t2, k), v)
-            else:
-                _tab_add(out, (t1 + t2, k), v / 2)
-                _tab_add(out, (abs(t1 - t2), k), v / 2)
-    return out
+def _stack(coeffs: CosTable, orders: int, width: int, dtype) -> np.ndarray:
+    """Two-sided stack, harmonics -width .. width, of a dict's rows k < orders."""
+    x = np.zeros((orders, 2 * width + 1), dtype=dtype)
+    for (tau, k), c in coeffs.items():
+        if k < orders:
+            x[k, width + tau] = x[k, width - tau] = c if tau == 0 else c / 2
+    return x
 
 
-def sin_table_mul_from_cos(a: CosTable, b: CosTable) -> CosTable:
-    """Table of (d/dphase a)(d/dphase b) up to the w^2 factor.
-
-    With x = sum c cos(tau*w*t), xdot carries -c*tau*w sin(tau*w*t); this
-    returns sum c1*c2*t1*t2*sin(t1)sin(t2) reduced via
-    sin(p)sin(q) = [cos(p-q) - cos(p+q)]/2.  Multiply by the w^2 series
-    to get the xdot^2 table.
-    """
-    out: CosTable = {}
-    for (t1, k1), c1 in a.items():
-        if t1 == 0 or not c1:
-            continue
-        for (t2, k2), c2 in b.items():
-            if t2 == 0 or not c2:
-                continue
-            v = c1 * c2 * t1 * t2
-            k = k1 + k2
-            _tab_add(out, (abs(t1 - t2), k), v / 2)
-            _tab_add(out, (t1 + t2, k), -v / 2)
-    return out
+def _table(x: np.ndarray, width: int) -> CosTable:
+    """The nonzero cosine coefficients of a two-sided stack."""
+    return {(tau, k): c if tau == 0 else 2 * c
+            for k, row in enumerate(x[:, width:].tolist())
+            for tau, c in enumerate(row) if c}
 
 
-def _table_times_series(table: CosTable, series) -> CosTable:
-    out: CosTable = {}
-    for (t, k), c in table.items():
-        for j, s in enumerate(series):
-            _tab_add(out, (t, k + j), c * s)
-    return out
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two cosine series, as two-sided rows of equal width."""
+    return np.convolve(a, b, mode="same")
 
 
-def _table_shift(table: CosTable) -> CosTable:
-    """Multiply by lam: the lam*x^p force and potential terms."""
-    return {(t, k + 1): c for (t, k), c in table.items()}
-
-
-def _table_power(table: CosTable, p: int) -> CosTable:
-    out = dict(table)
+def _power(x: np.ndarray, p: int, max_order: int) -> np.ndarray:
+    out = x
     for _ in range(p - 1):
-        out = cos_table_mul(out, table)
+        out = series_product(out, x, max_order, _convolve)
     return out
 
 
@@ -127,10 +101,6 @@ class FourierSeries:
 
     def coeff(self, tau: int, k: int):
         return self.coeffs.get((tau, k), 0)
-
-    def harmonic_series(self, tau: int) -> LambdaSeries:
-        top = max((k for (t, k) in self.coeffs if t == tau), default=-1)
-        return LambdaSeries.from_coeffs(self.coeff(tau, k) for k in range(top + 1))
 
     @property
     def max_harmonic(self) -> int:
@@ -169,15 +139,9 @@ def solved_keys(kind: Kind, order: int) -> set:
     """
     if kind is Kind.HARMONIC:
         return {(1, 0)}
-    keys: set = set()
-    max_tau = _max_tau(kind, order)
-    for tau in _harmonics(kind, max_tau):
-        lead = leading_order(kind, tau)
-        for k in range(lead, order + 1):
-            keys.add((tau, k))
-    keys.add((1, 0))
-    keys.add((_max_tau(kind, order + 1), order + 1))
-    return keys
+    keys = {(tau, k) for tau in _harmonics(kind, _max_tau(kind, order))
+            for k in range(leading_order(kind, tau), order + 1)}
+    return keys | {(1, 0), (_max_tau(kind, order + 1), order + 1)}
 
 
 def _max_tau(kind: Kind, order: int) -> int:
@@ -212,50 +176,40 @@ def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
         )
 
     p = spec.kind.force_power
-    coeffs: CosTable = {(1, 0): a1}
-    w = [w0sq]  # omega^2 series
-    max_tau = _max_tau(spec.kind, order)
     tau_ext = _max_tau(spec.kind, order + 1)
+    width = p * tau_ext  # x^p never reaches past it
+    dtype = _dtype((a1, w0sq))
+    x = _stack({(1, 0): a1}, order + 2, width, dtype)
+    w = np.zeros(order + 1, dtype)  # omega^2 series
+    w[0] = w0sq
+    # harmonics balanced at lam^1 .. lam^order, and the next one up at lam^(order+1)
+    balanced = [t for t in _harmonics(spec.kind, _max_tau(spec.kind, order)) if t != 1]
 
     for k in range(1, order + 2):
-        # lam*x^p contributes (x^p)(tau, k-1) at lam^k; only orders < k
-        # of coeffs enter, so the recursion is triangular.
-        nl_table = _table_power(coeffs, p)
-        if k <= order:
-            taus = _harmonics(spec.kind, max_tau)
-        else:
-            taus = [tau_ext]
-        new: CosTable = {}
-        w_next = None
-        for tau in taus:
-            nl = nl_table.get((tau, k - 1), 0)
-            if tau == 1:
-                if k <= order:
-                    w_next = nl / a1 if nl else 0
-                continue
-            cross = 0
-            for j in range(1, k):
-                cj = coeffs.get((tau, k - j), 0)
-                if cj and j < len(w):
-                    cross = cross + w[j] * cj
-            divisor = w0sq * (1 - tau * tau) if tau != 0 else w0sq
-            if abs(divisor) < 1e-300:
-                raise DegenerateDivisorError(f"vanishing divisor at harmonic {tau}")
-            if tau == 0:
-                value = -nl / divisor if nl else 0
-            else:
-                value = (tau * tau * cross - nl) / divisor
-            if value:
-                new[(tau, k)] = value
-        if k <= order:
-            w.append(w_next if w_next is not None else 0)
-        coeffs.update(new)
+        tau = np.array(balanced if k <= order else [tau_ext])
+        divisor = w0sq * (1 - tau * tau)
+        degenerate = abs(divisor) < 1e-300
+        if degenerate.any():
+            raise DegenerateDivisorError(f"vanishing divisor at harmonic {tau[degenerate][0]}")
+        # lam*x^p contributes (x^p)_{k-1} at lam^k; only orders < k of x
+        # enter, so the recursion is triangular.
+        nl = _power(x, p, k - 1)[k - 1]
+        if k <= order and nl[width + 1]:  # the fundamental's balance fixes w[k]
+            w[k] = nl[width + 1] / x[0, width + 1]
+        cross = 0  # the omega^2 corrections acting on x
+        for j in range(1, k):
+            cross = cross + w[j] * x[k - j, width + tau]
+        value = (tau * tau * cross - nl[width + tau]) / divisor
+        # both sides of the stack; no float zero in an exact one
+        x[k, width + tau] = x[k, width - tau] = np.where(value != 0, value, 0)
 
+    coeffs = _table(x, width)
+    coeffs[(1, 0)] = a1
     return FourierSeries(
         kind=spec.kind,
         a1=a1,
         coeffs=coeffs,
-        omega_sq=LambdaSeries.from_coeffs(w),
+        omega_sq=LambdaSeries.from_coeffs(w.tolist()),
         max_order=order,
         extension_order=1,
     )
@@ -266,27 +220,20 @@ def classical_residual(spec: OscillatorSpec, series: FourierSeries) -> CosTable:
     into the equation of motion.  Zero on the solved set of keys.
     """
     w0sq = spec.omega0**2
-    w = list(series.omega_sq.coeffs) or [w0sq]
+    w = series.omega_sq.coeffs or (w0sq,)
     p = spec.kind.force_power
-    out: CosTable = {}
-
     max_k = series.max_order + series.extension_order
-    max_tau = max(series.max_harmonic, 1) + (p if p else 0)
+    top = max(series.max_harmonic, 1) + p  # highest harmonic reported
+    width = max(top, p * series.max_harmonic)
+    dtype = _dtype((w0sq, *w, *series.coeffs.values()))
+    x = _stack(series.coeffs, max_k + 1, width, dtype)
 
-    nl_table = _table_shift(_table_power(series.coeffs, p)) if p else {}
-
-    for tau in range(0, max_tau + 1):
-        for k in range(0, max_k + 1):
-            c_inertia = 0
-            for j, wj in enumerate(w):
-                ck = series.coeffs.get((tau, k - j), 0)
-                if ck:
-                    c_inertia = c_inertia + wj * ck
-            r = w0sq * series.coeffs.get((tau, k), 0) - tau * tau * c_inertia
-            r = r + nl_table.get((tau, k), 0)
-            if r:
-                out[(tau, k)] = r
-    return out
+    inertia = series_product(x, np.array(w, dtype)[:, None], max_k, np.multiply)
+    tau = np.arange(-width, width + 1)
+    r = w0sq * x - tau * tau * inertia
+    if p:
+        r[1:] += _power(x, p, max_k - 1)
+    return {(t, k): c for (t, k), c in _table(r, width).items() if t <= top}
 
 
 def residual_scale(spec: OscillatorSpec, a1, k: int):
@@ -326,39 +273,28 @@ def classical_energy(spec: OscillatorSpec, series: FourierSeries) -> ClassicalEn
     """
     m = spec.m
     w0sq = spec.omega0**2
-    x = series.coeffs
-
-    kin = sin_table_mul_from_cos(x, x)
-    kin = _table_times_series(kin, series.omega_sq.coeffs or (w0sq,))
-    kin = {key: m * c / 2 for key, c in kin.items()}
-
-    harm = {key: m * w0sq * c / 2 for key, c in cos_table_mul(x, x).items()}
-
-    anh: CosTable = {}
+    wsq = series.omega_sq.coeffs or (w0sq,)
     p = spec.kind.force_power
-    if p:
-        pot_power = p + 1
-        anh = _table_shift(_table_power(x, pot_power))
-        anh = {key: m * c / pot_power for key, c in anh.items()}
-
-    total: CosTable = {}
-    for table in (kin, harm, anh):
-        for key, c in table.items():
-            _tab_add(total, key, c)
-
     valid = series.max_order
+    width = max(2, p + 1) * series.max_harmonic
+    dtype = _dtype((m, w0sq, *wsq, *series.coeffs.values()))
+    x = _stack(series.coeffs, valid + 1, width, dtype)
+    y = np.arange(-width, width + 1) * x  # xdot = i*w*Y
 
-    def dc_series(table: CosTable) -> LambdaSeries:
-        return LambdaSeries.from_coeffs(
-            table.get((0, k), 0) for k in range(valid + 1)
-        )
+    yy = series_product(y, y, valid, _convolve)
+    kin = m * -series_product(yy, np.array(wsq, dtype)[:, None], valid, np.multiply) / 2
+    harm = m * w0sq * series_product(x, x, valid, _convolve) / 2
+    anh = np.zeros_like(kin)
+    if p:
+        anh[1:] = m * _power(x, p + 1, valid - 1) / (p + 1)
+    total = kin + harm + anh
 
-    periodic = {
-        (t, k): c for (t, k), c in total.items() if t > 0 and k <= valid and c
-    }
+    def dc_series(stack: np.ndarray) -> LambdaSeries:
+        return LambdaSeries.from_coeffs(stack[:, width].tolist())
+
     return ClassicalEnergy(
         constant=dc_series(total),
-        periodic=periodic,
+        periodic={key: c for key, c in _table(total, width).items() if key[0] > 0},
         kinetic_constant=dc_series(kin),
         harmonic_constant=dc_series(harm),
         anharmonic_constant=dc_series(anh),

@@ -350,8 +350,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = COMMANDS[args.command][0](config)
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
+            # the ladder and the classical solve may raise the same warning
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
         return code
     except (ConfigError, ValueError, ld.LadderError, cl.SeriesOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)

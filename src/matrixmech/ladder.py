@@ -40,7 +40,7 @@ import numpy as np
 
 from .classical import leading_order
 from .oscillator import Kind, OscillatorSpec
-from .series import LambdaSeries
+from .series import LambdaSeries, series_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,20 +51,6 @@ class LadderError(ValueError):
 
 # ---------------------------------------------------------------------------
 # operator matrices of series
-
-
-def _series_product(a: np.ndarray, b: np.ndarray, max_order: int, op) -> np.ndarray:
-    """(ab)_k = sum_{i+j=k} op(a_i, b_j) for k <= max_order.
-
-    a and b are coefficient stacks (a[k] is the lam^k part); op is
-    np.matmul for operator products and np.multiply for entrywise ones.
-    The result always has max_order + 1 layers.
-    """
-    out = np.zeros((max_order + 1,) + a.shape[1:])
-    for i in range(min(len(a), max_order + 1)):
-        for j in range(min(len(b), max_order + 1 - i)):
-            out[i + j] += op(a[i], b[j])
-    return out
 
 
 class OperatorMatrix:
@@ -87,7 +73,7 @@ class OperatorMatrix:
         return LambdaSeries.zero()
 
     def mul(self, other: "OperatorMatrix", max_order: int) -> "OperatorMatrix":
-        return OperatorMatrix(_series_product(self.c, other.c, max_order, np.matmul))
+        return OperatorMatrix(series_product(self.c, other.c, max_order, np.matmul))
 
     def power(self, p: int, max_order: int) -> "OperatorMatrix":
         out = self
@@ -164,10 +150,6 @@ class TransitionTable:
     def freq(self, n: int, m: int) -> LambdaSeries:
         """omega(n, m) = (2*pi/h)*(W(n) - W(m)) as a lam-series."""
         return (self.level(n) - self.level(m)).scaled(TWO_PI / self.spec.planck_h)
-
-    def freq_sq(self, n: int, m: int) -> LambdaSeries:
-        w = self.freq(n, m)
-        return w * w
 
     def base_amplitude(self, n: int) -> float:
         """Order-0 a(n, n-1) = sqrt(n*h/(pi*m*omega0))."""
@@ -342,7 +324,7 @@ def energy_matrix(
     """
     x = table.x
     order = table.order
-    y = OperatorMatrix(_series_product(omega, x.c, order, np.multiply))
+    y = OperatorMatrix(series_product(omega, x.c, order, np.multiply))
     e = (0.5 * spec.m) * (spec.omega0**2 * x.mul(x, order).c - y.mul(y, order).c)
     p = spec.kind.force_power
     if p and order >= 1:
@@ -410,12 +392,12 @@ def _residual_stacks(
     x = table.x
     top = table.order + 1
     omega = level_omega(table)
-    wsq = _series_product(omega, omega, top, np.multiply)
-    r = spec.omega0**2 * x.c - _series_product(wsq, x.c, top, np.multiply)
+    wsq = series_product(omega, omega, top, np.multiply)
+    r = spec.omega0**2 * x.c - series_product(wsq, x.c, top, np.multiply)
 
     ax = np.abs(x.c)
-    wsq_size = _series_product(np.abs(omega), _level_omega_size(table), top, np.multiply)
-    size = spec.omega0**2 * ax + _series_product(wsq_size, ax, top, np.multiply)
+    wsq_size = series_product(np.abs(omega), _level_omega_size(table), top, np.multiply)
+    size = spec.omega0**2 * ax + series_product(wsq_size, ax, top, np.multiply)
     p = spec.kind.force_power
     if p:
         r[1:] += x.power(p, top - 1).c
@@ -457,11 +439,6 @@ def worst_scaled_residuals(spec: OscillatorSpec, table: TransitionTable) -> Dict
     return worst
 
 
-def max_scaled_residual(spec: OscillatorSpec, table: TransitionTable) -> float:
-    """Largest nondimensionalized trusted residual coefficient."""
-    return max(worst_scaled_residuals(spec, table).values(), default=0.0)
-
-
 def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> float:
     """Largest scaled off-diagonal energy-matrix entry over public states.
 
@@ -476,10 +453,10 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     e = energy_matrix(spec, table, omega).c
 
     ax = np.abs(table.x.c)
-    y = _series_product(np.abs(omega), ax, order, np.multiply)
-    dy = _series_product(_level_omega_size(table), ax, order, np.multiply)
-    size = (0.5 * spec.m) * (spec.omega0**2 * _series_product(ax, ax, order, np.matmul)
-                             + _series_product(y, dy, order, np.matmul))
+    y = series_product(np.abs(omega), ax, order, np.multiply)
+    dy = series_product(_level_omega_size(table), ax, order, np.multiply)
+    size = (0.5 * spec.m) * (spec.omega0**2 * series_product(ax, ax, order, np.matmul)
+                            + series_product(y, dy, order, np.matmul))
     p = spec.kind.force_power
     if p and order >= 1:
         size[1:] += (spec.m / (p + 1.0)) * OperatorMatrix(ax).power(p + 1, order - 1).c

@@ -4,12 +4,33 @@ A LambdaSeries is a polynomial c0 + c1*lam + c2*lam^2 + ... stored as a
 coefficient tuple.  Coefficients may be floats or exact Fractions; the
 arithmetic never forces a type, so solving with Fraction inputs yields
 exact rational coefficients for golden tests.
+
+Bulk work holds many series at once as a NumPy coefficient stack, whose
+leading axis is the power of lam; series_product multiplies two stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
+
+
+def series_product(a: np.ndarray, b: np.ndarray, max_order: int, op) -> np.ndarray:
+    """(ab)_k = sum_{i+j=k} op(a_i, b_j) for k <= max_order.
+
+    a and b are coefficient stacks (a[k] is the lam^k part); op multiplies
+    two layers: np.matmul for operator products, np.multiply for entrywise
+    ones, a centred convolution for cosine series.  The result always has
+    max_order + 1 layers of a's layer shape, in the dtype of a and b, so
+    object stacks of Fractions stay exact.
+    """
+    out = np.zeros((max_order + 1,) + a.shape[1:], dtype=np.result_type(a, b))
+    for i in range(min(len(a), max_order + 1)):
+        for j in range(min(len(b), max_order + 1 - i)):
+            out[i + j] += op(a[i], b[j])
+    return out
 
 
 def _trim(coeffs: Sequence) -> tuple:

@@ -14,6 +14,7 @@ from matrixmech.classical import (
     solve_classical,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec, SmallnessWarning
+from matrixmech.series import LambdaSeries
 
 X2 = OscillatorSpec(m=1, omega0=1, lam=1e-3, kind=Kind.QUADRATIC_FORCE)
 X3 = OscillatorSpec(m=1, omega0=1, lam=1e-3, kind=Kind.CUBIC_FORCE)
@@ -36,18 +37,59 @@ def test_x2_leading_coefficients_exact():
     assert s.omega_sq.coeffs == (1,)  # no first-order frequency shift
 
 
-def test_x2_second_order_exact():
-    s = solve_classical(X2, Fraction(1), 2)
+# Exact solution at a1 = 1 through lam^4 (plus the lam^5 extension
+# coefficient), captured from the dict-based product-to-sum solver that the
+# coefficient-stack solver replaced.  A solve to order N holds the entries
+# on its solved set; omega^2 is the series through lam^N.
+F = Fraction
+X2_COEFFS = {
+    (1, 0): F(1), (0, 1): F(-1, 2), (2, 1): F(1, 6), (3, 2): F(1, 48),
+    (0, 3): F(-19, 72), (2, 3): F(59, 432), (4, 3): F(1, 432), (3, 4): F(79, 2304),
+    (5, 4): F(5, 20736), (6, 5): F(1, 41472),
+}
+X2_OMEGA_SQ = (1, 0, F(-5, 6), 0, F(-335, 864))
+X3_COEFFS = {
+    (1, 0): F(1), (3, 1): F(1, 32), (3, 2): F(-21, 1024), (5, 2): F(1, 1024),
+    (3, 3): F(417, 32768), (5, 3): F(-43, 32768), (7, 3): F(1, 32768),
+    (3, 4): F(-7797, 1048576), (5, 4): F(335, 262144), (7, 4): F(-65, 1048576),
+    (9, 4): F(1, 1048576), (11, 5): F(1, 33554432),
+}
+X3_OMEGA_SQ = (1, F(3, 4), F(3, 128), F(-57, 4096), F(1005, 131072))
+
+
+def assert_exact_golden(spec, s, coeffs, omega_sq):
+    assert s.coeffs == {key: c for key, c in coeffs.items() if key in s.solved_set()}
+    assert s.omega_sq == LambdaSeries.from_coeffs(omega_sq[: s.max_order + 1])
+    resid = classical_residual(spec, s)
+    assert all(resid.get(key, 0) == 0 for key in s.solved_set())
+    e = classical_energy(spec, s)
+    assert e.max_periodic() == 0
+    # every value is an exact Fraction: a float would mean a leak such as
+    # -m/2 with an integer m (omega_sq[0] is the spec's own omega0^2)
+    values = [*s.coeffs.values(), *s.omega_sq.coeffs[1:], *resid.values(),
+              *e.periodic.values()]
+    for series in (e.constant, e.kinetic_constant, e.harmonic_constant,
+                   e.anharmonic_constant):
+        values += series.coeffs
+    assert all(isinstance(v, Fraction) for v in values if v)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_x2_second_order_exact(order):
+    s = solve_classical(X2, Fraction(1), order)
     assert s.omega_sq[2] == Fraction(-5, 6)
     assert s.coeff(4, 3) == Fraction(1, 432)
     assert max_solved_residual(X2, s) == 0
+    assert_exact_golden(X2, s, X2_COEFFS, X2_OMEGA_SQ)
 
 
-def test_x3_leading_coefficients_exact():
-    s = solve_classical(X3, Fraction(1), 1)
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_x3_leading_coefficients_exact(order):
+    s = solve_classical(X3, Fraction(1), order)
     assert s.coeff(3, 1) == Fraction(1, 32)
-    assert s.omega_sq.coeffs == (1, Fraction(3, 4))
+    assert s.omega_sq.coeffs[:2] == (1, Fraction(3, 4))
     assert s.coeff(5, 2) == Fraction(1, 1024)
+    assert_exact_golden(X3, s, X3_COEFFS, X3_OMEGA_SQ)
 
 
 def test_scaled_fixtures_with_units():

@@ -177,6 +177,15 @@ def test_verify_x3_round_off_passes_high_on_the_ladder(capsys):
     assert code == 0, [c for c in json.loads(out)["checks"] if not c["passed"]]
 
 
+def test_smallness_warning_printed_once(capsys):
+    # the ladder and the classical solve both warn; the run reports it once
+    code, out, err = run(capsys, "verify", "--kind", "x2", "--lambda", "0.3", "--nmax", "10")
+    assert code == 1
+    assert out.startswith("check,status,measured,tolerance\n")
+    assert err == ("warning: coupling ratio r=0.424 exceeds r_max=0.1; "
+                   "truncated series results are unreliable\n")
+
+
 def test_verify_mutation_kind_mismatch_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "--kind", "harmonic", "--mutate", "a2")
     assert code == 2

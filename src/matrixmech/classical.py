@@ -45,10 +45,6 @@ class SeriesOrderError(ValueError):
     """Requested expansion order outside the supported range."""
 
 
-class DegenerateDivisorError(ArithmeticError):
-    """A harmonic-balance divisor vanished (resonant harmonic)."""
-
-
 def _dtype(values) -> np.dtype:
     """float64 for float inputs; object, which keeps Fractions exact, else."""
     return np.result_type(float, np.array(values).dtype)
@@ -188,9 +184,6 @@ def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
     for k in range(1, order + 2):
         tau = np.array(balanced if k <= order else [tau_ext])
         divisor = w0sq * (1 - tau * tau)
-        degenerate = abs(divisor) < 1e-300
-        if degenerate.any():
-            raise DegenerateDivisorError(f"vanishing divisor at harmonic {tau[degenerate][0]}")
         # lam*x^p contributes (x^p)_{k-1} at lam^k; only orders < k of x
         # enter, so the recursion is triangular.
         nl = _power(x, p, k - 1)[k - 1]

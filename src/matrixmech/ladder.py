@@ -243,8 +243,6 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
 
     table = _base_ladder(spec, n_max, order, pad=3 * order + 2)
     w0sq = spec.omega0**2
-    if w0sq < 1e-300:
-        raise LadderError("vanishing harmonic-balance divisor (omega0^2 underflow)")
 
     p = spec.kind.force_power
     x = table.x.c

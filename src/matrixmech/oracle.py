@@ -39,10 +39,9 @@ class OracleResult:
     spec: OscillatorSpec
     n_basis: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray  # (N, k): the k = n_track+1 tracked states as columns
     x_elements: np.ndarray  # |<E_i| x |E_j>| for the tracked states i, j <= n_track
-    n_track: int
-    convergence_delta: float
+    n_track: Optional[int]  # None: eigenvalues only, k = 0
 
 
 def _x_offdiagonal(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
@@ -114,52 +113,6 @@ def _parity_blocks(spec: OscillatorSpec) -> Tuple[slice, ...]:
     return _PARITIES if p == 0 or p % 2 == 1 else (slice(None),)
 
 
-def _decompose(solver, block: np.ndarray):
-    """solver(block), with LAPACK's eigenvalues checked to be ascending."""
-    try:
-        out = solver(block)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"eigensolver did not converge: {exc}") from exc
-    evals = out[0] if isinstance(out, tuple) else out
-    if not np.all(np.diff(evals) >= -1e-9 * max(1.0, abs(evals[-1]))):
-        raise OracleError("eigenvalues not sorted; decomposition failed")
-    return out
-
-
-def _eigenvalues(ham: TruncatedHamiltonian) -> np.ndarray:
-    """Ascending eigenvalues of H, without eigenvectors.
-
-    Each parity block is decomposed on its own and the two spectra are
-    merged by a stable sort, so ties keep the even state first.
-    """
-    h = ham.matrix  # h[b, b] is a view: no block is copied before LAPACK
-    evals = [_decompose(np.linalg.eigvalsh, h[b, b]) for b in _parity_blocks(ham.spec)]
-    return np.sort(np.concatenate(evals), kind="stable")
-
-
-def _eigenpairs(ham: TruncatedHamiltonian) -> Tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of H with full-basis eigenvectors as columns.
-
-    Block eigenvectors are scattered into their parity rows, and the
-    columns follow the same stable merge as _eigenvalues.
-    """
-    h = ham.matrix
-    blocks = _parity_blocks(ham.spec)
-    if len(blocks) == 1:  # x2: no N x N scatter or column copy, which raise peak memory
-        return tuple(_decompose(np.linalg.eigh, h))
-    evals = []
-    evecs = np.zeros_like(h)
-    col = 0
-    for b in blocks:
-        w, v = _decompose(np.linalg.eigh, h[b, b])
-        evecs[b, col : col + len(w)] = v
-        evals.append(w)
-        col += len(w)
-    evals = np.concatenate(evals)
-    order = np.argsort(evals, kind="stable")
-    return evals[order], evecs[:, order]
-
-
 # The basis-doubling check asks whether every tracked eigenvalue of the
 # doubled basis lies within eps*hbar*omega0 of its N-basis value, for eps
 # on this ladder.  Its top rung is the gate: a larger delta means the
@@ -180,7 +133,7 @@ def _doubled_block_rows(spec: OscillatorSpec, n_basis: int) -> int:
 
 def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> float:
     """Largest change of the tracked eigenvalues when the basis is doubled."""
-    doubled = _eigenvalues(build_hamiltonian(spec, 2 * n_basis))
+    doubled = diagonalize(build_hamiltonian(spec, 2 * n_basis), None).eigenvalues
     return float(np.max(np.abs(tracked - doubled[: len(tracked)])))
 
 
@@ -273,43 +226,57 @@ def _doubling_deltas(
             for s, t, d in zip(specs, tracked, deltas)]
 
 
-def diagonalize(
-    ham: TruncatedHamiltonian, n_track: int = 8, check_convergence: bool = True
-) -> OracleResult:
-    """Symmetric eigendecomposition with a basis-doubling check.
+def diagonalize(ham: TruncatedHamiltonian, n_track: Optional[int] = 8) -> OracleResult:
+    """Ascending eigenvalues of H, with eigenvectors of the tracked states.
 
-    An even potential (x3 kind, harmonic) makes H block diagonal in
-    parity, so its even and odd blocks are decomposed separately and the
-    eigenvalues merged by a stable sort; eigenvectors are still returned
-    in the full basis, one column per merged eigenvalue.  Deterministic
-    for fixed input.  The convergence delta bounds the change of the
-    tracked eigenvalues when the basis is doubled (_doubling_deltas).
-    x_elements covers only the k = n_track+1 tracked states:
-    |V_k^T (x V_k)|, with x V_k formed from the two off-diagonals of x
-    in O(N k).
+    The oracle's one eigensolve.  An even potential (x3 kind, harmonic)
+    makes H block diagonal in parity, so its even and odd blocks are
+    decomposed separately and the spectra merged by a stable sort, which
+    keeps the even state first on a tie; x^3 couples both parities, one
+    block.  With n_track None no state is tracked and every block gets
+    eigvalsh.  Otherwise every block gets eigh, and the vectors of the
+    k = n_track+1 lowest states are scattered into their parity rows as
+    the columns of an N x k array; x_elements is |V_k^T (x V_k)|, with
+    x V_k formed from the two off-diagonals of x in O(N k).
+    Deterministic for fixed input.
     """
-    spec = ham.spec
-    evals, evecs = _eigenpairs(ham)
+    h = ham.matrix  # h[b, b] is a view: no block is copied before LAPACK
+    blocks = _parity_blocks(ham.spec)
+    try:  # (eigenvalues, eigenvectors or None) per block
+        parts = [np.linalg.eigh(h[b, b]) if n_track is not None
+                 else (np.linalg.eigvalsh(h[b, b]), None) for b in blocks]
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"eigensolver did not converge: {exc}") from exc
+    for w, _ in parts:  # LAPACK returns them ascending
+        if not np.all(np.diff(w) >= -1e-9 * max(1.0, abs(w[-1]))):
+            raise OracleError("eigenvalues not sorted; decomposition failed")
+    evals = np.concatenate([w for w, _ in parts])
+    order = np.argsort(evals, kind="stable")
+    if n_track is None:  # most calls; the vector work would add about 25 us to each
+        return OracleResult(spec=ham.spec, n_basis=ham.n_basis, eigenvalues=evals[order],
+                            eigenvectors=np.zeros((ham.n_basis, 0)),
+                            x_elements=np.zeros((0, 0)), n_track=None)
 
     k = min(n_track + 1, ham.n_basis)
-    vk = evecs[:, :k]
-    off = _x_offdiagonal(spec, ham.n_basis)[:, None]
+    vk = np.zeros((ham.n_basis, k), order="F")
+    start = 0
+    for b, (w, v) in zip(blocks, parts):
+        cols = order[:k] - start
+        mine = (cols >= 0) & (cols < len(w))
+        vk[b, mine] = v[:, cols[mine]]
+        start += len(w)
+    off = _x_offdiagonal(ham.spec, ham.n_basis)[:, None]
     xv = np.zeros_like(vk)
     xv[:-1] = off * vk[1:]
     xv[1:] += off * vk[:-1]
-    x_elem = np.abs(vk.T @ xv)
-
-    delta = (_doubling_deltas([spec], ham.n_basis, [evals[:k]])[0]
-             if check_convergence else 0.0)
 
     return OracleResult(
-        spec=spec,
+        spec=ham.spec,
         n_basis=ham.n_basis,
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        x_elements=x_elem,
+        eigenvalues=evals[order],
+        eigenvectors=vk,
+        x_elements=np.abs(vk.T @ xv),
         n_track=n_track,
-        convergence_delta=delta,
     )
 
 
@@ -398,13 +365,27 @@ class ComparisonReport:
     fit_constant: Dict[int, float] = field(default_factory=dict)
     fit_exponent: Dict[int, float] = field(default_factory=dict)
     convergence_deltas: List[float] = field(default_factory=list)  # one per coupling
-    convergence_delta: float = 0.0  # the largest of them
-    unconverged: List[float] = field(default_factory=list)  # couplings above the gate
     failures: List[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    @property
+    def convergence_delta(self) -> float:
+        """The largest doubling delta of the sweep."""
+        return max(self.convergence_deltas, default=0.0)
+
+    @property
+    def convergence_gate(self) -> float:
+        return CONVERGENCE_GATE * self.spec.hbar * self.spec.omega0
+
+    @property
+    def unconverged(self) -> List[float]:
+        """Couplings whose delta is not within the gate (NaN included)."""
+        gate = self.convergence_gate
+        return [lam for lam, delta in zip(self.lambdas, self.convergence_deltas)
+                if not delta <= gate]
 
 
 def coupling_sweep(lam: float) -> List[float]:
@@ -421,21 +402,22 @@ def compare(
 ) -> ComparisonReport:
     """Perturbative levels and amplitudes against the diagonalization.
 
+    Each coupling is diagonalized once: with the tracked eigenvectors at
+    the base coupling, the first nonzero one, where the amplitudes read
+    x_elements, and for eigenvalues only at every other coupling.  After
+    the sweep one _doubling_deltas call checks every coupling's doubled
+    basis, and convergence_deltas keeps one delta per coupling, so the
+    hardest coupling is checked.
     For each coupling, records |W_pert(n) - E_n|; across the couplings the
     residual is fit to C*lam^q per level (q should sit near 2, the first
-    neglected order).  The basis-doubling delta is kept per coupling and
-    convergence_delta is the largest, so the hardest coupling is checked;
-    a delta above CONVERGENCE_GATE*hbar*omega0 is a convergence failure,
-    and that coupling's level rows are still reported but add no level
-    failure and no point to the fit, since the basis, not the series, is
-    what failed there.
-    Amplitudes are compared at the first nonzero coupling, both against
-    the sum-rule form at the measured transition frequency and against
-    the first-order series (rows kept, failures only if that coupling is
-    converged); that coupling alone is diagonalized with
-    eigenvectors (for x_elements), every other coupling is decomposed
-    for eigenvalues only, and after the sweep one _doubling_deltas call
-    checks every coupling's doubled basis.
+    neglected order).  A delta above CONVERGENCE_GATE*hbar*omega0 is a
+    convergence failure, and that coupling's level rows are still
+    reported but add no level failure and no point to the fit, since the
+    basis, not the series, is what failed there.
+    Amplitudes are compared at the base coupling, both against the
+    sum-rule form at the measured transition frequency and against the
+    first-order series (rows kept, failures only if that coupling is
+    converged).
     Mismatches beyond the second-order envelope are recorded as failures,
     never silently dropped.
     """
@@ -447,40 +429,34 @@ def compare(
 
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
     base_lam = next((l for l in lambdas if l != 0), None)
-    base = None  # (eigenvalues, x_elements) of the tracked states at base_lam
+    base = None  # the diagonalization at base_lam, with the tracked eigenvectors
     k = min(n_track + 1, n_basis)
-    sweep = []  # (spec, eigenvalues) per coupling
+    sweep = []  # one diagonalization per coupling
     for lam in lambdas:
         s = OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind)
-        ham = build_hamiltonian(s, n_basis)
-        if lam == base_lam and base is None:
-            result = diagonalize(ham, n_track=n_track, check_convergence=False)
-            evals = result.eigenvalues
-            base = (evals, result.x_elements)
-        else:
-            evals = _eigenvalues(ham)
-        sweep.append((s, evals))
+        tracked = lam == base_lam and base is None
+        result = diagonalize(build_hamiltonian(s, n_basis), n_track if tracked else None)
+        if tracked:
+            base = result
+        sweep.append(result)
     report.convergence_deltas = _doubling_deltas(
-        [s for s, _ in sweep], n_basis, [evals[:k] for _, evals in sweep])
+        [r.spec for r in sweep], n_basis, [r.eigenvalues[:k] for r in sweep])
 
-    for (s, evals), delta in zip(sweep, report.convergence_deltas):
-        lam = s.lam
-        gate = CONVERGENCE_GATE * s.hbar * s.omega0
-        converged = delta <= gate
-        if not converged:
-            report.unconverged.append(lam)
-            report.failures.append(
-                f"convergence lam={lam:g}: doubling delta {delta:.3e} > {gate:.3e}"
-            )
+    unconverged = report.unconverged
+    for r, delta in zip(sweep, report.convergence_deltas):
+        s, lam = r.spec, r.spec.lam
+        if lam in unconverged:
+            report.failures.append(f"convergence lam={lam:g}: doubling delta "
+                                   f"{delta:.3e} > {report.convergence_gate:.3e}")
         for n in range(n_track + 1):
             row = LevelComparison(
                 lam=lam,
                 n=n,
                 perturbative=perturbative_level(s, n),
-                exact=float(evals[n]),
+                exact=float(r.eigenvalues[n]),
             )
             report.levels.append(row)
-            if not converged:  # the basis, not the series, is at fault here
+            if lam in unconverged:  # the basis, not the series, is at fault here
                 continue
             if lam != 0:
                 residuals[n].append((lam, row.residual))
@@ -489,8 +465,6 @@ def compare(
                 report.failures.append(
                     f"level n={n} lam={lam:g}: |dW|={row.residual:.3e} > {tol:.3e}"
                 )
-
-    report.convergence_delta = max(report.convergence_deltas, default=0.0)
 
     # power-law fit of the residual per level (in |lam|)
     for n, pts in residuals.items():
@@ -504,8 +478,7 @@ def compare(
 
     # amplitude comparison at the first nonzero coupling
     if base is not None and spec.kind is not Kind.HARMONIC:
-        evals, x_elem = base
-        s = OscillatorSpec(spec.m, spec.omega0, base_lam, spec.planck_h, spec.kind)
+        s, evals, x_elem = base.spec, base.eigenvalues, base.x_elements
         if table is None:
             table = solve_quantum(s, n_max=n_track + 1, order=1)
         amp_tol = 5.0 * base_lam**2  # OverflowError beyond |lam| ~ 1e154, converged or not
@@ -520,7 +493,7 @@ def compare(
                 lam=base_lam,
             )
             report.amplitudes.append(row)
-            if base_lam not in report.unconverged and row.rel_error_exact > amp_tol:
+            if base_lam not in unconverged and row.rel_error_exact > amp_tol:
                 report.failures.append(
                     f"amplitude n={n}: rel err {row.rel_error_exact:.3e} > 5*lam^2"
                 )

@@ -58,8 +58,8 @@ class OscillatorSpec:
     """Physical parameters of one oscillator.
 
     Every parameter must be finite; m, omega0 and planck_h must be
-    positive.  lam carries the units that make lam*x^p an acceleration.
-    The harmonic kind forces lam == 0.
+    positive, and omega0^2 at least 1e-300.  lam carries the units that
+    make lam*x^p an acceleration.  The harmonic kind forces lam == 0.
     """
 
     m: float = 1.0
@@ -73,6 +73,8 @@ class OscillatorSpec:
             raise ValueError("m, omega0, planck_h and lambda must all be finite")
         if not (self.m > 0 and self.omega0 > 0 and self.planck_h > 0):
             raise ValueError("m, omega0 and planck_h must all be positive")
+        if self.omega0**2 < 1e-300:  # every harmonic-balance divisor carries it
+            raise ValueError("omega0 too small: omega0^2 underflows below 1e-300")
         if self.kind is Kind.HARMONIC and self.lam != 0:
             raise ValueError("harmonic kind requires lam == 0")
 
@@ -94,10 +96,7 @@ class OscillatorSpec:
         p = self.kind.force_power
         if p == 0:
             return 0.0
-        w0sq = self.omega0**2
-        if w0sq == 0.0:  # underflow; any coupling is out of regime
-            return math.inf
-        return amplitude ** (p - 1) / w0sq
+        return amplitude ** (p - 1) / self.omega0**2
 
     def smallness_ratio(self, amplitude: float | None = None) -> float:
         """Dimensionless r = |lam| * (amplitude scale)^(p-1) / omega0^2."""

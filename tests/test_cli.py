@@ -267,6 +267,18 @@ def test_non_finite_input_exits_2(capsys, flag, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("kind", ["harmonic", "x2", "x3"])
+@pytest.mark.parametrize("command", ["levels", "lines", "classical", "verify",
+                                     "oracle-compare"])
+def test_underflowing_omega0_exits_2(capsys, command, kind):
+    # omega0^2 underflows: rejected once, by the spec, before any work
+    code, out, err = run(capsys, command, "--kind", kind, "--omega0", "1e-200",
+                         "--lambda", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "omega0" in err
+
+
 def test_verify_flags_unconverged_hardest_coupling(capsys):
     # the oracle sweep runs lam/2 .. 4*lam; at 4*lam = 0.16 the x2 spectrum
     # is not converged under basis doubling, and the check must say so

@@ -12,7 +12,6 @@ from matrixmech.oracle import (
     OracleError,
     _doubled_block_rows,
     _doubling_deltas,
-    _eigenvalues,
     _hamiltonian_band,
     _measured_delta,
     _negative_pivots,
@@ -42,13 +41,13 @@ def test_harmonic_hamiltonian_is_diagonal():
 def test_harmonic_eigenpairs():
     r = diagonalize(build_hamiltonian(OscillatorSpec(), 32), n_track=5)
     assert np.max(np.abs(r.eigenvalues - (np.arange(32) + 0.5))) < 1e-12
-    # orthonormal eigenvectors
+    # orthonormal eigenvectors, one per tracked state
     g = r.eigenvectors.T @ r.eigenvectors
-    assert np.max(np.abs(g - np.eye(32))) < 1e-10
+    assert np.max(np.abs(g - np.eye(6))) < 1e-10
     # x elements match half the ladder amplitudes: sqrt(n hbar/(2 m w))
     for n in range(1, 6):
         assert math.isclose(r.x_elements[n - 1, n], math.sqrt(n / 2), rel_tol=1e-12)
-    assert r.convergence_delta < 1e-12
+    assert _doubling_deltas([r.spec], 32, [r.eigenvalues[:6]])[0] < 1e-12
 
 
 def test_banded_coupling_structure():
@@ -94,12 +93,12 @@ def test_x3_ground_level_against_diagonalization():
     # the gap to first order is the known second-order shift
     second = (21.0 / 128.0) * X3.lam**2
     assert abs(abs(r.eigenvalues[0] - perturbative_level(X3, 0)) - second) < 1e-9
-    assert r.convergence_delta < 1e-10
+    assert _doubling_deltas([X3], 64, [r.eigenvalues[:6]])[0] < 1e-10
 
 
 def test_determinism():
-    a = diagonalize(build_hamiltonian(X3, 48), n_track=4, check_convergence=False)
-    b = diagonalize(build_hamiltonian(X3, 48), n_track=4, check_convergence=False)
+    a = diagonalize(build_hamiltonian(X3, 48), n_track=4)
+    b = diagonalize(build_hamiltonian(X3, 48), n_track=4)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.x_elements, b.x_elements)
     # every kind, odd N, with the merged parity blocks and the doubling check
@@ -108,7 +107,8 @@ def test_determinism():
         b = diagonalize(build_hamiltonian(spec, 65), n_track=5)
         for name in ("eigenvalues", "eigenvectors", "x_elements"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.convergence_delta == b.convergence_delta
+        assert (_doubling_deltas([spec], 65, [a.eigenvalues[:6]])
+                == _doubling_deltas([spec], 65, [b.eigenvalues[:6]]))
 
 
 def test_basis_size_validation():
@@ -230,6 +230,34 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("spec,n_basis", [(X2, 64), (X3, 64), (X3, 160)])
+def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
+    # x2 and x3 sweeps; at 64 every doubled basis falls back to _measured_delta
+    depth = [0]
+    real = oracle.diagonalize
+
+    def spy(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "diagonalize", spy)
+    inside = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            inside.append(depth[0] > 0)
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+    assert rep.passed, rep.failures
+    blocks = len(_parity_blocks(spec))
+    doubled = 4 if _doubled_block_rows(spec, n_basis) < INERTIA_MIN_ROWS else 0
+    assert inside == [True] * (4 + doubled) * blocks
+
+
 def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
@@ -261,13 +289,17 @@ def test_banded_build_matches_matrix_power(kind, n, units):
 @pytest.mark.parametrize("n_basis,n_track", [(8, 3), (8, 12), (64, 5), (256, 5)])
 def test_tracked_x_elements_match_full_product(kind, n_basis, n_track):
     spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
-    r = diagonalize(build_hamiltonian(spec, n_basis), n_track=n_track,
-                    check_convergence=False)
+    ham = build_hamiltonian(spec, n_basis)
+    r = diagonalize(ham, n_track=n_track)
     k = min(n_track + 1, n_basis)
     assert r.x_elements.shape == (k, k)
-    v = r.eigenvectors
-    full = np.abs(v.T @ position_operator(spec, n_basis) @ v)
+    assert r.eigenvectors.shape == (n_basis, k)
+    x = position_operator(spec, n_basis)
+    _, v = np.linalg.eigh(ham.matrix)  # the full basis, unsplit
+    full = np.abs(v.T @ x @ v)
     assert np.max(np.abs(r.x_elements - full[:k, :k])) <= 1e-12
+    vk = r.eigenvectors
+    assert np.max(np.abs(r.x_elements - np.abs(vk.T @ x @ vk))) <= 1e-12
 
 
 def test_compare_builds_without_matrix_power(monkeypatch):
@@ -294,8 +326,10 @@ def test_parity_blocks_match_unsplit_eigenvalues(kind, n, units):
     ham = build_hamiltonian(_even_spec(kind, units), n)
     expect = np.linalg.eigvalsh(ham.matrix)
     bound = 1e-13 * np.max(np.abs(expect))
-    assert np.max(np.abs(_eigenvalues(ham) - expect)) <= bound
-    r = diagonalize(ham, n_track=5, check_convergence=False)
+    r = diagonalize(ham, None)
+    assert np.max(np.abs(r.eigenvalues - expect)) <= bound
+    assert r.eigenvectors.shape == (n, 0) and r.x_elements.shape == (0, 0)
+    r = diagonalize(ham, n_track=5)
     assert np.max(np.abs(r.eigenvalues - expect)) <= bound
 
 
@@ -303,11 +337,11 @@ def test_parity_blocks_match_unsplit_eigenvalues(kind, n, units):
 @pytest.mark.parametrize("kind", EVEN_KINDS)
 @pytest.mark.parametrize("n", [8, 9, 64])
 def test_parity_block_eigenvectors(kind, n, units):
-    r = diagonalize(build_hamiltonian(_even_spec(kind, units), n), n_track=5,
-                    check_convergence=False)
+    r = diagonalize(build_hamiltonian(_even_spec(kind, units), n), n_track=5)
     v = r.eigenvectors
-    assert v.shape == (n, n)
-    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+    k = min(6, n)
+    assert v.shape == (n, k)
+    assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
     for col in v.T:
         # each eigenvector lives on one parity: zero on the other
         assert not np.any(col[0::2]) or not np.any(col[1::2])
@@ -376,7 +410,8 @@ def test_zero_pivot_is_not_sound():
 
 def _sweep_levels(spec, n_basis, k=6):
     specs = [OscillatorSpec(lam=l, kind=spec.kind) for l in coupling_sweep(spec.lam)]
-    return specs, [_eigenvalues(build_hamiltonian(s, n_basis))[:k] for s in specs]
+    return specs, [diagonalize(build_hamiltonian(s, n_basis), None).eigenvalues[:k]
+                   for s in specs]
 
 
 @pytest.mark.parametrize("kind,lam,n_basis", [

@@ -14,7 +14,6 @@ from .ladder import (
     OperatorMatrix,
     SpectralLine,
     TransitionTable,
-    base_amplitudes,
     correspondence_check,
     energy_levels,
     energy_matrix,
@@ -31,7 +30,6 @@ from .oracle import (
     build_hamiltonian,
     compare,
     diagonalize,
-    rs_first_order,
 )
 from .oscillator import Kind, OscillatorSpec, SmallnessWarning
 from .series import LambdaSeries
@@ -55,7 +53,6 @@ __all__ = [
     "Translation",
     "TruncatedHamiltonian",
     "action_integral",
-    "base_amplitudes",
     "build_hamiltonian",
     "classical_energy",
     "classical_residual",
@@ -69,7 +66,6 @@ __all__ = [
     "offdiagonal_energy_check",
     "quantization_residual",
     "quantum_residuals",
-    "rs_first_order",
     "solve_classical",
     "solve_quantum",
     "translate_product",

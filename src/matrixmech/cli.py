@@ -288,9 +288,9 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_oracle_compare(config: RunConfig) -> int:
-    spec = config.spec()
-    report = orc.compare(spec, orc.coupling_sweep(config.lam),
-                         n_track=orc.tracked_levels(config.n_max), n_basis=config.oracle_n)
+    report = orc.compare(config.spec(), orc.coupling_sweep(config.lam),
+                         n_track=orc.tracked_levels(config.n_max), n_basis=config.oracle_n,
+                         table=_solved_table(config))
     if config.fmt == "json":
         payload = {
             "passed": report.passed,

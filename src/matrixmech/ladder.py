@@ -151,10 +151,6 @@ class TransitionTable:
         """omega(n, m) = (2*pi/h)*(W(n) - W(m)) as a lam-series."""
         return (self.level(n) - self.level(m)).scaled(TWO_PI / self.spec.planck_h)
 
-    def base_amplitude(self, n: int) -> float:
-        """Order-0 a(n, n-1) = sqrt(n*h/(pi*m*omega0))."""
-        return self.spec.ladder_amplitude * math.sqrt(n)
-
 
 # Share of the size of the terms that cancel in a residual or energy entry
 # below which the entry's scale never falls.  In double precision an entry
@@ -194,16 +190,6 @@ def _base_ladder(spec: OscillatorSpec, n_max: int, order: int, pad: int) -> Tran
     fund[0, 1:] = spec.omega0
     return TransitionTable(spec=spec, n_max=n_max, order=order, pad=pad,
                            x=OperatorMatrix(x), fund=fund)
-
-
-def base_amplitudes(spec: OscillatorSpec, n_max: int) -> TransitionTable:
-    """Ladder of nearest-neighbor amplitudes satisfying the sum rule.
-
-    a(n, n-1) = sqrt(n*h/(pi*m*omega0)) with a(0,-1) = 0; every amplitude
-    with |n - m| >= 2 is zero at this order.  The pad is the order-0
-    solve's, 2 states.
-    """
-    return _base_ladder(spec, n_max, 0, pad=2)
 
 
 def quantization_residual(spec: OscillatorSpec, table: TransitionTable, n: int) -> float:

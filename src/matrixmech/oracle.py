@@ -50,11 +50,6 @@ def _x_offdiagonal(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
     return scale * np.sqrt(np.arange(1, n_basis))
 
 
-def position_operator(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
-    off = _x_offdiagonal(spec, n_basis)
-    return np.diag(off, 1) + np.diag(off, -1)
-
-
 def _hamiltonian_band(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
     """Lower band of H: band[d, i] = <i + d| H |i> for d = 0 .. q.
 
@@ -289,40 +284,22 @@ def default_basis_size(n_track: int) -> int:
     return 4 * (n_track + 1) + 32
 
 
-def rs_first_order(spec: OscillatorSpec, n: int) -> float:
-    """First-order level shift <n|V_anh|n> in closed form.
+def _rs_shifts(ham: TruncatedHamiltonian, n_track: int) -> np.ndarray:
+    """Rayleigh-Schroedinger level shifts lam*E_1(n) and lam^2*E_2(n), rows
+    0 and 1, for n = 0 .. n_track, read off the rows of H.
 
-    Zero for the x2 kind (x^3 is odd); for the x3 kind
-    (3/8)*lam*(n^2 + n + 1/2)*hbar^2/(m*omega0^2), from the ladder
-    algebra of <n|x^4|n>.
+    H0 is diagonal, (n + 1/2)*hbar*omega0, so lam*E_1 = H_nn - (n + 1/2)
+    hbar*omega0 and lam^2*E_2 = sum_{k != n} H_kn^2/((n - k)*hbar*omega0).
+    Exact when the basis holds every state the potential couples to n,
+    N > n_track + p + 1 for the force power p.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if spec.kind is not Kind.CUBIC_FORCE:
-        return 0.0
-    return 0.375 * spec.lam * (n * n + n + 0.5) * spec.hbar**2 / (spec.m * spec.omega0**2)
-
-
-def perturbative_level(spec: OscillatorSpec, n: int) -> float:
-    return (n + 0.5) * spec.hbar * spec.omega0 + rs_first_order(spec, n)
-
-
-def second_order_envelope(spec: OscillatorSpec, n: int) -> float:
-    """Generous bound C(n)*lam^2 on |E_n - first order|.
-
-    The exact second-order shifts are -(30n^2+30n+11)/72 * lam^2
-    * hbar^2/(m omega0^4) for the x2 kind and -(34n^3+51n^2+59n+21)/128
-    * lam^2 * hbar^3/(m^2 omega0^5) for the x3 kind; the bound carries a
-    factor-4 margin for the neglected higher orders.
-    """
-    if spec.kind is Kind.HARMONIC:
-        return 1e-10 * spec.hbar * spec.omega0
-    hb, m, w = spec.hbar, spec.m, spec.omega0
-    if spec.kind is Kind.QUADRATIC_FORCE:
-        c = (30 * n * n + 30 * n + 11) / 72.0 * hb**2 / (m * w**4)
-    else:
-        c = (34 * n**3 + 51 * n * n + 59 * n + 21) / 128.0 * hb**3 / (m**2 * w**5)
-    return 4.0 * spec.lam**2 * abs(c)
+    s = ham.spec
+    n = np.arange(n_track + 1)
+    rows = ham.matrix[: n_track + 1]
+    gaps = (n[:, None] - np.arange(ham.n_basis)) * (s.hbar * s.omega0)
+    gaps[n, n] = np.inf  # k = n adds nothing
+    first = rows[n, n] - (n + 0.5) * s.hbar * s.omega0
+    return np.array([first, np.sum(rows * rows / gaps, axis=1)])
 
 
 @dataclass
@@ -342,7 +319,7 @@ class AmplitudeComparison:
     n: int
     measured: float          # 2|<E_{n-1}|x|E_n>|
     sum_rule_form: float     # sqrt(n h/(pi m omega(n,n-1))), exact frequency
-    series_form: float       # first-order amplitude series
+    series_form: float       # the table's amplitude series
     lam: float
 
     @property
@@ -360,6 +337,7 @@ class ComparisonReport:
     lambdas: Tuple[float, ...]
     n_track: int
     n_basis: int
+    neglected_order: int  # j: the first power of lam the table leaves out
     levels: List[LevelComparison] = field(default_factory=list)
     amplitudes: List[AmplitudeComparison] = field(default_factory=list)
     fit_constant: Dict[int, float] = field(default_factory=dict)
@@ -400,42 +378,55 @@ def compare(
     n_basis: Optional[int] = None,
     table: Optional[TransitionTable] = None,
 ) -> ComparisonReport:
-    """Perturbative levels and amplitudes against the diagonalization.
+    """The table's levels and amplitudes against the diagonalization.
 
+    W_pert(n) is table.level(n) at each coupling; the table's coefficients
+    do not depend on lam, so one solve serves the sweep.  Without a table,
+    one is solved to order 1 with n_track + 1 levels.
     Each coupling is diagonalized once: with the tracked eigenvectors at
     the base coupling, the first nonzero one, where the amplitudes read
     x_elements, and for eigenvalues only at every other coupling.  After
     the sweep one _doubling_deltas call checks every coupling's doubled
     basis, and convergence_deltas keeps one delta per coupling, so the
     hardest coupling is checked.
-    For each coupling, records |W_pert(n) - E_n|; across the couplings the
-    residual is fit to C*lam^q per level (q should sit near 2, the first
-    neglected order).  A delta above CONVERGENCE_GATE*hbar*omega0 is a
-    convergence failure, and that coupling's level rows are still
-    reported but add no level failure and no point to the fit, since the
-    basis, not the series, is what failed there.
+    For each coupling, records |W_pert(n) - E_n| and fails a level beyond
+    the envelope 4*|lam^j E_j(n)| (floor 1e-10*hbar*omega0), with the
+    Rayleigh-Schroedinger shift read off that coupling's H.  j is the
+    first power the table leaves out, order + 1, raised to the next even
+    power when the potential is odd, since an odd potential shifts no
+    level at odd orders.  Across the couplings the residual is fit to
+    C*lam^q per level, and q should sit near j.  A delta above
+    CONVERGENCE_GATE*hbar*omega0 is a convergence failure, and that
+    coupling's level rows are still reported but add no level failure and
+    no point to the fit, since the basis, not the series, is what failed
+    there.
     Amplitudes are compared at the base coupling, both against the
     sum-rule form at the measured transition frequency and against the
-    first-order series (rows kept, failures only if that coupling is
-    converged).
-    Mismatches beyond the second-order envelope are recorded as failures,
-    never silently dropped.
+    table's amplitude series (rows kept, failures only if that coupling
+    is converged).  Failures are recorded, never silently dropped.
     """
     if n_basis is None:
         n_basis = default_basis_size(n_track)
-    report = ComparisonReport(
-        spec=spec, lambdas=tuple(lambdas), n_track=n_track, n_basis=n_basis
-    )
+    if table is None:
+        table = solve_quantum(spec, n_max=n_track + 1, order=1)
+    j = table.order + 1
+    if len(_parity_blocks(spec)) == 1 and j % 2:  # odd potential: no odd-order shift
+        j += 1
+    report = ComparisonReport(spec=spec, lambdas=tuple(lambdas), n_track=n_track,
+                              n_basis=n_basis, neglected_order=j)
 
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
     base_lam = next((l for l in lambdas if l != 0), None)
     base = None  # the diagonalization at base_lam, with the tracked eigenvectors
     k = min(n_track + 1, n_basis)
     sweep = []  # one diagonalization per coupling
+    shifts = []  # lam^j E_j(n) per coupling
     for lam in lambdas:
         s = OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind)
+        ham = build_hamiltonian(s, n_basis)
+        shifts.append(_rs_shifts(ham, n_track)[j - 1])
         tracked = lam == base_lam and base is None
-        result = diagonalize(build_hamiltonian(s, n_basis), n_track if tracked else None)
+        result = diagonalize(ham, n_track if tracked else None)
         if tracked:
             base = result
         sweep.append(result)
@@ -443,7 +434,7 @@ def compare(
         [r.spec for r in sweep], n_basis, [r.eigenvalues[:k] for r in sweep])
 
     unconverged = report.unconverged
-    for r, delta in zip(sweep, report.convergence_deltas):
+    for r, delta, shift in zip(sweep, report.convergence_deltas, shifts):
         s, lam = r.spec, r.spec.lam
         if lam in unconverged:
             report.failures.append(f"convergence lam={lam:g}: doubling delta "
@@ -452,7 +443,7 @@ def compare(
             row = LevelComparison(
                 lam=lam,
                 n=n,
-                perturbative=perturbative_level(s, n),
+                perturbative=table.level(n).eval(lam),
                 exact=float(r.eigenvalues[n]),
             )
             report.levels.append(row)
@@ -460,7 +451,7 @@ def compare(
                 continue
             if lam != 0:
                 residuals[n].append((lam, row.residual))
-            tol = max(second_order_envelope(s, n), 1e-10 * s.hbar * s.omega0)
+            tol = max(4.0 * abs(shift[n]), 1e-10 * s.hbar * s.omega0)
             if row.residual > tol:
                 report.failures.append(
                     f"level n={n} lam={lam:g}: |dW|={row.residual:.3e} > {tol:.3e}"
@@ -479,8 +470,6 @@ def compare(
     # amplitude comparison at the first nonzero coupling
     if base is not None and spec.kind is not Kind.HARMONIC:
         s, evals, x_elem = base.spec, base.eigenvalues, base.x_elements
-        if table is None:
-            table = solve_quantum(s, n_max=n_track + 1, order=1)
         amp_tol = 5.0 * base_lam**2  # OverflowError beyond |lam| ~ 1e154, converged or not
         for n in range(1, n_track + 1):
             omega_exact = float(evals[n] - evals[n - 1]) / s.hbar

@@ -27,7 +27,7 @@ from matrixmech.ladder import (
     solve_quantum,
     worst_scaled_residuals,
 )
-from matrixmech.oracle import build_hamiltonian, compare, diagonalize, perturbative_level
+from matrixmech.oracle import build_hamiltonian, compare, diagonalize
 from matrixmech.oscillator import Kind, OscillatorSpec
 from matrixmech.translate import AmpRef, translate_product
 
@@ -142,7 +142,8 @@ def test_criterion_05_cubic_closed_form_identities():
 )
 def test_criterion_06_oracle_agreement_stated():
     result = diagonalize(build_hamiltonian(X3, 64), n_track=5)
-    worst = max(abs(perturbative_level(X3, n) - result.eigenvalues[n]) for n in range(6))
+    table = solve_quantum(X3, n_max=5, order=1)
+    worst = max(abs(table.level(n).eval(LAM) - result.eigenvalues[n]) for n in range(6))
     report("06a", "oracle agreement at quoted tolerance", worst <= 5e-7,
            f"max |W_pert - E_n| (n<=5, lam=1e-3, N=64) = {worst:.3e} vs 5e-7")
     assert worst <= 5e-7
@@ -150,11 +151,12 @@ def test_criterion_06_oracle_agreement_stated():
 
 def test_criterion_06_oracle_agreement_attainable():
     result = diagonalize(build_hamiltonian(X3, 64), n_track=5)
-    gap0 = abs(perturbative_level(X3, 0) - result.eigenvalues[0])
+    table = solve_quantum(X3, n_max=5, order=1)
+    gap0 = abs(table.level(0).eval(LAM) - result.eigenvalues[0])
     small = OscillatorSpec(m=1, omega0=1, lam=1e-4, kind=Kind.CUBIC_FORCE)
     result_small = diagonalize(build_hamiltonian(small, 64), n_track=5)
     worst_small = max(
-        abs(perturbative_level(small, n) - result_small.eigenvalues[n]) for n in range(6)
+        abs(table.level(n).eval(small.lam) - result_small.eigenvalues[n]) for n in range(6)
     )
     ok = gap0 <= 5e-7 and worst_small <= 5e-7
     report("06b", "oracle agreement, attainable regime", ok,
@@ -165,6 +167,7 @@ def test_criterion_06_oracle_agreement_attainable():
 
 def test_criterion_06_residual_scaling_exponent():
     rep = compare(X3, [5e-4, 1e-3, 2e-3, 4e-3], n_track=5, n_basis=64)
+    assert rep.neglected_order == 2  # first order solved: the residual is O(lam^2)
     worst = max(abs(q - 2.0) for q in rep.fit_exponent.values())
     report("06c", "residual scaling exponent", worst <= 0.2,
            f"max |exponent - 2| = {worst:.3f} <= 0.2 over lam in [5e-4, 4e-3]")

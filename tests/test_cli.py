@@ -259,6 +259,44 @@ def test_oracle_compare_smoke(capsys):
         assert abs(fit["exponent"] - 2.0) < 0.2
 
 
+def test_oracle_compare_reads_the_mutated_table(capsys):
+    # W_pert comes from the solved table, so --mutate reaches the oracle
+    code, _, err = run(capsys, "oracle-compare", "--kind", "x3", "--lambda", "0.001",
+                       "--oracle-n", "64", "--mutate", "w")
+    assert code == 1
+    assert "mismatch: level n=1 " in err
+
+
+def test_oracle_compare_honours_order(capsys):
+    # at order 0 W_pert is the harmonic level and the residual is first order
+    code, out, err = run(capsys, "oracle-compare", "--kind", "x3", "--lambda", "0.001",
+                         "--oracle-n", "64", "--order", "0", "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert all(r["W_pert"] == r["n"] + 0.5 for r in payload["levels"])
+    assert all(abs(fit["exponent"] - 1.0) < 0.2 for fit in payload["fits"])
+
+
+@pytest.mark.parametrize("kind", ["x2", "x3"])
+def test_verify_order_zero_scales_with_first_neglected_power(capsys, kind):
+    code, out, _ = run(capsys, "verify", "--kind", kind, "--lambda", "0.001",
+                       "--nmax", "8", "--order", "0", "--format", "json")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["oracle_scaling"]["passed"]
+    assert checks["oracle_levels"]["passed"]
+
+
+@pytest.mark.parametrize("kind", ["x2", "x3"])
+def test_verify_mutated_levels_fail_the_oracle(capsys, kind):
+    code, out, _ = run(capsys, "verify", "--kind", kind, "--lambda", "0.001",
+                       "--nmax", "8", "--mutate", "w", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["oracle_levels"]["passed"]
+    assert not checks["oracle_scaling"]["passed"]
+
+
 @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--m", "inf")])
 def test_non_finite_input_exits_2(capsys, flag, value):
     code, out, err = run(capsys, "levels", "--kind", "x3", flag, value)

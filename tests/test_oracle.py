@@ -16,21 +16,36 @@ from matrixmech.oracle import (
     _measured_delta,
     _negative_pivots,
     _parity_blocks,
+    _rs_shifts,
+    _x_offdiagonal,
     build_hamiltonian,
     compare,
     coupling_sweep,
     default_basis_size,
     diagonalize,
-    perturbative_level,
-    position_operator,
-    rs_first_order,
-    second_order_envelope,
     tracked_levels,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec
+from matrixmech.verify import apply_mutation
 
 X2 = OscillatorSpec(lam=1e-3, kind=Kind.QUADRATIC_FORCE)
 X3 = OscillatorSpec(lam=1e-3, kind=Kind.CUBIC_FORCE)
+
+
+def position_matrix(spec, n_basis):
+    """Dense x in the number basis, from its two off-diagonals."""
+    off = _x_offdiagonal(spec, n_basis)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def rs_closed_forms(spec, n):
+    """lam*E_1(n) and lam^2*E_2(n) in closed form (Landau-Lifshitz QM
+    section 38, problem 3; Bender and Wu, Phys. Rev. 184, 1231 (1969))."""
+    hb, m, w, lam = spec.hbar, spec.m, spec.omega0, spec.lam
+    if spec.kind is Kind.QUADRATIC_FORCE:
+        return 0.0, -(30 * n * n + 30 * n + 11) / 72 * lam**2 * hb**2 / (m * w**4)
+    return (0.375 * lam * (n * n + n + 0.5) * hb**2 / (m * w**2),
+            -(34 * n**3 + 51 * n * n + 59 * n + 21) / 128 * lam**2 * hb**3 / (m**2 * w**5))
 
 
 def test_harmonic_hamiltonian_is_diagonal():
@@ -77,14 +92,36 @@ def test_x2_coupling_matches_finite_difference():
     up = build_hamiltonian(OscillatorSpec(lam=X2.lam + d, kind=Kind.QUADRATIC_FORCE), 16).matrix
     dn = build_hamiltonian(OscillatorSpec(lam=X2.lam - d, kind=Kind.QUADRATIC_FORCE), 16).matrix
     slope = (up - dn) / (2 * d)
-    x = position_operator(X2, 16)
+    x = position_matrix(X2, 16)
     assert np.max(np.abs(slope - np.linalg.matrix_power(x, 3) / 3.0)) < 1e-9
 
 
 def test_rs_first_order_values():
-    assert rs_first_order(X2, 3) == 0.0  # odd potential term: no diagonal shift
-    assert math.isclose(rs_first_order(X3, 0), 0.1875e-3, rel_tol=1e-13)
-    assert math.isclose(rs_first_order(X3, 2), 0.375e-3 * 6.5, rel_tol=1e-13)
+    # the table's lam^1 level coefficient and the first-order shift read off H
+    t2, t3 = solve_quantum(X2, n_max=4, order=1), solve_quantum(X3, n_max=4, order=1)
+    assert t2.level(3)[1] == 0.0  # odd potential term: no diagonal shift
+    assert _rs_shifts(build_hamiltonian(X2, 16), 4)[0, 3] == 0.0
+    shift3 = _rs_shifts(build_hamiltonian(X3, 16), 4)[0]
+    for n, expect in ((0, 0.1875e-3), (2, 0.375e-3 * 6.5)):
+        assert math.isclose(X3.lam * t3.level(n)[1], expect, rel_tol=1e-13)
+        assert math.isclose(shift3[n], expect, rel_tol=1e-13)
+
+
+UNIT_SETS = [{}, dict(m=1.7, omega0=0.6, planck_h=3.1)]
+
+
+@pytest.mark.parametrize("units", UNIT_SETS)
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_rs_shifts_match_closed_forms(kind, units):
+    spec = OscillatorSpec(lam=2e-3, kind=kind, **units)
+    shifts = _rs_shifts(build_hamiltonian(spec, 16), 5)
+    for n in range(6):
+        first, second = rs_closed_forms(spec, n)
+        if kind is Kind.QUADRATIC_FORCE:
+            assert shifts[0, n] == 0.0
+        else:
+            assert math.isclose(shifts[0, n], first, rel_tol=1e-13)
+        assert math.isclose(shifts[1, n], second, rel_tol=1e-13)
 
 
 def test_x3_ground_level_against_diagonalization():
@@ -92,7 +129,8 @@ def test_x3_ground_level_against_diagonalization():
     assert abs(r.eigenvalues[0] - 0.5001875) < 5e-7
     # the gap to first order is the known second-order shift
     second = (21.0 / 128.0) * X3.lam**2
-    assert abs(abs(r.eigenvalues[0] - perturbative_level(X3, 0)) - second) < 1e-9
+    first_order = solve_quantum(X3, n_max=1, order=1).level(0).eval(X3.lam)
+    assert abs(abs(r.eigenvalues[0] - first_order) - second) < 1e-9
     assert _doubling_deltas([X3], 64, [r.eigenvalues[:6]])[0] < 1e-10
 
 
@@ -137,7 +175,44 @@ def test_compare_x2_levels_are_second_order():
     for r in rep.levels:
         # no first-order shift; the gap is O(lam^2) and small
         assert r.residual < 1e-5
-        assert r.residual <= second_order_envelope(X2, r.n)
+        assert r.residual <= 4.0 * abs(rs_closed_forms(X2, r.n)[1])
+
+
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_compare_envelope_is_first_neglected_shift(kind):
+    # the tolerance of each level row is 4*|lam^j E_j(n)|, j the first
+    # power the order-1 table leaves out: 2 for either kind
+    spec = OscillatorSpec(lam=1e-3, kind=kind)
+    rep = compare(spec, [1e-3], n_track=5, n_basis=64)
+    assert rep.neglected_order == 2
+    table = solve_quantum(spec, n_max=6, order=1)
+    for r in rep.levels:
+        assert r.perturbative == table.level(r.n).eval(r.lam)
+        assert r.residual <= 4.0 * abs(rs_closed_forms(spec, r.n)[1])
+
+
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_order_zero_table_neglects_first_nonzero_power(kind):
+    # x2's odd potential has no first-order shift, so j = 2 at order 0 too
+    spec = OscillatorSpec(lam=1e-3, kind=kind)
+    table = solve_quantum(spec, n_max=5, order=0)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=64, table=table)
+    assert rep.passed, rep.failures
+    j = 2 if kind is Kind.QUADRATIC_FORCE else 1
+    assert rep.neglected_order == j
+    assert all(abs(q - j) < 0.2 for q in rep.fit_exponent.values())
+
+
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_compare_fails_mutated_levels(kind):
+    # the table's own levels are compared: shifting its odd levels by
+    # 1e-6 hbar omega0 fails level rows
+    spec = OscillatorSpec(lam=1e-3, kind=kind)
+    table = solve_quantum(spec, n_max=5, order=1)
+    apply_mutation(table, "w")
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=64, table=table)
+    fails = [f for f in rep.failures if f.startswith("level")]
+    assert fails and all(f.startswith(("level n=1 ", "level n=3 ", "level n=5 ")) for f in fails)
 
 
 def test_compare_harmonic_is_exact():
@@ -276,7 +351,7 @@ def test_banded_build_matches_matrix_power(kind, n, units):
     spec = OscillatorSpec(lam=2e-3, kind=kind, **units)
     h = build_hamiltonian(spec, n).matrix
     q = kind.force_power + 1
-    x = position_operator(spec, n)
+    x = position_matrix(spec, n)
     expect = np.diag((np.arange(n) + 0.5) * spec.hbar * spec.omega0)
     expect = expect + np.linalg.matrix_power(x, q) * (spec.m * spec.lam / q)
     assert np.max(np.abs(h - expect)) <= 1e-13 * np.max(np.abs(h))
@@ -294,7 +369,7 @@ def test_tracked_x_elements_match_full_product(kind, n_basis, n_track):
     k = min(n_track + 1, n_basis)
     assert r.x_elements.shape == (k, k)
     assert r.eigenvectors.shape == (n_basis, k)
-    x = position_operator(spec, n_basis)
+    x = position_matrix(spec, n_basis)
     _, v = np.linalg.eigh(ham.matrix)  # the full basis, unsplit
     full = np.abs(v.T @ x @ v)
     assert np.max(np.abs(r.x_elements - full[:k, :k])) <= 1e-12

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from matrixmech.ladder import (
     LadderError,
     OperatorMatrix,
-    base_amplitudes,
+    _base_ladder,
     correspondence_check,
     energy_matrix,
     frequency_consistency,
@@ -37,10 +37,10 @@ def has_dc(t):
 
 
 def test_base_amplitude_values():
-    t = base_amplitudes(OscillatorSpec(planck_h=H_PI), 5)
+    t = solve_quantum(OscillatorSpec(planck_h=H_PI), 5, 0)
     assert math.isclose(t.amp(1, 0)[0], 1.0)
     assert t.amp(1, 0) == t.amp(0, 1)  # stored once per unordered pair
-    t2 = base_amplitudes(OscillatorSpec(), 5)  # h = 2*pi
+    t2 = solve_quantum(OscillatorSpec(), 5, 0)  # h = 2*pi
     assert math.isclose(t2.amp(2, 1)[0], 2.0)
     # below the floor everything vanishes
     assert not t.amp(0, -1)
@@ -51,14 +51,14 @@ def test_base_amplitude_values():
 
 def test_quantization_residual_zero_on_ladder():
     spec = OscillatorSpec(m=1.7, omega0=0.8, planck_h=5.0)
-    t = base_amplitudes(spec, 8)
+    t = solve_quantum(spec, 8, 0)
     for n in range(7):
         assert abs(quantization_residual(spec, t, n)) < 1e-12 * spec.planck_h
 
 
 def test_quantization_residual_detects_scaling():
     spec = OscillatorSpec()
-    t = base_amplitudes(spec, 6)
+    t = solve_quantum(spec, 6, 0)
     orig = t.amp(3, 2)[0]
     t.x.c[:, [3, 2], [2, 3]] *= 2.0
     r = quantization_residual(spec, t, 2)
@@ -67,7 +67,7 @@ def test_quantization_residual_detects_scaling():
 
 def test_quantization_residual_requires_public_state():
     spec = OscillatorSpec()
-    t = base_amplitudes(spec, 4)
+    t = solve_quantum(spec, 4, 0)
     with pytest.raises(LadderError):
         quantization_residual(spec, t, 4)
 
@@ -76,7 +76,7 @@ def test_quantization_residual_requires_public_state():
 @given(m=st.floats(0.5, 3.0), omega0=st.floats(0.5, 2.5), h=st.floats(1.0, 10.0))
 def test_sum_rule_property(m, omega0, h):
     spec = OscillatorSpec(m=m, omega0=omega0, planck_h=h)
-    t = base_amplitudes(spec, 6)
+    t = solve_quantum(spec, 6, 0)
     for n in range(6):
         assert abs(quantization_residual(spec, t, n)) < 1e-12 * h
 
@@ -159,7 +159,7 @@ def test_energy_levels_standalone_on_base_ladder():
     from matrixmech.ladder import energy_levels
 
     spec = OscillatorSpec(m=1.3, omega0=0.9, planck_h=4.0)
-    table = base_amplitudes(spec, 6)
+    table = _base_ladder(spec, 6, 0, pad=2)
     energy_levels(spec, table)
     for n in range(7):
         assert math.isclose(table.level(n).eval(0.0),
@@ -310,7 +310,7 @@ def test_solved_series_independent_of_coupling():
 def test_sum_rule_ground_state_example():
     # n=0, h=2*pi: pi*m*w0*a^2(1,0) = h with a^2(1,0) = 2
     spec = OscillatorSpec()
-    t = base_amplitudes(spec, 4)
+    t = solve_quantum(spec, 4, 0)
     assert math.isclose(t.amp(1, 0)[0] ** 2, 2.0, rel_tol=1e-12)
     assert abs(quantization_residual(spec, t, 0)) < 1e-12 * spec.planck_h
 
@@ -485,7 +485,7 @@ def test_store_invariants(spec, mutate):
 def test_level_unset_until_energy_levels():
     from matrixmech.ladder import energy_levels
 
-    t = base_amplitudes(OscillatorSpec(), 4)
+    t = _base_ladder(OscillatorSpec(), 4, 0, pad=2)
     with pytest.raises(LadderError):
         t.level(0)
     energy_levels(t.spec, t)

@@ -5,7 +5,6 @@ diagonalization of the truncated Hamiltonian."""
 from .classical import (
     ClassicalEnergy,
     FourierSeries,
-    action_integral,
     classical_energy,
     classical_residual,
     solve_classical,
@@ -14,7 +13,6 @@ from .ladder import (
     OperatorMatrix,
     SpectralLine,
     TransitionTable,
-    correspondence_check,
     energy_levels,
     energy_matrix,
     frequency_consistency,
@@ -52,12 +50,10 @@ __all__ = [
     "TransitionTable",
     "Translation",
     "TruncatedHamiltonian",
-    "action_integral",
     "build_hamiltonian",
     "classical_energy",
     "classical_residual",
     "compare",
-    "correspondence_check",
     "diagonalize",
     "energy_levels",
     "energy_matrix",

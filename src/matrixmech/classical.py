@@ -27,7 +27,6 @@ which keep Fractions exact, otherwise; (tau, k) dicts are the stored form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -229,12 +228,6 @@ def classical_residual(spec: OscillatorSpec, series: FourierSeries) -> CosTable:
     return {(t, k): c for (t, k), c in _table(r, width).items() if t <= top}
 
 
-def residual_scale(spec: OscillatorSpec, a1, k: int):
-    """Characteristic size of a lam^k residual coefficient (for
-    nondimensionalized comparisons)."""
-    return spec.omega0**2 * abs(a1) * spec.coupling_unit(abs(a1)) ** k
-
-
 @dataclass(frozen=True)
 class ClassicalEnergy:
     """Trigonometrically reduced energy of a harmonic-balance solution.
@@ -294,9 +287,3 @@ def classical_energy(spec: OscillatorSpec, series: FourierSeries) -> ClassicalEn
         valid_order=valid,
     )
 
-
-def action_integral(spec: OscillatorSpec, a1) -> float:
-    """Orbit action J = pi * m * a1^2 * omega of the pure harmonic motion."""
-    if spec.kind is not Kind.HARMONIC:
-        raise ValueError("action integral is defined here for the harmonic kind only")
-    return math.pi * spec.m * a1 * a1 * spec.omega0

@@ -152,28 +152,6 @@ class TransitionTable:
         return (self.level(n) - self.level(m)).scaled(TWO_PI / self.spec.planck_h)
 
 
-# Share of the size of the terms that cancel in a residual or energy entry
-# below which the entry's scale never falls.  In double precision an entry
-# carries round-off of up to about 3.6 ulp of that size (measured for
-# n_max up to 512), while its natural unit does not grow with n.  At the
-# default tolerance 1e-12 this share admits 6 ulp.
-ROUNDOFF_SHARE = 6.0 * np.finfo(float).eps / 1e-12
-
-
-def residual_scale(spec: OscillatorSpec, k: int) -> float:
-    """Natural unit of a lam^k equation-of-motion residual coefficient."""
-    a = spec.ladder_amplitude
-    u = spec.coupling_unit(a) or 1.0
-    return spec.omega0**2 * a * u**k
-
-
-def energy_scale(spec: OscillatorSpec, k: int) -> float:
-    """Natural unit of a lam^k energy-matrix entry."""
-    a = spec.ladder_amplitude
-    u = spec.coupling_unit(a) or 1.0
-    return spec.m * spec.omega0**2 * a * a * u**k
-
-
 # ---------------------------------------------------------------------------
 # solving
 
@@ -192,14 +170,24 @@ def _base_ladder(spec: OscillatorSpec, n_max: int, order: int, pad: int) -> Tran
                            x=OperatorMatrix(x), fund=fund)
 
 
+def sum_rule_residuals(
+    spec: OscillatorSpec, table: TransitionTable
+) -> Tuple[np.ndarray, np.ndarray]:
+    """pi*m*omega*[a^2(n+1,n) - a^2(n,n-1)] - h at order 0 for n = 0 ..
+    n_max-1 (zero when the ladder is correctly quantized), and the size of
+    its terms, the same sum with each term taken by magnitude."""
+    up = 2.0 * np.diagonal(table.x.c[0], -1)[: table.n_max]  # a(n+1, n)
+    down = np.concatenate(([0.0], up[:-1]))
+    c = math.pi * spec.m * spec.omega0
+    return (c * (up * up - down * down) - spec.planck_h,
+            c * (up * up + down * down) + spec.planck_h)
+
+
 def quantization_residual(spec: OscillatorSpec, table: TransitionTable, n: int) -> float:
-    """pi*m*omega*[a^2(n+1,n) - a^2(n,n-1)] - h at order 0 (zero when the
-    ladder is correctly quantized)."""
-    if n + 1 > table.n_max:
-        raise LadderError("n+1 exceeds the public ladder")
-    up = table.amp(n + 1, n)[0]
-    down = table.amp(n, n - 1)[0] if n >= 1 else 0.0
-    return math.pi * spec.m * spec.omega0 * (up * up - down * down) - spec.planck_h
+    """The sum rule residual of sum_rule_residuals for one n."""
+    if not 0 <= n < table.n_max:
+        raise LadderError("n must lie in 0 .. n_max-1 (n+1 on the public ladder)")
+    return float(sum_rule_residuals(spec, table)[0][n])
 
 
 def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTable:
@@ -329,13 +317,20 @@ def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTab
     return table
 
 
+def rung_omega(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacks of omega(n, n-1) = (2*pi/h)(W(n) - W(n-1)) over public n >= 1,
+    and of (2*pi/h)(|W(n)| + |W(n-1)|), the size of the two levels."""
+    w = table.w[:, : table.n_max + 1]
+    f = TWO_PI / table.spec.planck_h
+    return (w[:, 1:] - w[:, :-1]) * f, (np.abs(w[:, 1:]) + np.abs(w[:, :-1])) * f
+
+
 def frequency_consistency(table: TransitionTable) -> float:
-    """Max |(2*pi/h)(W(n)-W(n-1)) - fund(n)| coefficient, scaled by omega0,
-    over public n."""
-    pub = table.n_max + 1
-    w = table.w[:, :pub]
-    diff = (w[:, 1:] - w[:, :-1]) * (TWO_PI / table.spec.planck_h) - table.fund[:, 1:pub]
-    return float(np.abs(diff).max()) / table.spec.omega0
+    """Max scaled |(2*pi/h)(W(n)-W(n-1)) - fund(n)| coefficient over public
+    n, in the unit omega0 * u^k."""
+    omega, size = rung_omega(table)
+    diff = omega - table.fund[:, 1 : table.n_max + 1]
+    return float(table.spec.scaled(diff, table.spec.omega0, size).max())
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +349,6 @@ def trusted_residual_order(kind: Kind, order: int, delta: int) -> int:
     if kind is Kind.HARMONIC or (kind is Kind.CUBIC_FORCE and delta % 2 == 0):
         return order + 1
     return order if leading_order(kind, delta) <= max(order, 1) else order + 1
-
-
-def _scaled(value: np.ndarray, unit: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """|value| over its scale: the natural unit, or ROUNDOFF_SHARE of the
-    size of the terms that cancel in the entry when that is larger."""
-    return np.abs(value) / np.maximum(unit, ROUNDOFF_SHARE * size)
 
 
 def _residual_stacks(
@@ -412,14 +401,12 @@ def worst_scaled_residuals(spec: OscillatorSpec, table: TransitionTable) -> Dict
     """Largest nondimensionalized trusted residual coefficient per
     delta = n - m, over the public entries."""
     r, size = _residual_stacks(spec, table)
-    unit = np.array([residual_scale(spec, k) for k in range(len(r))])[:, None]
+    scaled = spec.scaled(r, spec.omega0**2 * spec.ladder_amplitude, size)
     worst: Dict[int, float] = {}
     for delta in range(table.n_max + 1):
         k = trusted_residual_order(spec.kind, table.order, delta) + 1
         n = np.arange(delta, table.n_max + 1)
-        worst[delta] = float(
-            _scaled(r[:k, n, n - delta], unit[:k], size[:k, n, n - delta]).max()
-        )
+        worst[delta] = float(scaled[:k, n, n - delta].max())
     return worst
 
 
@@ -447,8 +434,9 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
 
     pub = table.n_max + 1
     off = ~np.eye(pub, dtype=bool)  # public off-diagonal entries
-    unit = np.array([energy_scale(spec, k) for k in range(order + 1)])[:, None]
-    worst = _scaled(e[:, :pub, :pub][:, off], unit, size[:, :pub, :pub][:, off])
+    a = spec.ladder_amplitude
+    worst = spec.scaled(e[:, :pub, :pub][:, off], spec.m * spec.omega0**2 * a * a,
+                        size[:, :pub, :pub][:, off])
     return float(worst.max(initial=0.0))
 
 
@@ -481,46 +469,3 @@ def line_spectrum(table: TransitionTable) -> List[SpectralLine]:
     lead = (x[:, n, m] != 0).argmax(axis=0)  # lam power at which a(n, m) first appears
     rows = zip(n.tolist(), m.tolist(), omega.tolist(), rel.tolist(), lead.tolist())
     return [SpectralLine(*row) for row in rows]
-
-
-@dataclass
-class CorrespondenceReport:
-    """Quantum/classical amplitude ratios for one reference state."""
-
-    n: int
-    overtone_ratio: Optional[float]  # a(n,n-2)/[a(n,n-1)a(n-1,n-2)] at leading order
-    classical_ratio: Optional[float]  # a2/a1^2 = 1/(6 omega0^2)
-    fundamental_ratio: float  # a(n,n-1) / a1 with the action fixed to n*h
-
-
-def correspondence_check(
-    spec: OscillatorSpec, table: TransitionTable, n: int
-) -> CorrespondenceReport:
-    """Compare quantum amplitudes with classical Fourier coefficients.
-
-    The two-step amplitude relates to its neighbor product exactly as the
-    classical second harmonic relates to a1^2; the fundamental amplitude
-    matches the classical one whose orbit action equals n*h.
-    """
-    if n < 2:
-        raise LadderError("correspondence check needs n >= 2")
-    if n > table.n_max:
-        raise LadderError("n beyond the public ladder")
-
-    a_nm1 = table.amp(n, n - 1)[0]
-    a_nm1m2 = table.amp(n - 1, n - 2)[0]
-    over = table.amp(n, n - 2)[1]
-    if spec.kind is Kind.QUADRATIC_FORCE and over:
-        q = over / (a_nm1 * a_nm1m2)
-        classical = 1.0 / (6.0 * spec.omega0**2)
-    else:
-        q = None
-        classical = None
-
-    a1_action = math.sqrt(n * spec.planck_h / (math.pi * spec.m * spec.omega0))
-    return CorrespondenceReport(
-        n=n,
-        overtone_ratio=q,
-        classical_ratio=classical,
-        fundamental_ratio=a_nm1 / a1_action,
-    )

@@ -401,9 +401,10 @@ def compare(
     no point to the fit, since the basis, not the series, is what failed
     there.
     Amplitudes are compared at the base coupling, both against the
-    sum-rule form at the measured transition frequency and against the
-    table's amplitude series (rows kept, failures only if that coupling
-    is converged).  Failures are recorded, never silently dropped.
+    sum-rule form at the measured transition frequency, which fails a
+    relative error above 1.25*r^2 for the smallness ratio r there, and
+    against the table's amplitude series (rows kept, failures only if
+    that coupling is converged).  Failures are recorded, never silently dropped.
     """
     if n_basis is None:
         n_basis = default_basis_size(n_track)
@@ -470,7 +471,9 @@ def compare(
     # amplitude comparison at the first nonzero coupling
     if base is not None and spec.kind is not Kind.HARMONIC:
         s, evals, x_elem = base.spec, base.eigenvalues, base.x_elements
-        amp_tol = 5.0 * base_lam**2  # OverflowError beyond |lam| ~ 1e154, converged or not
+        # 1.25*r^2 in the smallness ratio r at base_lam (5*lam^2 for x3 and
+        # 2.5*lam^2 for x2 in default units); OverflowError beyond r ~ 1e154
+        amp_tol = 1.25 * s.smallness_ratio() ** 2
         for n in range(1, n_track + 1):
             omega_exact = float(evals[n] - evals[n - 1]) / s.hbar
             sum_rule = math.sqrt(n * s.planck_h / (math.pi * s.m * omega_exact))
@@ -484,6 +487,6 @@ def compare(
             report.amplitudes.append(row)
             if base_lam not in unconverged and row.rel_error_exact > amp_tol:
                 report.failures.append(
-                    f"amplitude n={n}: rel err {row.rel_error_exact:.3e} > 5*lam^2"
+                    f"amplitude n={n}: rel err {row.rel_error_exact:.3e} > 1.25*r^2"
                 )
     return report

@@ -18,6 +18,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Kind(enum.Enum):
     """Anharmonicity of the equation of motion."""
@@ -47,6 +49,14 @@ class Kind(enum.Enum):
 
 # Smallness ratio r from which the truncated series is out of regime.
 R_MAX = 0.1
+
+
+# Share of the size of the terms that cancel in a checked entry below which
+# the entry's scale never falls (OscillatorSpec.scaled).  In double
+# precision an entry carries round-off of up to about 3.6 ulp of that size
+# (measured for n_max up to 512), while its natural unit does not grow with
+# n.  At the default tolerance 1e-12 this share admits 6 ulp.
+ROUNDOFF_SHARE = 6.0 * np.finfo(float).eps / 1e-12
 
 
 class SmallnessWarning(UserWarning):
@@ -97,6 +107,26 @@ class OscillatorSpec:
         if p == 0:
             return 0.0
         return amplitude ** (p - 1) / self.omega0**2
+
+    def order_unit(self, k: int, amplitude: float | None = None) -> float:
+        """u^k: how much larger the natural unit of a lam^k coefficient is
+        than that of its lam^0 one, u = coupling_unit(amplitude) (1 for the
+        harmonic kind).  amplitude defaults to the ladder amplitude."""
+        if amplitude is None:
+            amplitude = self.ladder_amplitude
+        return (self.coupling_unit(amplitude) or 1.0) ** k
+
+    def scaled(self, value, base: float, size=0.0) -> np.ndarray:
+        """|value| over its scale, row k of value holding lam^k coefficients.
+
+        The scale is the natural unit base * order_unit(k), or
+        ROUNDOFF_SHARE of size (the size of the terms that cancel in the
+        entry, shaped like value) when that is larger.
+        """
+        value = np.asarray(value, dtype=float)
+        unit = np.array([base * self.order_unit(k) for k in range(len(value))])
+        unit = unit.reshape((-1,) + (1,) * (value.ndim - 1))
+        return np.abs(value) / np.maximum(unit, ROUNDOFF_SHARE * size)
 
     def smallness_ratio(self, amplitude: float | None = None) -> float:
         """Dimensionless r = |lam| * (amplitude scale)^(p-1) / omega0^2."""

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from matrixmech.classical import (
     SeriesOrderError,
-    action_integral,
     classical_energy,
     classical_residual,
-    residual_scale,
     solve_classical,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec, SmallnessWarning
@@ -23,7 +21,8 @@ def max_solved_residual(spec, series):
     resid = classical_residual(spec, series)
     worst = 0.0
     for (tau, k) in series.solved_set():
-        scale = residual_scale(spec, abs(series.a1), k)
+        a1 = abs(series.a1)
+        scale = spec.omega0**2 * a1 * spec.order_unit(k, a1)
         worst = max(worst, abs(resid.get((tau, k), 0)) / scale)
     return worst
 
@@ -197,11 +196,13 @@ def test_energy_scales_with_units():
 
 
 def test_action_integral():
-    assert math.isclose(action_integral(OscillatorSpec(), 1.0), math.pi)
-    assert action_integral(OscillatorSpec(), 0.0) == 0.0
-    assert math.isclose(action_integral(OscillatorSpec(m=2, omega0=3), 1.0), 6 * math.pi)
-    with pytest.raises(ValueError):
-        action_integral(X2, 1.0)
+    # the harmonic orbit's action J = pi*m*a1^2*omega0 fixes its energy,
+    # E = J*omega0/(2*pi)
+    for spec, a1 in ((OscillatorSpec(), 1.0), (OscillatorSpec(), 0.0),
+                     (OscillatorSpec(m=2, omega0=3), 1.0), (OscillatorSpec(m=2, omega0=3), 0.7)):
+        action = math.pi * spec.m * a1 * a1 * spec.omega0
+        energy = classical_energy(spec, solve_classical(spec, a1, 1)).constant[0]
+        assert math.isclose(energy, action * spec.omega0 / (2 * math.pi), rel_tol=1e-14)
 
 
 def test_order_cap_and_validation():

@@ -177,6 +177,61 @@ def test_verify_x3_round_off_passes_high_on_the_ladder(capsys):
     assert code == 0, [c for c in json.loads(out)["checks"] if not c["passed"]]
 
 
+# The same physics in other units: every verify check divides by a unit
+# built from the spec, so a run at the same smallness ratio r passes alike.
+UNIT_SETS = {
+    "default": {},
+    "small_omega0": {"omega0": 0.01},
+    "odd": {"m": 1.7, "omega0": 0.6, "planck_h": 3.1},
+    "large_omega0_small_h": {"omega0": 100.0, "planck_h": 1e-3},
+}
+UNIT_FLAGS = {"m": "--m", "omega0": "--omega0", "planck_h": "--h"}
+
+
+def verify_argv(kind, r, units, n_max):
+    """verify argv at the coupling whose smallness ratio is r in these units."""
+    spec = OscillatorSpec(kind=Kind.from_name(kind), **units)
+    lam = r / spec.coupling_unit(spec.ladder_amplitude)
+    argv = ["verify", "--kind", kind, "--lambda", repr(lam), "--nmax", str(n_max)]
+    for key, value in units.items():
+        argv += [UNIT_FLAGS[key], repr(value)]
+    return argv + ["--format", "json"]
+
+
+def failed_checks(out):
+    return [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("units", sorted(UNIT_SETS))
+@pytest.mark.parametrize("kind", ["x2", "x3"])
+def test_verify_passes_in_any_units_at_the_same_r(capsys, kind, units):
+    r = OscillatorSpec(lam=0.01, kind=Kind.from_name(kind)).smallness_ratio()
+    code, out, _ = run(capsys, *verify_argv(kind, r, UNIT_SETS[units], 10))
+    assert failed_checks(out) == []
+    assert code == 0
+
+
+@pytest.mark.parametrize("units", ["default", "small_omega0"])
+@pytest.mark.parametrize("mutate", sorted(MUTATION_TARGETS))
+def test_verify_mutations_fail_named_check_in_any_units(capsys, mutate, units):
+    kind, name = MUTATION_TARGETS[mutate]
+    r = OscillatorSpec(lam=1e-3, kind=Kind.from_name(kind)).smallness_ratio()
+    argv = verify_argv(kind, r, UNIT_SETS[units], 10)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and name not in failed_checks(out)
+    code, out, _ = run(capsys, *argv, "--mutate", mutate)
+    assert code == 1 and name in failed_checks(out)
+
+
+def test_verify_x3_round_off_passes_at_nmax_128(capsys):
+    # at n_max 128 the level differences carry round-off above 1e-12 of
+    # omega0 * u; the size of the two levels sets their floor
+    code, out, _ = run(capsys, "verify", "--kind", "x3", "--lambda", "0.001",
+                       "--nmax", "128", "--format", "json")
+    assert failed_checks(out) == []
+    assert code == 0
+
+
 def test_smallness_warning_printed_once(capsys):
     # the ladder and the classical solve both warn; the run reports it once
     code, out, err = run(capsys, "verify", "--kind", "x2", "--lambda", "0.3", "--nmax", "10")

@@ -558,3 +558,19 @@ def test_default_basis_stays_on_eigvalsh():
 
 def test_tracked_levels():
     assert [tracked_levels(n) for n in (1, 2, 5, 6, 10, 20)] == [1, 2, 5, 5, 5, 5]
+
+
+@pytest.mark.parametrize("units", [{}, {"omega0": 0.01}, ODD_UNITS])
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_amplitude_gate_is_in_the_smallness_ratio(kind, units):
+    # the gate 1.25*r^2 is 5*lam^2 (x3) or 2.5*lam^2 (x2) in default units;
+    # at the same r the relative error, and so its margin, is the same in
+    # any units
+    r = OscillatorSpec(lam=0.01, kind=kind).smallness_ratio()
+    spec = OscillatorSpec(kind=kind, **units)
+    spec = OscillatorSpec(lam=r / spec.coupling_unit(spec.ladder_amplitude), kind=kind, **units)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    assert rep.passed, rep.failures
+    r_b = OscillatorSpec(lam=spec.lam / 2, kind=kind, **units).smallness_ratio()
+    worst = max(a.rel_error_exact for a in rep.amplitudes) / r_b**2
+    assert 0.05 < worst < 0.3  # at least 4x below the gate

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from matrixmech.oscillator import Kind, OscillatorSpec
+from matrixmech.oscillator import ROUNDOFF_SHARE, Kind, OscillatorSpec
 
 
 def test_defaults_are_natural_units():
@@ -53,3 +54,23 @@ def test_non_finite_parameters_rejected():
                 dict(lam=-math.inf, kind=Kind.QUADRATIC_FORCE)):
         with pytest.raises(ValueError, match="finite"):
             OscillatorSpec(**bad)
+
+
+def test_order_unit_is_the_coupling_unit_to_the_k():
+    x3 = OscillatorSpec(m=2.0, omega0=0.5, lam=1e-3, kind=Kind.CUBIC_FORCE)
+    u = x3.ladder_amplitude**2 / x3.omega0**2
+    assert x3.order_unit(0) == 1.0
+    assert math.isclose(x3.order_unit(2), u * u, rel_tol=1e-15)
+    assert math.isclose(x3.order_unit(1, 3.0), 9.0 / 0.25, rel_tol=1e-15)
+    # the harmonic kind has no coupling: every order shares the one unit
+    assert OscillatorSpec().order_unit(3) == 1.0
+
+
+def test_scaled_divides_row_k_by_base_times_u_to_the_k():
+    spec = OscillatorSpec(omega0=0.5, lam=1e-3, kind=Kind.QUADRATIC_FORCE)
+    u = spec.order_unit(1)
+    value = np.array([[3.0, -3.0], [3.0, 0.0]])
+    assert np.allclose(spec.scaled(value, 2.0), [[1.5, 1.5], [1.5 / u, 0.0]], rtol=1e-15)
+    # the size of the cancelling terms sets a floor under the unit
+    size = np.array([[0.0, 4.0 / ROUNDOFF_SHARE], [0.0, 0.0]])
+    assert np.allclose(spec.scaled(value, 2.0, size), [[1.5, 0.75], [1.5 / u, 0.0]], rtol=1e-15)

@@ -8,18 +8,17 @@ from matrixmech.ladder import (
     LadderError,
     OperatorMatrix,
     _base_ladder,
-    correspondence_check,
     energy_matrix,
     frequency_consistency,
     line_spectrum,
     offdiagonal_energy_check,
     quantization_residual,
     quantum_residuals,
-    residual_scale,
     solve_quantum,
     trusted_residual_order,
     worst_scaled_residuals,
 )
+from matrixmech.classical import solve_classical
 from matrixmech.oscillator import Kind, OscillatorSpec
 from matrixmech.series import LambdaSeries
 
@@ -324,22 +323,33 @@ def test_ritz_additivity_exact():
         assert math.isclose(t.freq(m, n).eval(lam), -t.freq(n, m).eval(lam), abs_tol=5e-16)
 
 
+def action_amplitude(spec, n):
+    """Classical fundamental amplitude whose orbit action is n*h."""
+    return math.sqrt(n * spec.planck_h / (math.pi * spec.m * spec.omega0))
+
+
 def test_correspondence_ratios():
+    # the two-step amplitude relates to its neighbour product as the
+    # classical second harmonic to a1^2, a2/a1^2 = 1/(6 omega0^2), and the
+    # fundamental amplitude is the classical one with action n*h
     t = solve_quantum(X2, n_max=8, order=1)
+    classical = solve_classical(X2, 1.0, 1).coeff(2, 1)
+    assert math.isclose(classical, 1.0 / (6.0 * X2.omega0**2), rel_tol=1e-14)
     for n in (2, 4, 6):
-        r = correspondence_check(X2, t, n)
-        assert math.isclose(r.overtone_ratio, 1.0 / 6.0, rel_tol=1e-12)
-        assert math.isclose(r.overtone_ratio, r.classical_ratio, rel_tol=1e-12)
-        assert math.isclose(r.fundamental_ratio, 1.0, rel_tol=1e-12)
-    with pytest.raises(LadderError):
-        correspondence_check(X2, t, 1)
+        overtone = t.amp(n, n - 2)[1] / (t.amp(n, n - 1)[0] * t.amp(n - 1, n - 2)[0])
+        assert math.isclose(overtone, classical, rel_tol=1e-12)
+        assert math.isclose(t.amp(n, n - 1)[0] / action_amplitude(X2, n), 1.0, rel_tol=1e-12)
+    # below n = 2 there is no two-step amplitude to form the ratio from
+    assert not t.amp(1, -1) and not t.amp(0, -2)
 
 
 def test_correspondence_flagged_for_harmonic():
+    # no overtone at all, so no overtone ratio; the fundamental still
+    # carries the action n*h
     spec = OscillatorSpec()
     t = solve_quantum(spec, n_max=6, order=1)
-    r = correspondence_check(spec, t, 3)
-    assert r.overtone_ratio is None and r.classical_ratio is None
+    assert not any(t.amp(n, n - 2) for n in range(2, 7))
+    assert math.isclose(t.amp(3, 2)[0], action_amplitude(spec, 3), rel_tol=1e-12)
 
 
 # -------------------------------------------------------------- validation

@@ -115,17 +115,6 @@ def _parity_blocks(spec: OscillatorSpec) -> Tuple[slice, ...]:
 CONVERGENCE_LADDER = (1e-13, 1e-12, 1e-11, 1e-10)
 CONVERGENCE_GATE = CONVERGENCE_LADDER[-1]
 
-# Doubled parity blocks with fewer rows than this are decomposed with
-# eigvalsh instead of counted: there a dense eigensolve takes a few ms
-# and reports the delta itself, not a bound.  Measured on one BLAS
-# thread (README, Internals).
-INERTIA_MIN_ROWS = 160
-
-
-def _doubled_block_rows(spec: OscillatorSpec, n_basis: int) -> int:
-    return 2 * n_basis // len(_parity_blocks(spec))
-
-
 def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> float:
     """Largest change of the tracked eigenvalues when the basis is doubled."""
     doubled = diagonalize(build_hamiltonian(spec, 2 * n_basis), None).eigenvalues
@@ -174,17 +163,19 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
     return counts, sound
 
 
-def _certified_deltas(
+def _doubling_deltas(
     specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
-) -> List[Optional[float]]:
-    """Smallest ladder rung eps*hbar*omega0 that bounds each coupling's
-    doubling delta, from inertia counts of the doubled basis; None where
-    the gate is not certified or a pivot was zero or non-finite.
+) -> List[float]:
+    """Basis-doubling delta of each coupling's tracked eigenvalues.
 
-    Tracked eigenvalue i of H_2N lies within e of E_i exactly when
+    The delta is the smallest ladder rung eps*hbar*omega0 that inertia
+    counts of the doubled basis certify, an upper bound.  Tracked
+    eigenvalue i of H_2N lies within e of E_i exactly when
     H_2N - (E_i - e) has at most i negative pivots and H_2N - (E_i + e)
     at least i + 1.  H_2N comes from band storage, split into its parity
-    blocks; no dense doubled matrix is built.
+    blocks; no dense doubled matrix is built.  A coupling whose gate is
+    not certified, or where a pivot was zero or not finite, gets an
+    eigvalsh of the doubled basis and the measured delta.
     """
     eps = np.array(CONVERGENCE_LADDER) * (specs[0].hbar * specs[0].omega0)
     levels = np.array(tracked)  # (C, k)
@@ -200,28 +191,11 @@ def _certified_deltas(
     counts = counts.reshape(len(specs), 2, len(eps), -1)
     i = np.arange(levels.shape[1])
     certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)  # (C, rungs)
-    return [float(eps[np.argmax(ok)]) if good and ok[-1] else None
-            for ok, good in zip(certified, sound)]
+    return [float(eps[np.argmax(ok)]) if good and ok[-1] else _measured_delta(s, n_basis, t)
+            for s, t, ok, good in zip(specs, tracked, certified, sound)]
 
 
-def _doubling_deltas(
-    specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
-) -> List[float]:
-    """Basis-doubling delta of each coupling's tracked eigenvalues.
-
-    From INERTIA_MIN_ROWS rows of a doubled parity block on, the delta is
-    the smallest certified rung of the ladder, an upper bound; a coupling
-    whose gate is not certified, and every coupling of a smaller basis,
-    gets an eigvalsh of the doubled basis and the measured delta.
-    """
-    deltas: List[Optional[float]] = [None] * len(specs)
-    if _doubled_block_rows(specs[0], n_basis) >= INERTIA_MIN_ROWS:
-        deltas = _certified_deltas(specs, n_basis, tracked)
-    return [_measured_delta(s, n_basis, t) if d is None else d
-            for s, t, d in zip(specs, tracked, deltas)]
-
-
-def diagonalize(ham: TruncatedHamiltonian, n_track: Optional[int] = 8) -> OracleResult:
+def diagonalize(ham: TruncatedHamiltonian, n_track: Optional[int]) -> OracleResult:
     """Ascending eigenvalues of H, with eigenvectors of the tracked states.
 
     The oracle's one eigensolve.  An even potential (x3 kind, harmonic)
@@ -338,6 +312,7 @@ class ComparisonReport:
     n_track: int
     n_basis: int
     neglected_order: int  # j: the first power of lam the table leaves out
+    base_lam: Optional[float]  # the first nonzero coupling, where amplitudes are compared
     levels: List[LevelComparison] = field(default_factory=list)
     amplitudes: List[AmplitudeComparison] = field(default_factory=list)
     fit_constant: Dict[int, float] = field(default_factory=dict)
@@ -374,7 +349,7 @@ def coupling_sweep(lam: float) -> List[float]:
 def compare(
     spec: OscillatorSpec,
     lambdas: Sequence[float],
-    n_track: int = 5,
+    n_track: int,
     n_basis: Optional[int] = None,
     table: Optional[TransitionTable] = None,
 ) -> ComparisonReport:
@@ -384,8 +359,8 @@ def compare(
     do not depend on lam, so one solve serves the sweep.  Without a table,
     one is solved to order 1 with n_track + 1 levels.
     Each coupling is diagonalized once: with the tracked eigenvectors at
-    the base coupling, the first nonzero one, where the amplitudes read
-    x_elements, and for eigenvalues only at every other coupling.  After
+    the base coupling, the first nonzero one (report.base_lam), where
+    the amplitudes read x_elements, and for eigenvalues only at every other coupling.  After
     the sweep one _doubling_deltas call checks every coupling's doubled
     basis, and convergence_deltas keeps one delta per coupling, so the
     hardest coupling is checked.
@@ -413,11 +388,11 @@ def compare(
     j = table.order + 1
     if len(_parity_blocks(spec)) == 1 and j % 2:  # odd potential: no odd-order shift
         j += 1
+    base_lam = next((l for l in lambdas if l != 0), None)
     report = ComparisonReport(spec=spec, lambdas=tuple(lambdas), n_track=n_track,
-                              n_basis=n_basis, neglected_order=j)
+                              n_basis=n_basis, neglected_order=j, base_lam=base_lam)
 
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
-    base_lam = next((l for l in lambdas if l != 0), None)
     base = None  # the diagonalization at base_lam, with the tracked eigenvectors
     k = min(n_track + 1, n_basis)
     sweep = []  # one diagonalization per coupling

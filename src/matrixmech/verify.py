@@ -192,12 +192,11 @@ def run_verification(
         report.add("oracle_scaling", worst, 0.2,
                    detail=f"exponents {sorted(round(q, 3) for q in rep.fit_exponent.values())}",
                    passed=bool(rep.fit_exponent) and worst <= 0.2)
-        base_lam = sweep[0]  # where compare gates the amplitudes
-        amps_compared = base_lam not in rep.unconverged
+        amps_compared = rep.base_lam not in rep.unconverged
         report.add("oracle_amplitudes", float(len(amp_fails)), 0.0,
                    detail="; ".join(amp_fails) or (
                        "within 1.25*r^2" if amps_compared
-                       else f"no amplitude compared: unconverged lam={base_lam:g}"),
+                       else f"no amplitude compared: unconverged lam={rep.base_lam:g}"),
                    passed=amps_compared and not amp_fails)
     conv_fails = [f for f in rep.failures if f.startswith("convergence")]
     report.add("oracle_convergence", spec.scaled([rep.convergence_delta], hb_w).max(),

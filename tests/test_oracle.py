@@ -8,9 +8,7 @@ from matrixmech import oracle
 from matrixmech.ladder import solve_quantum
 from matrixmech.oracle import (
     CONVERGENCE_LADDER,
-    INERTIA_MIN_ROWS,
     OracleError,
-    _doubled_block_rows,
     _doubling_deltas,
     _hamiltonian_band,
     _measured_delta,
@@ -218,6 +216,7 @@ def test_compare_fails_mutated_levels(kind):
 def test_compare_harmonic_is_exact():
     rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=48)
     assert rep.passed
+    assert rep.base_lam is None and rep.amplitudes == []  # no nonzero coupling
     for r in rep.levels:
         assert r.residual < 1e-10
 
@@ -263,6 +262,7 @@ def test_unconverged_base_coupling_adds_no_amplitude_failure():
     with pytest.warns(UserWarning):
         rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.unconverged == coupling_sweep(spec.lam)
+    assert rep.base_lam == 0.15
     assert [f.split(":")[0] for f in rep.failures] == [
         f"convergence lam={l:g}" for l in coupling_sweep(spec.lam)]
     assert [a.n for a in rep.amplitudes] == [1, 2, 3, 4, 5]
@@ -293,13 +293,12 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
     for spec, blocks in ((X3, 2), (X2, 1)):
         calls = _count_decompositions(monkeypatch)
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
-        n, n2 = 64 // blocks, 128 // blocks
+        n = 64 // blocks
         # eigenvectors at the base coupling only, for x_elements
         assert calls["eigh"] == [(n, n)] * blocks
-        # eigenvalues only at the other three couplings and every doubled
-        # basis; the order of the calls is compare's own business
-        expected = [(n, n)] * (3 * blocks) + [(n2, n2)] * (4 * blocks)
-        assert sorted(calls["eigvalsh"]) == sorted(expected)
+        # eigenvalues only at the other three couplings; the converged
+        # doubled bases are counted, not decomposed
+        assert calls["eigvalsh"] == [(n, n)] * (3 * blocks)
         assert len(rep.amplitudes) == 5
         assert len(rep.convergence_deltas) == 4
         monkeypatch.undo()
@@ -307,7 +306,7 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
 
 @pytest.mark.parametrize("spec,n_basis", [(X2, 64), (X3, 64), (X3, 160)])
 def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
-    # x2 and x3 sweeps; at 64 every doubled basis falls back to _measured_delta
+    # x2 and x3 sweeps, converged: no doubled basis is decomposed at any size
     depth = [0]
     real = oracle.diagonalize
 
@@ -328,16 +327,15 @@ def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
     assert rep.passed, rep.failures
-    blocks = len(_parity_blocks(spec))
-    doubled = 4 if _doubled_block_rows(spec, n_basis) < INERTIA_MIN_ROWS else 0
-    assert inside == [True] * (4 + doubled) * blocks
+    assert inside == [True] * 4 * len(_parity_blocks(spec))
 
 
 def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
     assert rep.passed
-    assert calls == {"eigh": [], "eigvalsh": [(32, 32)] * 2 + [(64, 64)] * 2}
+    assert calls == {"eigh": [], "eigvalsh": [(32, 32)] * 2}
+    assert rep.convergence_deltas == [1e-13]
 
 
 SIZES = [8, 9, 64, 768]
@@ -494,14 +492,18 @@ def _sweep_levels(spec, n_basis, k=6):
     (Kind.QUADRATIC_FORCE, 5e-3, 128),
     (Kind.CUBIC_FORCE, 2e-4, 160),
     (Kind.CUBIC_FORCE, 1e-2, 192),
-])
+] + [(kind, lam, n) for kind, lam in ((Kind.QUADRATIC_FORCE, 5e-3), (Kind.CUBIC_FORCE, 1e-2),
+                                      (Kind.HARMONIC, 0.0))
+     for n in (8, 16, 28, 56, 96)])
 def test_certified_delta_bounds_measured_delta(kind, lam, n_basis):
+    # at N = 8 (x3 also at 16) some couplings are not converged: there the
+    # gate is not certified and the delta is the measured one
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
-    assert _doubled_block_rows(specs[0], n_basis) >= INERTIA_MIN_ROWS
-    certified = _doubling_deltas(specs, n_basis, tracked)
-    for s, t, delta in zip(specs, tracked, certified):
-        assert delta in CONVERGENCE_LADDER  # hbar*omega0 = 1
-        assert delta >= _measured_delta(s, n_basis, t)
+    deltas = _doubling_deltas(specs, n_basis, tracked)
+    for s, t, delta in zip(specs, tracked, deltas):
+        measured = _measured_delta(s, n_basis, t)
+        assert delta >= measured
+        assert delta in CONVERGENCE_LADDER or delta == measured > CONVERGENCE_LADDER[-1]
 
 
 def test_unsound_pivots_fall_back_to_eigvalsh(monkeypatch):
@@ -514,23 +516,26 @@ def test_unsound_pivots_fall_back_to_eigvalsh(monkeypatch):
 
 
 def test_unconverged_coupling_reports_measured_delta():
-    # at 4*lam = 0.06 the x2 basis of 256 has not converged: the gate is
-    # not certified, the doubled basis is decomposed and the measured
-    # delta reported, as before the inertia route existed
-    spec = OscillatorSpec(lam=0.015, kind=Kind.QUADRATIC_FORCE)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
-    specs, tracked = _sweep_levels(spec, 256)
-    assert rep.convergence_deltas[:3] == [1e-13] * 3
-    assert rep.convergence_deltas[3] == _measured_delta(specs[3], 256, tracked[3])
-    assert math.isclose(rep.convergence_deltas[3], 122.851274056317, rel_tol=1e-9)
-    assert [f for f in rep.failures if f.startswith("convergence")] == [
-        "convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10"]
-    assert not rep.passed
+    # at 4*lam the x2 basis (256, or verify's default 56) has not
+    # converged: the gate is not certified, the doubled basis is
+    # decomposed and the measured delta reported
+    for lam, n_basis, delta, failure in (
+        (0.015, 256, 122.851274056317, "convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10"),
+        (0.04, None, 49.5503263653598, "convergence lam=0.16: doubling delta 4.955e+01 > 1.000e-10"),
+    ):
+        spec = OscillatorSpec(lam=lam, kind=Kind.QUADRATIC_FORCE)
+        rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+        specs, tracked = _sweep_levels(spec, rep.n_basis)
+        assert rep.convergence_deltas[:3] == [1e-13] * 3
+        assert rep.convergence_deltas[3] == _measured_delta(specs[3], rep.n_basis, tracked[3])
+        assert math.isclose(rep.convergence_deltas[3], delta, rel_tol=1e-9)
+        assert [f for f in rep.failures if f.startswith("convergence")] == [failure]
+        assert not rep.passed
 
 
 def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
-    for spec, n_basis, blocks in ((X2, 96, 1), (X3, 160, 2)):
-        assert _doubled_block_rows(spec, n_basis) >= INERTIA_MIN_ROWS
+    # at every basis size, verify's default (56) included
+    for spec, n_basis, blocks in ((X2, 96, 1), (X3, 160, 2), (X2, None, 1), (X3, None, 2)):
         calls = _count_decompositions(monkeypatch)
         built = []
         real_build = oracle.build_hamiltonian
@@ -542,18 +547,12 @@ def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
         monkeypatch.setattr(oracle, "build_hamiltonian", recording)
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
         assert rep.passed, rep.failures
-        n = n_basis // blocks
+        n = rep.n_basis // blocks
         assert calls["eigh"] == [(n, n)] * blocks
         assert calls["eigvalsh"] == [(n, n)] * blocks * 3  # no doubled basis
-        assert built == [n_basis] * 4  # no dense doubled matrix either
+        assert built == [rep.n_basis] * 4  # no dense doubled matrix either
         assert rep.convergence_deltas == [1e-13] * 4
         monkeypatch.undo()
-
-
-def test_default_basis_stays_on_eigvalsh():
-    # verify's default basis keeps the measured delta
-    for spec in (X2, X3, OscillatorSpec()):
-        assert _doubled_block_rows(spec, default_basis_size(5)) < INERTIA_MIN_ROWS
 
 
 def test_tracked_levels():

@@ -555,6 +555,20 @@ def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
         monkeypatch.undo()
 
 
+def test_default_basis_stays_on_eigvalsh(monkeypatch):
+    # at verify's default basis only the coupling the counts cannot certify
+    # (x2 at 4*lam = 0.16) has its doubled basis decomposed, by eigvalsh
+    spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
+    n = default_basis_size(5)
+    calls = _count_decompositions(monkeypatch)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    assert rep.n_basis == n
+    assert calls["eigh"] == [(n, n)]
+    assert sorted(calls["eigvalsh"]) == [(n, n)] * 3 + [(2 * n, 2 * n)]
+    assert rep.convergence_deltas[:3] == [1e-13] * 3
+    assert rep.convergence_deltas[3] > CONVERGENCE_LADDER[-1]
+
+
 def test_tracked_levels():
     assert [tracked_levels(n) for n in (1, 2, 5, 6, 10, 20)] == [1, 2, 5, 5, 5, 5]
 

@@ -22,7 +22,8 @@ Matching the coefficient of lam^k cos(tau*w*t) in x'' + omega0^2 x + lam x^p
 frequency corrections w[k], for any force power p; the fundamental
 amplitude c[1,0] = a1 stays free and its higher corrections are fixed to
 zero by convention.  Stacks are float64 for float inputs and object arrays,
-which keep Fractions exact, otherwise; (tau, k) dicts are the stored form.
+which keep Fractions exact, otherwise.  The stack is the stored form;
+(tau, k) dicts of the cosine coefficients (cos_table) are views of it.
 """
 
 from __future__ import annotations
@@ -49,19 +50,17 @@ def _dtype(values) -> np.dtype:
     return np.result_type(float, np.array(values).dtype)
 
 
-def _stack(coeffs: CosTable, orders: int, width: int, dtype) -> np.ndarray:
-    """Two-sided stack, harmonics -width .. width, of a dict's rows k < orders."""
-    x = np.zeros((orders, 2 * width + 1), dtype=dtype)
-    for (tau, k), c in coeffs.items():
-        if k < orders:
-            x[k, width + tau] = x[k, width - tau] = c if tau == 0 else c / 2
-    return x
+def cos_rows(x: np.ndarray) -> np.ndarray:
+    """Cosine coefficients of a two-sided stack: c[k, tau] for tau >= 0."""
+    width = x.shape[1] // 2
+    c = 2 * x[:, width:]
+    c[:, 0] = x[:, width]
+    return c
 
 
-def _table(x: np.ndarray, width: int) -> CosTable:
-    """The nonzero cosine coefficients of a two-sided stack."""
-    return {(tau, k): c if tau == 0 else 2 * c
-            for k, row in enumerate(x[:, width:].tolist())
+def cos_table(x: np.ndarray) -> CosTable:
+    """The nonzero cosine coefficients of a two-sided stack, by (tau, k)."""
+    return {(tau, k): c for k, row in enumerate(cos_rows(x).tolist())
             for tau, c in enumerate(row) if c}
 
 
@@ -81,25 +80,36 @@ def _power(x: np.ndarray, p: int, max_order: int) -> np.ndarray:
 class FourierSeries:
     """Harmonic-balance solution of one oscillator.
 
-    coeffs[(tau, k)] is the lam^k coefficient of cos(tau*w*t); omega_sq
-    holds w^2 as a series (w itself is the positive square root, taken
-    at evaluation time).  Coefficients are lam-independent: the solution
-    for any coupling is obtained by evaluating the same table.
+    x is the two-sided stack, rows lam^0 .. lam^(max_order +
+    extension_order), and w the lam^k coefficients of w^2 (w itself is the
+    positive square root, taken at evaluation time).  coeffs[(tau, k)], the
+    lam^k coefficient of cos(tau*w*t), coeff, omega_sq and max_harmonic are
+    views of them; coeffs[(1, 0)] is a1 itself.  Coefficients are
+    lam-independent: the solution for any coupling is obtained by
+    evaluating the same stack.
     """
 
     kind: Kind
     a1: object
-    coeffs: CosTable
-    omega_sq: LambdaSeries
+    x: np.ndarray
+    w: np.ndarray
     max_order: int
     extension_order: int = field(default=0)  # leading coeffs solved at max_order+1
+
+    @property
+    def coeffs(self) -> CosTable:
+        return {**cos_table(self.x), (1, 0): self.a1}
 
     def coeff(self, tau: int, k: int):
         return self.coeffs.get((tau, k), 0)
 
     @property
+    def omega_sq(self) -> LambdaSeries:
+        return LambdaSeries.from_coeffs(self.w.tolist())
+
+    @property
     def max_harmonic(self) -> int:
-        return max((t for (t, _) in self.coeffs), default=1)
+        return max(t for (t, _) in self.coeffs)
 
     def solved_set(self) -> set:
         """Keys (tau, k) whose balance equations this solution satisfies."""
@@ -160,27 +170,19 @@ def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
     spec.check_smallness(abs(a1))
 
     w0sq = spec.omega0**2
-    if spec.kind is Kind.HARMONIC:
-        return FourierSeries(
-            kind=spec.kind,
-            a1=a1,
-            coeffs={(1, 0): a1},
-            omega_sq=LambdaSeries.const(w0sq),
-            max_order=order,
-            extension_order=0,
-        )
-
     p = spec.kind.force_power
+    ext = 1 if p else 0  # the harmonic kind has no force term to balance
     tau_ext = _max_tau(spec.kind, order + 1)
-    width = p * tau_ext  # x^p never reaches past it
+    width = p * tau_ext or 1  # x^p never reaches past it
     dtype = _dtype((a1, w0sq))
-    x = _stack({(1, 0): a1}, order + 2, width, dtype)
+    x = np.zeros((order + 1 + ext, 2 * width + 1), dtype)
+    x[0, width + 1] = x[0, width - 1] = a1 / 2
     w = np.zeros(order + 1, dtype)  # omega^2 series
     w[0] = w0sq
     # harmonics balanced at lam^1 .. lam^order, and the next one up at lam^(order+1)
     balanced = [t for t in _harmonics(spec.kind, _max_tau(spec.kind, order)) if t != 1]
 
-    for k in range(1, order + 2):
+    for k in range(1, len(x) if p else 1):
         tau = np.array(balanced if k <= order else [tau_ext])
         divisor = w0sq * (1 - tau * tau)
         # lam*x^p contributes (x^p)_{k-1} at lam^k; only orders < k of x
@@ -195,60 +197,48 @@ def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
         # both sides of the stack; no float zero in an exact one
         x[k, width + tau] = x[k, width - tau] = np.where(value != 0, value, 0)
 
-    coeffs = _table(x, width)
-    coeffs[(1, 0)] = a1
-    return FourierSeries(
-        kind=spec.kind,
-        a1=a1,
-        coeffs=coeffs,
-        omega_sq=LambdaSeries.from_coeffs(w.tolist()),
-        max_order=order,
-        extension_order=1,
-    )
+    return FourierSeries(kind=spec.kind, a1=a1, x=x, w=w, max_order=order,
+                         extension_order=ext)
 
 
-def classical_residual(spec: OscillatorSpec, series: FourierSeries) -> CosTable:
-    """Coefficient of lam^k cos(tau*w*t) after substituting the series
-    into the equation of motion.  Zero on the solved set of keys.
+def classical_residual(spec: OscillatorSpec, series: FourierSeries) -> np.ndarray:
+    """Two-sided stack of the coefficients of lam^k cos(tau*w*t) after
+    substituting the series into the equation of motion, in the rows and
+    width of series.x.  Zero on the solved set of keys.
     """
     w0sq = spec.omega0**2
-    w = series.omega_sq.coeffs or (w0sq,)
     p = spec.kind.force_power
-    max_k = series.max_order + series.extension_order
-    top = max(series.max_harmonic, 1) + p  # highest harmonic reported
-    width = max(top, p * series.max_harmonic)
-    dtype = _dtype((w0sq, *w, *series.coeffs.values()))
-    x = _stack(series.coeffs, max_k + 1, width, dtype)
-
-    inertia = series_product(x, np.array(w, dtype)[:, None], max_k, np.multiply)
+    x = series.x
+    width = x.shape[1] // 2
+    inertia = series_product(x, series.w[:, None], len(x) - 1, np.multiply)
     tau = np.arange(-width, width + 1)
     r = w0sq * x - tau * tau * inertia
     if p:
-        r[1:] += _power(x, p, max_k - 1)
-    return {(t, k): c for (t, k), c in _table(r, width).items() if t <= top}
+        r[1:] += _power(x, p, len(x) - 2)
+    return r
 
 
 @dataclass(frozen=True)
 class ClassicalEnergy:
     """Trigonometrically reduced energy of a harmonic-balance solution.
 
-    constant is the cos(0) part as a lam series; periodic holds every
-    non-constant coefficient (all of which vanish for a solved series,
-    up to valid_order).  The three *_constant attributes split the
-    constant term by origin; anharmonic_constant is also the first-order
-    energy shift at fixed action.
+    constant is the cos(0) part as a lam series; periodic is the two-sided
+    stack of every non-constant term through valid_order, its tau = 0
+    column zeroed (all of it vanishes for a solved series).  The three
+    *_constant attributes split the constant term by origin;
+    anharmonic_constant is also the first-order energy shift at fixed
+    action.
     """
 
     constant: LambdaSeries
-    periodic: CosTable
+    periodic: np.ndarray
     kinetic_constant: LambdaSeries
     harmonic_constant: LambdaSeries
     anharmonic_constant: LambdaSeries
     valid_order: int
 
     def max_periodic(self):
-        vals = [abs(c) for (t, k), c in self.periodic.items() if k <= self.valid_order]
-        return max(vals, default=0)
+        return max(map(abs, cos_table(self.periodic).values()), default=0)
 
 
 def classical_energy(spec: OscillatorSpec, series: FourierSeries) -> ClassicalEnergy:
@@ -259,16 +249,18 @@ def classical_energy(spec: OscillatorSpec, series: FourierSeries) -> ClassicalEn
     """
     m = spec.m
     w0sq = spec.omega0**2
-    wsq = series.omega_sq.coeffs or (w0sq,)
     p = spec.kind.force_power
     valid = series.max_order
-    width = max(2, p + 1) * series.max_harmonic
-    dtype = _dtype((m, w0sq, *wsq, *series.coeffs.values()))
-    x = _stack(series.coeffs, valid + 1, width, dtype)
-    y = np.arange(-width, width + 1) * x  # xdot = i*w*Y
+    dtype = np.result_type(series.x, _dtype((m, w0sq)))
+    pad = series.x.shape[1] // 2 // max(p, 1)  # x^(p+1) reaches (p+1)/p of x^p's width
+    x = np.zeros((valid + 1, series.x.shape[1] + 2 * pad), dtype)
+    x[:, pad:-pad] = series.x[:valid + 1]
+    width = x.shape[1] // 2
+    tau = np.arange(-width, width + 1)
+    y = tau * x  # xdot = i*w*Y
 
     yy = series_product(y, y, valid, _convolve)
-    kin = m * -series_product(yy, np.array(wsq, dtype)[:, None], valid, np.multiply) / 2
+    kin = m * -series_product(yy, series.w[:, None], valid, np.multiply) / 2
     harm = m * w0sq * series_product(x, x, valid, _convolve) / 2
     anh = np.zeros_like(kin)
     if p:
@@ -280,7 +272,7 @@ def classical_energy(spec: OscillatorSpec, series: FourierSeries) -> ClassicalEn
 
     return ClassicalEnergy(
         constant=dc_series(total),
-        periodic={key: c for key, c in _table(total, width).items() if key[0] > 0},
+        periodic=np.where(tau == 0, 0, total),
         kinetic_constant=dc_series(kin),
         harmonic_constant=dc_series(harm),
         anharmonic_constant=dc_series(anh),

@@ -36,8 +36,9 @@ USAGE_ERROR = 2
 CHECK_ERROR = 1
 
 # Size caps, checked before any work.  The ladder's stacks are dense
-# (n_max+pad)^2 arrays: verify at n_max 512 takes about 2 s on one core
-# of a 2-core VM and peaks at 140 MiB.
+# (n_max+pad)^2 arrays: verify --lambda 0.001 at n_max 512, as a fresh
+# process on one BLAS thread of a 2-core Xeon VM, takes 0.64 s (x2) and
+# 0.73 s (x3) and peaks at 90 MiB.
 # The oracle's doubled basis at oracle-n 2048, where it is decomposed
 # (an unconverged basis), is a 4096^2 float64 matrix, 128 MiB.
 MAX_NMAX = 512

@@ -69,15 +69,6 @@ def apply_mutation(table: ld.TransitionTable, mutate: str) -> None:
         raise ValueError(f"unknown mutation {mutate!r} (expected one of {MUTATIONS})")
 
 
-def _by_order(coeffs: cl.CosTable, keys, orders: int) -> np.ndarray:
-    """Stack of coeffs[(tau, k)] in row k < orders, one column per key."""
-    out = np.zeros((orders, len(keys)))
-    for i, (tau, k) in enumerate(keys):
-        if k < orders:
-            out[k, i] = coeffs.get((tau, k), 0)
-    return out
-
-
 def _residual_groups(spec, table, report, tol):
     groups = {0: "eom_residual_dc", 1: "eom_residual_fundamental",
               2: "eom_residual_overtone2", 3: "eom_residual_overtone3",
@@ -162,13 +153,13 @@ def run_verification(
     # classical side, at the ladder's own amplitude scale
     a1 = spec.ladder_amplitude
     series = cl.solve_classical(spec, a1, order=order)
-    resid = _by_order(cl.classical_residual(spec, series), series.solved_set(), order + 2)
-    report.add("classical_residual", spec.scaled(resid, spec.omega0**2 * a1).max(), tol)
+    resid = spec.scaled(cl.cos_rows(cl.classical_residual(spec, series)), spec.omega0**2 * a1)
+    tau, k = np.array(list(series.solved_set())).T
+    report.add("classical_residual", resid[k, tau].max(), tol)
 
-    energy = cl.classical_energy(spec, series)
-    periodic = _by_order(energy.periodic, energy.periodic, energy.valid_order + 1)
+    periodic = cl.cos_rows(cl.classical_energy(spec, series).periodic)
     report.add("classical_energy_periodic",
-               spec.scaled(periodic, spec.m * spec.omega0**2 * a1 * a1).max(initial=0.0), tol)
+               spec.scaled(periodic, spec.m * spec.omega0**2 * a1 * a1).max(), tol)
 
     # oracle comparison; a check that an unconverged basis left nothing to
     # compare fails and names the coupling(s)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from matrixmech.classical import (
     SeriesOrderError,
     classical_energy,
     classical_residual,
+    cos_table,
     solve_classical,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec, SmallnessWarning
@@ -18,7 +20,7 @@ X3 = OscillatorSpec(m=1, omega0=1, lam=1e-3, kind=Kind.CUBIC_FORCE)
 
 
 def max_solved_residual(spec, series):
-    resid = classical_residual(spec, series)
+    resid = cos_table(classical_residual(spec, series))
     worst = 0.0
     for (tau, k) in series.solved_set():
         a1 = abs(series.a1)
@@ -58,14 +60,14 @@ X3_OMEGA_SQ = (1, F(3, 4), F(3, 128), F(-57, 4096), F(1005, 131072))
 def assert_exact_golden(spec, s, coeffs, omega_sq):
     assert s.coeffs == {key: c for key, c in coeffs.items() if key in s.solved_set()}
     assert s.omega_sq == LambdaSeries.from_coeffs(omega_sq[: s.max_order + 1])
-    resid = classical_residual(spec, s)
+    resid = cos_table(classical_residual(spec, s))
     assert all(resid.get(key, 0) == 0 for key in s.solved_set())
     e = classical_energy(spec, s)
     assert e.max_periodic() == 0
     # every value is an exact Fraction: a float would mean a leak such as
     # -m/2 with an integer m (omega_sq[0] is the spec's own omega0^2)
     values = [*s.coeffs.values(), *s.omega_sq.coeffs[1:], *resid.values(),
-              *e.periodic.values()]
+              *cos_table(e.periodic).values()]
     for series in (e.constant, e.kinetic_constant, e.harmonic_constant,
                    e.anharmonic_constant):
         values += series.coeffs
@@ -112,6 +114,14 @@ def test_harmonic_limit_is_pure_cosine():
     assert s.omega_sq.coeffs == (1.0,)
 
 
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("a1", [Fraction(1, 3), 0.7, 0.0])
+def test_fundamental_reads_back_a1(kind, a1):
+    # (1, 0) is a1 itself, with its type, also at zero amplitude
+    s = solve_classical(OscillatorSpec(kind=kind), a1, 2)
+    assert s.coeff(1, 0) == a1 and type(s.coeff(1, 0)) is type(a1)
+
+
 def test_coefficients_do_not_depend_on_lambda():
     weak = OscillatorSpec(lam=1e-6, kind=Kind.QUADRATIC_FORCE)
     strong = OscillatorSpec(lam=5e-2, kind=Kind.QUADRATIC_FORCE)
@@ -130,17 +140,17 @@ def test_structure_zeros():
 def test_residual_sensitivity_to_a2():
     s = solve_classical(X2, 1.0, 1)
     eps = 1e-4
-    tampered = dict(s.coeffs)
-    tampered[(2, 1)] += eps
-    bad = type(s)(kind=s.kind, a1=s.a1, coeffs=tampered, omega_sq=s.omega_sq,
-                  max_order=s.max_order, extension_order=s.extension_order)
-    r = classical_residual(X2, bad)
+    tampered = s.x.copy()
+    width = tampered.shape[1] // 2
+    tampered[1, [width - 2, width + 2]] += eps / 2  # the cos(2wt) coefficient at lam^1
+    r = cos_table(classical_residual(X2, dataclasses.replace(s, x=tampered)))
     assert math.isclose(r[(2, 1)], -3.0 * eps, rel_tol=1e-10)
 
 
 def test_residual_zero_for_harmonic_series():
-    s = solve_classical(OscillatorSpec(), 1.0, 1)
-    assert classical_residual(OscillatorSpec(), s) == {}
+    for order in range(3):
+        s = solve_classical(OscillatorSpec(), 1.0, order)
+        assert cos_table(classical_residual(OscillatorSpec(), s)) == {}
 
 
 @settings(max_examples=40, deadline=None)

@@ -88,11 +88,17 @@ def test_classical_golden(capsys):
     assert math.isclose(values[("coeff", "3", "2")], 1 / 48, rel_tol=1e-12)
 
 
-def test_classical_zero_coupling_single_row(capsys):
-    code, out, _ = run(capsys, "classical", "--kind", "harmonic", "--a1", "0.5")
+@pytest.mark.parametrize("kind", ["harmonic", "x2", "x3"])
+@pytest.mark.parametrize("a1", ["0.5", "0"])
+def test_classical_zero_coupling_single_row(capsys, a1, kind):
+    code, out, _ = run(capsys, "classical", "--kind", kind, "--a1", a1)
     assert code == 0
     coeff_rows = [l for l in out.splitlines() if l.startswith("coeff,")]
-    assert coeff_rows == ["coeff,1,0,0.5"]
+    # the fundamental reads back a1; nothing else is nonzero without a
+    # force term or at zero amplitude
+    assert f"coeff,1,0,{a1}" in coeff_rows
+    if kind == "harmonic" or a1 == "0":
+        assert coeff_rows == [f"coeff,1,0,{a1}"]
 
 
 def test_classical_x3_json_roundtrip(capsys):

@@ -296,7 +296,8 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         payload = {
             "passed": report.passed,
             "n_basis": report.n_basis,
-            "convergence_delta": jnum(report.convergence_delta),
+            "convergence_delta": jnum(report.convergence_delta
+                                      * (report.spec.hbar * report.spec.omega0)),
             "levels": [
                 {"lambda": jnum(r.lam), "n": r.n, "W_pert": jnum(r.perturbative),
                  "E_exact": jnum(r.exact), "residual": jnum(r.residual)}

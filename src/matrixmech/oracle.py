@@ -110,15 +110,19 @@ def _parity_blocks(spec: OscillatorSpec) -> Tuple[slice, ...]:
 
 # The basis-doubling check asks whether every tracked eigenvalue of the
 # doubled basis lies within eps*hbar*omega0 of its N-basis value, for eps
-# on this ladder.  Its top rung is the gate: a larger delta means the
-# N basis has not converged.
+# on this ladder.  Its top rung is the gate: a delta (in units of
+# hbar*omega0) above it means the N basis has not converged.
 CONVERGENCE_LADDER = (1e-13, 1e-12, 1e-11, 1e-10)
 CONVERGENCE_GATE = CONVERGENCE_LADDER[-1]
+# Largest |q - j| of a fitted residual exponent q from the first power j
+# that the table leaves out.
+EXPONENT_GATE = 0.2
 
 def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> float:
-    """Largest change of the tracked eigenvalues when the basis is doubled."""
+    """Largest change of the tracked eigenvalues when the basis is doubled,
+    in units of hbar*omega0."""
     doubled = diagonalize(build_hamiltonian(spec, 2 * n_basis), None).eigenvalues
-    return float(np.max(np.abs(tracked - doubled[: len(tracked)])))
+    return float(np.max(np.abs(tracked - doubled[: len(tracked)]))) / (spec.hbar * spec.omega0)
 
 
 def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -166,10 +170,11 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
 def _doubling_deltas(
     specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
 ) -> List[float]:
-    """Basis-doubling delta of each coupling's tracked eigenvalues.
+    """Basis-doubling delta of each coupling's tracked eigenvalues, in
+    units of hbar*omega0.
 
-    The delta is the smallest ladder rung eps*hbar*omega0 that inertia
-    counts of the doubled basis certify, an upper bound.  Tracked
+    The delta is the smallest ladder rung eps that inertia counts of the
+    doubled basis certify at eps*hbar*omega0, an upper bound.  Tracked
     eigenvalue i of H_2N lies within e of E_i exactly when
     H_2N - (E_i - e) has at most i negative pivots and H_2N - (E_i + e)
     at least i + 1.  H_2N comes from band storage, split into its parity
@@ -177,7 +182,7 @@ def _doubling_deltas(
     not certified, or where a pivot was zero or not finite, gets an
     eigvalsh of the doubled basis and the measured delta.
     """
-    eps = np.array(CONVERGENCE_LADDER) * (specs[0].hbar * specs[0].omega0)
+    eps = np.array(CONVERGENCE_LADDER) * (specs[0].hbar * specs[0].omega0)  # absolute
     levels = np.array(tracked)  # (C, k)
     below = levels[:, None, :] - eps[:, None]
     above = levels[:, None, :] + eps[:, None]
@@ -191,7 +196,7 @@ def _doubling_deltas(
     counts = counts.reshape(len(specs), 2, len(eps), -1)
     i = np.arange(levels.shape[1])
     certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)  # (C, rungs)
-    return [float(eps[np.argmax(ok)]) if good and ok[-1] else _measured_delta(s, n_basis, t)
+    return [CONVERGENCE_LADDER[np.argmax(ok)] if good and ok[-1] else _measured_delta(s, n_basis, t)
             for s, t, ok, good in zip(specs, tracked, certified, sound)]
 
 
@@ -317,8 +322,8 @@ class ComparisonReport:
     amplitudes: List[AmplitudeComparison] = field(default_factory=list)
     fit_constant: Dict[int, float] = field(default_factory=dict)
     fit_exponent: Dict[int, float] = field(default_factory=dict)
-    convergence_deltas: List[float] = field(default_factory=list)  # one per coupling
-    failures: List[str] = field(default_factory=list)
+    convergence_deltas: List[float] = field(default_factory=list)  # per coupling, in hbar*omega0
+    failures: List[str] = field(default_factory=list)  # each starts with its gate word
 
     @property
     def passed(self) -> bool:
@@ -326,19 +331,21 @@ class ComparisonReport:
 
     @property
     def convergence_delta(self) -> float:
-        """The largest doubling delta of the sweep."""
-        return max(self.convergence_deltas, default=0.0)
+        """The largest doubling delta of the sweep (NaN propagates)."""
+        return float(np.max(self.convergence_deltas, initial=0.0))
 
     @property
-    def convergence_gate(self) -> float:
-        return CONVERGENCE_GATE * self.spec.hbar * self.spec.omega0
+    def exponent_gap(self) -> float:
+        """Largest |q - j| over the fitted levels (NaN propagates); j when
+        none was fitted."""
+        gaps = [abs(q - self.neglected_order) for q in self.fit_exponent.values()]
+        return float(np.max(gaps)) if gaps else float(self.neglected_order)
 
     @property
     def unconverged(self) -> List[float]:
         """Couplings whose delta is not within the gate (NaN included)."""
-        gate = self.convergence_gate
         return [lam for lam, delta in zip(self.lambdas, self.convergence_deltas)
-                if not delta <= gate]
+                if not delta <= CONVERGENCE_GATE]
 
 
 def coupling_sweep(lam: float) -> List[float]:
@@ -364,22 +371,22 @@ def compare(
     the sweep one _doubling_deltas call checks every coupling's doubled
     basis, and convergence_deltas keeps one delta per coupling, so the
     hardest coupling is checked.
-    For each coupling, records |W_pert(n) - E_n| and fails a level beyond
-    the envelope 4*|lam^j E_j(n)| (floor 1e-10*hbar*omega0), with the
-    Rayleigh-Schroedinger shift read off that coupling's H.  j is the
-    first power the table leaves out, order + 1, raised to the next even
-    power when the potential is odd, since an odd potential shifts no
-    level at odd orders.  Across the couplings the residual is fit to
-    C*lam^q per level, and q should sit near j.  A delta above
-    CONVERGENCE_GATE*hbar*omega0 is a convergence failure, and that
-    coupling's level rows are still reported but add no level failure and
-    no point to the fit, since the basis, not the series, is what failed
-    there.
-    Amplitudes are compared at the base coupling, both against the
-    sum-rule form at the measured transition frequency, which fails a
-    relative error above 1.25*r^2 for the smallness ratio r there, and
-    against the table's amplitude series (rows kept, failures only if
-    that coupling is converged).  Failures are recorded, never silently dropped.
+
+    The verdict is report.failures, each led by the word of its gate:
+    - convergence: a doubling delta above CONVERGENCE_GATE.  That
+      coupling's level rows are kept but add no level failure and no fit
+      point: the basis, not the series, failed there.
+    - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
+      1e-10*hbar*omega0), the Rayleigh-Schroedinger shift read off that
+      coupling's H; or no coupling converged.  j is the first power the
+      table leaves out, order + 1, raised to the next even power when the
+      potential is odd, which shifts no level at odd orders.
+    - scaling: with two or more nonzero couplings, the residual is fit to
+      C*lam^q per level; exponent_gap above EXPONENT_GATE (or no fit).
+    - amplitude: at the base coupling, a relative error against the
+      sum-rule form at the measured frequency above 1.25*r^2 (r the
+      smallness ratio there), or that coupling unconverged.  The rows,
+      with the table's amplitude series, are kept either way.
     """
     if n_basis is None:
         n_basis = default_basis_size(n_track)
@@ -410,11 +417,12 @@ def compare(
         [r.spec for r in sweep], n_basis, [r.eigenvalues[:k] for r in sweep])
 
     unconverged = report.unconverged
+    hbw = spec.hbar * spec.omega0
     for r, delta, shift in zip(sweep, report.convergence_deltas, shifts):
         s, lam = r.spec, r.spec.lam
         if lam in unconverged:
             report.failures.append(f"convergence lam={lam:g}: doubling delta "
-                                   f"{delta:.3e} > {report.convergence_gate:.3e}")
+                                   f"{delta * hbw:.3e} > {CONVERGENCE_GATE * hbw:.3e}")
         for n in range(n_track + 1):
             row = LevelComparison(
                 lam=lam,
@@ -432,6 +440,9 @@ def compare(
                 report.failures.append(
                     f"level n={n} lam={lam:g}: |dW|={row.residual:.3e} > {tol:.3e}"
                 )
+    if len(unconverged) == len(lambdas):
+        report.failures.append(
+            "level: none compared, unconverged lam=" + ", ".join(f"{l:g}" for l in unconverged))
 
     # power-law fit of the residual per level (in |lam|)
     for n, pts in residuals.items():
@@ -442,6 +453,9 @@ def compare(
             slope, intercept = np.polyfit(xs, ys, 1)
             report.fit_exponent[n] = float(slope)
             report.fit_constant[n] = float(math.exp(intercept))
+    if sum(lam != 0 for lam in lambdas) >= 2 and not report.exponent_gap <= EXPONENT_GATE:
+        qs = sorted(round(q, 3) for q in report.fit_exponent.values())
+        report.failures.append(f"scaling: exponents {qs} not within {EXPONENT_GATE:g} of {j}")
 
     # amplitude comparison at the first nonzero coupling
     if base is not None and spec.kind is not Kind.HARMONIC:
@@ -449,6 +463,8 @@ def compare(
         # 1.25*r^2 in the smallness ratio r at base_lam (5*lam^2 for x3 and
         # 2.5*lam^2 for x2 in default units); OverflowError beyond r ~ 1e154
         amp_tol = 1.25 * s.smallness_ratio() ** 2
+        if base_lam in unconverged:
+            report.failures.append(f"amplitude: none compared, unconverged lam={base_lam:g}")
         for n in range(1, n_track + 1):
             omega_exact = float(evals[n] - evals[n - 1]) / s.hbar
             sum_rule = math.sqrt(n * s.planck_h / (math.pi * s.m * omega_exact))

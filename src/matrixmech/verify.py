@@ -39,10 +39,9 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name, measured, tolerance, detail="", passed=None):
+    def add(self, name, measured, tolerance, detail=""):
         measured, tolerance = float(measured), float(tolerance)
-        ok = (measured <= tolerance) if passed is None else passed
-        self.checks.append(CheckResult(name, ok, measured, tolerance, detail))
+        self.checks.append(CheckResult(name, measured <= tolerance, measured, tolerance, detail))
 
 
 def apply_mutation(table: ld.TransitionTable, mutate: str) -> None:
@@ -161,37 +160,20 @@ def run_verification(
     report.add("classical_energy_periodic",
                spec.scaled(periodic, spec.m * spec.omega0**2 * a1 * a1).max(), tol)
 
-    # oracle comparison; a check that an unconverged basis left nothing to
-    # compare fails and names the coupling(s)
-    sweep = orc.coupling_sweep(lam)
-    rep = orc.compare(spec, sweep, n_track=orc.tracked_levels(n_max),
+    # oracle comparison: compare decides every gate, and each row maps the
+    # failures of one gate word
+    rep = orc.compare(spec, orc.coupling_sweep(lam), n_track=orc.tracked_levels(n_max),
                       n_basis=oracle_n, table=table)
-    level_fails = [f for f in rep.failures if f.startswith("level")]
-    amp_fails = [f for f in rep.failures if f.startswith("amplitude")]
-    levels_compared = len(rep.unconverged) < len(sweep)
-    report.add("oracle_levels", float(len(level_fails)), 0.0,
-               detail="; ".join(level_fails) or (
-                   f"max residual within envelope, basis {rep.n_basis}" if levels_compared
-                   else "no level compared: unconverged lam="
-                   + ", ".join(f"{l:g}" for l in rep.unconverged)),
-               passed=levels_compared and not level_fails)
+    failed = {gate: [f for f in rep.failures if f.startswith(gate)]
+              for gate in ("level", "amplitude", "convergence")}
+    report.add("oracle_levels", len(failed["level"]), 0,
+               "; ".join(failed["level"]) or f"max residual within envelope, basis {rep.n_basis}")
     if spec.kind is not Kind.HARMONIC and lam != 0:
-        # the residual scales as the first power the table leaves out; no
-        # fit at all (fewer than two converged couplings) is no pass
-        worst = max((abs(q - rep.neglected_order) for q in rep.fit_exponent.values()),
-                    default=0.0)
-        report.add("oracle_scaling", worst, 0.2,
-                   detail=f"exponents {sorted(round(q, 3) for q in rep.fit_exponent.values())}",
-                   passed=bool(rep.fit_exponent) and worst <= 0.2)
-        amps_compared = rep.base_lam not in rep.unconverged
-        report.add("oracle_amplitudes", float(len(amp_fails)), 0.0,
-                   detail="; ".join(amp_fails) or (
-                       "within 1.25*r^2" if amps_compared
-                       else f"no amplitude compared: unconverged lam={rep.base_lam:g}"),
-                   passed=amps_compared and not amp_fails)
-    conv_fails = [f for f in rep.failures if f.startswith("convergence")]
-    report.add("oracle_convergence", spec.scaled([rep.convergence_delta], hb_w).max(),
-               orc.CONVERGENCE_GATE,
-               detail="; ".join(conv_fails), passed=not conv_fails)
+        report.add("oracle_scaling", rep.exponent_gap, orc.EXPONENT_GATE,
+                   f"exponents {sorted(round(q, 3) for q in rep.fit_exponent.values())}")
+        report.add("oracle_amplitudes", len(failed["amplitude"]), 0,
+                   "; ".join(failed["amplitude"]) or "within 1.25*r^2")
+    report.add("oracle_convergence", rep.convergence_delta, orc.CONVERGENCE_GATE,
+               "; ".join(failed["convergence"]))
 
     return report

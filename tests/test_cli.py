@@ -417,12 +417,51 @@ def test_verify_unconverged_sweep_compares_nothing(capsys):
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["oracle_levels"] == {
-        "name": "oracle_levels", "passed": False, "measured": 0.0, "tolerance": 0.0,
-        "detail": "no level compared: unconverged lam=0.15, 0.3, 0.6, 1.2"}
+        "name": "oracle_levels", "passed": False, "measured": 1.0, "tolerance": 0.0,
+        "detail": "level: none compared, unconverged lam=0.15, 0.3, 0.6, 1.2"}
     assert checks["oracle_amplitudes"] == {
-        "name": "oracle_amplitudes", "passed": False, "measured": 0.0, "tolerance": 0.0,
-        "detail": "no amplitude compared: unconverged lam=0.15"}
+        "name": "oracle_amplitudes", "passed": False, "measured": 1.0, "tolerance": 0.0,
+        "detail": "amplitude: none compared, unconverged lam=0.15"}
     assert not checks["oracle_convergence"]["passed"]
+
+
+# a coupling certified at the gate's rung, in units where hbar*omega0
+# rounds so that rung*(hbar*omega0) lies one ulp above gate*hbar*omega0
+UNITS_AT_GATE = ("--kind", "x2", "--m", "0.9425044931481068", "--omega0", "1.7694189082990701",
+                 "--h", "4.014574082206753", "--lambda", "0.02529056749899093", "--nmax", "1",
+                 "--oracle-n", "8")
+
+
+def test_coupling_certified_at_the_gate_is_converged_in_any_units(capsys):
+    code, out, _ = run(capsys, "verify", *UNITS_AT_GATE)
+    assert code == 0
+    assert "\noracle_convergence,PASS,1e-10,1e-10\n" in out
+    code, out, err = run(capsys, "oracle-compare", *UNITS_AT_GATE, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] and err == ""
+    assert payload["convergence_delta"] == 1.13055129564731e-10  # 1e-10*hbar*omega0
+
+
+@pytest.mark.parametrize("argv,verdict", [
+    # each case: oracle-compare's exit code and the reason verify gives
+    (("--kind", "x2", "--lambda", "1e-07", "--nmax", "6"), 1),  # exponent fit on round-off
+    (("--kind", "x3", "--lambda", "1e-08", "--nmax", "2"), 1),  # exponent fit on round-off
+    (("--kind", "x3", "--lambda", "5e-09", "--nmax", "6"), 1),  # exponent, amplitudes on round-off
+    (("--kind", "x3", "--lambda", "0.04", "--nmax", "6"), 1),  # fit bends: 4*lam is past R_MAX
+    (("--kind", "x2", "--lambda", "0.04", "--nmax", "10"), 1),  # 4*lam unconverged
+    (("--kind", "x2", "--lambda", "0.3", "--nmax", "10"), 1),  # nothing converged
+    (("--kind", "x2", "--lambda", "0.003", "--nmax", "10"), 0),  # benchmark-like
+    (UNITS_AT_GATE, 0),
+])
+def test_verify_and_oracle_compare_give_one_verdict(capsys, argv, verdict):
+    code, _, _ = run(capsys, "oracle-compare", *argv)
+    assert code == verdict
+    _, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert all(c["passed"] == (c["measured"] <= c["tolerance"]) for c in checks)
+    oracle = [c for c in checks if c["name"].startswith("oracle_")]
+    assert len(oracle) == 4
+    assert all(c["passed"] for c in oracle) == (verdict == 0)
 
 
 def test_oracle_compare_fails_unconverged_basis(capsys):

@@ -257,16 +257,47 @@ def test_unconverged_coupling_is_blamed_on_convergence():
 
 def test_unconverged_base_coupling_adds_no_amplitude_failure():
     # at lam 0.3 the whole sweep is unconverged, the base lam/2 = 0.15
-    # that gates the amplitudes included: their rows stay, their failures go
+    # that gates the amplitudes included: their rows stay, and no relative
+    # error fails; each gate says instead that it compared nothing
     spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
     with pytest.warns(UserWarning):
         rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.unconverged == coupling_sweep(spec.lam)
     assert rep.base_lam == 0.15
-    assert [f.split(":")[0] for f in rep.failures] == [
+    assert [f.split(":")[0] for f in rep.failures[:4]] == [
         f"convergence lam={l:g}" for l in coupling_sweep(spec.lam)]
+    assert rep.failures[4:] == ["level: none compared, unconverged lam=0.15, 0.3, 0.6, 1.2",
+                                "scaling: exponents [] not within 0.2 of 2",
+                                "amplitude: none compared, unconverged lam=0.15"]
+    assert not any(f.startswith("amplitude n=") for f in rep.failures)
     assert [a.n for a in rep.amplitudes] == [1, 2, 3, 4, 5]
     assert max(a.rel_error_exact for a in rep.amplitudes) > 5.0 * 0.15**2
+
+
+def _top_rung_only(bands, shifts):
+    """Inertia counts that certify every coupling at the top rung alone."""
+    c, s = shifts.shape
+    i = np.arange(s // (2 * len(CONVERGENCE_LADDER)))
+    counts = np.empty((c, 2, len(CONVERGENCE_LADDER), len(i)), int)
+    counts[:, 0] = i  # E_i - eps*hbar*omega0 lies above i eigenvalues
+    counts[:, 1] = i
+    counts[:, 1, -1] = i + 1  # and E_i + eps*hbar*omega0 above i + 1 at the top rung
+    return counts.reshape(c, s), np.ones(c, bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.floats(0.5, 2.0), omega0=st.floats(0.5, 2.0), planck_h=st.floats(1.0, 8.0))
+def test_top_rung_delta_is_converged_in_any_units(m, omega0, planck_h):
+    # the delta is held in units of hbar*omega0, so a coupling certified at
+    # the gate's own rung is converged whatever hbar*omega0 rounds to
+    spec = OscillatorSpec(m=m, omega0=omega0, planck_h=planck_h, lam=1e-3,
+                          kind=Kind.QUADRATIC_FORCE)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_negative_pivots", _top_rung_only)
+        rep = compare(spec, coupling_sweep(spec.lam), n_track=2, n_basis=16)
+    assert rep.convergence_deltas == [CONVERGENCE_LADDER[-1]] * 4
+    assert rep.unconverged == []
+    assert not [f for f in rep.failures if f.startswith("convergence")]
 
 
 def test_coupling_sweep():

@@ -125,6 +125,9 @@ def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> 
     return float(np.max(np.abs(tracked - doubled[: len(tracked)]))) / (spec.hbar * spec.omega0)
 
 
+_SWEEP_ROWS = 128  # rows of a block's band that _negative_pivots holds at once
+
+
 def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Inertia counts of banded symmetric matrices, by LDL^T without pivoting.
 
@@ -133,35 +136,39 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
     number of negative pivots of H_bc - shift, summed over the blocks,
     as an array (C, S), and a flag per coupling that every pivot was
     finite and nonzero.  By Sylvester's law of inertia the count is the
-    number of eigenvalues below the shift.  One sweep over the rows
-    serves every block, coupling and shift: the elimination window is
-    (w+1) x (w+1) with the batch as trailing axes, and each band row
-    broadcasts over the shifts of its coupling.
+    number of eigenvalues below the shift.  One sweep serves every block,
+    coupling and shift, the batch as trailing axes: _SWEEP_ROWS rows at a
+    time are eliminated in place, each on a strided (w+1) x (w+1) window of
+    the full band less the shifts, and a run's last w rows carry into the next.
     """
     n_blocks, n_couplings, width, n = bands.shape
     w = max(width - 1, 1)
-    # rows[j, t] = H[j, j - w + t], zero outside the matrix
-    rows = np.zeros((n + w, w + 1, n_blocks, n_couplings, 1))
+    # rows[j, w + t] = H[j, j + t], zero outside the matrix
+    rows = np.zeros((n + w, 2 * w + 1, n_blocks, n_couplings, 1))
     for d in range(width):
-        rows[d:n, w - d, :, :, 0] = np.moveaxis(bands[:, :, d, : n - d], -1, 0)
-    window = np.zeros((w + 1, w + 1, n_blocks, n_couplings, shifts.shape[1]))
-    spare = np.empty_like(window)
-    ratio = np.empty((w, 1) + window.shape[2:])
-    update = np.empty((w, w) + window.shape[2:])
-    pivots = np.empty((n,) + window.shape[2:])
-    for a in range(w):  # the leading w x w block of H - shift
-        window[a, :a] = window[:a, a] = rows[a, w - a : w]
-        np.subtract(rows[a, w], shifts, out=window[a, a])
+        rows[d:n, w - d] = rows[: n - d, w + d] = np.moveaxis(bands[:, :, d, : n - d, None], -2, 0)
+    m = min(n, _SWEEP_ROWS)
+    buf = np.empty((m + w, 2 * w + 1, n_blocks, n_couplings, shifts.shape[1]))
+    # window[j, r, c] = buf[j + r, w + c - r]: the rows j .. j + w being eliminated
+    window = np.lib.stride_tricks.as_strided(
+        buf[0, w], (m, w + 1, w + 1) + buf.shape[2:],
+        (buf.strides[0], buf.strides[0] - buf.strides[1]) + buf.strides[1:])
+    steps = list(zip(window[:, 1:, 0], window[:, 0, 0], window[:, 0, 1:], window[:, 1:, 1:]))
+    ratio = np.empty((w, 1) + buf.shape[2:])
+    update = np.empty((w, w) + buf.shape[2:])
+    pivots = np.empty((n,) + buf.shape[2:])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(n):  # append row j + w, eliminate row j
-            row = rows[j + w]
-            window[w, :w] = window[:w, w] = row[:w]
-            np.subtract(row[w], shifts, out=window[w, w])
-            pivots[j] = window[0, 0]
-            np.divide(window[1:, 0], window[0, 0], out=ratio[:, 0])
-            np.multiply(ratio, window[0, 1:], out=update)
-            np.subtract(window[1:, 1:], update, out=spare[:w, :w])
-            window, spare = spare, window
+        for j in range(0, n, m):
+            size = min(m, n - j)
+            fresh = w if j else 0  # after the first run the top w rows are carried
+            buf[:fresh] = buf[m : m + fresh]
+            buf[fresh : size + w] = rows[j + fresh : j + size + w]
+            np.subtract(rows[j + fresh : j + size + w, w], shifts, out=buf[fresh : size + w, w])
+            for col, pivot, row, rest in steps[:size]:
+                np.divide(col, pivot, out=ratio[:, 0])
+                np.multiply(ratio, row, out=update)
+                np.subtract(rest, update, out=rest)
+            pivots[j : j + size] = buf[:size, w]
     counts = np.count_nonzero(pivots < 0, axis=(0, 1))
     sound = np.all(np.isfinite(pivots) & (pivots != 0), axis=(0, 1, 3))
     return counts, sound
@@ -178,26 +185,33 @@ def _doubling_deltas(
     eigenvalue i of H_2N lies within e of E_i exactly when
     H_2N - (E_i - e) has at most i negative pivots and H_2N - (E_i + e)
     at least i + 1.  H_2N comes from band storage, split into its parity
-    blocks; no dense doubled matrix is built.  A coupling whose gate is
-    not certified, or where a pivot was zero or not finite, gets an
-    eigvalsh of the doubled basis and the measured delta.
+    blocks; no dense doubled matrix is built.  The lowest rung is swept
+    first; only the couplings it leaves uncertified sweep the others.  A
+    coupling whose gate is not certified, or where a swept pivot was zero
+    or not finite, gets an eigvalsh of the doubled basis and the measured delta.
     """
-    eps = np.array(CONVERGENCE_LADDER) * (specs[0].hbar * specs[0].omega0)  # absolute
     levels = np.array(tracked)  # (C, k)
-    below = levels[:, None, :] - eps[:, None]
-    above = levels[:, None, :] + eps[:, None]
+    i = np.arange(levels.shape[1])
     blocks = _parity_blocks(specs[0])
     bands = np.array([
         [band[:: len(blocks), b] for b in blocks]  # a parity block's band: every other diagonal
         for band in (_hamiltonian_band(s, 2 * n_basis) for s in specs)
     ]).swapaxes(0, 1)
-    shifts = np.concatenate([below, above], axis=1).reshape(len(specs), -1)
-    counts, sound = _negative_pivots(bands, shifts)
-    counts = counts.reshape(len(specs), 2, len(eps), -1)
-    i = np.arange(levels.shape[1])
-    certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)  # (C, rungs)
-    return [CONVERGENCE_LADDER[np.argmax(ok)] if good and ok[-1] else _measured_delta(s, n_basis, t)
-            for s, t, ok, good in zip(specs, tracked, certified, sound)]
+    deltas: List[Optional[float]] = [None] * len(specs)  # None: measured
+    asked = np.arange(len(specs))
+    for rungs in (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:]):
+        if not len(asked):
+            break
+        eps = np.array(rungs)[:, None] * (specs[0].hbar * specs[0].omega0)  # absolute
+        shifts = np.concatenate([levels[asked, None] - eps, levels[asked, None] + eps], axis=1)
+        counts, sound = _negative_pivots(bands[:, asked], shifts.reshape(len(asked), -1))
+        counts = counts.reshape(len(asked), 2, len(rungs), -1)
+        certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)  # (asked, rungs)
+        for c, ok in zip(asked[sound & certified[:, -1]], certified[sound & certified[:, -1]]):
+            deltas[c] = rungs[np.argmax(ok)]
+        asked = asked[sound & ~certified[:, -1]]
+    return [_measured_delta(s, n_basis, t) if d is None else d
+            for s, t, d in zip(specs, tracked, deltas)]
 
 
 def diagonalize(ham: TruncatedHamiltonian, n_track: Optional[int]) -> OracleResult:

@@ -274,15 +274,20 @@ def test_unconverged_base_coupling_adds_no_amplitude_failure():
     assert max(a.rel_error_exact for a in rep.amplitudes) > 5.0 * 0.15**2
 
 
-def _top_rung_only(bands, shifts):
-    """Inertia counts that certify every coupling at the top rung alone."""
-    c, s = shifts.shape
-    i = np.arange(s // (2 * len(CONVERGENCE_LADDER)))
-    counts = np.empty((c, 2, len(CONVERGENCE_LADDER), len(i)), int)
-    counts[:, 0] = i  # E_i - eps*hbar*omega0 lies above i eigenvalues
-    counts[:, 1] = i
-    counts[:, 1, -1] = i + 1  # and E_i + eps*hbar*omega0 above i + 1 at the top rung
-    return counts.reshape(c, s), np.ones(c, bool)
+def _top_rung_only(hbw, k):
+    """Inertia counts that certify every coupling at the top rung alone.
+
+    The rungs asked about are read off the shifts: E_i -+ eps*hbw for each
+    rung eps, laid out (C, 2, rungs, k)."""
+    def counts(bands, shifts):
+        below, above = shifts.reshape(len(shifts), 2, -1, k).swapaxes(0, 1)
+        top = np.isclose(above - below, 2 * CONVERGENCE_LADDER[-1] * hbw, rtol=1e-3, atol=0)
+        i = np.arange(k)
+        # E_i - eps*hbw lies above i eigenvalues, and E_i + eps*hbw above
+        # i + 1 at the top rung only
+        c = np.stack([np.broadcast_to(i, below.shape), i + top], axis=1)
+        return c.reshape(shifts.shape), np.ones(len(shifts), bool)
+    return counts
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,7 +298,7 @@ def test_top_rung_delta_is_converged_in_any_units(m, omega0, planck_h):
     spec = OscillatorSpec(m=m, omega0=omega0, planck_h=planck_h, lam=1e-3,
                           kind=Kind.QUADRATIC_FORCE)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_negative_pivots", _top_rung_only)
+        mp.setattr(oracle, "_negative_pivots", _top_rung_only(spec.hbar * spec.omega0, 3))
         rep = compare(spec, coupling_sweep(spec.lam), n_track=2, n_basis=16)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[-1]] * 4
     assert rep.unconverged == []
@@ -505,6 +510,38 @@ def test_inertia_counts_batch_blocks_and_couplings():
         assert counts[c].tolist() == [int(np.sum(evals[c] < s)) for s in shifts[c]]
 
 
+# sizes that span several of the sweep's blocks: an exact multiple of the
+# block, one row more, and x2's largest doubled basis in the benchmark
+BLOCK = oracle._SWEEP_ROWS
+
+
+@pytest.mark.parametrize("kind,n,split", [
+    (Kind.QUADRATIC_FORCE, 2 * BLOCK, False),
+    (Kind.QUADRATIC_FORCE, 2 * BLOCK + 1, False),
+    (Kind.QUADRATIC_FORCE, 768, False),
+    (Kind.CUBIC_FORCE, 4 * BLOCK, True),  # two parity blocks of 2 * BLOCK rows
+    (Kind.CUBIC_FORCE, 4 * BLOCK + 2, True),
+    (Kind.CUBIC_FORCE, 768, True),
+    (Kind.HARMONIC, 2 * BLOCK + 1, False),  # a diagonal band, width 1
+    (Kind.HARMONIC, 4 * BLOCK + 2, True),
+])
+def test_inertia_counts_across_sweep_blocks(kind, n, split):
+    spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
+    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
+    scale = np.max(np.abs(evals))
+    gaps = np.concatenate([[evals[0] - scale], evals, [evals[-1] + scale]])
+    # just below and above eigenvalue i - 1: the tracked levels, then a
+    # spread up to the highest, where the rows past the first block weigh most
+    i = np.array([i for i in sorted({*range(1, 8), *range(8, n, n // 32), n})
+                  if min(gaps[i] - gaps[i - 1], gaps[i + 1] - gaps[i]) > 1e-6 * scale])
+    shifts = np.concatenate([gaps[i] - 1e-4 * (gaps[i] - gaps[i - 1]),
+                             gaps[i] + 1e-4 * (gaps[i + 1] - gaps[i])])
+    bands = _block_bands(spec, n) if split else _hamiltonian_band(spec, n)[None, None]
+    counts, sound = _negative_pivots(bands, shifts[None])
+    assert sound.tolist() == [True]
+    assert counts[0].tolist() == [int(np.sum(evals < s)) for s in shifts]
+
+
 def test_zero_pivot_is_not_sound():
     # x^3 has no diagonal, so H(0,0) - 0.5 is exactly zero
     counts, sound = _negative_pivots(_hamiltonian_band(X2, 16)[None, None],
@@ -544,6 +581,56 @@ def test_unsound_pivots_fall_back_to_eigvalsh(monkeypatch):
                                                np.zeros(len(shifts), bool)))
     deltas = _doubling_deltas(specs, 80, tracked)
     assert deltas == [_measured_delta(s, 80, t) for s, t in zip(specs, tracked)]
+
+
+def _all_rungs_deltas(specs, n_basis, tracked):
+    """The delta rule over every rung at once: one _negative_pivots call
+    with all four rungs' shifts, then the smallest certified rung, or the
+    measured delta where the gate is not certified or a pivot unsound."""
+    eps = np.array(CONVERGENCE_LADDER)[:, None] * (specs[0].hbar * specs[0].omega0)
+    levels = np.array(tracked)[:, None]
+    shifts = np.concatenate([levels - eps, levels + eps], axis=1).reshape(len(specs), -1)
+    bands = np.concatenate([_block_bands(s, 2 * n_basis) for s in specs], axis=1)
+    counts, sound = _negative_pivots(bands, shifts)
+    counts = counts.reshape(len(specs), 2, len(eps), -1)
+    i = np.arange(len(tracked[0]))
+    certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)
+    return [CONVERGENCE_LADDER[np.argmax(ok)] if good and ok[-1] else _measured_delta(s, n_basis, t)
+            for s, t, ok, good in zip(specs, tracked, certified, sound)]
+
+
+@pytest.mark.parametrize("kind,lam,n_basis", [
+    (Kind.QUADRATIC_FORCE, 3e-3, 256),  # the benchmark's sizes
+    (Kind.QUADRATIC_FORCE, 3e-3, 384),
+    (Kind.CUBIC_FORCE, 1.5e-4, 256),
+    (Kind.CUBIC_FORCE, 1.5e-4, 384),
+    (Kind.QUADRATIC_FORCE, 3e-3, None),  # verify's default basis
+    (Kind.CUBIC_FORCE, 3e-3, None),
+    (Kind.HARMONIC, 0.0, None),
+    (Kind.QUADRATIC_FORCE, 0.015, 256),  # unconverged at 4*lam
+    (Kind.QUADRATIC_FORCE, 0.04, None),
+    (Kind.QUADRATIC_FORCE, 0.3, None),  # unconverged everywhere
+    (Kind.CUBIC_FORCE, 0.3, 96),
+    (Kind.CUBIC_FORCE, 0.3, 150),  # certified at 1e-12 at 4*lam, by the second sweep
+])
+def test_lowest_rung_first_keeps_the_delta_rule(kind, lam, n_basis):
+    n_basis = n_basis or default_basis_size(5)
+    specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
+    assert _doubling_deltas(specs, n_basis, tracked) == _all_rungs_deltas(specs, n_basis, tracked)
+
+
+def test_converged_sweep_sweeps_once_at_the_lowest_rung(monkeypatch):
+    calls = []
+    real = oracle._negative_pivots
+
+    def spy(bands, shifts):
+        calls.append((bands.shape[1], shifts.shape))
+        return real(bands, shifts)
+
+    monkeypatch.setattr(oracle, "_negative_pivots", spy)
+    rep = compare(X2, coupling_sweep(1e-3), n_track=5, n_basis=64)
+    assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
+    assert calls == [(4, (4, 2 * 6))]  # E_i -+ 1e-13*hbar*omega0 for the six tracked levels
 
 
 def test_unconverged_coupling_reports_measured_delta():

@@ -39,8 +39,12 @@ CHECK_ERROR = 1
 # (n_max+pad)^2 arrays: verify --lambda 0.001 at n_max 512, as a fresh
 # process on one BLAS thread of a 2-core Xeon VM, takes 0.64 s (x2) and
 # 0.73 s (x3) and peaks at 90 MiB.
-# The oracle's doubled basis at oracle-n 2048, where it is decomposed
-# (an unconverged basis), is a 4096^2 float64 matrix, 128 MiB.
+# The oracle at oracle-n 2048, as a fresh process on the same machine:
+# oracle-compare --kind x2 --lambda 0.002 --nmax 5, every coupling on the
+# banded route, takes 0.30 s and peaks at 36 MiB (x3: 0.28 s, 36 MiB).
+# At --lambda 0.01 the larger couplings are unconverged there and fall
+# back to dense 2048^2 eigensolves and an eigvalsh of the doubled basis, a
+# 4096^2 float64 matrix of 128 MiB: 17 s and 294 MiB.
 MAX_NMAX = 512
 MAX_ORACLE_N = 2048
 

@@ -2,8 +2,10 @@
 
 Everything here deliberately bypasses the series machinery.  The position
 operator is built from ladder matrices with scale sqrt(hbar/(2 m omega0)),
-the Hamiltonian is diagonalized densely, and the resulting eigenvalues and
-position matrix elements are compared against the perturbative table.
+the Hamiltonian is held in band storage and its lowest eigenpairs are found
+densely below RITZ_MIN_BASIS states and by a banded Rayleigh-Ritz solve from
+there up, and the resulting eigenvalues and position matrix elements are
+compared against the perturbative table.
 
 The x2 kind's cubic potential makes the true spectrum metastable
 (unbounded below); at the couplings treated here the truncated spectrum is
@@ -50,51 +52,71 @@ def _x_offdiagonal(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
     return scale * np.sqrt(np.arange(1, n_basis))
 
 
-def _hamiltonian_band(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
-    """Lower band of H: band[d, i] = <i + d| H |i> for d = 0 .. q.
+def _hamiltonian_bands(specs: Sequence[OscillatorSpec], n_basis: int) -> List[np.ndarray]:
+    """Lower band of H for each coupling: band[d, i] = <i + d| H |i> for d = 0 .. q.
 
+    The couplings share m, omega0, h and kind; only lam differs.
     Kinetic plus harmonic potential are diagonal, (n + 1/2)*hbar*omega0;
     the anharmonic potential is m*lam*x^3/3 (x2 kind) or m*lam*x^4/4
     (x3 kind), banded with coupling width q = 3 or 4 (q = 0 for the
-    harmonic kind).  Its diagonals come from applying the tridiagonal x
-    q times in band storage, O(q^2 N).  Entries past the basis are zero.
+    harmonic kind).  The diagonals of x^q come from applying the
+    tridiagonal x q times in band storage, O(q^2 N), once for every
+    coupling; each coupling scales them by m*lam/q.  H_N holds (x_N)^q, so
+    its last q rows are not those of a larger basis.  Entries past the
+    basis are zero.
     """
+    if n_basis < 8:
+        raise OracleError("basis size must be at least 8")
+    spec = specs[0]
     n = np.arange(n_basis)
     diag = (n + 0.5) * spec.hbar * spec.omega0
     q = spec.kind.force_power + 1
     if q == 1:
-        return diag[None, :]
+        return [diag[None, :] for _ in specs]
     off = _x_offdiagonal(spec, n_basis)
-    band = np.zeros((2 * q + 1, n_basis))  # band[q + d, i] = <i + d| M |i>
+    band = np.zeros((2 * q + 1, n_basis))  # band[q + d, i] = <i + d| x^j |i>
     band[q] = 1.0
-    for _ in range(q):  # M <- M x
+    for _ in range(q):  # x^j <- x^j x
         new = np.zeros_like(band)
         new[:-1, 1:] = off * band[1:, :-1]
         new[1:, :-1] += off * band[:-1, 1:]
         band = new
-    lower = band[q:] * (spec.m * spec.lam / q)
-    lower[0] += diag
-    for d in range(1, q + 1):
-        lower[d, n_basis - d :] = 0.0
-    return lower
+    out = []
+    for s in specs:
+        lower = band[q:] * (s.m * s.lam / q)
+        lower[0] += diag
+        for d in range(1, q + 1):
+            lower[d, n_basis - d :] = 0.0
+        out.append(lower)
+    return out
 
 
-def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> TruncatedHamiltonian:
+def _corner(band: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """H[:rows, :cols], dense, from its lower band; leading axes are a batch.
+
+    Each lower diagonal is scattered below the main one and copied above
+    it, so a square corner is exactly symmetric.
+    """
+    h = np.zeros(band.shape[:-2] + (rows, cols))
+    for d in range(band.shape[-2]):
+        i = np.arange(max(min(rows - d, cols), 0))
+        h[..., i + d, i] = band[..., d, i]
+        i = np.arange(max(min(rows, cols - d), 0))
+        h[..., i, i + d] = band[..., d, i]
+    return h
+
+
+def build_hamiltonian(
+    spec: OscillatorSpec, n_basis: int, band: Optional[np.ndarray] = None
+) -> TruncatedHamiltonian:
     """H in the harmonic number basis of frequency omega0, dense.
 
-    Built from _hamiltonian_band in O(N): each lower diagonal is
-    scattered into the matrix and copied to the upper one, so the matrix
-    returned is exactly symmetric.
+    Built in O(N) from its lower band (_hamiltonian_bands, or the one the
+    caller already holds), exactly symmetric.
     """
-    if n_basis < 8:
-        raise OracleError("basis size must be at least 8")
-    band = _hamiltonian_band(spec, n_basis)
-    h = np.zeros((n_basis, n_basis))
-    for d in range(len(band)):
-        i = np.arange(n_basis - d)
-        h[i + d, i] = band[d, : n_basis - d]
-        h[i, i + d] = h[i + d, i]
-    return TruncatedHamiltonian(spec=spec, n_basis=n_basis, matrix=h)
+    if band is None:
+        band = _hamiltonian_bands([spec], n_basis)[0]
+    return TruncatedHamiltonian(spec=spec, n_basis=n_basis, matrix=_corner(band, n_basis, n_basis))
 
 
 # An even potential (x^4, or none) couples only states of equal parity.
@@ -125,24 +147,25 @@ def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> 
     return float(np.max(np.abs(tracked - doubled[: len(tracked)]))) / (spec.hbar * spec.omega0)
 
 
-_SWEEP_ROWS = 128  # rows of a block's band that _negative_pivots holds at once
+_SWEEP_ROWS = 128  # rows of a block's band that _pivots holds at once
 
 
-def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Inertia counts of banded symmetric matrices, by LDL^T without pivoting.
+def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Pivots of banded symmetric matrices less shifts, by LDL^T without pivoting.
 
     bands[b, c, d, i] = <i + d| H_bc |i> is the lower band of block b at
     coupling c; shifts[c, s] are that coupling's shifts.  Returns the
-    number of negative pivots of H_bc - shift, summed over the blocks,
-    as an array (C, S), and a flag per coupling that every pivot was
-    finite and nonzero.  By Sylvester's law of inertia the count is the
-    number of eigenvalues below the shift.  One sweep serves every block,
-    coupling and shift, the batch as trailing axes: _SWEEP_ROWS rows at a
-    time are eliminated in place, each on a strided (w+1) x (w+1) window of
-    the full band less the shifts, and a run's last w rows carry into the next.
+    pivots of H_bc - shift as an array (N, B, C, S).  One sweep serves
+    every block, coupling and shift, the batch as trailing axes:
+    _SWEEP_ROWS rows at a time are eliminated in place, each on a strided
+    (w+1) x (w+1) window of the full band less the shifts, and a run's
+    last w rows carry into the next.  A diagonal band (w = 0) has nothing
+    to eliminate: its pivots are the diagonal less the shift.
     """
     n_blocks, n_couplings, width, n = bands.shape
-    w = max(width - 1, 1)
+    if width == 1:
+        return np.moveaxis(bands[:, :, 0], -1, 0)[..., None] - shifts
+    w = width - 1
     # rows[j, w + t] = H[j, j + t], zero outside the matrix
     rows = np.zeros((n + w, 2 * w + 1, n_blocks, n_couplings, 1))
     for d in range(width):
@@ -169,35 +192,47 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
                 np.multiply(ratio, row, out=update)
                 np.subtract(rest, update, out=rest)
             pivots[j : j + size] = buf[:size, w]
+    return pivots
+
+
+def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inertia counts of banded symmetric matrices (see _pivots).
+
+    Returns the number of negative pivots of H_bc - shift, summed over
+    the blocks, as an array (C, S), and a flag per coupling that every
+    pivot was finite and nonzero.  By Sylvester's law of inertia the
+    count is the number of eigenvalues below the shift.
+    """
+    pivots = _pivots(bands, shifts)
     counts = np.count_nonzero(pivots < 0, axis=(0, 1))
     sound = np.all(np.isfinite(pivots) & (pivots != 0), axis=(0, 1, 3))
     return counts, sound
 
 
-def _doubling_deltas(
+def _counted_deltas(
     specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
-) -> List[float]:
-    """Basis-doubling delta of each coupling's tracked eigenvalues, in
-    units of hbar*omega0.
+) -> List[Optional[float]]:
+    """Basis-doubling delta of each coupling's tracked eigenvalues that
+    inertia counts of the doubled basis certify, in units of hbar*omega0;
+    None where they certify no rung up to the gate.
 
-    The delta is the smallest ladder rung eps that inertia counts of the
-    doubled basis certify at eps*hbar*omega0, an upper bound.  Tracked
-    eigenvalue i of H_2N lies within e of E_i exactly when
-    H_2N - (E_i - e) has at most i negative pivots and H_2N - (E_i + e)
-    at least i + 1.  H_2N comes from band storage, split into its parity
-    blocks; no dense doubled matrix is built.  The lowest rung is swept
-    first; only the couplings it leaves uncertified sweep the others.  A
-    coupling whose gate is not certified, or where a swept pivot was zero
-    or not finite, gets an eigvalsh of the doubled basis and the measured delta.
+    The delta is the smallest ladder rung eps certified at
+    eps*hbar*omega0, an upper bound.  Tracked eigenvalue i of H_2N lies
+    within e of E_i exactly when H_2N - (E_i - e) has at most i negative
+    pivots and H_2N - (E_i + e) at least i + 1.  H_2N comes from band
+    storage, split into its parity blocks; no dense doubled matrix is
+    built.  The lowest rung is swept first; only the couplings it leaves
+    uncertified sweep the others.  A coupling whose gate is not
+    certified, or where a swept pivot was zero or not finite, gets None.
     """
     levels = np.array(tracked)  # (C, k)
     i = np.arange(levels.shape[1])
     blocks = _parity_blocks(specs[0])
     bands = np.array([
         [band[:: len(blocks), b] for b in blocks]  # a parity block's band: every other diagonal
-        for band in (_hamiltonian_band(s, 2 * n_basis) for s in specs)
+        for band in _hamiltonian_bands(specs, 2 * n_basis)
     ]).swapaxes(0, 1)
-    deltas: List[Optional[float]] = [None] * len(specs)  # None: measured
+    deltas: List[Optional[float]] = [None] * len(specs)
     asked = np.arange(len(specs))
     for rungs in (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:]):
         if not len(asked):
@@ -210,62 +245,160 @@ def _doubling_deltas(
         for c, ok in zip(asked[sound & certified[:, -1]], certified[sound & certified[:, -1]]):
             deltas[c] = rungs[np.argmax(ok)]
         asked = asked[sound & ~certified[:, -1]]
+    return deltas
+
+
+def _doubling_deltas(
+    specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
+) -> List[float]:
+    """Basis-doubling delta of each coupling's tracked eigenvalues, in
+    units of hbar*omega0: the counted one (_counted_deltas), or, where
+    the counts certify none, an eigvalsh of the doubled basis and the
+    measured delta."""
     return [_measured_delta(s, n_basis, t) if d is None else d
-            for s, t, d in zip(specs, tracked, deltas)]
+            for s, t, d in zip(specs, tracked, _counted_deltas(specs, n_basis, tracked))]
 
 
-def diagonalize(ham: TruncatedHamiltonian, n_track: Optional[int]) -> OracleResult:
-    """Ascending eigenvalues of H, with eigenvectors of the tracked states.
+def _merge(
+    spec: OscillatorSpec, n_basis: int, parts: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
+    n_track: Optional[int],
+) -> OracleResult:
+    """One OracleResult from each parity block's ascending eigenvalues and
+    (n_track not None) the vectors of its lowest states, held in the
+    block's leading rows.
 
-    The oracle's one eigensolve.  An even potential (x3 kind, harmonic)
-    makes H block diagonal in parity, so its even and odd blocks are
-    decomposed separately and the spectra merged by a stable sort, which
-    keeps the even state first on a tie; x^3 couples both parities, one
-    block.  With n_track None no state is tracked and every block gets
-    eigvalsh.  Otherwise every block gets eigh, and the vectors of the
-    k = n_track+1 lowest states are scattered into their parity rows as
-    the columns of an N x k array; x_elements is |V_k^T (x V_k)|, with
-    x V_k formed from the two off-diagonals of x in O(N k).
-    Deterministic for fixed input.
+    The spectra are merged by a stable sort, which keeps the even state
+    first on a tie.  The vectors of the k = n_track+1 lowest states are
+    scattered into their parity rows as the columns of an N x k array;
+    x_elements is |V_k^T (x V_k)|, with x V_k formed from the two
+    off-diagonals of x in O(N k).
     """
-    h = ham.matrix  # h[b, b] is a view: no block is copied before LAPACK
-    blocks = _parity_blocks(ham.spec)
-    try:  # (eigenvalues, eigenvectors or None) per block
-        parts = [np.linalg.eigh(h[b, b]) if n_track is not None
-                 else (np.linalg.eigvalsh(h[b, b]), None) for b in blocks]
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"eigensolver did not converge: {exc}") from exc
-    for w, _ in parts:  # LAPACK returns them ascending
-        if not np.all(np.diff(w) >= -1e-9 * max(1.0, abs(w[-1]))):
-            raise OracleError("eigenvalues not sorted; decomposition failed")
     evals = np.concatenate([w for w, _ in parts])
     order = np.argsort(evals, kind="stable")
     if n_track is None:  # most calls; the vector work would add about 25 us to each
-        return OracleResult(spec=ham.spec, n_basis=ham.n_basis, eigenvalues=evals[order],
-                            eigenvectors=np.zeros((ham.n_basis, 0)),
+        return OracleResult(spec=spec, n_basis=n_basis, eigenvalues=evals[order],
+                            eigenvectors=np.zeros((n_basis, 0)),
                             x_elements=np.zeros((0, 0)), n_track=None)
 
-    k = min(n_track + 1, ham.n_basis)
-    vk = np.zeros((ham.n_basis, k), order="F")
+    k = min(n_track + 1, n_basis)
+    vk = np.zeros((n_basis, k), order="F")
     start = 0
-    for b, (w, v) in zip(blocks, parts):
+    for b, (w, v) in zip(_parity_blocks(spec), parts):
         cols = order[:k] - start
         mine = (cols >= 0) & (cols < len(w))
-        vk[b, mine] = v[:, cols[mine]]
+        vk[b][: len(v), mine] = v[:, cols[mine]]
         start += len(w)
-    off = _x_offdiagonal(ham.spec, ham.n_basis)[:, None]
+    off = _x_offdiagonal(spec, n_basis)[:, None]
     xv = np.zeros_like(vk)
     xv[:-1] = off * vk[1:]
     xv[1:] += off * vk[:-1]
 
     return OracleResult(
-        spec=ham.spec,
-        n_basis=ham.n_basis,
+        spec=spec,
+        n_basis=n_basis,
         eigenvalues=evals[order],
         eigenvectors=vk,
         x_elements=np.abs(vk.T @ xv),
         n_track=n_track,
     )
+
+
+def diagonalize(ham: TruncatedHamiltonian, n_track: Optional[int]) -> OracleResult:
+    """Ascending eigenvalues of H, with eigenvectors of the tracked states.
+
+    The oracle's one dense eigensolve.  An even potential (x3 kind,
+    harmonic) makes H block diagonal in parity, so its even and odd blocks
+    are decomposed separately and merged (_merge); x^3 couples both
+    parities, one block.  With n_track None no state is tracked and every
+    block gets eigvalsh.  Otherwise every block gets eigh, and the k =
+    n_track+1 lowest states keep their vectors and x_elements.
+    Deterministic for fixed input.
+    """
+    h = ham.matrix  # h[b, b] is a view: no block is copied before LAPACK
+    try:  # (eigenvalues, eigenvectors or None) per block
+        parts = [np.linalg.eigh(h[b, b]) if n_track is not None
+                 else (np.linalg.eigvalsh(h[b, b]), None) for b in _parity_blocks(ham.spec)]
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"eigensolver did not converge: {exc}") from exc
+    for w, _ in parts:  # LAPACK returns them ascending
+        if not np.all(np.diff(w) >= -1e-9 * max(1.0, abs(w[-1]))):
+            raise OracleError("eigenvalues not sorted; decomposition failed")
+    return _merge(ham.spec, ham.n_basis, parts, n_track)
+
+
+# The banded route: from RITZ_MIN_BASIS rows up, compare finds the tracked
+# eigenpairs by Rayleigh-Ritz on the leading RITZ_ROWS rows of each parity
+# block, certified by the doubling counts; below it, and for any coupling
+# that route leaves unconverged or uncertified, by diagonalize.
+RITZ_MIN_BASIS = 128
+RITZ_ROWS = (32, 64, 128)
+RITZ_TOL = 1e-13  # largest Ritz residual norm, in hbar*omega0
+
+
+RitzPairs = Tuple[np.ndarray, np.ndarray]  # (theta, y) of one block
+
+
+def _ritz_pairs(bands: Sequence[np.ndarray], k: int, unit: float) -> List[Optional[RitzPairs]]:
+    """The k lowest Ritz pairs of banded symmetric blocks, or None where unconverged.
+
+    bands[p] is block p's lower band, (w+1, n_p), w the same for every
+    block.  Block Davidson from the unit vectors e_0 .. e_{k-1} with the
+    diagonal preconditioner (diag - theta)^-1 searches exactly the span of
+    the leading unit vectors, w more per step, because the preconditioner
+    keeps each residual's support.  So the solve takes that span directly:
+    the eigenpairs (theta, y) of the leading m x m block H_m, every block
+    at once by one batched eigh, for m in RITZ_ROWS up to n_p/2 (where
+    that eigh costs an eighth of the whole block's).  The residual of the
+    Ritz pair in the whole block is (H_m y - theta y, B y) with B the w
+    rows below H_m, so a block is converged at the first m where
+    |B y| <= RITZ_TOL*unit for each of its k pairs; it stops unconverged
+    when no m is left.  Each theta is an upper bound on the block's
+    eigenvalue (Cauchy interlacing).  Returns (theta, y) per block, y
+    with m rows.
+    """
+    found: List[Optional[RitzPairs]] = [None] * len(bands)
+    todo = list(range(len(bands)))
+    for m in RITZ_ROWS:
+        todo = [p for p in todo if k < m <= bands[p].shape[1] // 2]
+        if not todo:
+            break
+        w = bands[todo[0]].shape[0] - 1
+        h = _corner(np.array([bands[p][:, :m] for p in todo]), m + w, m)
+        try:
+            theta, y = np.linalg.eigh(h[:, :m])
+        except np.linalg.LinAlgError:
+            break
+        theta, y = theta[:, :k], y[:, :, :k]
+        r = np.einsum("pri,pij->prj", h[:, m:], y)
+        done = np.all(np.einsum("prj,prj->pj", r, r) <= (RITZ_TOL * unit) ** 2, axis=1)
+        for p, t, v in zip(np.array(todo)[done], theta[done], y[done]):
+            found[p] = (t, v)
+        todo = [p for p, ok in zip(todo, done) if not ok]
+    return found
+
+
+def _ritz_sweep(
+    specs: Sequence[OscillatorSpec], bands: Sequence[np.ndarray], n_basis: int,
+    n_track: int, base: Optional[int],
+) -> List[Optional[OracleResult]]:
+    """The tracked eigenpairs of every coupling from one batched _ritz_pairs
+    solve over the couplings and their parity blocks; None for a coupling
+    with an unconverged block.
+
+    Each block tracks ceil(k/B) states, B the number of blocks; merged,
+    their k lowest Ritz values are upper bounds on H_N's k lowest
+    eigenvalues in any case.  Vectors and x_elements at coupling base only.
+    """
+    blocks = _parity_blocks(specs[0])
+    k = min(n_track + 1, n_basis)
+    found = _ritz_pairs([band[:: len(blocks), b] for band in bands for b in blocks],
+                        -(-k // len(blocks)), specs[0].hbar * specs[0].omega0)
+    out: List[Optional[OracleResult]] = []
+    for c, s in enumerate(specs):
+        parts = found[c * len(blocks) : (c + 1) * len(blocks)]
+        tracked = n_track if c == base else None
+        out.append(None if any(p is None for p in parts) else _merge(s, n_basis, parts, tracked))
+    return out
 
 
 def tracked_levels(n_max: int) -> int:
@@ -277,21 +410,20 @@ def default_basis_size(n_track: int) -> int:
     return 4 * (n_track + 1) + 32
 
 
-def _rs_shifts(ham: TruncatedHamiltonian, n_track: int) -> np.ndarray:
+def _rs_shifts(spec: OscillatorSpec, rows: np.ndarray) -> np.ndarray:
     """Rayleigh-Schroedinger level shifts lam*E_1(n) and lam^2*E_2(n), rows
-    0 and 1, for n = 0 .. n_track, read off the rows of H.
+    0 and 1, for n = 0 .. n_track, read off the leading rows of H,
+    rows = H[: n_track + 1] (all N columns).
 
     H0 is diagonal, (n + 1/2)*hbar*omega0, so lam*E_1 = H_nn - (n + 1/2)
     hbar*omega0 and lam^2*E_2 = sum_{k != n} H_kn^2/((n - k)*hbar*omega0).
     Exact when the basis holds every state the potential couples to n,
     N > n_track + p + 1 for the force power p.
     """
-    s = ham.spec
-    n = np.arange(n_track + 1)
-    rows = ham.matrix[: n_track + 1]
-    gaps = (n[:, None] - np.arange(ham.n_basis)) * (s.hbar * s.omega0)
+    n = np.arange(len(rows))
+    gaps = (n[:, None] - np.arange(rows.shape[1])) * (spec.hbar * spec.omega0)
     gaps[n, n] = np.inf  # k = n adds nothing
-    first = rows[n, n] - (n + 0.5) * s.hbar * s.omega0
+    first = rows[n, n] - (n + 0.5) * spec.hbar * spec.omega0
     return np.array([first, np.sum(rows * rows / gaps, axis=1)])
 
 
@@ -379,12 +511,22 @@ def compare(
     W_pert(n) is table.level(n) at each coupling; the table's coefficients
     do not depend on lam, so one solve serves the sweep.  Without a table,
     one is solved to order 1 with n_track + 1 levels.
-    Each coupling is diagonalized once: with the tracked eigenvectors at
-    the base coupling, the first nonzero one (report.base_lam), where
-    the amplitudes read x_elements, and for eigenvalues only at every other coupling.  After
-    the sweep one _doubling_deltas call checks every coupling's doubled
-    basis, and convergence_deltas keeps one delta per coupling, so the
-    hardest coupling is checked.
+    Each coupling's k = n_track+1 lowest eigenpairs come from one route.
+    From RITZ_MIN_BASIS rows up, one batched Rayleigh-Ritz solve
+    (_ritz_sweep) serves every coupling, and the inertia counts of the
+    doubled basis (_counted_deltas) certify its Ritz values: theta_i >=
+    lambda_i(H_N) (Ritz values are upper bounds) >= lambda_i(H_2N)
+    (interlacing) >= theta_i - eps (the counts), so one certificate bounds
+    both the doubling delta and |theta_i - lambda_i(H_N)| by eps.  H_N is
+    not exactly the leading block of H_2N: their last q rows differ
+    (_hamiltonian_bands), where converged states have no weight.  A coupling
+    whose solve stops unconverged or whose counts certify no rung, and
+    every coupling below RITZ_MIN_BASIS, is diagonalized instead, and one
+    _doubling_deltas call checks those couplings' doubled bases.  Either
+    route tracks eigenvectors at the base coupling only, the first nonzero
+    one (report.base_lam), where the amplitudes read x_elements.
+    convergence_deltas keeps one delta per coupling, so the hardest
+    coupling is checked.
 
     The verdict is report.failures, each led by the word of its gate:
     - convergence: a doubling delta above CONVERGENCE_GATE.  That
@@ -414,21 +556,32 @@ def compare(
                               n_basis=n_basis, neglected_order=j, base_lam=base_lam)
 
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
-    base = None  # the diagonalization at base_lam, with the tracked eigenvectors
     k = min(n_track + 1, n_basis)
-    sweep = []  # one diagonalization per coupling
-    shifts = []  # lam^j E_j(n) per coupling
-    for lam in lambdas:
-        s = OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind)
-        ham = build_hamiltonian(s, n_basis)
-        shifts.append(_rs_shifts(ham, n_track)[j - 1])
-        tracked = lam == base_lam and base is None
-        result = diagonalize(ham, n_track if tracked else None)
-        if tracked:
-            base = result
-        sweep.append(result)
-    report.convergence_deltas = _doubling_deltas(
-        [r.spec for r in sweep], n_basis, [r.eigenvalues[:k] for r in sweep])
+    specs = [OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind) for lam in lambdas]
+    bands = _hamiltonian_bands(specs, n_basis)
+    shifts = [_rs_shifts(s, _corner(band, n_track + 1, n_basis))[j - 1]  # lam^j E_j(n)
+              for s, band in zip(specs, bands)]
+    base_index = next((c for c, lam in enumerate(lambdas) if lam != 0), None)
+
+    def dense(c: int) -> OracleResult:
+        ham = build_hamiltonian(specs[c], n_basis, band=bands[c])
+        return diagonalize(ham, n_track if c == base_index else None)
+
+    ritz = (_ritz_sweep(specs, bands, n_basis, n_track, base_index)
+            if n_basis >= RITZ_MIN_BASIS else [None] * len(specs))
+    sweep = [dense(c) if r is None else r for c, r in enumerate(ritz)]
+    deltas = _counted_deltas(specs, n_basis, [r.eigenvalues[:k] for r in sweep])
+    redo = [c for c, d in enumerate(deltas) if d is None and ritz[c] is not None]
+    if redo:  # uncertified Ritz values: the dense route, as if never banded
+        for c in redo:
+            sweep[c] = dense(c)
+        for c, d in zip(redo, _doubling_deltas([specs[c] for c in redo], n_basis,
+                                               [sweep[c].eigenvalues[:k] for c in redo])):
+            deltas[c] = d
+    report.convergence_deltas = [
+        _measured_delta(s, n_basis, r.eigenvalues[:k]) if d is None else d
+        for s, r, d in zip(specs, sweep, deltas)]
+    base = sweep[base_index] if base_index is not None else None
 
     unconverged = report.unconverged
     hbw = spec.hbar * spec.omega0

@@ -516,6 +516,26 @@ def test_module_entry_point():
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("kind", ["x2", "x3"])
+def test_banded_oracle_output_ignores_blas_threads(kind):
+    # from oracle.RITZ_MIN_BASIS up no LAPACK call sees an N-sized matrix:
+    # the Rayleigh-Ritz blocks (at most 128 rows) and the inertia counts
+    # come out the same to the bit on one BLAS thread and on two
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "matrixmech", "oracle-compare", "--kind", kind,
+             "--lambda", "0.003", "--nmax", "6", "--oracle-n", "384"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_size_caps_checked_before_work(capsys, monkeypatch):
     from matrixmech import cli, ladder, oracle
 

@@ -8,12 +8,15 @@ from matrixmech import oracle
 from matrixmech.ladder import solve_quantum
 from matrixmech.oracle import (
     CONVERGENCE_LADDER,
+    RITZ_MIN_BASIS,
     OracleError,
     _doubling_deltas,
-    _hamiltonian_band,
+    _hamiltonian_bands,
     _measured_delta,
     _negative_pivots,
     _parity_blocks,
+    _pivots,
+    _ritz_sweep,
     _rs_shifts,
     _x_offdiagonal,
     build_hamiltonian,
@@ -98,8 +101,8 @@ def test_rs_first_order_values():
     # the table's lam^1 level coefficient and the first-order shift read off H
     t2, t3 = solve_quantum(X2, n_max=4, order=1), solve_quantum(X3, n_max=4, order=1)
     assert t2.level(3)[1] == 0.0  # odd potential term: no diagonal shift
-    assert _rs_shifts(build_hamiltonian(X2, 16), 4)[0, 3] == 0.0
-    shift3 = _rs_shifts(build_hamiltonian(X3, 16), 4)[0]
+    assert _rs_shifts(X2, build_hamiltonian(X2, 16).matrix[:5])[0, 3] == 0.0
+    shift3 = _rs_shifts(X3, build_hamiltonian(X3, 16).matrix[:5])[0]
     for n, expect in ((0, 0.1875e-3), (2, 0.375e-3 * 6.5)):
         assert math.isclose(X3.lam * t3.level(n)[1], expect, rel_tol=1e-13)
         assert math.isclose(shift3[n], expect, rel_tol=1e-13)
@@ -112,7 +115,7 @@ UNIT_SETS = [{}, dict(m=1.7, omega0=0.6, planck_h=3.1)]
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
 def test_rs_shifts_match_closed_forms(kind, units):
     spec = OscillatorSpec(lam=2e-3, kind=kind, **units)
-    shifts = _rs_shifts(build_hamiltonian(spec, 16), 5)
+    shifts = _rs_shifts(spec, build_hamiltonian(spec, 16).matrix[:6])
     for n in range(6):
         first, second = rs_closed_forms(spec, n)
         if kind is Kind.QUADRATIC_FORCE:
@@ -342,7 +345,10 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
 
 @pytest.mark.parametrize("spec,n_basis", [(X2, 64), (X3, 64), (X3, 160)])
 def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
-    # x2 and x3 sweeps, converged: no doubled basis is decomposed at any size
+    # x2 and x3 sweeps, converged: no doubled basis is decomposed at any
+    # size.  Below RITZ_MIN_BASIS every decomposition is diagonalize's;
+    # from it up (x3 at 160) diagonalize is not called, and the one
+    # decomposition is the Rayleigh-Ritz eigh of the leading blocks
     depth = [0]
     real = oracle.diagonalize
 
@@ -363,7 +369,10 @@ def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
     assert rep.passed, rep.failures
-    assert inside == [True] * 4 * len(_parity_blocks(spec))
+    if n_basis < RITZ_MIN_BASIS:
+        assert inside == [True] * 4 * len(_parity_blocks(spec))
+    else:
+        assert inside == [False]
 
 
 def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
@@ -459,9 +468,14 @@ def test_parity_block_eigenvectors(kind, n, units):
 
 # --- basis-doubling check by inertia counts ---------------------------------
 
+def _band(spec, n):
+    """Lower band of H at one coupling."""
+    return _hamiltonian_bands([spec], n)[0]
+
+
 def _block_bands(spec, n):
     """Lower bands of H's parity blocks, shaped for _negative_pivots (B, 1, w+1, n_b)."""
-    band = _hamiltonian_band(spec, n)
+    band = _band(spec, n)
     blocks = _parity_blocks(spec)
     return np.array([[band[:: len(blocks), b]] for b in blocks])
 
@@ -491,7 +505,7 @@ def test_inertia_counts_match_eigvalsh(kind, lam, n, split, data):
     if split:
         bands = _block_bands(spec, n)
     else:  # the whole band as one block, for either kind
-        bands = _hamiltonian_band(spec, n)[None, None]
+        bands = _band(spec, n)[None, None]
     counts, sound = _negative_pivots(bands, shifts[None])
     assume(sound.all())  # an exactly zero pivot sends the coupling to eigvalsh
     assert counts[0].tolist() == [int(np.sum(evals < s)) for s in shifts]
@@ -536,7 +550,7 @@ def test_inertia_counts_across_sweep_blocks(kind, n, split):
                   if min(gaps[i] - gaps[i - 1], gaps[i + 1] - gaps[i]) > 1e-6 * scale])
     shifts = np.concatenate([gaps[i] - 1e-4 * (gaps[i] - gaps[i - 1]),
                              gaps[i] + 1e-4 * (gaps[i + 1] - gaps[i])])
-    bands = _block_bands(spec, n) if split else _hamiltonian_band(spec, n)[None, None]
+    bands = _block_bands(spec, n) if split else _band(spec, n)[None, None]
     counts, sound = _negative_pivots(bands, shifts[None])
     assert sound.tolist() == [True]
     assert counts[0].tolist() == [int(np.sum(evals < s)) for s in shifts]
@@ -544,7 +558,7 @@ def test_inertia_counts_across_sweep_blocks(kind, n, split):
 
 def test_zero_pivot_is_not_sound():
     # x^3 has no diagonal, so H(0,0) - 0.5 is exactly zero
-    counts, sound = _negative_pivots(_hamiltonian_band(X2, 16)[None, None],
+    counts, sound = _negative_pivots(_band(X2, 16)[None, None],
                                      np.array([[0.5, 2.0]]))
     assert sound.tolist() == [False]
 
@@ -652,23 +666,29 @@ def test_unconverged_coupling_reports_measured_delta():
 
 
 def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
-    # at every basis size, verify's default (56) included
+    # at every basis size, verify's default (56) included; from
+    # RITZ_MIN_BASIS up (x3 at 160) no N-sized matrix is decomposed or
+    # built either: one eigh of the 32-row leading blocks, 4 couplings x 2 parities
     for spec, n_basis, blocks in ((X2, 96, 1), (X3, 160, 2), (X2, None, 1), (X3, None, 2)):
         calls = _count_decompositions(monkeypatch)
         built = []
         real_build = oracle.build_hamiltonian
 
-        def recording(s, n, _built=built):
+        def recording(s, n, _built=built, **kwargs):
             _built.append(n)
-            return real_build(s, n)
+            return real_build(s, n, **kwargs)
 
         monkeypatch.setattr(oracle, "build_hamiltonian", recording)
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
         assert rep.passed, rep.failures
         n = rep.n_basis // blocks
-        assert calls["eigh"] == [(n, n)] * blocks
-        assert calls["eigvalsh"] == [(n, n)] * blocks * 3  # no doubled basis
-        assert built == [rep.n_basis] * 4  # no dense doubled matrix either
+        if rep.n_basis >= RITZ_MIN_BASIS:
+            assert calls == {"eigh": [(4 * blocks, 32, 32)], "eigvalsh": []}
+            assert built == []
+        else:
+            assert calls["eigh"] == [(n, n)] * blocks
+            assert calls["eigvalsh"] == [(n, n)] * blocks * 3  # no doubled basis
+            assert built == [rep.n_basis] * 4  # no dense doubled matrix either
         assert rep.convergence_deltas == [1e-13] * 4
         monkeypatch.undo()
 
@@ -705,3 +725,188 @@ def test_amplitude_gate_is_in_the_smallness_ratio(kind, units):
     r_b = OscillatorSpec(lam=spec.lam / 2, kind=kind, **units).smallness_ratio()
     worst = max(a.rel_error_exact for a in rep.amplitudes) / r_b**2
     assert 0.05 < worst < 0.3  # at least 4x below the gate
+
+
+# --- x^q band once per basis size; diagonal-band inertia ---------------------
+
+@pytest.mark.parametrize("n_basis", [64, 256])
+def test_compare_forms_each_basis_band_once(monkeypatch, n_basis):
+    # the lam-independent x^q band is formed once for the N basis and once
+    # for the doubled one, on the dense route and the banded one alike
+    calls = []
+    real = oracle._hamiltonian_bands
+
+    def spy(specs, n):
+        calls.append((len(specs), n))
+        return real(specs, n)
+
+    monkeypatch.setattr(oracle, "_hamiltonian_bands", spy)
+    rep = compare(X2, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+    assert rep.passed, rep.failures
+    assert calls == [(4, n_basis), (4, 2 * n_basis)]
+
+
+@pytest.mark.parametrize("kind,entries", [(Kind.QUADRATIC_FORCE, [(15, 14)]),
+                                          (Kind.CUBIC_FORCE, [(14, 14), (15, 13), (15, 15)])])
+def test_basis_is_not_the_leading_block_of_its_double(kind, entries):
+    # H_N holds (x_N)^q, whose paths stay inside the basis: it differs from
+    # the leading block of H_2N in the last q rows alone
+    spec = OscillatorSpec(lam=1e-3, kind=kind)
+    small = build_hamiltonian(spec, 16).matrix
+    lead = build_hamiltonian(spec, 32).matrix[:16, :16]
+    i, j = np.nonzero(np.tril(small != lead))
+    assert list(zip(i.tolist(), j.tolist())) == entries
+
+
+@pytest.mark.parametrize("n", [56, 257])
+def test_diagonal_band_pivots_skip_the_elimination(n):
+    # a harmonic block's band is its diagonal: the pivots are the diagonal
+    # less the shifts, to the bit what the elimination gives it with a zero
+    # off-diagonal
+    band = _band(OscillatorSpec(), n)[None, None]
+    diag = band[0, 0, 0]
+    shifts = np.concatenate([diag[:6] - 1e-13, diag[:6] + 1e-13,
+                             [-1.0, 7.25, diag[-1] + 1.0]])[None]
+    eliminated = _pivots(np.concatenate([band, np.zeros_like(band)], axis=2), shifts)
+    pivots = _pivots(band, shifts)
+    assert pivots.shape == eliminated.shape == (n, 1, 1, shifts.shape[1])
+    assert pivots.tobytes() == eliminated.tobytes()
+    counts, sound = _negative_pivots(band, shifts)
+    assert sound.tolist() == [True]
+    assert counts[0].tolist() == [int(np.sum(diag < s)) for s in shifts[0]]
+
+
+# --- the banded route: Rayleigh-Ritz on the leading rows ---------------------
+
+def _sweep_at_ratio(kind, lam, units):
+    """The coupling sweep at the smallness ratio of lam in default units."""
+    spec = OscillatorSpec(kind=kind, **units)
+    r = OscillatorSpec(lam=lam, kind=kind).smallness_ratio()
+    lam = r / spec.coupling_unit(spec.ladder_amplitude)
+    return [OscillatorSpec(spec.m, spec.omega0, l, spec.planck_h, kind)
+            for l in coupling_sweep(lam)]
+
+
+BANDED_GRID = [
+    (Kind.QUADRATIC_FORCE, 1e-3, RITZ_MIN_BASIS),
+    (Kind.QUADRATIC_FORCE, 5e-3, 200),
+    (Kind.QUADRATIC_FORCE, 0.01, 256),  # 4*lam = 0.04
+    (Kind.QUADRATIC_FORCE, 5e-3, 384),
+    (Kind.QUADRATIC_FORCE, 2e-3, 768),
+    (Kind.CUBIC_FORCE, 1e-4, RITZ_MIN_BASIS),
+    (Kind.CUBIC_FORCE, 1e-3, RITZ_MIN_BASIS + 1),  # parity blocks of unequal size
+    (Kind.CUBIC_FORCE, 2e-3, 200),
+    (Kind.CUBIC_FORCE, 0.1, 256),  # 4*lam = 0.4: leading blocks of 64 rows
+    (Kind.CUBIC_FORCE, 0.03, 384),
+    (Kind.CUBIC_FORCE, 1e-3, 768),
+]
+
+
+@pytest.mark.parametrize("units", [{}, ODD_UNITS])
+@pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID)
+def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
+    specs = _sweep_at_ratio(kind, lam, units)
+    ritz = _ritz_sweep(specs, _hamiltonian_bands(specs, n_basis), n_basis, 5, 0)
+    hbw = specs[0].hbar * specs[0].omega0
+    for c, (s, r) in enumerate(zip(specs, ritz)):
+        assert r is not None  # converged
+        dense = diagonalize(build_hamiltonian(s, n_basis), 5 if c == 0 else None)
+        theta, e = r.eigenvalues[:6], dense.eigenvalues[:6]
+        assert np.max(np.abs(theta - e)) <= 1e-13 * hbw
+        assert np.all(theta >= e - 1e-14 * np.maximum(1.0, np.abs(e)))  # upper bounds
+        if c == 0:
+            assert r.x_elements.shape == (6, 6)
+            assert np.max(np.abs(r.x_elements - dense.x_elements)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID[:3] + BANDED_GRID[5:8])
+def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
+    specs = _sweep_at_ratio(kind, lam, {})
+    ritz = _ritz_sweep(specs, _hamiltonian_bands(specs, n_basis), n_basis, 5, 0)
+    rep = compare(specs[1], [s.lam for s in specs], n_track=5, n_basis=n_basis)
+    assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
+    assert [r.exact for r in rep.levels] == [float(e) for r in ritz for e in r.eigenvalues[:6]]
+    assert [a.measured for a in rep.amplitudes] == [2.0 * float(ritz[0].x_elements[n - 1, n])
+                                                    for n in range(1, 6)]
+
+
+def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
+    # x3 at 4*lam = 1.2: the odd block's residuals are still above RITZ_TOL
+    # at 128 leading rows (N = 512, blocks of 256), so that coupling has no
+    # Ritz result; at N = 384 (blocks of 192) the largest is 64 rows
+    specs = _sweep_at_ratio(Kind.CUBIC_FORCE, 0.3, {})
+    sizes = []
+    real = np.linalg.eigh
+
+    def spy(a):
+        sizes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for n_basis, largest in ((512, 128), (384, 64)):
+        sizes.clear()
+        ritz = _ritz_sweep(specs, _hamiltonian_bands(specs, n_basis), n_basis, 5, 0)
+        assert [r is not None for r in ritz] == [True, True, True, False]
+        assert sizes[-1][1:] == (largest, largest)
+
+
+def _dense_route(monkeypatch, spec, n_basis, **kwargs):
+    """compare on the dense route throughout, as below RITZ_MIN_BASIS."""
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "RITZ_MIN_BASIS", n_basis + 1)
+        return compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis, **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore:coupling ratio")  # x3 at lam 0.3
+@pytest.mark.parametrize("spec,n_basis", [(X2, 256), (X3, 384),
+                                          (OscillatorSpec(lam=0.3, kind=Kind.CUBIC_FORCE), 384)])
+def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_basis):
+    # a coupling whose Ritz solve stops unconverged is diagonalized as below
+    # the crossover: its rows and delta are the dense route's to the bit
+    dense = _dense_route(monkeypatch, spec, n_basis)
+    blocks = len(_parity_blocks(spec))
+    real = oracle._ritz_pairs
+
+    def stalled(bands, k, unit):  # every block of the last coupling stops unconverged
+        return real(bands, k, unit)[:-blocks] + [None] * blocks
+
+    monkeypatch.setattr(oracle, "_ritz_pairs", stalled)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+    last = coupling_sweep(spec.lam)[-1]
+    assert rep.convergence_deltas[-1] == dense.convergence_deltas[-1]
+    assert [r for r in rep.levels if r.lam == last] == [r for r in dense.levels if r.lam == last]
+    assert [f for f in rep.failures if f"lam={last:g}" in f] == [
+        f for f in dense.failures if f"lam={last:g}" in f]
+    # every coupling unconverged: the whole report is the dense route's
+    monkeypatch.setattr(oracle, "_ritz_pairs", lambda bands, k, unit: [None] * len(bands))
+    assert compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis) == dense
+
+
+def test_uncertified_ritz_coupling_takes_the_dense_route(monkeypatch):
+    # x2 at 4*lam = 0.06 on 256 states: the Ritz solve converges to the
+    # quasi-bound states, but the doubled basis has collapsed and the counts
+    # certify no rung, so that coupling is diagonalized and measured as on
+    # the dense route, to the bit
+    spec = OscillatorSpec(lam=0.015, kind=Kind.QUADRATIC_FORCE)
+    specs = _sweep_at_ratio(spec.kind, spec.lam, {})
+    assert None not in _ritz_sweep(specs, _hamiltonian_bands(specs, 256), 256, 5, 0)
+    dense = _dense_route(monkeypatch, spec, 256)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
+    assert rep.convergence_deltas == dense.convergence_deltas
+    assert [r for r in rep.levels if r.lam == 0.06] == [r for r in dense.levels if r.lam == 0.06]
+    assert rep.failures == dense.failures == [
+        "convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10"]
+
+
+def test_stalled_ritz_solve_prints_the_dense_output(monkeypatch, capsys):
+    from matrixmech import cli
+
+    argv = ["oracle-compare", "--kind", "x2", "--lambda", "0.003", "--nmax", "6",
+            "--oracle-n", "256"]
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "RITZ_MIN_BASIS", 257)
+        dense_code = cli.main(argv)
+        dense = capsys.readouterr()
+    monkeypatch.setattr(oracle, "_ritz_pairs", lambda bands, k, unit: [None] * len(bands))
+    assert cli.main(argv) == dense_code == 0
+    assert capsys.readouterr() == dense

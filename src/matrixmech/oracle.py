@@ -150,26 +150,66 @@ def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> 
 _SWEEP_ROWS = 128  # rows of a block's band that _pivots holds at once
 
 
+def _first_dominant_row(bands: np.ndarray, shifts: np.ndarray) -> int:
+    """First row r from which every row i >= r of every H_bc - shift has
+    a positive Gershgorin margin, H_ii - shift - sum_{j != i} |H_ij| > 0,
+    at every shift of its coupling; N when the last row has none.
+
+    bands and shifts as in _pivots.  A NaN anywhere fails the margin.
+    """
+    width, n = bands.shape[2:]
+    off = np.abs(bands[:, :, 1:]).sum(axis=2)  # above the diagonal: <i| H |i + d>
+    for d in range(1, width):  # below it: <i| H |i - d>
+        off[..., d:] += np.abs(bands[:, :, d, : n - d])
+    margin = bands[:, :, 0] - off - np.max(shifts, axis=1)[:, None]
+    bad = np.flatnonzero(~np.all(margin > 0, axis=(0, 1)))
+    return int(bad[-1]) + 1 if len(bad) else 0
+
+
+def _carried_rows_dominant(held: np.ndarray) -> bool:
+    """Whether the w carried rows held[a, w + t] (t >= -a: their columns
+    not yet eliminated) are strictly diagonally dominant with a positive
+    diagonal, at every block, coupling and shift."""
+    w = len(held)
+    off = np.abs(held[:, w + 1 :]).sum(axis=1)
+    for a in range(1, w):
+        off[a] += np.abs(held[a, w - a : w]).sum(axis=0)
+    return bool(np.all(held[:, w] > off))
+
+
 def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Pivots of banded symmetric matrices less shifts, by LDL^T without pivoting.
+    """Pivots of banded symmetric matrices less shifts, by LDL^T without
+    pivoting, up to the row where the rest is provably positive definite.
 
     bands[b, c, d, i] = <i + d| H_bc |i> is the lower band of block b at
     coupling c; shifts[c, s] are that coupling's shifts.  Returns the
-    pivots of H_bc - shift as an array (N, B, C, S).  One sweep serves
-    every block, coupling and shift, the batch as trailing axes:
-    _SWEEP_ROWS rows at a time are eliminated in place, each on a strided
-    (w+1) x (w+1) window of the full band less the shifts, and a run's
-    last w rows carry into the next.  A diagonal band (w = 0) has nothing
-    to eliminate: its pivots are the diagonal less the shift.
+    pivots of the first r rows of H_bc - shift as an array (r, B, C, S),
+    r <= N.  One sweep serves every block, coupling and shift, the batch
+    as trailing axes: runs of at most _SWEEP_ROWS rows are filled from
+    the band less the shifts and eliminated in place, each row on a
+    strided (w+1) x (w+1) window of the full band, and a run's last w
+    rows carry into the next.  A diagonal band (w = 0) has nothing to
+    eliminate: its pivots are the diagonal less the shift, all N rows.
+
+    The sweep stops at row r when the part not yet eliminated, the Schur
+    complement of the leading r x r block, is strictly diagonally
+    dominant with a positive diagonal at every block, coupling and
+    shift: the w carried rows as the buffer holds them (their columns
+    >= r) and the untouched rows r + w onward (_first_dominant_row).  By
+    Gershgorin that complement is positive definite, and elimination
+    keeps each row's dominance margin from shrinking, so by Haynsworth's
+    inertia additivity the rows past r would add only positive, finite
+    pivots: the counts, and whether every pivot is finite and nonzero,
+    are the full sweep's.  The first row tried is _first_dominant_row's;
+    where the carried rows fail (a leading block nearly singular at a
+    shift next to an eigenvalue), row 2r + 8, and so on.  Where no row
+    passes (an unconverged coupling or a shift above the Gershgorin
+    region anywhere in the batch) all N rows are eliminated.
     """
     n_blocks, n_couplings, width, n = bands.shape
     if width == 1:
         return np.moveaxis(bands[:, :, 0], -1, 0)[..., None] - shifts
     w = width - 1
-    # rows[j, w + t] = H[j, j + t], zero outside the matrix
-    rows = np.zeros((n + w, 2 * w + 1, n_blocks, n_couplings, 1))
-    for d in range(width):
-        rows[d:n, w - d] = rows[: n - d, w + d] = np.moveaxis(bands[:, :, d, : n - d, None], -2, 0)
     m = min(n, _SWEEP_ROWS)
     buf = np.empty((m + w, 2 * w + 1, n_blocks, n_couplings, shifts.shape[1]))
     # window[j, r, c] = buf[j + r, w + c - r]: the rows j .. j + w being eliminated
@@ -180,18 +220,36 @@ def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     ratio = np.empty((w, 1) + buf.shape[2:])
     update = np.empty((w, w) + buf.shape[2:])
     pivots = np.empty((n,) + buf.shape[2:])
+    stop = max(_first_dominant_row(bands, shifts), 1)  # the next row at which to test the rest
+    j = size = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(0, n, m):
-            size = min(m, n - j)
+        while j < n:
             fresh = w if j else 0  # after the first run the top w rows are carried
-            buf[:fresh] = buf[m : m + fresh]
-            buf[fresh : size + w] = rows[j + fresh : j + size + w]
-            np.subtract(rows[j + fresh : j + size + w, w], shifts, out=buf[fresh : size + w, w])
+            buf[:fresh] = buf[size : size + fresh]
+            size = min(m, n - j, stop - j)
+            # buf[a, w + t] = H[i, i + t] (less the shift at t = 0) for row
+            # i = j + a, zero outside the matrix; rows lo .. hi - 1 are new
+            new = buf[fresh : size + w]
+            new[...] = 0.0
+            lo = j + fresh
+            hi = max(min(j + size + w, n), lo)
+            for d in range(width):  # <i| H |i + d> = bands[d, i], <i| H |i - d> = bands[d, i - d]
+                new[: hi - lo, w + d] = np.moveaxis(bands[:, :, d, lo:hi, None], -2, 0)
+                first = max(lo, d)
+                if d and first < hi:
+                    new[first - lo : hi - lo, w - d] = np.moveaxis(
+                        bands[:, :, d, first - d : hi - d, None], -2, 0)
+            np.subtract(new[: hi - lo, w], shifts, out=new[: hi - lo, w])
             for col, pivot, row, rest in steps[:size]:
                 np.divide(col, pivot, out=ratio[:, 0])
                 np.multiply(ratio, row, out=update)
                 np.subtract(rest, update, out=rest)
             pivots[j : j + size] = buf[:size, w]
+            j += size
+            if j == stop:
+                if j + w <= n and _carried_rows_dominant(buf[size : size + w]):
+                    return pivots[:j]
+                stop = 2 * stop + 8
     return pivots
 
 
@@ -200,8 +258,10 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
 
     Returns the number of negative pivots of H_bc - shift, summed over
     the blocks, as an array (C, S), and a flag per coupling that every
-    pivot was finite and nonzero.  By Sylvester's law of inertia the
-    count is the number of eigenvalues below the shift.
+    pivot eliminated was finite and nonzero.  By Sylvester's law of
+    inertia the count is the number of eigenvalues below the shift; the
+    rows that _pivots leaves uneliminated add none, and no zero or
+    non-finite pivot either.
     """
     pivots = _pivots(bands, shifts)
     counts = np.count_nonzero(pivots < 0, axis=(0, 1))
@@ -222,8 +282,12 @@ def _counted_deltas(
     pivots and H_2N - (E_i + e) at least i + 1.  H_2N comes from band
     storage, split into its parity blocks; no dense doubled matrix is
     built.  The lowest rung is swept first; only the couplings it leaves
-    uncertified sweep the others.  A coupling whose gate is not
-    certified, or where a swept pivot was zero or not finite, gets None.
+    uncertified sweep the others.  Each sweep stops where the rest of
+    every H_2N - shift it holds is strictly diagonally dominant (_pivots):
+    within the leading rows when all its couplings are converged, while
+    one unconverged coupling usually makes it run to the last row.  A
+    coupling whose gate is not certified,
+    or where a swept pivot was zero or not finite, gets None.
     """
     levels = np.array(tracked)  # (C, k)
     i = np.arange(levels.shape[1])

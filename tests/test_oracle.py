@@ -776,6 +776,142 @@ def test_diagonal_band_pivots_skip_the_elimination(n):
     assert counts[0].tolist() == [int(np.sum(diag < s)) for s in shifts[0]]
 
 
+# --- the sweep stops where the rest of H_2N is diagonally dominant -----------
+
+def _full_sweep(bands, shifts):
+    """_pivots and _negative_pivots with every row eliminated: no row is
+    taken as the start of a dominant rest."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_first_dominant_row", lambda b, s: b.shape[-1])
+        return _pivots(bands, shifts), _negative_pivots(bands, shifts)
+
+
+def _assert_full_sweeps_counts(bands, shifts):
+    """The pivots eliminated are the full sweep's to the bit, and the counts
+    and soundness are the full sweep's; returns the rows eliminated."""
+    pivots = _pivots(bands, shifts)
+    full, (counts, sound) = _full_sweep(bands, shifts)
+    assert len(full) == bands.shape[-1]
+    assert pivots.tobytes() == full[: len(pivots)].tobytes()
+    got_counts, got_sound = _negative_pivots(bands, shifts)
+    assert got_counts.tolist() == counts.tolist()
+    assert got_sound.tolist() == sound.tolist()
+    return len(pivots)
+
+
+@pytest.mark.parametrize("kind,lam,n", [
+    (Kind.QUADRATIC_FORCE, 1e-3, 64), (Kind.QUADRATIC_FORCE, 0.3, 64),
+    (Kind.CUBIC_FORCE, 1e-3, 64), (Kind.CUBIC_FORCE, 0.3, 40), (Kind.HARMONIC, 0.0, 20),
+])
+def test_first_dominant_row_matches_dense_gershgorin_margins(kind, lam, n):
+    spec = OscillatorSpec(lam=lam, kind=kind)
+    h = build_hamiltonian(spec, n).matrix
+    for top in (0.5, 5.7, 30.0, n + 1.0):  # the largest shift decides
+        shifts = np.array([[top - 3.0, top, -1.0]])
+        off = np.sum(np.abs(h), axis=1) - np.abs(np.diag(h))
+        margin = np.diag(h) - off - top
+        bad = np.flatnonzero(margin <= 0)
+        want = bad[-1] + 1 if len(bad) else 0
+        assert oracle._first_dominant_row(_band(spec, n)[None, None], shifts) == want
+
+
+def test_carried_rows_count_only_their_columns_past_the_stop():
+    # held[a, w + t], w = 2: carried row a's entries at t < -a sit in
+    # eliminated columns and do not count; its other entries all do
+    held = np.array([[99.0, 99.0, 1.0, 0.5, 0.4],
+                     [99.0, 0.5, 1.0, 0.4, 0.0]])[..., None, None, None]
+    assert oracle._carried_rows_dominant(held)
+    held[1, 1] = 0.7  # 0.7 + 0.4 > 1
+    assert not oracle._carried_rows_dominant(held)
+    held[1, 1], held[0, 2] = 0.5, -1.0  # a negative diagonal
+    assert not oracle._carried_rows_dominant(held)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from([Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE]),
+    lam=st.floats(1e-4, 0.3),
+    n=st.integers(8, 96),
+    split=st.booleans(),
+    data=st.data(),
+)
+def test_early_stop_keeps_the_full_sweeps_counts(kind, lam, n, split, data):
+    # the draws of test_inertia_counts_match_eigvalsh, and the lowest levels
+    # -+ every rung, where a leading block is nearly singular; the levels
+    # alone usually stop early, with shifts in the high gaps the sweep
+    # mostly runs to the end
+    split = split and kind is Kind.CUBIC_FORCE
+    n -= n % 2 if split else 0
+    spec = OscillatorSpec(lam=lam, kind=kind)
+    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
+    scale = np.max(np.abs(evals))
+    gaps = np.concatenate([[evals[0] - scale], evals, [evals[-1] + scale]])
+    picks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12))
+    fracs = data.draw(st.lists(st.floats(0.05, 0.95), min_size=len(picks),
+                               max_size=len(picks)))
+    shifts = np.array([gaps[i] + f * (gaps[i + 1] - gaps[i]) for i, f in zip(picks, fracs)])
+    eps = np.array(CONVERGENCE_LADDER)[:, None] * (spec.hbar * spec.omega0)
+    levels = np.concatenate([evals[:6] - eps, evals[:6] + eps]).ravel()
+    bands = _block_bands(spec, n) if split else _band(spec, n)[None, None]
+    _assert_full_sweeps_counts(bands, levels[None])
+    _assert_full_sweeps_counts(bands, np.concatenate([shifts, levels])[None])
+
+
+@pytest.mark.parametrize("n_basis", [56, 256, 384])
+@pytest.mark.parametrize("spec", [X2, X3], ids=["x2", "x3"])
+def test_converged_sweep_eliminates_few_rows(monkeypatch, spec, n_basis):
+    # a converged sweep stops within the leading rows of the doubled blocks
+    # (112 to 768 rows), where the tracked levels live
+    swept = []
+    real = oracle._pivots
+
+    def spy(bands, shifts):
+        pivots = real(bands, shifts)
+        swept.append((bands.shape[-1], len(pivots)))
+        return pivots
+
+    monkeypatch.setattr(oracle, "_pivots", spy)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+    assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
+    assert len(swept) == 1
+    rows, eliminated = swept[0]
+    assert rows == 2 * n_basis // len(_parity_blocks(spec))
+    assert eliminated <= 32
+
+
+def _lowest_rung_sweep(spec, n_basis):
+    """The doubled blocks' bands and the lowest rung's shifts of a sweep."""
+    specs, tracked = _sweep_levels(spec, n_basis)
+    bands = np.concatenate([_block_bands(s, 2 * n_basis) for s in specs], axis=1)
+    eps = CONVERGENCE_LADDER[0] * (spec.hbar * spec.omega0)
+    return bands, np.concatenate([np.array(tracked) - eps, np.array(tracked) + eps], axis=1)
+
+
+def test_sweep_retries_past_a_nearly_singular_leading_block():
+    # x2 at N 256: every row from the 6th on is dominant, but at E_5 -+ eps
+    # the leading 6 x 6 block is nearly singular and the carried rows are
+    # not; the next row tried, 2*6 + 8, passes
+    bands, shifts = _lowest_rung_sweep(X2, 256)
+    first = oracle._first_dominant_row(bands, shifts)
+    assert first == 6
+    assert _assert_full_sweeps_counts(bands, shifts) == 2 * first + 8
+
+
+def test_sweep_without_a_dominant_rest_eliminates_every_row():
+    # x2 at lam 0.3: the cubic well outweighs the diagonal in the last rows
+    bands, shifts = _lowest_rung_sweep(OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE), 56)
+    assert oracle._first_dominant_row(bands, shifts) == 112
+    assert _assert_full_sweeps_counts(bands, shifts) == 112
+    # a harmonic band with a zero off-diagonal: a shift above the top
+    # diagonal leaves no dominant row, while the tracked levels alone stop
+    band = _band(OscillatorSpec(), 257)[None, None]
+    band = np.concatenate([band, np.zeros_like(band)], axis=2)
+    diag = band[0, 0, 0]
+    levels = np.concatenate([diag[:6] - 1e-13, diag[:6] + 1e-13])
+    assert _assert_full_sweeps_counts(band, levels[None]) < 32
+    assert _assert_full_sweeps_counts(band, np.append(levels, diag[-1] + 1.0)[None]) == 257
+
+
 # --- the banded route: Rayleigh-Ritz on the leading rows ---------------------
 
 def _sweep_at_ratio(kind, lam, units):

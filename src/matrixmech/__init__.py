@@ -1,6 +1,6 @@
 """Quantization of anharmonic oscillators on a transition-amplitude ladder,
-solved order by order in the coupling and cross-checked against a dense
-diagonalization of the truncated Hamiltonian."""
+solved order by order in the coupling and cross-checked against a
+diagonalization of the truncated Hamiltonian in the number basis."""
 
 from .classical import (
     ClassicalEnergy,

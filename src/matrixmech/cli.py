@@ -40,11 +40,12 @@ CHECK_ERROR = 1
 # process on one BLAS thread of a 2-core Xeon VM, takes 0.44 s (x2) and
 # 0.52 s (x3) and peaks at 91 MiB.
 # The oracle at oracle-n 2048, as a fresh process on the same machine:
-# oracle-compare --kind x2 --lambda 0.002 --nmax 5, every coupling on the
-# banded route, takes 0.19 s and peaks at 34 MiB (x3: 0.16 s, 35 MiB).
-# At --lambda 0.01 the larger couplings are unconverged there and fall
-# back to dense 2048^2 eigensolves and an eigvalsh of the doubled basis, a
-# 4096^2 float64 matrix of 128 MiB: 16 s and 294 MiB.
+# oracle-compare --kind x2 --lambda 0.002 --nmax 5, every coupling
+# converged at a Ritz rung, takes 0.23 s and peaks at 34 MiB (x3: 0.21 s,
+# 35 MiB).  At --lambda 0.01 the two larger couplings are unconverged
+# there: their full 2048^2 blocks are solved again by one eigvalsh call
+# (1.9 s) and their doubled bases counted up the delta ladder (0.4 s), so
+# the run takes 2.6 s and peaks at 131 MiB on one BLAS thread (1.8 s on two).
 MAX_NMAX = 512
 MAX_ORACLE_N = 2048
 

@@ -3,9 +3,9 @@
 Everything here deliberately bypasses the series machinery.  The position
 operator is built from ladder matrices with scale sqrt(hbar/(2 m omega0)),
 the Hamiltonian is held in band storage and its lowest eigenpairs are found
-densely below RITZ_MIN_BASIS states and by a banded Rayleigh-Ritz solve from
-there up, and the resulting eigenvalues and position matrix elements are
-compared against the perturbative table.
+on one ladder of rungs, Rayleigh-Ritz on leading blocks up to the whole
+parity block (diagonalize), and the resulting eigenvalues and position
+matrix elements are compared against the perturbative table.
 
 The x2 kind's cubic potential makes the true spectrum metastable
 (unbounded below); at the couplings treated here the truncated spectrum is
@@ -40,7 +40,7 @@ class TruncatedHamiltonian:
 class OracleResult:
     spec: OscillatorSpec
     n_basis: int
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # ascending: all N from full blocks, else the lowest Ritz values
     eigenvectors: np.ndarray  # (N, k): the k = n_track+1 tracked states as columns
     x_elements: np.ndarray  # |<E_i| x |E_j>| for the tracked states i, j <= n_track
     n_track: Optional[int]  # None: eigenvalues only, k = 0
@@ -106,16 +106,14 @@ def _corner(band: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(
-    spec: OscillatorSpec, n_basis: int, band: Optional[np.ndarray] = None
-) -> TruncatedHamiltonian:
-    """H in the harmonic number basis of frequency omega0, dense.
+def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> TruncatedHamiltonian:
+    """H in the harmonic number basis of frequency omega0, dense: the
+    reference that diagonalize's banded solve is checked against.
 
-    Built in O(N) from its lower band (_hamiltonian_bands, or the one the
-    caller already holds), exactly symmetric.
+    Built in O(N) from its lower band (_hamiltonian_bands), exactly
+    symmetric.
     """
-    if band is None:
-        band = _hamiltonian_bands([spec], n_basis)[0]
+    band = _hamiltonian_bands([spec], n_basis)[0]
     return TruncatedHamiltonian(spec=spec, n_basis=n_basis, matrix=_corner(band, n_basis, n_basis))
 
 
@@ -136,16 +134,15 @@ def _parity_blocks(spec: OscillatorSpec) -> Tuple[slice, ...]:
 # hbar*omega0) above it means the N basis has not converged.
 CONVERGENCE_LADDER = (1e-13, 1e-12, 1e-11, 1e-10)
 CONVERGENCE_GATE = CONVERGENCE_LADDER[-1]
+# Rungs above the gate, a quarter decade apart (10^-9.75 .. 10^2.75), on
+# which an unconverged coupling's delta is counted.  A delta above the top
+# rung is reported as the top rung.
+DELTA_LADDER = tuple(10.0 ** (e / 4) for e in range(-39, 12))
+# The rungs up to the gate, swept in two groups: the lowest first.
+_GATE_SWEEPS = (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:])
 # Largest |q - j| of a fitted residual exponent q from the first power j
 # that the table leaves out.
 EXPONENT_GATE = 0.2
-
-def _measured_delta(spec: OscillatorSpec, n_basis: int, tracked: np.ndarray) -> float:
-    """Largest change of the tracked eigenvalues when the basis is doubled,
-    in units of hbar*omega0."""
-    doubled = diagonalize(build_hamiltonian(spec, 2 * n_basis), None).eigenvalues
-    return float(np.max(np.abs(tracked - doubled[: len(tracked)]))) / (spec.hbar * spec.omega0)
-
 
 _SWEEP_ROWS = 128  # rows of a block's band that _pivots holds at once
 
@@ -270,24 +267,27 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
 
 
 def _counted_deltas(
-    specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
+    specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray],
+    sweeps: Sequence[Sequence[float]] = _GATE_SWEEPS,
 ) -> List[Optional[float]]:
     """Basis-doubling delta of each coupling's tracked eigenvalues that
     inertia counts of the doubled basis certify, in units of hbar*omega0;
-    None where they certify no rung up to the gate.
+    None where they certify no rung swept.
 
-    The delta is the smallest ladder rung eps certified at
-    eps*hbar*omega0, an upper bound.  Tracked eigenvalue i of H_2N lies
-    within e of E_i exactly when H_2N - (E_i - e) has at most i negative
-    pivots and H_2N - (E_i + e) at least i + 1.  H_2N comes from band
-    storage, split into its parity blocks; no dense doubled matrix is
-    built.  The lowest rung is swept first; only the couplings it leaves
-    uncertified sweep the others.  Each sweep stops where the rest of
-    every H_2N - shift it holds is strictly diagonally dominant (_pivots):
-    within the leading rows when all its couplings are converged, while
-    one unconverged coupling usually makes it run to the last row.  A
-    coupling whose gate is not certified,
-    or where a swept pivot was zero or not finite, gets None.
+    The delta is the smallest rung eps certified at eps*hbar*omega0, an
+    upper bound.  Tracked eigenvalue i of H_2N lies within e of E_i
+    exactly when H_2N - (E_i - e) has at most i negative pivots and
+    H_2N - (E_i + e) at least i + 1.  H_2N comes from band storage, split
+    into its parity blocks; no dense doubled matrix is built.  The rungs
+    are swept group by group, by default the lowest rung first and then
+    the rest up to the gate: a group certifies a coupling when its last
+    rung is certified, and only the couplings it leaves uncertified sweep
+    the next group.  Each sweep stops where the rest of every H_2N - shift
+    it holds is strictly diagonally dominant (_pivots): within the leading
+    rows when all its couplings are converged, while one unconverged
+    coupling usually makes it run to the last row.  A coupling where a
+    swept pivot was zero or not finite is uncertified: it gets None and
+    sweeps no further group.
     """
     levels = np.array(tracked)  # (C, k)
     i = np.arange(levels.shape[1])
@@ -298,7 +298,7 @@ def _counted_deltas(
     ]).swapaxes(0, 1)
     deltas: List[Optional[float]] = [None] * len(specs)
     asked = np.arange(len(specs))
-    for rungs in (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:]):
+    for rungs in sweeps:
         if not len(asked):
             break
         eps = np.array(rungs)[:, None] * (specs[0].hbar * specs[0].omega0)  # absolute
@@ -312,20 +312,11 @@ def _counted_deltas(
     return deltas
 
 
-def _doubling_deltas(
-    specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray]
-) -> List[float]:
-    """Basis-doubling delta of each coupling's tracked eigenvalues, in
-    units of hbar*omega0: the counted one (_counted_deltas), or, where
-    the counts certify none, an eigvalsh of the doubled basis and the
-    measured delta."""
-    return [_measured_delta(s, n_basis, t) if d is None else d
-            for s, t, d in zip(specs, tracked, _counted_deltas(specs, n_basis, tracked))]
+Pairs = Tuple[np.ndarray, Optional[np.ndarray]]  # (eigenvalues, eigenvectors or None)
 
 
 def _merge(
-    spec: OscillatorSpec, n_basis: int, parts: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
-    n_track: Optional[int],
+    spec: OscillatorSpec, n_basis: int, parts: Sequence[Pairs], n_track: Optional[int],
 ) -> OracleResult:
     """One OracleResult from each parity block's ascending eigenvalues and
     (n_track not None) the vectors of its lowest states, held in the
@@ -367,102 +358,90 @@ def _merge(
     )
 
 
-def diagonalize(ham: TruncatedHamiltonian, n_track: Optional[int]) -> OracleResult:
-    """Ascending eigenvalues of H, with eigenvectors of the tracked states.
+def _eigh(h: np.ndarray, vectors: bool) -> Pairs:
+    """Ascending eigenvalues of a batch of symmetric matrices, with their
+    eigenvectors if asked, by one LAPACK call.
 
-    The oracle's one dense eigensolve.  An even potential (x3 kind,
-    harmonic) makes H block diagonal in parity, so its even and odd blocks
-    are decomposed separately and merged (_merge); x^3 couples both
-    parities, one block.  With n_track None no state is tracked and every
-    block gets eigvalsh.  Otherwise every block gets eigh, and the k =
-    n_track+1 lowest states keep their vectors and x_elements.
-    Deterministic for fixed input.
+    Checks that every matrix's eigenvalues came back ascending, the whole
+    batch at once.
     """
-    h = ham.matrix  # h[b, b] is a view: no block is copied before LAPACK
-    try:  # (eigenvalues, eigenvectors or None) per block
-        parts = [np.linalg.eigh(h[b, b]) if n_track is not None
-                 else (np.linalg.eigvalsh(h[b, b]), None) for b in _parity_blocks(ham.spec)]
+    try:
+        w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"eigensolver did not converge: {exc}") from exc
-    for w, _ in parts:  # LAPACK returns them ascending
-        if not np.all(np.diff(w) >= -1e-9 * max(1.0, abs(w[-1]))):
-            raise OracleError("eigenvalues not sorted; decomposition failed")
-    return _merge(ham.spec, ham.n_basis, parts, n_track)
+    if not np.all(np.diff(w, axis=-1) >= -1e-9 * np.maximum(1.0, np.abs(w[..., -1:]))):
+        raise OracleError("eigenvalues not sorted; decomposition failed")
+    return w, v
 
 
-# The banded route: from RITZ_MIN_BASIS rows up, compare finds the tracked
-# eigenpairs by Rayleigh-Ritz on the leading RITZ_ROWS rows of each parity
-# block, certified by the doubling counts; below it, and for any coupling
-# that route leaves unconverged or uncertified, by diagonalize.
-RITZ_MIN_BASIS = 128
+# Leading rows of the Ritz rungs, tried in a basis of 4*32 = 128 states or
+# more, and the largest Ritz residual norm, in hbar*omega0.
 RITZ_ROWS = (32, 64, 128)
-RITZ_TOL = 1e-13  # largest Ritz residual norm, in hbar*omega0
+RITZ_TOL = 1e-13
 
 
-RitzPairs = Tuple[np.ndarray, np.ndarray]  # (theta, y) of one block
+def diagonalize(
+    specs: Sequence[OscillatorSpec], bands: Sequence[np.ndarray], n_track: int,
+    base: Optional[int], ritz_rows: Sequence[int] = RITZ_ROWS,
+) -> List[OracleResult]:
+    """Each coupling's lowest eigenpairs from its lower band of H
+    (_hamiltonian_bands): the oracle's one eigensolve.
 
-
-def _ritz_pairs(bands: Sequence[np.ndarray], k: int, unit: float) -> List[Optional[RitzPairs]]:
-    """The k lowest Ritz pairs of banded symmetric blocks, or None where unconverged.
-
-    bands[p] is block p's lower band, (w+1, n_p), w the same for every
-    block.  Block Davidson from the unit vectors e_0 .. e_{k-1} with the
-    diagonal preconditioner (diag - theta)^-1 searches exactly the span of
-    the leading unit vectors, w more per step, because the preconditioner
-    keeps each residual's support.  So the solve takes that span directly:
-    the eigenpairs (theta, y) of the leading m x m block H_m, every block
-    at once by one batched eigh, for m in RITZ_ROWS up to n_p/2 (where
-    that eigh costs an eighth of the whole block's).  The residual of the
-    Ritz pair in the whole block is (H_m y - theta y, B y) with B the w
-    rows below H_m, so a block is converged at the first m where
-    |B y| <= RITZ_TOL*unit for each of its k pairs; it stops unconverged
-    when no m is left.  Each theta is an upper bound on the block's
-    eigenvalue (Cauchy interlacing).  Returns (theta, y) per block, y
-    with m rows.
+    An even potential (x3 kind, harmonic) makes H block diagonal in
+    parity, so its even and odd blocks are solved separately and merged
+    (_merge); x^3 couples both parities, one block.  Each block, of n_p
+    rows, tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states
+    and climbs a ladder of rungs, every block of every coupling at once,
+    one batched LAPACK call per rung:
+    - Ritz rungs m in ritz_rows, k_b < m <= n_p/2, from a basis of
+      4*RITZ_ROWS[0] states up.  Block Davidson from the unit vectors
+      with the diagonal preconditioner searches exactly the span of the
+      leading unit vectors, w more per step (w the band's width), so the
+      rung takes that span directly: eigh of the leading m x m block H_m.
+      The Ritz pair's residual in the whole block is (H_m y - theta y,
+      B y), B the w rows below H_m, so a block is done at the first m
+      where |B y| <= RITZ_TOL*hbar*omega0 for each of its k_b pairs.
+      Each theta is an upper bound on the block's eigenvalue (Cauchy
+      interlacing).
+    - The full block, m = n_p, where B is empty, for every block of a
+      coupling that has a block no Ritz rung finished: eigvalsh, or eigh
+      at coupling base; one call per block size.
+    Eigenvalues: all N where the full block was solved, else each block's
+    k_b lowest Ritz values.  Eigenvectors and x_elements of the k lowest
+    states at coupling base only.  Deterministic for fixed input.
     """
-    found: List[Optional[RitzPairs]] = [None] * len(bands)
-    todo = list(range(len(bands)))
-    for m in RITZ_ROWS:
-        todo = [p for p in todo if k < m <= bands[p].shape[1] // 2]
+    blocks = _parity_blocks(specs[0])
+    nb, n_basis = len(blocks), bands[0].shape[1]
+    k = min(n_track + 1, n_basis)
+    kb = -(-k // nb)
+    parts = [band[::nb, b] for band in bands for b in blocks]  # block b of coupling c at c*nb + b
+    found: List[Optional[Pairs]] = [None] * len(parts)
+    todo = list(range(len(parts))) if n_basis >= 4 * RITZ_ROWS[0] else []
+    unit = specs[0].hbar * specs[0].omega0
+    for m in ritz_rows:
+        todo = [p for p in todo if kb < m <= parts[p].shape[1] // 2]
         if not todo:
             break
-        w = bands[todo[0]].shape[0] - 1
-        h = _corner(np.array([bands[p][:, :m] for p in todo]), m + w, m)
-        try:
-            theta, y = np.linalg.eigh(h[:, :m])
-        except np.linalg.LinAlgError:
-            break
-        theta, y = theta[:, :k], y[:, :, :k]
+        w = parts[todo[0]].shape[0] - 1
+        h = _corner(np.array([parts[p][:, :m] for p in todo]), m + w, m)
+        theta, y = _eigh(h[:, :m], True)
+        theta, y = theta[:, :kb], y[:, :, :kb]
         r = np.einsum("pri,pij->prj", h[:, m:], y)
         done = np.all(np.einsum("prj,prj->pj", r, r) <= (RITZ_TOL * unit) ** 2, axis=1)
         for p, t, v in zip(np.array(todo)[done], theta[done], y[done]):
             found[p] = (t, v)
         todo = [p for p, ok in zip(todo, done) if not ok]
-    return found
-
-
-def _ritz_sweep(
-    specs: Sequence[OscillatorSpec], bands: Sequence[np.ndarray], n_basis: int,
-    n_track: int, base: Optional[int],
-) -> List[Optional[OracleResult]]:
-    """The tracked eigenpairs of every coupling from one batched _ritz_pairs
-    solve over the couplings and their parity blocks; None for a coupling
-    with an unconverged block.
-
-    Each block tracks ceil(k/B) states, B the number of blocks; merged,
-    their k lowest Ritz values are upper bounds on H_N's k lowest
-    eigenvalues in any case.  Vectors and x_elements at coupling base only.
-    """
-    blocks = _parity_blocks(specs[0])
-    k = min(n_track + 1, n_basis)
-    found = _ritz_pairs([band[:: len(blocks), b] for band in bands for b in blocks],
-                        -(-k // len(blocks)), specs[0].hbar * specs[0].omega0)
-    out: List[Optional[OracleResult]] = []
-    for c, s in enumerate(specs):
-        parts = found[c * len(blocks) : (c + 1) * len(blocks)]
-        tracked = n_track if c == base else None
-        out.append(None if any(p is None for p in parts) else _merge(s, n_basis, parts, tracked))
-    return out
+    whole = [c * nb + b for c in range(len(specs)) for b in range(nb)
+             if any(f is None for f in found[c * nb : (c + 1) * nb])]
+    for n_p in sorted({parts[p].shape[1] for p in whole}):  # odd N: blocks differ by a row
+        for vectors in (False, True):
+            ps = [p for p in whole if parts[p].shape[1] == n_p and (p // nb == base) == vectors]
+            if ps:
+                vals, vecs = _eigh(_corner(np.array([parts[p] for p in ps]), n_p, n_p), vectors)
+                for i, p in enumerate(ps):
+                    found[p] = (vals[i], None if vecs is None else vecs[i])
+    return [_merge(s, n_basis, found[c * nb : (c + 1) * nb], n_track if c == base else None)
+            for c, s in enumerate(specs)]
 
 
 def tracked_levels(n_max: int) -> int:
@@ -541,7 +520,7 @@ class ComparisonReport:
 
     @property
     def convergence_delta(self) -> float:
-        """The largest doubling delta of the sweep (NaN propagates)."""
+        """The largest doubling delta of the sweep."""
         return float(np.max(self.convergence_deltas, initial=0.0))
 
     @property
@@ -553,9 +532,9 @@ class ComparisonReport:
 
     @property
     def unconverged(self) -> List[float]:
-        """Couplings whose delta is not within the gate (NaN included)."""
+        """Couplings whose delta is above the gate."""
         return [lam for lam, delta in zip(self.lambdas, self.convergence_deltas)
-                if not delta <= CONVERGENCE_GATE]
+                if delta > CONVERGENCE_GATE]
 
 
 def coupling_sweep(lam: float) -> List[float]:
@@ -575,25 +554,25 @@ def compare(
     W_pert(n) is table.level(n) at each coupling; the table's coefficients
     do not depend on lam, so one solve serves the sweep.  Without a table,
     one is solved to order 1 with n_track + 1 levels.
-    Each coupling's k = n_track+1 lowest eigenpairs come from one route.
-    From RITZ_MIN_BASIS rows up, one batched Rayleigh-Ritz solve
-    (_ritz_sweep) serves every coupling, and the inertia counts of the
-    doubled basis (_counted_deltas) certify its Ritz values: theta_i >=
+    Each coupling's k = n_track+1 lowest eigenpairs come from one batched
+    diagonalize call over the sweep, and the inertia counts of the doubled
+    basis (_counted_deltas) certify them.  For Ritz values: theta_i >=
     lambda_i(H_N) (Ritz values are upper bounds) >= lambda_i(H_2N)
     (interlacing) >= theta_i - eps (the counts), so one certificate bounds
     both the doubling delta and |theta_i - lambda_i(H_N)| by eps.  H_N is
     not exactly the leading block of H_2N: their last q rows differ
-    (_hamiltonian_bands), where converged states have no weight.  A coupling
-    whose solve stops unconverged or whose counts certify no rung, and
-    every coupling below RITZ_MIN_BASIS, is diagonalized instead, and one
-    _doubling_deltas call checks those couplings' doubled bases.  Either
-    route tracks eigenvectors at the base coupling only, the first nonzero
+    (_hamiltonian_bands), where converged states have no weight.  A
+    coupling whose gate the counts do not certify is solved again at its
+    full block if a Ritz rung served it, and counted again up the gate and
+    DELTA_LADDER; above its top rung the delta is reported as that rung.
+    Eigenvectors are tracked at the base coupling only, the first nonzero
     one (report.base_lam), where the amplitudes read x_elements.
     convergence_deltas keeps one delta per coupling, so the hardest
     coupling is checked.
 
     The verdict is report.failures, each led by the word of its gate:
-    - convergence: a doubling delta above CONVERGENCE_GATE.  That
+    - convergence: a doubling delta above CONVERGENCE_GATE, or above the
+      top of DELTA_LADDER (failure text "doubling delta > top").  That
       coupling's level rows are kept but add no level failure and no fit
       point: the basis, not the series, failed there.
     - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
@@ -627,33 +606,33 @@ def compare(
               for s, band in zip(specs, bands)]
     base_index = next((c for c, lam in enumerate(lambdas) if lam != 0), None)
 
-    def dense(c: int) -> OracleResult:
-        ham = build_hamiltonian(specs[c], n_basis, band=bands[c])
-        return diagonalize(ham, n_track if c == base_index else None)
-
-    ritz = (_ritz_sweep(specs, bands, n_basis, n_track, base_index)
-            if n_basis >= RITZ_MIN_BASIS else [None] * len(specs))
-    sweep = [dense(c) if r is None else r for c, r in enumerate(ritz)]
+    sweep = diagonalize(specs, bands, n_track, base_index)
     deltas = _counted_deltas(specs, n_basis, [r.eigenvalues[:k] for r in sweep])
-    redo = [c for c, d in enumerate(deltas) if d is None and ritz[c] is not None]
-    if redo:  # uncertified Ritz values: the dense route, as if never banded
-        for c in redo:
-            sweep[c] = dense(c)
-        for c, d in zip(redo, _doubling_deltas([specs[c] for c in redo], n_basis,
-                                               [sweep[c].eigenvalues[:k] for c in redo])):
+    uncertified = [c for c, d in enumerate(deltas) if d is None]
+    if uncertified:  # Ritz values solved again at the full block, then all counted up the ladder
+        ritz = [c for c in uncertified if len(sweep[c].eigenvalues) < n_basis]  # Ritz values only
+        if ritz:
+            tracked = ritz.index(base_index) if base_index in ritz else None
+            full = diagonalize([specs[c] for c in ritz], [bands[c] for c in ritz], n_track,
+                               tracked, ritz_rows=())
+            for c, r in zip(ritz, full):
+                sweep[c] = r
+        counted = _counted_deltas([specs[c] for c in uncertified], n_basis,
+                                  [sweep[c].eigenvalues[:k] for c in uncertified],
+                                  _GATE_SWEEPS + (DELTA_LADDER,))
+        for c, d in zip(uncertified, counted):
             deltas[c] = d
-    report.convergence_deltas = [
-        _measured_delta(s, n_basis, r.eigenvalues[:k]) if d is None else d
-        for s, r, d in zip(specs, sweep, deltas)]
+    report.convergence_deltas = [DELTA_LADDER[-1] if d is None else d for d in deltas]
     base = sweep[base_index] if base_index is not None else None
 
     unconverged = report.unconverged
     hbw = spec.hbar * spec.omega0
-    for r, delta, shift in zip(sweep, report.convergence_deltas, shifts):
+    for r, delta, shift in zip(sweep, deltas, shifts):
         s, lam = r.spec, r.spec.lam
         if lam in unconverged:
-            report.failures.append(f"convergence lam={lam:g}: doubling delta "
-                                   f"{delta * hbw:.3e} > {CONVERGENCE_GATE * hbw:.3e}")
+            told = (f"> {DELTA_LADDER[-1] * hbw:.3e}" if delta is None
+                    else f"{delta * hbw:.3e} > {CONVERGENCE_GATE * hbw:.3e}")
+            report.failures.append(f"convergence lam={lam:g}: doubling delta {told}")
         for n in range(n_track + 1):
             row = LevelComparison(
                 lam=lam,

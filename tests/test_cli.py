@@ -396,7 +396,7 @@ def test_verify_flags_unconverged_hardest_coupling(capsys):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1
     assert checks["oracle_convergence"]["detail"] == (
-        "convergence lam=0.16: doubling delta 4.955e+01 > 1.000e-10")
+        "convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10")
 
 
 def test_verify_scaling_without_a_converged_fit_fails():
@@ -472,11 +472,13 @@ def test_oracle_compare_fails_unconverged_basis(capsys):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out.startswith("row,lambda,n,value1,value2,value3\nlevel,")
-    assert err == "mismatch: convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10\n"
+    # the delta is the smallest rung of the oracle's DELTA_LADDER that the
+    # counts certify, 10^2.25 hbar*omega0 (the doubled basis moves by 122.85)
+    assert err == "mismatch: convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10\n"
     code, out, _ = run(capsys, *argv, "--format", "json")
     payload = json.loads(out)
     assert code == 1 and not payload["passed"]
-    assert math.isclose(payload["convergence_delta"], 122.851274056317, rel_tol=1e-9)
+    assert math.isclose(payload["convergence_delta"], 10**2.25, rel_tol=1e-12)
     assert [f.split(":")[0] for f in payload["failures"]] == ["convergence lam=0.06"]
 
 
@@ -518,9 +520,9 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("kind", ["x2", "x3"])
 def test_banded_oracle_output_ignores_blas_threads(kind):
-    # from oracle.RITZ_MIN_BASIS up no LAPACK call sees an N-sized matrix:
-    # the Rayleigh-Ritz blocks (at most 128 rows) and the inertia counts
-    # come out the same to the bit on one BLAS thread and on two
+    # from 128 states up no LAPACK call of a converged sweep sees an
+    # N-sized matrix: the Rayleigh-Ritz blocks (at most 128 rows) and the
+    # inertia counts come out the same to the bit on one BLAS thread and on two
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
@@ -542,7 +544,8 @@ def test_size_caps_checked_before_work(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr(oracle, "build_hamiltonian", forbidden)
+    monkeypatch.setattr(oracle, "_hamiltonian_bands", forbidden)
+    monkeypatch.setattr(oracle, "diagonalize", forbidden)
     monkeypatch.setattr(oracle, "solve_quantum", forbidden)
     monkeypatch.setattr(ladder, "solve_quantum", forbidden)
 

@@ -8,15 +8,14 @@ from matrixmech import oracle
 from matrixmech.ladder import solve_quantum
 from matrixmech.oracle import (
     CONVERGENCE_LADDER,
-    RITZ_MIN_BASIS,
+    DELTA_LADDER,
     OracleError,
-    _doubling_deltas,
+    _counted_deltas,
     _hamiltonian_bands,
-    _measured_delta,
+    _merge,
     _negative_pivots,
     _parity_blocks,
     _pivots,
-    _ritz_sweep,
     _rs_shifts,
     _x_offdiagonal,
     build_hamiltonian,
@@ -39,6 +38,33 @@ def position_matrix(spec, n_basis):
     return np.diag(off, 1) + np.diag(off, -1)
 
 
+def solve(spec, n_basis, n_track=5, tracked=True, **kwargs):
+    """diagonalize at one coupling, with its eigenvectors if tracked."""
+    bands = _hamiltonian_bands([spec], n_basis)
+    return diagonalize([spec], bands, n_track, 0 if tracked else None, **kwargs)[0]
+
+
+def dense_reference(spec, n_basis, n_track=None):
+    """The dense reference for diagonalize: np.linalg.eigvalsh (eigh when
+    n_track is given) of each parity block of build_hamiltonian's matrix,
+    merged ascending."""
+    h = build_hamiltonian(spec, n_basis).matrix
+    parts = [np.linalg.eigh(h[b, b]) if n_track is not None else (np.linalg.eigvalsh(h[b, b]), None)
+             for b in _parity_blocks(spec)]
+    return _merge(spec, n_basis, parts, n_track)
+
+
+def measured_delta(spec, n_basis, tracked):
+    """Largest change of the tracked eigenvalues when the basis is doubled,
+    from the dense reference, in units of hbar*omega0."""
+    doubled = dense_reference(spec, 2 * n_basis).eigenvalues
+    return float(np.max(np.abs(tracked - doubled[: len(tracked)]))) / (spec.hbar * spec.omega0)
+
+
+# the doubling check's sweeps for a coupling the gate leaves uncertified
+ALL_SWEEPS = oracle._GATE_SWEEPS + (DELTA_LADDER,)
+
+
 def rs_closed_forms(spec, n):
     """lam*E_1(n) and lam^2*E_2(n) in closed form (Landau-Lifshitz QM
     section 38, problem 3; Bender and Wu, Phys. Rev. 184, 1231 (1969))."""
@@ -55,7 +81,7 @@ def test_harmonic_hamiltonian_is_diagonal():
 
 
 def test_harmonic_eigenpairs():
-    r = diagonalize(build_hamiltonian(OscillatorSpec(), 32), n_track=5)
+    r = solve(OscillatorSpec(), 32)
     assert np.max(np.abs(r.eigenvalues - (np.arange(32) + 0.5))) < 1e-12
     # orthonormal eigenvectors, one per tracked state
     g = r.eigenvectors.T @ r.eigenvectors
@@ -63,7 +89,7 @@ def test_harmonic_eigenpairs():
     # x elements match half the ladder amplitudes: sqrt(n hbar/(2 m w))
     for n in range(1, 6):
         assert math.isclose(r.x_elements[n - 1, n], math.sqrt(n / 2), rel_tol=1e-12)
-    assert _doubling_deltas([r.spec], 32, [r.eigenvalues[:6]])[0] < 1e-12
+    assert _counted_deltas([r.spec], 32, [r.eigenvalues[:6]])[0] < 1e-12
 
 
 def test_banded_coupling_structure():
@@ -126,28 +152,30 @@ def test_rs_shifts_match_closed_forms(kind, units):
 
 
 def test_x3_ground_level_against_diagonalization():
-    r = diagonalize(build_hamiltonian(X3, 64), n_track=5)
+    r = solve(X3, 64)
     assert abs(r.eigenvalues[0] - 0.5001875) < 5e-7
     # the gap to first order is the known second-order shift
     second = (21.0 / 128.0) * X3.lam**2
     first_order = solve_quantum(X3, n_max=1, order=1).level(0).eval(X3.lam)
     assert abs(abs(r.eigenvalues[0] - first_order) - second) < 1e-9
-    assert _doubling_deltas([X3], 64, [r.eigenvalues[:6]])[0] < 1e-10
+    assert _counted_deltas([X3], 64, [r.eigenvalues[:6]])[0] < 1e-10
 
 
 def test_determinism():
-    a = diagonalize(build_hamiltonian(X3, 48), n_track=4)
-    b = diagonalize(build_hamiltonian(X3, 48), n_track=4)
+    a = solve(X3, 48, n_track=4)
+    b = solve(X3, 48, n_track=4)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.x_elements, b.x_elements)
-    # every kind, odd N, with the merged parity blocks and the doubling check
+    # every kind, odd N, with the merged parity blocks and the doubling
+    # check; at 257 the Ritz rungs
     for spec in (OscillatorSpec(), X2, X3):
-        a = diagonalize(build_hamiltonian(spec, 65), n_track=5)
-        b = diagonalize(build_hamiltonian(spec, 65), n_track=5)
-        for name in ("eigenvalues", "eigenvectors", "x_elements"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert (_doubling_deltas([spec], 65, [a.eigenvalues[:6]])
-                == _doubling_deltas([spec], 65, [b.eigenvalues[:6]]))
+        for n in (65, 257):
+            a = solve(spec, n)
+            b = solve(spec, n)
+            for name in ("eigenvalues", "eigenvectors", "x_elements"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert (_counted_deltas([spec], n, [a.eigenvalues[:6]], ALL_SWEEPS)
+                    == _counted_deltas([spec], n, [b.eigenvalues[:6]], ALL_SWEEPS))
 
 
 def test_basis_size_validation():
@@ -249,7 +277,7 @@ def test_unconverged_coupling_is_blamed_on_convergence():
     # its level rows stay, but it adds no level failure and no fit point
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
-    assert rep.failures == ["convergence lam=0.16: doubling delta 4.955e+01 > 1.000e-10"]
+    assert rep.failures == ["convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10"]
     assert [r.lam for r in rep.levels] == [l for l in coupling_sweep(0.04) for _ in range(6)]
     assert max(r.residual for r in rep.levels if r.lam == 0.16) > 0.5
     converged = compare(spec, coupling_sweep(spec.lam)[:3], n_track=5)
@@ -333,11 +361,12 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
         calls = _count_decompositions(monkeypatch)
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
         n = 64 // blocks
-        # eigenvectors at the base coupling only, for x_elements
-        assert calls["eigh"] == [(n, n)] * blocks
+        # one batched call each: eigenvectors at the base coupling only,
+        # for x_elements
+        assert calls["eigh"] == [(blocks, n, n)]
         # eigenvalues only at the other three couplings; the converged
         # doubled bases are counted, not decomposed
-        assert calls["eigvalsh"] == [(n, n)] * (3 * blocks)
+        assert calls["eigvalsh"] == [(3 * blocks, n, n)]
         assert len(rep.amplitudes) == 5
         assert len(rep.convergence_deltas) == 4
         monkeypatch.undo()
@@ -346,9 +375,9 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
 @pytest.mark.parametrize("spec,n_basis", [(X2, 64), (X3, 64), (X3, 160)])
 def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
     # x2 and x3 sweeps, converged: no doubled basis is decomposed at any
-    # size.  Below RITZ_MIN_BASIS every decomposition is diagonalize's;
-    # from it up (x3 at 160) diagonalize is not called, and the one
-    # decomposition is the Rayleigh-Ritz eigh of the leading blocks
+    # size, and every decomposition is diagonalize's: below 128 states the
+    # full blocks' eigvalsh and eigh, from there up (x3 at 160) the one
+    # Rayleigh-Ritz eigh of the leading blocks
     depth = [0]
     real = oracle.diagonalize
 
@@ -369,17 +398,31 @@ def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
     assert rep.passed, rep.failures
-    if n_basis < RITZ_MIN_BASIS:
-        assert inside == [True] * 4 * len(_parity_blocks(spec))
-    else:
-        assert inside == [False]
+    assert inside == [True] * (2 if n_basis < 128 else 1)
+
+
+@pytest.mark.parametrize("spec", [X2, X3], ids=["x2", "x3"])
+@pytest.mark.parametrize("n_basis", [56, 256])
+def test_unsorted_eigenvalues_raise_at_every_rung(monkeypatch, spec, n_basis):
+    # an eigh that returns its eigenvalues out of order is caught at the
+    # full blocks' rung (56: the base coupling's eigh) and at the Ritz
+    # rungs (256: the leading blocks' eigh) alike
+    real = np.linalg.eigh
+
+    def unsorted(a, *args, **kwargs):
+        w, v = real(a, *args, **kwargs)
+        return w[..., ::-1], v[..., ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", unsorted)
+    with pytest.raises(OracleError, match="eigenvalues not sorted"):
+        compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
 
 
 def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
     assert rep.passed
-    assert calls == {"eigh": [], "eigvalsh": [(32, 32)] * 2}
+    assert calls == {"eigh": [], "eigvalsh": [(2, 32, 32)]}
     assert rep.convergence_deltas == [1e-13]
 
 
@@ -406,9 +449,10 @@ def test_banded_build_matches_matrix_power(kind, n, units):
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("n_basis,n_track", [(8, 3), (8, 12), (64, 5), (256, 5)])
 def test_tracked_x_elements_match_full_product(kind, n_basis, n_track):
+    # at 256 the tracked states are Ritz pairs of the leading rows
     spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
     ham = build_hamiltonian(spec, n_basis)
-    r = diagonalize(ham, n_track=n_track)
+    r = solve(spec, n_basis, n_track=n_track)
     k = min(n_track + 1, n_basis)
     assert r.x_elements.shape == (k, k)
     assert r.eigenvectors.shape == (n_basis, k)
@@ -441,13 +485,14 @@ def _even_spec(kind, units):
 @pytest.mark.parametrize("kind", EVEN_KINDS)
 @pytest.mark.parametrize("n", SIZES)
 def test_parity_blocks_match_unsplit_eigenvalues(kind, n, units):
-    ham = build_hamiltonian(_even_spec(kind, units), n)
-    expect = np.linalg.eigvalsh(ham.matrix)
+    # the full blocks alone (no Ritz rung), so that every eigenvalue is there
+    spec = _even_spec(kind, units)
+    expect = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
     bound = 1e-13 * np.max(np.abs(expect))
-    r = diagonalize(ham, None)
+    r = solve(spec, n, tracked=False, ritz_rows=())
     assert np.max(np.abs(r.eigenvalues - expect)) <= bound
     assert r.eigenvectors.shape == (n, 0) and r.x_elements.shape == (0, 0)
-    r = diagonalize(ham, n_track=5)
+    r = solve(spec, n, ritz_rows=())
     assert np.max(np.abs(r.eigenvalues - expect)) <= bound
 
 
@@ -455,7 +500,7 @@ def test_parity_blocks_match_unsplit_eigenvalues(kind, n, units):
 @pytest.mark.parametrize("kind", EVEN_KINDS)
 @pytest.mark.parametrize("n", [8, 9, 64])
 def test_parity_block_eigenvectors(kind, n, units):
-    r = diagonalize(build_hamiltonian(_even_spec(kind, units), n), n_track=5)
+    r = solve(_even_spec(kind, units), n)
     v = r.eigenvectors
     k = min(6, n)
     assert v.shape == (n, k)
@@ -507,7 +552,7 @@ def test_inertia_counts_match_eigvalsh(kind, lam, n, split, data):
     else:  # the whole band as one block, for either kind
         bands = _band(spec, n)[None, None]
     counts, sound = _negative_pivots(bands, shifts[None])
-    assume(sound.all())  # an exactly zero pivot sends the coupling to eigvalsh
+    assume(sound.all())  # an exactly zero pivot leaves the coupling uncertified
     assert counts[0].tolist() == [int(np.sum(evals < s)) for s in shifts]
 
 
@@ -565,8 +610,7 @@ def test_zero_pivot_is_not_sound():
 
 def _sweep_levels(spec, n_basis, k=6):
     specs = [OscillatorSpec(lam=l, kind=spec.kind) for l in coupling_sweep(spec.lam)]
-    return specs, [diagonalize(build_hamiltonian(s, n_basis), None).eigenvalues[:k]
-                   for s in specs]
+    return specs, [dense_reference(s, n_basis).eigenvalues[:k] for s in specs]
 
 
 @pytest.mark.parametrize("kind,lam,n_basis", [
@@ -579,29 +623,36 @@ def _sweep_levels(spec, n_basis, k=6):
      for n in (8, 16, 28, 56, 96)])
 def test_certified_delta_bounds_measured_delta(kind, lam, n_basis):
     # at N = 8 (x3 also at 16) some couplings are not converged: there the
-    # gate is not certified and the delta is the measured one
+    # gate is not certified and the delta is counted up DELTA_LADDER, to
+    # within a quarter decade above the measured one
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
-    deltas = _doubling_deltas(specs, n_basis, tracked)
+    deltas = _counted_deltas(specs, n_basis, tracked, ALL_SWEEPS)
     for s, t, delta in zip(specs, tracked, deltas):
-        measured = _measured_delta(s, n_basis, t)
+        measured = measured_delta(s, n_basis, t)
         assert delta >= measured
-        assert delta in CONVERGENCE_LADDER or delta == measured > CONVERGENCE_LADDER[-1]
+        assert delta in CONVERGENCE_LADDER or delta / 10**0.25 < measured
 
 
-def test_unsound_pivots_fall_back_to_eigvalsh(monkeypatch):
-    specs, tracked = _sweep_levels(OscillatorSpec(lam=1e-3, kind=Kind.QUADRATIC_FORCE), 80)
+def test_unsound_pivots_are_uncertified(monkeypatch):
+    # a zero or non-finite pivot certifies no rung, up to the top of
+    # DELTA_LADDER: compare reports the top rung and says the delta is above it
+    spec = OscillatorSpec(lam=1e-3, kind=Kind.QUADRATIC_FORCE)
+    specs, tracked = _sweep_levels(spec, 80)
     monkeypatch.setattr(oracle, "_negative_pivots",
                         lambda bands, shifts: (np.zeros(shifts.shape, int),
                                                np.zeros(len(shifts), bool)))
-    deltas = _doubling_deltas(specs, 80, tracked)
-    assert deltas == [_measured_delta(s, 80, t) for s, t in zip(specs, tracked)]
+    assert _counted_deltas(specs, 80, tracked, ALL_SWEEPS) == [None] * 4
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=80)
+    assert rep.convergence_deltas == [DELTA_LADDER[-1]] * 4
+    assert [f for f in rep.failures if f.startswith("convergence")] == [
+        f"convergence lam={l:g}: doubling delta > 5.623e+02" for l in coupling_sweep(spec.lam)]
 
 
-def _all_rungs_deltas(specs, n_basis, tracked):
+def _all_rungs_deltas(specs, n_basis, tracked, rungs):
     """The delta rule over every rung at once: one _negative_pivots call
-    with all four rungs' shifts, then the smallest certified rung, or the
-    measured delta where the gate is not certified or a pivot unsound."""
-    eps = np.array(CONVERGENCE_LADDER)[:, None] * (specs[0].hbar * specs[0].omega0)
+    with the shifts of every rung, then the smallest certified rung, or
+    None where the top rung is not certified or a pivot unsound."""
+    eps = np.array(rungs)[:, None] * (specs[0].hbar * specs[0].omega0)
     levels = np.array(tracked)[:, None]
     shifts = np.concatenate([levels - eps, levels + eps], axis=1).reshape(len(specs), -1)
     bands = np.concatenate([_block_bands(s, 2 * n_basis) for s in specs], axis=1)
@@ -609,8 +660,7 @@ def _all_rungs_deltas(specs, n_basis, tracked):
     counts = counts.reshape(len(specs), 2, len(eps), -1)
     i = np.arange(len(tracked[0]))
     certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)
-    return [CONVERGENCE_LADDER[np.argmax(ok)] if good and ok[-1] else _measured_delta(s, n_basis, t)
-            for s, t, ok, good in zip(specs, tracked, certified, sound)]
+    return [rungs[np.argmax(ok)] if good and ok[-1] else None for ok, good in zip(certified, sound)]
 
 
 @pytest.mark.parametrize("kind,lam,n_basis", [
@@ -630,7 +680,12 @@ def _all_rungs_deltas(specs, n_basis, tracked):
 def test_lowest_rung_first_keeps_the_delta_rule(kind, lam, n_basis):
     n_basis = n_basis or default_basis_size(5)
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
-    assert _doubling_deltas(specs, n_basis, tracked) == _all_rungs_deltas(specs, n_basis, tracked)
+    gate = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER)
+    assert _counted_deltas(specs, n_basis, tracked) == gate
+    # a coupling uncertified at the gate: up DELTA_LADDER as if all at once
+    wide = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER + DELTA_LADDER)
+    assert (_counted_deltas(specs, n_basis, tracked, ALL_SWEEPS)
+            == [w if g is None else g for g, w in zip(gate, wide)])
 
 
 def test_converged_sweep_sweeps_once_at_the_lowest_rung(monkeypatch):
@@ -647,28 +702,32 @@ def test_converged_sweep_sweeps_once_at_the_lowest_rung(monkeypatch):
     assert calls == [(4, (4, 2 * 6))]  # E_i -+ 1e-13*hbar*omega0 for the six tracked levels
 
 
-def test_unconverged_coupling_reports_measured_delta():
+def test_unconverged_coupling_reports_counted_delta():
     # at 4*lam the x2 basis (256, or verify's default 56) has not
-    # converged: the gate is not certified, the doubled basis is
-    # decomposed and the measured delta reported
+    # converged: the gate is not certified, and the delta reported is the
+    # smallest rung of DELTA_LADDER that the counts certify, within a
+    # quarter decade above the measured change (122.85 and 49.55)
     for lam, n_basis, delta, failure in (
-        (0.015, 256, 122.851274056317, "convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10"),
-        (0.04, None, 49.5503263653598, "convergence lam=0.16: doubling delta 4.955e+01 > 1.000e-10"),
+        (0.015, 256, 10**2.25, "convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10"),
+        (0.04, None, 10**1.75, "convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10"),
     ):
         spec = OscillatorSpec(lam=lam, kind=Kind.QUADRATIC_FORCE)
         rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
         specs, tracked = _sweep_levels(spec, rep.n_basis)
         assert rep.convergence_deltas[:3] == [1e-13] * 3
-        assert rep.convergence_deltas[3] == _measured_delta(specs[3], rep.n_basis, tracked[3])
-        assert math.isclose(rep.convergence_deltas[3], delta, rel_tol=1e-9)
+        assert rep.convergence_deltas[3] in DELTA_LADDER
+        assert math.isclose(rep.convergence_deltas[3], delta, rel_tol=1e-12)
+        measured = measured_delta(specs[3], rep.n_basis, tracked[3])
+        assert delta / 10**0.25 < measured <= delta
         assert [f for f in rep.failures if f.startswith("convergence")] == [failure]
         assert not rep.passed
 
 
 def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
-    # at every basis size, verify's default (56) included; from
-    # RITZ_MIN_BASIS up (x3 at 160) no N-sized matrix is decomposed or
-    # built either: one eigh of the 32-row leading blocks, 4 couplings x 2 parities
+    # at every basis size, verify's default (56) included, and no dense H
+    # is built; from 128 states up (x3 at 160) no N-sized matrix is
+    # decomposed either: one eigh of the 32-row leading blocks, 4
+    # couplings x 2 parities
     for spec, n_basis, blocks in ((X2, 96, 1), (X3, 160, 2), (X2, None, 1), (X3, None, 2)):
         calls = _count_decompositions(monkeypatch)
         built = []
@@ -682,27 +741,25 @@ def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
         assert rep.passed, rep.failures
         n = rep.n_basis // blocks
-        if rep.n_basis >= RITZ_MIN_BASIS:
+        assert built == []
+        if rep.n_basis >= 128:
             assert calls == {"eigh": [(4 * blocks, 32, 32)], "eigvalsh": []}
-            assert built == []
-        else:
-            assert calls["eigh"] == [(n, n)] * blocks
-            assert calls["eigvalsh"] == [(n, n)] * blocks * 3  # no doubled basis
-            assert built == [rep.n_basis] * 4  # no dense doubled matrix either
+        else:  # the full blocks, no doubled basis
+            assert calls == {"eigh": [(blocks, n, n)], "eigvalsh": [(3 * blocks, n, n)]}
         assert rep.convergence_deltas == [1e-13] * 4
         monkeypatch.undo()
 
 
 def test_default_basis_stays_on_eigvalsh(monkeypatch):
-    # at verify's default basis only the coupling the counts cannot certify
-    # (x2 at 4*lam = 0.16) has its doubled basis decomposed, by eigvalsh
+    # at verify's default basis even the coupling the counts cannot certify
+    # at the gate (x2 at 4*lam = 0.16) is counted up DELTA_LADDER: its
+    # doubled basis is not decomposed, and it is not solved twice
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     n = default_basis_size(5)
     calls = _count_decompositions(monkeypatch)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.n_basis == n
-    assert calls["eigh"] == [(n, n)]
-    assert sorted(calls["eigvalsh"]) == [(n, n)] * 3 + [(2 * n, 2 * n)]
+    assert calls == {"eigh": [(1, n, n)], "eigvalsh": [(3, n, n)]}
     assert rep.convergence_deltas[:3] == [1e-13] * 3
     assert rep.convergence_deltas[3] > CONVERGENCE_LADDER[-1]
 
@@ -732,7 +789,7 @@ def test_amplitude_gate_is_in_the_smallness_ratio(kind, units):
 @pytest.mark.parametrize("n_basis", [64, 256])
 def test_compare_forms_each_basis_band_once(monkeypatch, n_basis):
     # the lam-independent x^q band is formed once for the N basis and once
-    # for the doubled one, on the dense route and the banded one alike
+    # for the doubled one, whether the full blocks or Ritz rungs solve it
     calls = []
     real = oracle._hamiltonian_bands
 
@@ -912,7 +969,7 @@ def test_sweep_without_a_dominant_rest_eliminates_every_row():
     assert _assert_full_sweeps_counts(band, np.append(levels, diag[-1] + 1.0)[None]) == 257
 
 
-# --- the banded route: Rayleigh-Ritz on the leading rows ---------------------
+# --- the Ritz rungs: Rayleigh-Ritz on the leading rows ------------------------
 
 def _sweep_at_ratio(kind, lam, units):
     """The coupling sweep at the smallness ratio of lam in default units."""
@@ -924,13 +981,13 @@ def _sweep_at_ratio(kind, lam, units):
 
 
 BANDED_GRID = [
-    (Kind.QUADRATIC_FORCE, 1e-3, RITZ_MIN_BASIS),
+    (Kind.QUADRATIC_FORCE, 1e-3, 128),
     (Kind.QUADRATIC_FORCE, 5e-3, 200),
     (Kind.QUADRATIC_FORCE, 0.01, 256),  # 4*lam = 0.04
     (Kind.QUADRATIC_FORCE, 5e-3, 384),
     (Kind.QUADRATIC_FORCE, 2e-3, 768),
-    (Kind.CUBIC_FORCE, 1e-4, RITZ_MIN_BASIS),
-    (Kind.CUBIC_FORCE, 1e-3, RITZ_MIN_BASIS + 1),  # parity blocks of unequal size
+    (Kind.CUBIC_FORCE, 1e-4, 128),
+    (Kind.CUBIC_FORCE, 1e-3, 129),  # parity blocks of unequal size
     (Kind.CUBIC_FORCE, 2e-3, 200),
     (Kind.CUBIC_FORCE, 0.1, 256),  # 4*lam = 0.4: leading blocks of 64 rows
     (Kind.CUBIC_FORCE, 0.03, 384),
@@ -942,11 +999,11 @@ BANDED_GRID = [
 @pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID)
 def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
     specs = _sweep_at_ratio(kind, lam, units)
-    ritz = _ritz_sweep(specs, _hamiltonian_bands(specs, n_basis), n_basis, 5, 0)
+    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
     hbw = specs[0].hbar * specs[0].omega0
     for c, (s, r) in enumerate(zip(specs, ritz)):
-        assert r is not None  # converged
-        dense = diagonalize(build_hamiltonian(s, n_basis), 5 if c == 0 else None)
+        assert len(r.eigenvalues) < n_basis  # converged at a Ritz rung
+        dense = dense_reference(s, n_basis, 5 if c == 0 else None)
         theta, e = r.eigenvalues[:6], dense.eigenvalues[:6]
         assert np.max(np.abs(theta - e)) <= 1e-13 * hbw
         assert np.all(theta >= e - 1e-14 * np.maximum(1.0, np.abs(e)))  # upper bounds
@@ -958,7 +1015,8 @@ def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
 @pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID[:3] + BANDED_GRID[5:8])
 def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
     specs = _sweep_at_ratio(kind, lam, {})
-    ritz = _ritz_sweep(specs, _hamiltonian_bands(specs, n_basis), n_basis, 5, 0)
+    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
+    assert all(len(r.eigenvalues) < n_basis for r in ritz)
     rep = compare(specs[1], [s.lam for s in specs], n_track=5, n_basis=n_basis)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
     assert [r.exact for r in rep.levels] == [float(e) for r in ritz for e in r.eigenvalues[:6]]
@@ -968,70 +1026,86 @@ def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
 
 def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
     # x3 at 4*lam = 1.2: the odd block's residuals are still above RITZ_TOL
-    # at 128 leading rows (N = 512, blocks of 256), so that coupling has no
-    # Ritz result; at N = 384 (blocks of 192) the largest is 64 rows
+    # at 128 leading rows (N = 512, blocks of 256), so that coupling's
+    # blocks take the full rung, by eigvalsh; at N = 384 (blocks of 192)
+    # the largest Ritz rung is 64 rows
     specs = _sweep_at_ratio(Kind.CUBIC_FORCE, 0.3, {})
-    sizes = []
-    real = np.linalg.eigh
-
-    def spy(a):
-        sizes.append(a.shape)
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    calls = _count_decompositions(monkeypatch)
     for n_basis, largest in ((512, 128), (384, 64)):
-        sizes.clear()
-        ritz = _ritz_sweep(specs, _hamiltonian_bands(specs, n_basis), n_basis, 5, 0)
-        assert [r is not None for r in ritz] == [True, True, True, False]
-        assert sizes[-1][1:] == (largest, largest)
+        calls["eigh"].clear()
+        calls["eigvalsh"].clear()
+        ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
+        assert [len(r.eigenvalues) for r in ritz] == [6, 6, 6, n_basis]
+        assert calls["eigh"][-1][1:] == (largest, largest)
+        assert calls["eigvalsh"] == [(2, n_basis // 2, n_basis // 2)]
+
+
+def _dense_diagonalize(specs, bands, n_track, base, ritz_rows=()):
+    """diagonalize replaced by the dense reference at every coupling."""
+    n_basis = bands[0].shape[1]
+    return [dense_reference(s, n_basis, n_track if c == base else None)
+            for c, s in enumerate(specs)]
 
 
 def _dense_route(monkeypatch, spec, n_basis, **kwargs):
-    """compare on the dense route throughout, as below RITZ_MIN_BASIS."""
+    """compare with every coupling's eigenpairs from the dense reference."""
     with monkeypatch.context() as mp:
-        mp.setattr(oracle, "RITZ_MIN_BASIS", n_basis + 1)
+        mp.setattr(oracle, "diagonalize", _dense_diagonalize)
         return compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis, **kwargs)
+
+
+def _stall_last_coupling(monkeypatch, blocks, n_p):
+    """Every Ritz rung leaves each block of the last coupling unconverged:
+    the last entries of each Ritz batch, their Ritz vectors replaced by the
+    last unit vector, whose residual reaches the rows below the leading block."""
+    real = oracle._eigh
+
+    def stalled(h, vectors):
+        w, v = real(h, vectors)
+        if vectors and h.shape[-1] < n_p:
+            v = v.copy()
+            v[-blocks:] = 0.0
+            v[-blocks:, -1] = 1.0
+        return w, v
+
+    monkeypatch.setattr(oracle, "_eigh", stalled)
 
 
 @pytest.mark.filterwarnings("ignore:coupling ratio")  # x3 at lam 0.3
 @pytest.mark.parametrize("spec,n_basis", [(X2, 256), (X3, 384),
                                           (OscillatorSpec(lam=0.3, kind=Kind.CUBIC_FORCE), 384)])
 def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_basis):
-    # a coupling whose Ritz solve stops unconverged is diagonalized as below
-    # the crossover: its rows and delta are the dense route's to the bit
+    # a coupling whose Ritz solve stops unconverged is solved at its full
+    # blocks: its rows and delta are the dense reference's to the bit
     dense = _dense_route(monkeypatch, spec, n_basis)
     blocks = len(_parity_blocks(spec))
-    real = oracle._ritz_pairs
-
-    def stalled(bands, k, unit):  # every block of the last coupling stops unconverged
-        return real(bands, k, unit)[:-blocks] + [None] * blocks
-
-    monkeypatch.setattr(oracle, "_ritz_pairs", stalled)
+    _stall_last_coupling(monkeypatch, blocks, n_basis // blocks)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
     last = coupling_sweep(spec.lam)[-1]
     assert rep.convergence_deltas[-1] == dense.convergence_deltas[-1]
     assert [r for r in rep.levels if r.lam == last] == [r for r in dense.levels if r.lam == last]
     assert [f for f in rep.failures if f"lam={last:g}" in f] == [
         f for f in dense.failures if f"lam={last:g}" in f]
-    # every coupling unconverged: the whole report is the dense route's
-    monkeypatch.setattr(oracle, "_ritz_pairs", lambda bands, k, unit: [None] * len(bands))
+    # every coupling unconverged: the whole report is the dense reference's
+    monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)
     assert compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis) == dense
 
 
 def test_uncertified_ritz_coupling_takes_the_dense_route(monkeypatch):
     # x2 at 4*lam = 0.06 on 256 states: the Ritz solve converges to the
     # quasi-bound states, but the doubled basis has collapsed and the counts
-    # certify no rung, so that coupling is diagonalized and measured as on
-    # the dense route, to the bit
+    # certify no rung up to the gate, so that coupling is solved again at its
+    # full block, to the bit the dense reference, and counted up DELTA_LADDER
     spec = OscillatorSpec(lam=0.015, kind=Kind.QUADRATIC_FORCE)
     specs = _sweep_at_ratio(spec.kind, spec.lam, {})
-    assert None not in _ritz_sweep(specs, _hamiltonian_bands(specs, 256), 256, 5, 0)
+    ritz = diagonalize(specs, _hamiltonian_bands(specs, 256), 5, 0)
+    assert all(len(r.eigenvalues) < 256 for r in ritz)
     dense = _dense_route(monkeypatch, spec, 256)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
     assert rep.convergence_deltas == dense.convergence_deltas
     assert [r for r in rep.levels if r.lam == 0.06] == [r for r in dense.levels if r.lam == 0.06]
     assert rep.failures == dense.failures == [
-        "convergence lam=0.06: doubling delta 1.229e+02 > 1.000e-10"]
+        "convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10"]
 
 
 def test_stalled_ritz_solve_prints_the_dense_output(monkeypatch, capsys):
@@ -1040,9 +1114,9 @@ def test_stalled_ritz_solve_prints_the_dense_output(monkeypatch, capsys):
     argv = ["oracle-compare", "--kind", "x2", "--lambda", "0.003", "--nmax", "6",
             "--oracle-n", "256"]
     with monkeypatch.context() as mp:
-        mp.setattr(oracle, "RITZ_MIN_BASIS", 257)
+        mp.setattr(oracle, "diagonalize", _dense_diagonalize)
         dense_code = cli.main(argv)
         dense = capsys.readouterr()
-    monkeypatch.setattr(oracle, "_ritz_pairs", lambda bands, k, unit: [None] * len(bands))
+    monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)  # no Ritz rung converges
     assert cli.main(argv) == dense_code == 0
     assert capsys.readouterr() == dense

@@ -52,8 +52,9 @@ def _x_offdiagonal(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
     return scale * np.sqrt(np.arange(1, n_basis))
 
 
-def _hamiltonian_bands(specs: Sequence[OscillatorSpec], n_basis: int) -> List[np.ndarray]:
-    """Lower band of H for each coupling: band[d, i] = <i + d| H |i> for d = 0 .. q.
+def _hamiltonian_bands(specs: Sequence[OscillatorSpec], n_basis: int) -> np.ndarray:
+    """Lower band of H for each coupling, an array (C, q + 1, N):
+    bands[c, d, i] = <i + d| H_c |i> for d = 0 .. q.
 
     The couplings share m, omega0, h and kind; only lam differs.
     Kinetic plus harmonic potential are diagonal, (n + 1/2)*hbar*omega0;
@@ -61,9 +62,9 @@ def _hamiltonian_bands(specs: Sequence[OscillatorSpec], n_basis: int) -> List[np
     (x3 kind), banded with coupling width q = 3 or 4 (q = 0 for the
     harmonic kind).  The diagonals of x^q come from applying the
     tridiagonal x q times in band storage, O(q^2 N), once for every
-    coupling; each coupling scales them by m*lam/q.  H_N holds (x_N)^q, so
-    its last q rows are not those of a larger basis.  Entries past the
-    basis are zero.
+    coupling; one product scales them by each coupling's m*lam/q.  H_N
+    holds (x_N)^q, so its last q rows are not those of a larger basis.
+    Entries past the basis are zero.
     """
     if n_basis < 8:
         raise OracleError("basis size must be at least 8")
@@ -72,23 +73,21 @@ def _hamiltonian_bands(specs: Sequence[OscillatorSpec], n_basis: int) -> List[np
     diag = (n + 0.5) * spec.hbar * spec.omega0
     q = spec.kind.force_power + 1
     if q == 1:
-        return [diag[None, :] for _ in specs]
+        return np.tile(diag, (len(specs), 1, 1))
     off = _x_offdiagonal(spec, n_basis)
-    band = np.zeros((2 * q + 1, n_basis))  # band[q + d, i] = <i + d| x^j |i>
-    band[q] = 1.0
-    for _ in range(q):  # x^j <- x^j x
+    band = np.zeros((2 * q + 3, n_basis))  # band[q + 1 + d, i] = <i + d| x^j |i>; zero end rows
+    band[q + 1] = 1.0
+    for j in range(1, q + 1):  # x^j <- x^(j-1) x, on the diagonals d = -j, -j + 2 .. j
         new = np.zeros_like(band)
-        new[:-1, 1:] = off * band[1:, :-1]
-        new[1:, :-1] += off * band[:-1, 1:]
+        d = slice(q + 1 - j, q + 2 + j, 2)
+        new[d, 1:] = off * band[q + 2 - j : q + 3 + j : 2, :-1]
+        new[d, :-1] += off * band[q - j : q + 1 + j : 2, 1:]
         band = new
-    out = []
-    for s in specs:
-        lower = band[q:] * (s.m * s.lam / q)
-        lower[0] += diag
-        for d in range(1, q + 1):
-            lower[d, n_basis - d :] = 0.0
-        out.append(lower)
-    return out
+    bands = band[q + 1 : -1] * np.array([s.m * s.lam / q for s in specs])[:, None, None]
+    bands[:, 0] += diag
+    for d in range(1, q + 1):
+        bands[:, d, n_basis - d :] = 0.0
+    return bands
 
 
 def _corner(band: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -98,11 +97,12 @@ def _corner(band: np.ndarray, rows: int, cols: int) -> np.ndarray:
     it, so a square corner is exactly symmetric.
     """
     h = np.zeros(band.shape[:-2] + (rows, cols))
+    # flat: H[i + d, i] at d*cols + i*(cols + 1), H[i, i + d] at d + i*(cols + 1)
+    flat = h.reshape(h.shape[:-2] + (-1,))
     for d in range(band.shape[-2]):
-        i = np.arange(max(min(rows - d, cols), 0))
-        h[..., i + d, i] = band[..., d, i]
-        i = np.arange(max(min(rows, cols - d), 0))
-        h[..., i, i + d] = band[..., d, i]
+        below, above = max(min(rows - d, cols), 0), max(min(rows, cols - d), 0)
+        flat[..., d * cols :: cols + 1][..., :below] = band[..., d, :below]
+        flat[..., d :: cols + 1][..., :above] = band[..., d, :above]
     return h
 
 
@@ -213,7 +213,9 @@ def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     window = np.lib.stride_tricks.as_strided(
         buf[0, w], (m, w + 1, w + 1) + buf.shape[2:],
         (buf.strides[0], buf.strides[0] - buf.strides[1]) + buf.strides[1:])
-    steps = list(zip(window[:, 1:, 0], window[:, 0, 0], window[:, 0, 1:], window[:, 1:, 1:]))
+    views = (window[:, 1:, 0], window[:, 0, 0], window[:, 0, 1:], window[:, 1:, 1:])
+    steps: List[Tuple[np.ndarray, ...]] = []  # one window per row, made when first eliminated
+    band = bands.transpose(3, 2, 0, 1)[..., None]  # band[i, d] = bands[:, :, d, i], over the shifts
     ratio = np.empty((w, 1) + buf.shape[2:])
     update = np.empty((w, w) + buf.shape[2:])
     pivots = np.empty((n,) + buf.shape[2:])
@@ -230,13 +232,13 @@ def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
             new[...] = 0.0
             lo = j + fresh
             hi = max(min(j + size + w, n), lo)
-            for d in range(width):  # <i| H |i + d> = bands[d, i], <i| H |i - d> = bands[d, i - d]
-                new[: hi - lo, w + d] = np.moveaxis(bands[:, :, d, lo:hi, None], -2, 0)
+            new[: hi - lo, w:] = band[lo:hi]  # <i| H |i + d> = bands[d, i]
+            for d in range(1, width):  # <i| H |i - d> = bands[d, i - d]
                 first = max(lo, d)
-                if d and first < hi:
-                    new[first - lo : hi - lo, w - d] = np.moveaxis(
-                        bands[:, :, d, first - d : hi - d, None], -2, 0)
+                if first < hi:
+                    new[first - lo : hi - lo, w - d] = band[first - d : hi - d, d]
             np.subtract(new[: hi - lo, w], shifts, out=new[: hi - lo, w])
+            steps += zip(*(v[len(steps) : size] for v in views))  # rows new to this call
             for col, pivot, row, rest in steps[:size]:
                 np.divide(col, pivot, out=ratio[:, 0])
                 np.multiply(ratio, row, out=update)
@@ -292,10 +294,8 @@ def _counted_deltas(
     levels = np.array(tracked)  # (C, k)
     i = np.arange(levels.shape[1])
     blocks = _parity_blocks(specs[0])
-    bands = np.array([
-        [band[:: len(blocks), b] for b in blocks]  # a parity block's band: every other diagonal
-        for band in _hamiltonian_bands(specs, 2 * n_basis)
-    ]).swapaxes(0, 1)
+    bands = _hamiltonian_bands(specs, 2 * n_basis)  # a parity block's band: every other diagonal
+    bands = np.stack([bands[:, :: len(blocks), b] for b in blocks])
     deltas: List[Optional[float]] = [None] * len(specs)
     asked = np.arange(len(specs))
     for rungs in sweeps:
@@ -453,21 +453,32 @@ def default_basis_size(n_track: int) -> int:
     return 4 * (n_track + 1) + 32
 
 
-def _rs_shifts(spec: OscillatorSpec, rows: np.ndarray) -> np.ndarray:
+def _rs_shifts(spec: OscillatorSpec, bands: np.ndarray, n_track: int) -> np.ndarray:
     """Rayleigh-Schroedinger level shifts lam*E_1(n) and lam^2*E_2(n), rows
-    0 and 1, for n = 0 .. n_track, read off the leading rows of H,
-    rows = H[: n_track + 1] (all N columns).
+    0 and 1, for n = 0 .. n_track, of each coupling's lower band of H
+    (_hamiltonian_bands): an array (2, C, n_track + 1).
 
     H0 is diagonal, (n + 1/2)*hbar*omega0, so lam*E_1 = H_nn - (n + 1/2)
     hbar*omega0 and lam^2*E_2 = sum_{k != n} H_kn^2/((n - k)*hbar*omega0).
     Exact when the basis holds every state the potential couples to n,
-    N > n_track + p + 1 for the force power p.
+    N > n_track + p + 1 for the force power p.  Row n reaches column
+    n + q at most, so the rows are read from the band only up to a
+    multiple of 8 past column n_track + q: within NumPy's first
+    pairwise-summation block (64 or more columns when N > 128, the
+    unrolled part of the whole row otherwise) the sum of those columns
+    is that of all N to the bit, the rest adding -0.0.  Past that block
+    all N columns are read.
     """
-    n = np.arange(len(rows))
-    gaps = (n[:, None] - np.arange(rows.shape[1])) * (spec.hbar * spec.omega0)
+    n_basis = bands.shape[-1]
+    cols = -(-(n_track + bands.shape[-2]) // 8) * 8
+    if cols > (64 if n_basis > 128 else n_basis - n_basis % 8):
+        cols = n_basis
+    rows = _corner(bands, n_track + 1, cols)
+    n = np.arange(n_track + 1)
+    gaps = (n[:, None] - np.arange(cols)) * (spec.hbar * spec.omega0)
     gaps[n, n] = np.inf  # k = n adds nothing
-    first = rows[n, n] - (n + 0.5) * spec.hbar * spec.omega0
-    return np.array([first, np.sum(rows * rows / gaps, axis=1)])
+    first = rows[..., n, n] - (n + 0.5) * spec.hbar * spec.omega0
+    return np.array([first, np.sum(rows * rows / gaps, axis=-1)])
 
 
 @dataclass
@@ -561,10 +572,13 @@ def compare(
     (interlacing) >= theta_i - eps (the counts), so one certificate bounds
     both the doubling delta and |theta_i - lambda_i(H_N)| by eps.  H_N is
     not exactly the leading block of H_2N: their last q rows differ
-    (_hamiltonian_bands), where converged states have no weight.  A
-    coupling whose gate the counts do not certify is solved again at its
-    full block if a Ritz rung served it, and counted again up the gate and
-    DELTA_LADDER; above its top rung the delta is reported as that rung.
+    (_hamiltonian_bands), where converged states have no weight.  Ritz
+    values are counted up the gate alone, and a coupling whose gate they
+    do not certify is solved again at its full block.  Full-block values,
+    whether solved so at first or again, are counted once, up the gate and
+    then DELTA_LADDER; above its top rung the delta is reported as that
+    rung.  The sweep's couplings are one array axis throughout: one band
+    array, one read of the shifts, one fit per set of fitted couplings.
     Eigenvectors are tracked at the base coupling only, the first nonzero
     one (report.base_lam), where the amplitudes read x_elements.
     convergence_deltas keeps one delta per coupling, so the hardest
@@ -602,67 +616,71 @@ def compare(
     k = min(n_track + 1, n_basis)
     specs = [OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind) for lam in lambdas]
     bands = _hamiltonian_bands(specs, n_basis)
-    shifts = [_rs_shifts(s, _corner(band, n_track + 1, n_basis))[j - 1]  # lam^j E_j(n)
-              for s, band in zip(specs, bands)]
+    shifts = _rs_shifts(spec, bands, n_track)[j - 1]  # lam^j E_j(n)
     base_index = next((c for c, lam in enumerate(lambdas) if lam != 0), None)
 
     sweep = diagonalize(specs, bands, n_track, base_index)
-    deltas = _counted_deltas(specs, n_basis, [r.eigenvalues[:k] for r in sweep])
-    uncertified = [c for c, d in enumerate(deltas) if d is None]
-    if uncertified:  # Ritz values solved again at the full block, then all counted up the ladder
-        ritz = [c for c in uncertified if len(sweep[c].eigenvalues) < n_basis]  # Ritz values only
-        if ritz:
-            tracked = ritz.index(base_index) if base_index in ritz else None
-            full = diagonalize([specs[c] for c in ritz], [bands[c] for c in ritz], n_track,
-                               tracked, ritz_rows=())
-            for c, r in zip(ritz, full):
-                sweep[c] = r
-        counted = _counted_deltas([specs[c] for c in uncertified], n_basis,
-                                  [sweep[c].eigenvalues[:k] for c in uncertified],
-                                  _GATE_SWEEPS + (DELTA_LADDER,))
-        for c, d in zip(uncertified, counted):
+    deltas: List[Optional[float]] = [None] * len(specs)
+
+    def count(couplings: List[int], sweeps: Sequence[Sequence[float]]) -> None:
+        levels = [sweep[c].eigenvalues[:k] for c in couplings]
+        for c, d in zip(couplings, _counted_deltas([specs[c] for c in couplings], n_basis,
+                                                   levels, sweeps)):
             deltas[c] = d
+
+    ritz = [c for c, r in enumerate(sweep) if len(r.eigenvalues) < n_basis]  # Ritz values only
+    if ritz:  # up the gate; where it is not certified, solved again at the full block
+        count(ritz, _GATE_SWEEPS)
+        redo = [c for c in ritz if deltas[c] is None]
+        if redo:
+            tracked = redo.index(base_index) if base_index in redo else None
+            for c, r in zip(redo, diagonalize([specs[c] for c in redo], bands[redo], n_track,
+                                              tracked, ritz_rows=())):
+                sweep[c] = r
+    full = [c for c, d in enumerate(deltas) if d is None]  # full-block values, counted once
+    if full:
+        count(full, _GATE_SWEEPS + (DELTA_LADDER,))
     report.convergence_deltas = [DELTA_LADDER[-1] if d is None else d for d in deltas]
     base = sweep[base_index] if base_index is not None else None
 
     unconverged = report.unconverged
     hbw = spec.hbar * spec.omega0
-    for r, delta, shift in zip(sweep, deltas, shifts):
-        s, lam = r.spec, r.spec.lam
+    series = [table.level(n) for n in range(n_track + 1)]
+    tols = np.maximum(4.0 * np.abs(shifts), 1e-10 * spec.hbar * spec.omega0).tolist()
+    for r, delta, tol in zip(sweep, deltas, tols):
+        lam, exact = r.spec.lam, r.eigenvalues[: n_track + 1].tolist()
         if lam in unconverged:
             told = (f"> {DELTA_LADDER[-1] * hbw:.3e}" if delta is None
                     else f"{delta * hbw:.3e} > {CONVERGENCE_GATE * hbw:.3e}")
             report.failures.append(f"convergence lam={lam:g}: doubling delta {told}")
         for n in range(n_track + 1):
-            row = LevelComparison(
-                lam=lam,
-                n=n,
-                perturbative=table.level(n).eval(lam),
-                exact=float(r.eigenvalues[n]),
-            )
+            row = LevelComparison(lam=lam, n=n, perturbative=series[n].eval(lam), exact=exact[n])
             report.levels.append(row)
             if lam in unconverged:  # the basis, not the series, is at fault here
                 continue
-            if lam != 0:
-                residuals[n].append((lam, row.residual))
-            tol = max(4.0 * abs(shift[n]), 1e-10 * s.hbar * s.omega0)
-            if row.residual > tol:
+            if lam != 0 and row.residual > 0:
+                residuals[n].append((abs(lam), row.residual))
+            if row.residual > tol[n]:
                 report.failures.append(
-                    f"level n={n} lam={lam:g}: |dW|={row.residual:.3e} > {tol:.3e}"
+                    f"level n={n} lam={lam:g}: |dW|={row.residual:.3e} > {tol[n]:.3e}"
                 )
     if len(unconverged) == len(lambdas):
         report.failures.append(
             "level: none compared, unconverged lam=" + ", ".join(f"{l:g}" for l in unconverged))
 
-    # power-law fit of the residual per level (in |lam|)
+    # power-law fit of the residual per level (in |lam|): one polyfit per set
+    # of couplings, with its levels as columns
+    levels_at: Dict[Tuple[float, ...], List[int]] = {}
     for n, pts in residuals.items():
-        pts = [(abs(l), r) for (l, r) in pts if r > 0]
         if len(pts) >= 2:
-            xs = np.log([p[0] for p in pts])
-            ys = np.log([p[1] for p in pts])
-            slope, intercept = np.polyfit(xs, ys, 1)
-            report.fit_exponent[n] = float(slope)
-            report.fit_constant[n] = float(math.exp(intercept))
+            levels_at.setdefault(tuple(l for l, _ in pts), []).append(n)
+    fits = {}
+    for xs, ns in levels_at.items():
+        ys = np.log([[r for _, r in residuals[n]] for n in ns]).T
+        fits.update(zip(ns, np.polyfit(np.log(xs), ys, 1).T))
+    for n, (slope, intercept) in sorted(fits.items()):
+        report.fit_exponent[n] = float(slope)
+        report.fit_constant[n] = float(math.exp(intercept))
     if sum(lam != 0 for lam in lambdas) >= 2 and not report.exponent_gap <= EXPONENT_GATE:
         qs = sorted(round(q, 3) for q in report.fit_exponent.values())
         report.failures.append(f"scaling: exponents {qs} not within {EXPONENT_GATE:g} of {j}")

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,8 +128,8 @@ def test_rs_first_order_values():
     # the table's lam^1 level coefficient and the first-order shift read off H
     t2, t3 = solve_quantum(X2, n_max=4, order=1), solve_quantum(X3, n_max=4, order=1)
     assert t2.level(3)[1] == 0.0  # odd potential term: no diagonal shift
-    assert _rs_shifts(X2, build_hamiltonian(X2, 16).matrix[:5])[0, 3] == 0.0
-    shift3 = _rs_shifts(X3, build_hamiltonian(X3, 16).matrix[:5])[0]
+    assert _rs_shifts(X2, _hamiltonian_bands([X2], 16), 4)[0, 0, 3] == 0.0
+    shift3 = _rs_shifts(X3, _hamiltonian_bands([X3], 16), 4)[0, 0]
     for n, expect in ((0, 0.1875e-3), (2, 0.375e-3 * 6.5)):
         assert math.isclose(X3.lam * t3.level(n)[1], expect, rel_tol=1e-13)
         assert math.isclose(shift3[n], expect, rel_tol=1e-13)
@@ -141,7 +142,7 @@ UNIT_SETS = [{}, dict(m=1.7, omega0=0.6, planck_h=3.1)]
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
 def test_rs_shifts_match_closed_forms(kind, units):
     spec = OscillatorSpec(lam=2e-3, kind=kind, **units)
-    shifts = _rs_shifts(spec, build_hamiltonian(spec, 16).matrix[:6])
+    shifts = _rs_shifts(spec, _hamiltonian_bands([spec], 16), 5)[:, 0]
     for n in range(6):
         first, second = rs_closed_forms(spec, n)
         if kind is Kind.QUADRATIC_FORCE:
@@ -1120,3 +1121,128 @@ def test_stalled_ritz_solve_prints_the_dense_output(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)  # no Ritz rung converges
     assert cli.main(argv) == dense_code == 0
     assert capsys.readouterr() == dense
+
+
+# --- the coupling sweep as one array axis ------------------------------------
+
+def per_coupling_bands(specs, n_basis):
+    """Each coupling's lower band on its own: x^q formed on all 2q + 1
+    diagonals, then scaled in a loop over the couplings.  The reference for
+    _hamiltonian_bands, which forms only the diagonals x^j fills and scales
+    them for every coupling in one product."""
+    spec = specs[0]
+    diag = (np.arange(n_basis) + 0.5) * spec.hbar * spec.omega0
+    q = spec.kind.force_power + 1
+    if q == 1:
+        return [diag[None, :] for _ in specs]
+    off = _x_offdiagonal(spec, n_basis)
+    band = np.zeros((2 * q + 1, n_basis))
+    band[q] = 1.0
+    for _ in range(q):
+        new = np.zeros_like(band)
+        new[:-1, 1:] = off * band[1:, :-1]
+        new[1:, :-1] += off * band[:-1, 1:]
+        band = new
+    out = []
+    for s in specs:
+        lower = band[q:] * (s.m * s.lam / q)
+        lower[0] += diag
+        for d in range(1, q + 1):
+            lower[d, n_basis - d :] = 0.0
+        out.append(lower)
+    return out
+
+
+@pytest.mark.parametrize("units", [{}, ODD_UNITS])
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [8, 9, 57, 256, 768])
+def test_batched_bands_equal_the_per_coupling_loop(kind, n, units):
+    lams = [0.0] if kind is Kind.HARMONIC else [-3e-3, 0.0, 1e-3, 0.2]
+    specs = [OscillatorSpec(lam=l, kind=kind, **units) for l in lams]
+    bands = _hamiltonian_bands(specs, n)
+    expect = per_coupling_bands(specs, n)
+    assert bands.shape == (len(specs),) + expect[0].shape
+    for got, want in zip(bands, expect):
+        assert got.tobytes() == want.tobytes()
+
+
+def dense_row_shifts(spec, matrix, n_track):
+    """lam*E_1(n) and lam^2*E_2(n) summed over all N columns of the dense
+    rows H[: n_track + 1]: the reference for _rs_shifts's narrow read."""
+    rows = matrix[: n_track + 1]
+    n = np.arange(n_track + 1)
+    gaps = (n[:, None] - np.arange(rows.shape[1])) * (spec.hbar * spec.omega0)
+    gaps[n, n] = np.inf
+    first = rows[n, n] - (n + 0.5) * spec.hbar * spec.omega0
+    return np.array([first, np.sum(rows * rows / gaps, axis=1)])
+
+
+@pytest.mark.parametrize("units", [{}, ODD_UNITS])
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 56, 57, 127, 128, 129, 256, 257, 2048])
+def test_rs_shifts_equal_the_dense_row_sums(kind, n, units):
+    # sizes on both sides of NumPy's 8-wide and 128-wide pairwise-summation
+    # blocks; n_track 70 reaches past the first block, where every column is read
+    lams = [0.0] if kind is Kind.HARMONIC else [-3e-3, 1e-3, 0.2]
+    specs = [OscillatorSpec(lam=l, kind=kind, **units) for l in lams]
+    bands = _hamiltonian_bands(specs, n)
+    dense = [build_hamiltonian(s, n).matrix for s in specs]
+    for n_track in sorted({0, 1, 5, min(n - 1, 12), min(n - 1, 70)}):
+        shifts = _rs_shifts(specs[0], bands, n_track)
+        assert shifts.shape == (2, len(specs), n_track + 1)
+        for c, (s, h) in enumerate(zip(specs, dense)):
+            assert shifts[:, c].tobytes() == dense_row_shifts(s, h, n_track).tobytes()
+
+
+def _pinned_table(table, pinned):
+    """table with level(n) evaluating to pinned[(n, lam)] where listed: a
+    residual of exactly zero there, which the fit leaves out."""
+    def level(n):
+        real = table.level(n)
+        return SimpleNamespace(eval=lambda lam: pinned.get((n, lam), real.eval(lam)))
+    return SimpleNamespace(order=table.order, level=level, amp=table.amp)
+
+
+def test_fit_is_one_polyfit_per_point_set(monkeypatch):
+    # level 2 drops its point at 2*lam and level 4 keeps one point: two
+    # point sets, one polyfit each, and no fit of level 4; every fit is
+    # per-level np.polyfit's to the bit, the keys in ascending n
+    lams = coupling_sweep(1e-3)
+    table = solve_quantum(X3, n_max=6, order=1)
+    exact = {(r.n, r.lam): r.exact for r in compare(X3, lams, n_track=5, n_basis=64).levels}
+    pinned = {(2, lams[2]): exact[2, lams[2]], **{(4, l): exact[4, l] for l in lams[1:]}}
+    calls = []
+    real = np.polyfit
+
+    def spy(x, y, deg):
+        calls.append((len(x), np.shape(y)))
+        return real(x, y, deg)
+
+    monkeypatch.setattr(np, "polyfit", spy)
+    rep = compare(X3, lams, n_track=5, n_basis=64, table=_pinned_table(table, pinned))
+    assert calls == [(4, (4, 4)), (3, (3, 1))]
+    assert list(rep.fit_exponent) == list(rep.fit_constant) == [0, 1, 2, 3, 5]
+    for n in rep.fit_exponent:
+        pts = [(r.lam, r.residual) for r in rep.levels if r.n == n and r.residual > 0]
+        assert len(pts) == (3 if n == 2 else 4)
+        slope, intercept = real(np.log([l for l, _ in pts]), np.log([r for _, r in pts]), 1)
+        assert rep.fit_exponent[n] == float(slope)
+        assert rep.fit_constant[n] == float(math.exp(intercept))
+
+
+def test_full_block_coupling_is_counted_once(monkeypatch):
+    # x2 at 4*lam = 0.16 on verify's default basis: its eigenvalues come
+    # from its full block, so after the gate's two sweeps it sweeps
+    # DELTA_LADDER alone, without sweeping the gate again (3 sweeps, not 5)
+    calls = []
+    real = oracle._negative_pivots
+
+    def spy(bands, shifts):
+        calls.append(len(shifts))
+        return real(bands, shifts)
+
+    monkeypatch.setattr(oracle, "_negative_pivots", spy)
+    spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    assert calls == [4, 1, 1]
+    assert rep.convergence_deltas == [1e-13] * 3 + [10.0 ** (7 / 4)]

@@ -24,7 +24,6 @@ from .ladder import (
 )
 from .oracle import (
     OracleResult,
-    TruncatedHamiltonian,
     build_hamiltonian,
     compare,
     diagonalize,
@@ -49,7 +48,6 @@ __all__ = [
     "SpectralLine",
     "TransitionTable",
     "Translation",
-    "TruncatedHamiltonian",
     "build_hamiltonian",
     "classical_energy",
     "classical_residual",

@@ -43,9 +43,9 @@ CHECK_ERROR = 1
 # oracle-compare --kind x2 --lambda 0.002 --nmax 5, every coupling
 # converged at a Ritz rung, takes 0.23 s and peaks at 34 MiB (x3: 0.21 s,
 # 35 MiB).  At --lambda 0.01 the two larger couplings are unconverged
-# there: their full 2048^2 blocks are solved again by one eigvalsh call
-# (1.9 s) and their doubled bases counted up the delta ladder (0.4 s), so
-# the run takes 2.6 s and peaks at 131 MiB on one BLAS thread (1.8 s on two).
+# there: their doubled bases are counted up the delta ladder at their
+# Ritz values (0.2 s), so the run takes 0.4 s and peaks at 82 MiB on one
+# BLAS thread (0.6 s on two).
 MAX_NMAX = 512
 MAX_ORACLE_N = 2048
 

@@ -30,13 +30,6 @@ class OracleError(RuntimeError):
 
 
 @dataclass
-class TruncatedHamiltonian:
-    spec: OscillatorSpec
-    n_basis: int
-    matrix: np.ndarray
-
-
-@dataclass
 class OracleResult:
     spec: OscillatorSpec
     n_basis: int
@@ -106,15 +99,15 @@ def _corner(band: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> TruncatedHamiltonian:
-    """H in the harmonic number basis of frequency omega0, dense: the
-    reference that diagonalize's banded solve is checked against.
+def build_hamiltonian(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
+    """H in the harmonic number basis of frequency omega0, a dense
+    n_basis x n_basis array: the reference that diagonalize's banded
+    solve is checked against.
 
     Built in O(N) from its lower band (_hamiltonian_bands), exactly
     symmetric.
     """
-    band = _hamiltonian_bands([spec], n_basis)[0]
-    return TruncatedHamiltonian(spec=spec, n_basis=n_basis, matrix=_corner(band, n_basis, n_basis))
+    return _corner(_hamiltonian_bands([spec], n_basis)[0], n_basis, n_basis)
 
 
 # An even potential (x^4, or none) couples only states of equal parity.
@@ -138,8 +131,9 @@ CONVERGENCE_GATE = CONVERGENCE_LADDER[-1]
 # which an unconverged coupling's delta is counted.  A delta above the top
 # rung is reported as the top rung.
 DELTA_LADDER = tuple(10.0 ** (e / 4) for e in range(-39, 12))
-# The rungs up to the gate, swept in two groups: the lowest first.
-_GATE_SWEEPS = (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:])
+# The rungs of the doubling check, swept in three groups: the lowest rung,
+# the rest of the gate, then DELTA_LADDER.
+_SWEEPS = (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:], DELTA_LADDER)
 # Largest |q - j| of a fitted residual exponent q from the first power j
 # that the table leaves out.
 EXPONENT_GATE = 0.2
@@ -270,26 +264,26 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
 
 def _counted_deltas(
     specs: Sequence[OscillatorSpec], n_basis: int, tracked: Sequence[np.ndarray],
-    sweeps: Sequence[Sequence[float]] = _GATE_SWEEPS,
 ) -> List[Optional[float]]:
     """Basis-doubling delta of each coupling's tracked eigenvalues that
     inertia counts of the doubled basis certify, in units of hbar*omega0;
-    None where they certify no rung swept.
+    None where they certify no rung up to the top of DELTA_LADDER.
 
     The delta is the smallest rung eps certified at eps*hbar*omega0, an
     upper bound.  Tracked eigenvalue i of H_2N lies within e of E_i
     exactly when H_2N - (E_i - e) has at most i negative pivots and
-    H_2N - (E_i + e) at least i + 1.  H_2N comes from band storage, split
-    into its parity blocks; no dense doubled matrix is built.  The rungs
-    are swept group by group, by default the lowest rung first and then
-    the rest up to the gate: a group certifies a coupling when its last
-    rung is certified, and only the couplings it leaves uncertified sweep
-    the next group.  Each sweep stops where the rest of every H_2N - shift
-    it holds is strictly diagonally dominant (_pivots): within the leading
-    rows when all its couplings are converged, while one unconverged
-    coupling usually makes it run to the last row.  A coupling where a
-    swept pivot was zero or not finite is uncertified: it gets None and
-    sweeps no further group.
+    H_2N - (E_i + e) at least i + 1.  The E_i are the values given, Ritz
+    values or full-block eigenvalues alike.  H_2N comes from band
+    storage, split into its parity blocks; no dense doubled matrix is
+    built.  The rungs are swept group by group (_SWEEPS): the lowest rung,
+    the rest up to the gate, then DELTA_LADDER.  A group certifies a
+    coupling when its last rung is certified, and only the couplings it
+    leaves uncertified sweep the next group.  Each sweep stops where the
+    rest of every H_2N - shift it holds is strictly diagonally dominant
+    (_pivots): within the leading rows when all its couplings are
+    converged, while one unconverged coupling usually makes it run to the
+    last row.  A coupling where a swept pivot was zero or not finite is
+    uncertified: it gets None and sweeps no further group.
     """
     levels = np.array(tracked)  # (C, k)
     i = np.arange(levels.shape[1])
@@ -298,7 +292,7 @@ def _counted_deltas(
     bands = np.stack([bands[:, :: len(blocks), b] for b in blocks])
     deltas: List[Optional[float]] = [None] * len(specs)
     asked = np.arange(len(specs))
-    for rungs in sweeps:
+    for rungs in _SWEEPS:
         if not len(asked):
             break
         eps = np.array(rungs)[:, None] * (specs[0].hbar * specs[0].omega0)  # absolute
@@ -382,7 +376,7 @@ RITZ_TOL = 1e-13
 
 def diagonalize(
     specs: Sequence[OscillatorSpec], bands: Sequence[np.ndarray], n_track: int,
-    base: Optional[int], ritz_rows: Sequence[int] = RITZ_ROWS,
+    base: Optional[int],
 ) -> List[OracleResult]:
     """Each coupling's lowest eigenpairs from its lower band of H
     (_hamiltonian_bands): the oracle's one eigensolve.
@@ -393,7 +387,7 @@ def diagonalize(
     rows, tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states
     and climbs a ladder of rungs, every block of every coupling at once,
     one batched LAPACK call per rung:
-    - Ritz rungs m in ritz_rows, k_b < m <= n_p/2, from a basis of
+    - Ritz rungs m in RITZ_ROWS, k_b < m <= n_p/2, from a basis of
       4*RITZ_ROWS[0] states up.  Block Davidson from the unit vectors
       with the diagonal preconditioner searches exactly the span of the
       leading unit vectors, w more per step (w the band's width), so the
@@ -407,8 +401,10 @@ def diagonalize(
       coupling that has a block no Ritz rung finished: eigvalsh, or eigh
       at coupling base; one call per block size.
     Eigenvalues: all N where the full block was solved, else each block's
-    k_b lowest Ritz values.  Eigenvectors and x_elements of the k lowest
-    states at coupling base only.  Deterministic for fixed input.
+    k_b lowest Ritz values: a Ritz rung finishes on its residual in H_N,
+    whether or not the basis has converged.  Eigenvectors and x_elements
+    of the k lowest states at coupling base only.  Deterministic for
+    fixed input.
     """
     blocks = _parity_blocks(specs[0])
     nb, n_basis = len(blocks), bands[0].shape[1]
@@ -418,7 +414,7 @@ def diagonalize(
     found: List[Optional[Pairs]] = [None] * len(parts)
     todo = list(range(len(parts))) if n_basis >= 4 * RITZ_ROWS[0] else []
     unit = specs[0].hbar * specs[0].omega0
-    for m in ritz_rows:
+    for m in RITZ_ROWS:
         todo = [p for p in todo if kb < m <= parts[p].shape[1] // 2]
         if not todo:
             break
@@ -566,19 +562,19 @@ def compare(
     do not depend on lam, so one solve serves the sweep.  Without a table,
     one is solved to order 1 with n_track + 1 levels.
     Each coupling's k = n_track+1 lowest eigenpairs come from one batched
-    diagonalize call over the sweep, and the inertia counts of the doubled
-    basis (_counted_deltas) certify them.  For Ritz values: theta_i >=
-    lambda_i(H_N) (Ritz values are upper bounds) >= lambda_i(H_2N)
-    (interlacing) >= theta_i - eps (the counts), so one certificate bounds
-    both the doubling delta and |theta_i - lambda_i(H_N)| by eps.  H_N is
-    not exactly the leading block of H_2N: their last q rows differ
-    (_hamiltonian_bands), where converged states have no weight.  Ritz
-    values are counted up the gate alone, and a coupling whose gate they
-    do not certify is solved again at its full block.  Full-block values,
-    whether solved so at first or again, are counted once, up the gate and
-    then DELTA_LADDER; above its top rung the delta is reported as that
-    rung.  The sweep's couplings are one array axis throughout: one band
-    array, one read of the shifts, one fit per set of fitted couplings.
+    diagonalize call over the sweep, and one _counted_deltas call counts
+    the inertia of the doubled basis at the values it returned, up the
+    gate and then DELTA_LADDER; above its top rung the delta is reported
+    as that rung.  The counts bound |E_i - lambda_i(H_2N)| by eps for the
+    values E_i that are reported.  For Ritz values they bound more:
+    theta_i >= lambda_i(H_N) (Ritz values are upper bounds) >=
+    lambda_i(H_2N) (interlacing) >= theta_i - eps (the counts), so one
+    certificate bounds both the doubling delta and |theta_i -
+    lambda_i(H_N)| by eps.  H_N is not exactly the leading block of H_2N:
+    their last q rows differ (_hamiltonian_bands), where converged states
+    have no weight.  The sweep's couplings are one array axis throughout:
+    one band array, one count call, one read of the shifts, one fit per
+    set of fitted couplings.
     Eigenvectors are tracked at the base coupling only, the first nonzero
     one (report.base_lam), where the amplitudes read x_elements.
     convergence_deltas keeps one delta per coupling, so the hardest
@@ -588,7 +584,10 @@ def compare(
     - convergence: a doubling delta above CONVERGENCE_GATE, or above the
       top of DELTA_LADDER (failure text "doubling delta > top").  That
       coupling's level rows are kept but add no level failure and no fit
-      point: the basis, not the series, failed there.
+      point: the basis, not the series, failed there.  They are the
+      values its delta was counted at: from 128 states up, where its Ritz
+      rungs finished, its Ritz values (for the x2 kind the quasi-bound
+      states); otherwise the lowest eigenvalues of its full blocks.
     - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
       1e-10*hbar*omega0), the Rayleigh-Schroedinger shift read off that
       coupling's H; or no coupling converged.  j is the first power the
@@ -603,6 +602,9 @@ def compare(
     """
     if n_basis is None:
         n_basis = default_basis_size(n_track)
+    if not 0 <= n_track < n_basis:
+        raise OracleError(f"n_track must be in 0 .. {n_basis - 1} for a basis of "
+                          f"{n_basis} states, got {n_track}")
     if table is None:
         table = solve_quantum(spec, n_max=n_track + 1, order=1)
     j = table.order + 1
@@ -613,33 +615,13 @@ def compare(
                               n_basis=n_basis, neglected_order=j, base_lam=base_lam)
 
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
-    k = min(n_track + 1, n_basis)
     specs = [OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind) for lam in lambdas]
     bands = _hamiltonian_bands(specs, n_basis)
     shifts = _rs_shifts(spec, bands, n_track)[j - 1]  # lam^j E_j(n)
     base_index = next((c for c, lam in enumerate(lambdas) if lam != 0), None)
 
     sweep = diagonalize(specs, bands, n_track, base_index)
-    deltas: List[Optional[float]] = [None] * len(specs)
-
-    def count(couplings: List[int], sweeps: Sequence[Sequence[float]]) -> None:
-        levels = [sweep[c].eigenvalues[:k] for c in couplings]
-        for c, d in zip(couplings, _counted_deltas([specs[c] for c in couplings], n_basis,
-                                                   levels, sweeps)):
-            deltas[c] = d
-
-    ritz = [c for c, r in enumerate(sweep) if len(r.eigenvalues) < n_basis]  # Ritz values only
-    if ritz:  # up the gate; where it is not certified, solved again at the full block
-        count(ritz, _GATE_SWEEPS)
-        redo = [c for c in ritz if deltas[c] is None]
-        if redo:
-            tracked = redo.index(base_index) if base_index in redo else None
-            for c, r in zip(redo, diagonalize([specs[c] for c in redo], bands[redo], n_track,
-                                              tracked, ritz_rows=())):
-                sweep[c] = r
-    full = [c for c, d in enumerate(deltas) if d is None]  # full-block values, counted once
-    if full:
-        count(full, _GATE_SWEEPS + (DELTA_LADDER,))
+    deltas = _counted_deltas(specs, n_basis, [r.eigenvalues[: n_track + 1] for r in sweep])
     report.convergence_deltas = [DELTA_LADDER[-1] if d is None else d for d in deltas]
     base = sweep[base_index] if base_index is not None else None
 

@@ -39,17 +39,17 @@ def position_matrix(spec, n_basis):
     return np.diag(off, 1) + np.diag(off, -1)
 
 
-def solve(spec, n_basis, n_track=5, tracked=True, **kwargs):
+def solve(spec, n_basis, n_track=5, tracked=True):
     """diagonalize at one coupling, with its eigenvectors if tracked."""
     bands = _hamiltonian_bands([spec], n_basis)
-    return diagonalize([spec], bands, n_track, 0 if tracked else None, **kwargs)[0]
+    return diagonalize([spec], bands, n_track, 0 if tracked else None)[0]
 
 
 def dense_reference(spec, n_basis, n_track=None):
     """The dense reference for diagonalize: np.linalg.eigvalsh (eigh when
     n_track is given) of each parity block of build_hamiltonian's matrix,
     merged ascending."""
-    h = build_hamiltonian(spec, n_basis).matrix
+    h = build_hamiltonian(spec, n_basis)
     parts = [np.linalg.eigh(h[b, b]) if n_track is not None else (np.linalg.eigvalsh(h[b, b]), None)
              for b in _parity_blocks(spec)]
     return _merge(spec, n_basis, parts, n_track)
@@ -60,10 +60,6 @@ def measured_delta(spec, n_basis, tracked):
     from the dense reference, in units of hbar*omega0."""
     doubled = dense_reference(spec, 2 * n_basis).eigenvalues
     return float(np.max(np.abs(tracked - doubled[: len(tracked)]))) / (spec.hbar * spec.omega0)
-
-
-# the doubling check's sweeps for a coupling the gate leaves uncertified
-ALL_SWEEPS = oracle._GATE_SWEEPS + (DELTA_LADDER,)
 
 
 def rs_closed_forms(spec, n):
@@ -77,7 +73,7 @@ def rs_closed_forms(spec, n):
 
 
 def test_harmonic_hamiltonian_is_diagonal():
-    h = build_hamiltonian(OscillatorSpec(), 32).matrix
+    h = build_hamiltonian(OscillatorSpec(), 32)
     assert np.allclose(h, np.diag((np.arange(32) + 0.5)), atol=1e-15)
 
 
@@ -94,8 +90,8 @@ def test_harmonic_eigenpairs():
 
 
 def test_banded_coupling_structure():
-    h2 = build_hamiltonian(X2, 24).matrix
-    h3 = build_hamiltonian(X3, 24).matrix
+    h2 = build_hamiltonian(X2, 24)
+    h3 = build_hamiltonian(X3, 24)
     for i in range(24):
         for j in range(24):
             if abs(i - j) > 3:
@@ -108,7 +104,7 @@ def test_banded_coupling_structure():
 
 def test_x3_diagonal_closed_form():
     # H(n,n) = (n+1/2) + (lam/4)*3*(2n^2+2n+1)*(1/2)^2 in default units
-    h = build_hamiltonian(X3, 16).matrix
+    h = build_hamiltonian(X3, 16)
     for n in range(10):
         expect = (n + 0.5) + (X3.lam / 4) * 3 * (2 * n * n + 2 * n + 1) * 0.25
         assert math.isclose(h[n, n], expect, rel_tol=1e-13)
@@ -117,8 +113,8 @@ def test_x3_diagonal_closed_form():
 def test_x2_coupling_matches_finite_difference():
     # the anharmonic block is linear in the coupling
     d = 1e-6
-    up = build_hamiltonian(OscillatorSpec(lam=X2.lam + d, kind=Kind.QUADRATIC_FORCE), 16).matrix
-    dn = build_hamiltonian(OscillatorSpec(lam=X2.lam - d, kind=Kind.QUADRATIC_FORCE), 16).matrix
+    up = build_hamiltonian(OscillatorSpec(lam=X2.lam + d, kind=Kind.QUADRATIC_FORCE), 16)
+    dn = build_hamiltonian(OscillatorSpec(lam=X2.lam - d, kind=Kind.QUADRATIC_FORCE), 16)
     slope = (up - dn) / (2 * d)
     x = position_matrix(X2, 16)
     assert np.max(np.abs(slope - np.linalg.matrix_power(x, 3) / 3.0)) < 1e-9
@@ -175,14 +171,25 @@ def test_determinism():
             b = solve(spec, n)
             for name in ("eigenvalues", "eigenvectors", "x_elements"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert (_counted_deltas([spec], n, [a.eigenvalues[:6]], ALL_SWEEPS)
-                    == _counted_deltas([spec], n, [b.eigenvalues[:6]], ALL_SWEEPS))
+            assert (_counted_deltas([spec], n, [a.eigenvalues[:6]])
+                    == _counted_deltas([spec], n, [b.eigenvalues[:6]]))
 
 
 def test_basis_size_validation():
     with pytest.raises(OracleError):
         build_hamiltonian(X3, 4)
     assert default_basis_size(5) == 56
+
+
+@pytest.mark.parametrize("n_track,n_basis", [(10, 8), (8, 8), (-1, 8), (-1, None)])
+def test_compare_rejects_n_track_outside_the_basis(monkeypatch, n_track, n_basis):
+    def tripwire(*args, **kwargs):
+        raise AssertionError("work started before n_track was checked")
+
+    monkeypatch.setattr(oracle, "solve_quantum", tripwire)
+    monkeypatch.setattr(oracle, "_hamiltonian_bands", tripwire)
+    with pytest.raises(OracleError, match="n_track must be in 0 .. "):
+        compare(X3, [1e-3], n_track=n_track, n_basis=n_basis)
 
 
 def test_compare_x3_scaling_and_amplitudes():
@@ -436,7 +443,7 @@ ODD_UNITS = dict(m=1.7, omega0=0.6, planck_h=3.1)
 @pytest.mark.parametrize("n", SIZES)
 def test_banded_build_matches_matrix_power(kind, n, units):
     spec = OscillatorSpec(lam=2e-3, kind=kind, **units)
-    h = build_hamiltonian(spec, n).matrix
+    h = build_hamiltonian(spec, n)
     q = kind.force_power + 1
     x = position_matrix(spec, n)
     expect = np.diag((np.arange(n) + 0.5) * spec.hbar * spec.omega0)
@@ -452,13 +459,13 @@ def test_banded_build_matches_matrix_power(kind, n, units):
 def test_tracked_x_elements_match_full_product(kind, n_basis, n_track):
     # at 256 the tracked states are Ritz pairs of the leading rows
     spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
-    ham = build_hamiltonian(spec, n_basis)
+    h = build_hamiltonian(spec, n_basis)
     r = solve(spec, n_basis, n_track=n_track)
     k = min(n_track + 1, n_basis)
     assert r.x_elements.shape == (k, k)
     assert r.eigenvectors.shape == (n_basis, k)
     x = position_matrix(spec, n_basis)
-    _, v = np.linalg.eigh(ham.matrix)  # the full basis, unsplit
+    _, v = np.linalg.eigh(h)  # the full basis, unsplit
     full = np.abs(v.T @ x @ v)
     assert np.max(np.abs(r.x_elements - full[:k, :k])) <= 1e-12
     vk = r.eigenvectors
@@ -485,15 +492,16 @@ def _even_spec(kind, units):
 @pytest.mark.parametrize("units", [{}, ODD_UNITS])
 @pytest.mark.parametrize("kind", EVEN_KINDS)
 @pytest.mark.parametrize("n", SIZES)
-def test_parity_blocks_match_unsplit_eigenvalues(kind, n, units):
-    # the full blocks alone (no Ritz rung), so that every eigenvalue is there
+def test_parity_blocks_match_unsplit_eigenvalues(monkeypatch, kind, n, units):
+    # the full blocks alone (no Ritz rung finishes), so that every eigenvalue is there
+    monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)
     spec = _even_spec(kind, units)
-    expect = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
+    expect = np.linalg.eigvalsh(build_hamiltonian(spec, n))
     bound = 1e-13 * np.max(np.abs(expect))
-    r = solve(spec, n, tracked=False, ritz_rows=())
+    r = solve(spec, n, tracked=False)
     assert np.max(np.abs(r.eigenvalues - expect)) <= bound
     assert r.eigenvectors.shape == (n, 0) and r.x_elements.shape == (0, 0)
-    r = solve(spec, n, ritz_rows=())
+    r = solve(spec, n)
     assert np.max(np.abs(r.eigenvalues - expect)) <= bound
 
 
@@ -540,7 +548,7 @@ def test_inertia_counts_match_eigvalsh(kind, lam, n, split, data):
     split = split and kind is Kind.CUBIC_FORCE
     n -= n % 2 if split else 0  # a doubled basis splits into equal blocks
     spec = OscillatorSpec(lam=lam, kind=kind)
-    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
+    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n))
     scale = np.max(np.abs(evals))
     gaps = np.concatenate([[evals[0] - scale], evals, [evals[-1] + scale]])
     picks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12))
@@ -562,7 +570,7 @@ def test_inertia_counts_batch_blocks_and_couplings():
     n = 40
     specs = [OscillatorSpec(lam=l, kind=Kind.CUBIC_FORCE) for l in (1e-3, 0.05)]
     bands = np.concatenate([_block_bands(s, n) for s in specs], axis=1)
-    evals = [np.linalg.eigvalsh(build_hamiltonian(s, n).matrix) for s in specs]
+    evals = [np.linalg.eigvalsh(build_hamiltonian(s, n)) for s in specs]
     shifts = np.array([[0.7, 3.2, 9.9, 30.5], [0.1, 2.6, 11.4, 55.5]])
     counts, sound = _negative_pivots(bands, shifts)
     assert sound.tolist() == [True, True]
@@ -587,7 +595,7 @@ BLOCK = oracle._SWEEP_ROWS
 ])
 def test_inertia_counts_across_sweep_blocks(kind, n, split):
     spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
-    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
+    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n))
     scale = np.max(np.abs(evals))
     gaps = np.concatenate([[evals[0] - scale], evals, [evals[-1] + scale]])
     # just below and above eigenvalue i - 1: the tracked levels, then a
@@ -627,7 +635,7 @@ def test_certified_delta_bounds_measured_delta(kind, lam, n_basis):
     # gate is not certified and the delta is counted up DELTA_LADDER, to
     # within a quarter decade above the measured one
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
-    deltas = _counted_deltas(specs, n_basis, tracked, ALL_SWEEPS)
+    deltas = _counted_deltas(specs, n_basis, tracked)
     for s, t, delta in zip(specs, tracked, deltas):
         measured = measured_delta(s, n_basis, t)
         assert delta >= measured
@@ -642,7 +650,7 @@ def test_unsound_pivots_are_uncertified(monkeypatch):
     monkeypatch.setattr(oracle, "_negative_pivots",
                         lambda bands, shifts: (np.zeros(shifts.shape, int),
                                                np.zeros(len(shifts), bool)))
-    assert _counted_deltas(specs, 80, tracked, ALL_SWEEPS) == [None] * 4
+    assert _counted_deltas(specs, 80, tracked) == [None] * 4
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=80)
     assert rep.convergence_deltas == [DELTA_LADDER[-1]] * 4
     assert [f for f in rep.failures if f.startswith("convergence")] == [
@@ -682,10 +690,9 @@ def test_lowest_rung_first_keeps_the_delta_rule(kind, lam, n_basis):
     n_basis = n_basis or default_basis_size(5)
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
     gate = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER)
-    assert _counted_deltas(specs, n_basis, tracked) == gate
     # a coupling uncertified at the gate: up DELTA_LADDER as if all at once
     wide = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER + DELTA_LADDER)
-    assert (_counted_deltas(specs, n_basis, tracked, ALL_SWEEPS)
+    assert (_counted_deltas(specs, n_basis, tracked)
             == [w if g is None else g for g, w in zip(gate, wide)])
 
 
@@ -810,8 +817,8 @@ def test_basis_is_not_the_leading_block_of_its_double(kind, entries):
     # H_N holds (x_N)^q, whose paths stay inside the basis: it differs from
     # the leading block of H_2N in the last q rows alone
     spec = OscillatorSpec(lam=1e-3, kind=kind)
-    small = build_hamiltonian(spec, 16).matrix
-    lead = build_hamiltonian(spec, 32).matrix[:16, :16]
+    small = build_hamiltonian(spec, 16)
+    lead = build_hamiltonian(spec, 32)[:16, :16]
     i, j = np.nonzero(np.tril(small != lead))
     assert list(zip(i.tolist(), j.tolist())) == entries
 
@@ -863,7 +870,7 @@ def _assert_full_sweeps_counts(bands, shifts):
 ])
 def test_first_dominant_row_matches_dense_gershgorin_margins(kind, lam, n):
     spec = OscillatorSpec(lam=lam, kind=kind)
-    h = build_hamiltonian(spec, n).matrix
+    h = build_hamiltonian(spec, n)
     for top in (0.5, 5.7, 30.0, n + 1.0):  # the largest shift decides
         shifts = np.array([[top - 3.0, top, -1.0]])
         off = np.sum(np.abs(h), axis=1) - np.abs(np.diag(h))
@@ -901,7 +908,7 @@ def test_early_stop_keeps_the_full_sweeps_counts(kind, lam, n, split, data):
     split = split and kind is Kind.CUBIC_FORCE
     n -= n % 2 if split else 0
     spec = OscillatorSpec(lam=lam, kind=kind)
-    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n).matrix)
+    evals = np.linalg.eigvalsh(build_hamiltonian(spec, n))
     scale = np.max(np.abs(evals))
     gaps = np.concatenate([[evals[0] - scale], evals, [evals[-1] + scale]])
     picks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12))
@@ -1041,7 +1048,7 @@ def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
         assert calls["eigvalsh"] == [(2, n_basis // 2, n_basis // 2)]
 
 
-def _dense_diagonalize(specs, bands, n_track, base, ritz_rows=()):
+def _dense_diagonalize(specs, bands, n_track, base):
     """diagonalize replaced by the dense reference at every coupling."""
     n_basis = bands[0].shape[1]
     return [dense_reference(s, n_basis, n_track if c == base else None)
@@ -1092,21 +1099,42 @@ def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_ba
     assert compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis) == dense
 
 
-def test_uncertified_ritz_coupling_takes_the_dense_route(monkeypatch):
+def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
     # x2 at 4*lam = 0.06 on 256 states: the Ritz solve converges to the
     # quasi-bound states, but the doubled basis has collapsed and the counts
-    # certify no rung up to the gate, so that coupling is solved again at its
-    # full block, to the bit the dense reference, and counted up DELTA_LADDER
+    # certify no rung up to the gate.  That coupling keeps its Ritz values,
+    # its delta is counted on them up DELTA_LADDER, and no full block is solved
     spec = OscillatorSpec(lam=0.015, kind=Kind.QUADRATIC_FORCE)
-    specs = _sweep_at_ratio(spec.kind, spec.lam, {})
+    specs = [OscillatorSpec(lam=l, kind=spec.kind) for l in coupling_sweep(spec.lam)]
     ritz = diagonalize(specs, _hamiltonian_bands(specs, 256), 5, 0)
     assert all(len(r.eigenvalues) < 256 for r in ritz)
-    dense = _dense_route(monkeypatch, spec, 256)
+    sizes = []
+    real = oracle._eigh
+
+    def spy(h, vectors):
+        sizes.append(h.shape[-1])
+        return real(h, vectors)
+
+    monkeypatch.setattr(oracle, "_eigh", spy)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
-    assert rep.convergence_deltas == dense.convergence_deltas
-    assert [r for r in rep.levels if r.lam == 0.06] == [r for r in dense.levels if r.lam == 0.06]
-    assert rep.failures == dense.failures == [
-        "convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10"]
+    assert max(sizes) <= 128
+    assert [r.exact for r in rep.levels if r.lam == 0.06] == ritz[3].eigenvalues[:6].tolist()
+    counted = _counted_deltas(specs, 256, [r.eigenvalues[:6] for r in ritz])
+    assert rep.convergence_deltas[3] == counted[3] == 10.0 ** (9 / 4)
+    assert rep.failures == ["convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10"]
+
+
+def test_unconverged_rows_are_the_quasi_bound_states():
+    # x2 at 4*lam = 0.04 on 1024 states: the full block reaches past the
+    # barrier into the deep well (its lowest eigenvalue near -188
+    # hbar*omega0), while the Ritz rungs find the quasi-bound states, which
+    # stay within 0.05 of the series although the basis has not converged
+    spec = OscillatorSpec(lam=0.01, kind=Kind.QUADRATIC_FORCE)
+    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=1024)
+    assert rep.unconverged == [0.04]
+    rows = [r for r in rep.levels if r.lam == 0.04]
+    assert len(rows) == 6
+    assert max(r.residual for r in rows) < 0.05
 
 
 def test_stalled_ritz_solve_prints_the_dense_output(monkeypatch, capsys):
@@ -1186,7 +1214,7 @@ def test_rs_shifts_equal_the_dense_row_sums(kind, n, units):
     lams = [0.0] if kind is Kind.HARMONIC else [-3e-3, 1e-3, 0.2]
     specs = [OscillatorSpec(lam=l, kind=kind, **units) for l in lams]
     bands = _hamiltonian_bands(specs, n)
-    dense = [build_hamiltonian(s, n).matrix for s in specs]
+    dense = [build_hamiltonian(s, n) for s in specs]
     for n_track in sorted({0, 1, 5, min(n - 1, 12), min(n - 1, 70)}):
         shifts = _rs_shifts(specs[0], bands, n_track)
         assert shifts.shape == (2, len(specs), n_track + 1)

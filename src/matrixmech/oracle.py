@@ -368,9 +368,9 @@ def _eigh(h: np.ndarray, vectors: bool) -> Pairs:
     return w, v
 
 
-# Leading rows of the Ritz rungs, tried in a basis of 4*32 = 128 states or
-# more, and the largest Ritz residual norm, in hbar*omega0.
-RITZ_ROWS = (32, 64, 128)
+# The Ritz rungs in basis states, each parity block taking states/blocks
+# leading rows, and the largest Ritz residual norm, in hbar*omega0.
+RITZ_STATES = (32, 64, 128, 256)
 RITZ_TOL = 1e-13
 
 
@@ -387,16 +387,16 @@ def diagonalize(
     rows, tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states
     and climbs a ladder of rungs, every block of every coupling at once,
     one batched LAPACK call per rung:
-    - Ritz rungs m in RITZ_ROWS, k_b < m <= n_p/2, from a basis of
-      4*RITZ_ROWS[0] states up.  Block Davidson from the unit vectors
-      with the diagonal preconditioner searches exactly the span of the
-      leading unit vectors, w more per step (w the band's width), so the
-      rung takes that span directly: eigh of the leading m x m block H_m.
-      The Ritz pair's residual in the whole block is (H_m y - theta y,
-      B y), B the w rows below H_m, so a block is done at the first m
-      where |B y| <= RITZ_TOL*hbar*omega0 for each of its k_b pairs.
-      Each theta is an upper bound on the block's eigenvalue (Cauchy
-      interlacing).
+    - Ritz rungs m = states/blocks for states in RITZ_STATES, k_b < m <
+      n_p, of at most 128 rows, so the output holds at any BLAS thread
+      count.  Block Davidson from the unit vectors with the diagonal
+      preconditioner searches exactly the span of the leading unit
+      vectors, w more per step (w the band's width), so the rung takes
+      that span directly: eigh of the leading m x m block H_m.  The Ritz
+      pair's residual in the whole block is (H_m y - theta y, B y), B the
+      w rows below H_m, so a block is done at the first m where |B y| <=
+      RITZ_TOL*hbar*omega0 for each of its k_b pairs.  Each theta is an
+      upper bound on the block's eigenvalue (Cauchy interlacing).
     - The full block, m = n_p, where B is empty, for every block of a
       coupling that has a block no Ritz rung finished: eigvalsh, or eigh
       at coupling base; one call per block size.
@@ -412,10 +412,10 @@ def diagonalize(
     kb = -(-k // nb)
     parts = [band[::nb, b] for band in bands for b in blocks]  # block b of coupling c at c*nb + b
     found: List[Optional[Pairs]] = [None] * len(parts)
-    todo = list(range(len(parts))) if n_basis >= 4 * RITZ_ROWS[0] else []
+    todo = list(range(len(parts)))
     unit = specs[0].hbar * specs[0].omega0
-    for m in RITZ_ROWS:
-        todo = [p for p in todo if kb < m <= parts[p].shape[1] // 2]
+    for m in [states // nb for states in RITZ_STATES if states // nb <= 128]:
+        todo = [p for p in todo if kb < m < parts[p].shape[1]]
         if not todo:
             break
         w = parts[todo[0]].shape[0] - 1
@@ -585,8 +585,8 @@ def compare(
       top of DELTA_LADDER (failure text "doubling delta > top").  That
       coupling's level rows are kept but add no level failure and no fit
       point: the basis, not the series, failed there.  They are the
-      values its delta was counted at: from 128 states up, where its Ritz
-      rungs finished, its Ritz values (for the x2 kind the quasi-bound
+      values its delta was counted at: where its Ritz rungs finished, at
+      any basis size, its Ritz values (for the x2 kind the quasi-bound
       states); otherwise the lowest eigenvalues of its full blocks.
     - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
       1e-10*hbar*omega0), the Rayleigh-Schroedinger shift read off that

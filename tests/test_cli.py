@@ -444,7 +444,7 @@ def test_coupling_certified_at_the_gate_is_converged_in_any_units(capsys):
 
 @pytest.mark.parametrize("argv,verdict", [
     # each case: oracle-compare's exit code and the reason verify gives
-    (("--kind", "x2", "--lambda", "1e-07", "--nmax", "6"), 1),  # exponent fit on round-off
+    (("--kind", "x2", "--lambda", "3e-08", "--nmax", "6"), 1),  # exponent, amplitudes on round-off
     (("--kind", "x3", "--lambda", "1e-08", "--nmax", "2"), 1),  # exponent fit on round-off
     (("--kind", "x3", "--lambda", "5e-09", "--nmax", "6"), 1),  # exponent, amplitudes on round-off
     (("--kind", "x3", "--lambda", "0.04", "--nmax", "6"), 1),  # fit bends: 4*lam is past R_MAX
@@ -520,22 +520,26 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("kind", ["x2", "x3"])
 def test_banded_oracle_output_ignores_blas_threads(kind):
-    # from 128 states up no LAPACK call of a converged sweep sees an
-    # N-sized matrix: the Rayleigh-Ritz blocks (at most 128 rows) and the
-    # inertia counts come out the same to the bit on one BLAS thread and on two
+    # no LAPACK call of a converged sweep sees an N-sized matrix, at 384
+    # states or at the default basis (56 at n_max 10): the Rayleigh-Ritz
+    # blocks (at most 128 rows) and the inertia counts come out the same to
+    # the bit on one BLAS thread and on two, for both commands
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "matrixmech", "oracle-compare", "--kind", kind,
-             "--lambda", "0.003", "--nmax", "6", "--oracle-n", "384"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    for command, *size in (("oracle-compare", "--nmax", "6", "--oracle-n", "384"),
+                           ("oracle-compare", "--nmax", "10"), ("verify", "--nmax", "10")):
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-m", "matrixmech", command, "--kind", kind,
+                 "--lambda", "0.003", *size],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], (command, *size)
 
 
 def test_size_caps_checked_before_work(capsys, monkeypatch):

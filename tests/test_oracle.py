@@ -27,7 +27,7 @@ from matrixmech.oracle import (
     tracked_levels,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec
-from matrixmech.verify import apply_mutation
+from matrixmech.verify import apply_mutation, run_verification
 
 X2 = OscillatorSpec(lam=1e-3, kind=Kind.QUADRATIC_FORCE)
 X3 = OscillatorSpec(lam=1e-3, kind=Kind.CUBIC_FORCE)
@@ -368,13 +368,11 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
     for spec, blocks in ((X3, 2), (X2, 1)):
         calls = _count_decompositions(monkeypatch)
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
-        n = 64 // blocks
-        # one batched call each: eigenvectors at the base coupling only,
-        # for x_elements
-        assert calls["eigh"] == [(blocks, n, n)]
-        # eigenvalues only at the other three couplings; the converged
-        # doubled bases are counted, not decomposed
-        assert calls["eigvalsh"] == [(3 * blocks, n, n)]
+        n = 32 // blocks
+        # one batched call: every block of every coupling at the first
+        # Ritz rung, 32 states; the converged doubled bases are counted,
+        # not decomposed
+        assert calls == {"eigh": [(4 * blocks, n, n)], "eigvalsh": []}
         assert len(rep.amplitudes) == 5
         assert len(rep.convergence_deltas) == 4
         monkeypatch.undo()
@@ -383,9 +381,8 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
 @pytest.mark.parametrize("spec,n_basis", [(X2, 64), (X3, 64), (X3, 160)])
 def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
     # x2 and x3 sweeps, converged: no doubled basis is decomposed at any
-    # size, and every decomposition is diagonalize's: below 128 states the
-    # full blocks' eigvalsh and eigh, from there up (x3 at 160) the one
-    # Rayleigh-Ritz eigh of the leading blocks
+    # size, and every decomposition is diagonalize's: the one Rayleigh-Ritz
+    # eigh of the leading blocks
     depth = [0]
     real = oracle.diagonalize
 
@@ -406,7 +403,7 @@ def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
     assert rep.passed, rep.failures
-    assert inside == [True] * (2 if n_basis < 128 else 1)
+    assert inside == [True]
 
 
 @pytest.mark.parametrize("spec", [X2, X3], ids=["x2", "x3"])
@@ -428,9 +425,11 @@ def test_unsorted_eigenvalues_raise_at_every_rung(monkeypatch, spec, n_basis):
 
 def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
     calls = _count_decompositions(monkeypatch)
+    # the diagonal band leaves no rows below a leading block: both blocks
+    # finish at the first Ritz rung, 16 of their 32 rows
     rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
     assert rep.passed
-    assert calls == {"eigh": [], "eigvalsh": [(2, 32, 32)]}
+    assert calls == {"eigh": [(2, 16, 16)], "eigvalsh": []}
     assert rep.convergence_deltas == [1e-13]
 
 
@@ -732,10 +731,10 @@ def test_unconverged_coupling_reports_counted_delta():
 
 
 def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
-    # at every basis size, verify's default (56) included, and no dense H
-    # is built; from 128 states up (x3 at 160) no N-sized matrix is
-    # decomposed either: one eigh of the 32-row leading blocks, 4
-    # couplings x 2 parities
+    # at every basis size, verify's default (56) included, no dense H is
+    # built and no N-sized matrix is decomposed: one eigh of the leading
+    # blocks of the first Ritz rung, 32 states (x2: 4 couplings of 32
+    # rows; x3: 4 couplings x 2 parities of 16 rows)
     for spec, n_basis, blocks in ((X2, 96, 1), (X3, 160, 2), (X2, None, 1), (X3, None, 2)):
         calls = _count_decompositions(monkeypatch)
         built = []
@@ -748,26 +747,37 @@ def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
         monkeypatch.setattr(oracle, "build_hamiltonian", recording)
         rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
         assert rep.passed, rep.failures
-        n = rep.n_basis // blocks
+        n = 32 // blocks
         assert built == []
-        if rep.n_basis >= 128:
-            assert calls == {"eigh": [(4 * blocks, 32, 32)], "eigvalsh": []}
-        else:  # the full blocks, no doubled basis
-            assert calls == {"eigh": [(blocks, n, n)], "eigvalsh": [(3 * blocks, n, n)]}
+        assert calls == {"eigh": [(4 * blocks, n, n)], "eigvalsh": []}
         assert rep.convergence_deltas == [1e-13] * 4
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec,shape", [(X2, (4, 32, 32)), (X3, (8, 16, 16))], ids=["x2", "x3"])
+def test_verify_default_basis_solves_one_ritz_corner(monkeypatch, spec, shape):
+    # verify's default basis at n_max 10, 56 states, converged: the whole
+    # run decomposes only the first Ritz rung's leading blocks, 32 states
+    # (x2: 4 couplings of 32 rows; x3: 4 couplings x 2 parities of 16
+    # rows), in one call; no full block and no eigvalsh
+    assert default_basis_size(tracked_levels(10)) == 56
+    calls = _count_decompositions(monkeypatch)
+    assert run_verification(spec, n_max=10).passed
+    assert calls == {"eigh": [shape], "eigvalsh": []}
 
 
 def test_default_basis_stays_on_eigvalsh(monkeypatch):
     # at verify's default basis even the coupling the counts cannot certify
     # at the gate (x2 at 4*lam = 0.16) is counted up DELTA_LADDER: its
-    # doubled basis is not decomposed, and it is not solved twice
+    # doubled basis is not decomposed, and it is not solved twice.  Only
+    # the base coupling finishes at the Ritz rung (32 rows); the other
+    # three stop unconverged there, and their full blocks take eigvalsh
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     n = default_basis_size(5)
     calls = _count_decompositions(monkeypatch)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.n_basis == n
-    assert calls == {"eigh": [(1, n, n)], "eigvalsh": [(3, n, n)]}
+    assert calls == {"eigh": [(4, 32, 32)], "eigvalsh": [(3, n, n)]}
     assert rep.convergence_deltas[:3] == [1e-13] * 3
     assert rep.convergence_deltas[3] > CONVERGENCE_LADDER[-1]
 
@@ -980,8 +990,11 @@ def test_sweep_without_a_dominant_rest_eliminates_every_row():
 # --- the Ritz rungs: Rayleigh-Ritz on the leading rows ------------------------
 
 def _sweep_at_ratio(kind, lam, units):
-    """The coupling sweep at the smallness ratio of lam in default units."""
+    """The coupling sweep at the smallness ratio of lam in default units;
+    the harmonic kind's one coupling, 0."""
     spec = OscillatorSpec(kind=kind, **units)
+    if kind is Kind.HARMONIC:
+        return [spec]
     r = OscillatorSpec(lam=lam, kind=kind).smallness_ratio()
     lam = r / spec.coupling_unit(spec.ladder_amplitude)
     return [OscillatorSpec(spec.m, spec.omega0, l, spec.planck_h, kind)
@@ -1003,14 +1016,40 @@ BANDED_GRID = [
 ]
 
 
+# Below 128 states, each with the number of couplings, the last ones of
+# the sweep, that no Ritz rung finished, so that their full blocks were
+# solved.  Up to N 32 (x2) and 33 (x3) the first rung is not below every
+# block's rows, so the full blocks come first.
+SMALL_GRID = [
+    (Kind.HARMONIC, 0.0, 9, 1),
+    (Kind.HARMONIC, 0.0, 57, 0),
+    (Kind.QUADRATIC_FORCE, 1e-3, 8, 4),
+    (Kind.QUADRATIC_FORCE, 3e-3, 32, 4),
+    (Kind.QUADRATIC_FORCE, 1e-3, 33, 0),
+    (Kind.QUADRATIC_FORCE, 2e-3, 56, 0),  # verify's default basis
+    (Kind.QUADRATIC_FORCE, 0.01, 64, 1),  # 4*lam: 32 rows too few, 64 the block
+    (Kind.QUADRATIC_FORCE, 0.01, 96, 0),  # 4*lam finishes at 64 rows
+    (Kind.QUADRATIC_FORCE, 3e-3, 127, 0),
+    (Kind.CUBIC_FORCE, 1e-3, 9, 4),
+    (Kind.CUBIC_FORCE, 1e-3, 33, 4),  # the odd block has 16 rows
+    (Kind.CUBIC_FORCE, 1e-3, 34, 0),
+    (Kind.CUBIC_FORCE, 2e-3, 56, 1),  # 4*lam needs 17 rows per block
+    (Kind.CUBIC_FORCE, 0.01, 57, 3),
+    (Kind.CUBIC_FORCE, 0.05, 96, 2),
+    (Kind.CUBIC_FORCE, 1e-3, 127, 0),
+]
+
+
 @pytest.mark.parametrize("units", [{}, ODD_UNITS])
-@pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID)
+@pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID + [g[:3] for g in SMALL_GRID])
 def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
     specs = _sweep_at_ratio(kind, lam, units)
     ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
     hbw = specs[0].hbar * specs[0].omega0
+    full = {g[:3]: g[3] for g in SMALL_GRID}.get((kind, lam, n_basis), 0)
+    solved = [len(r.eigenvalues) == n_basis for r in ritz]  # else at a Ritz rung
+    assert solved == [False] * (len(specs) - full) + [True] * full
     for c, (s, r) in enumerate(zip(specs, ritz)):
-        assert len(r.eigenvalues) < n_basis  # converged at a Ritz rung
         dense = dense_reference(s, n_basis, 5 if c == 0 else None)
         theta, e = r.eigenvalues[:6], dense.eigenvalues[:6]
         assert np.max(np.abs(theta - e)) <= 1e-13 * hbw
@@ -1034,12 +1073,12 @@ def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
 
 def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
     # x3 at 4*lam = 1.2: the odd block's residuals are still above RITZ_TOL
-    # at 128 leading rows (N = 512, blocks of 256), so that coupling's
-    # blocks take the full rung, by eigvalsh; at N = 384 (blocks of 192)
-    # the largest Ritz rung is 64 rows
+    # at 128 leading rows (N = 512, blocks of 256; N = 384, blocks of 192),
+    # so that coupling's blocks take the full rung, by eigvalsh; at N = 256
+    # (blocks of 128) the largest Ritz rung is 64 rows
     specs = _sweep_at_ratio(Kind.CUBIC_FORCE, 0.3, {})
     calls = _count_decompositions(monkeypatch)
-    for n_basis, largest in ((512, 128), (384, 64)):
+    for n_basis, largest in ((512, 128), (384, 128), (256, 64)):
         calls["eigh"].clear()
         calls["eigvalsh"].clear()
         ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)

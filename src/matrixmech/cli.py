@@ -22,7 +22,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import classical as cl
 from . import ladder as ld
@@ -34,6 +34,7 @@ ENV_CONFIG = "MATRIXMECH_CONFIG"
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
+TABLES = frozenset(("levels", "lines", "verify", "oracle-compare"))  # subcommands solving a table
 
 # Size caps, checked before any work.  The ladder's stacks are dense
 # (n_max+pad)^2 arrays: verify --lambda 0.001 at n_max 512, as a fresh
@@ -93,24 +94,24 @@ class Option:
     field: str  # RunConfig attribute
     cast: type
     choices: Optional[Tuple[str, ...]] = None
-    command: Optional[str] = None  # the one subcommand that takes the flag
+    commands: FrozenSet[str] = TABLES | {"classical"}  # the subcommands that read it
 
 
-# Every option, keyed by its flag name, which is also its config-file key.
-# Flags and config-file values are cast and checked against choices alike.
+# Every option, keyed by its flag name (a flag of only the subcommands that
+# read it) and config-file key (of any subcommand); both are checked alike.
 OPTIONS = {
     "m": Option("m", float),
     "omega0": Option("omega0", float),
     "lambda": Option("lam", float),
     "h": Option("planck_h", float),
-    "nmax": Option("n_max", int),
+    "nmax": Option("n_max", int, commands=TABLES),
     "order": Option("order", int),
     "kind": Option("kind", str, tuple(k.cli_name for k in Kind)),
     "format": Option("fmt", str, ("csv", "json")),
-    "tol": Option("tol", float),
-    "oracle-n": Option("oracle_n", int),
-    "mutate": Option("mutate", str, vf.MUTATIONS),
-    "a1": Option("a1", float, command="classical"),
+    "tol": Option("tol", float, commands=frozenset({"verify"})),
+    "oracle-n": Option("oracle_n", int, commands=frozenset({"verify", "oracle-compare"})),
+    "mutate": Option("mutate", str, vf.MUTATIONS, commands=TABLES),
+    "a1": Option("a1", float, commands=frozenset({"classical"})),
 }
 
 
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for key, option in OPTIONS.items():
-            if option.command in (None, name):
+            if name in option.commands:
                 p.add_argument(f"--{key}", dest=option.field, type=option.cast,
                                choices=option.choices, default=None)
         p.add_argument("--config", default=None)
@@ -272,10 +273,7 @@ def cmd_classical(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    report = vf.run_verification(
-        config.spec(), n_max=config.n_max, order=config.order,
-        tol=config.tol, oracle_n=config.oracle_n, mutate=config.mutate,
-    )
+    report = vf.run_verification(_solved_table(config), config.tol, config.oracle_n)
     if config.fmt == "json":
         payload = {
             "passed": report.passed,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ladder import TransitionTable, solve_quantum
-from .oscillator import Kind, OscillatorSpec
+from .oscillator import OscillatorSpec
 
 
 class OracleError(RuntimeError):
@@ -57,7 +57,7 @@ def _hamiltonian_bands(specs: Sequence[OscillatorSpec], n_basis: int) -> np.ndar
     tridiagonal x q times in band storage, O(q^2 N), once for every
     coupling; one product scales them by each coupling's m*lam/q.  H_N
     holds (x_N)^q, so its last q rows are not those of a larger basis.
-    Entries past the basis are zero.
+    Entries past the basis are zero; a non-finite one raises OverflowError.
     """
     if n_basis < 8:
         raise OracleError("basis size must be at least 8")
@@ -66,20 +66,23 @@ def _hamiltonian_bands(specs: Sequence[OscillatorSpec], n_basis: int) -> np.ndar
     diag = (n + 0.5) * spec.hbar * spec.omega0
     q = spec.kind.force_power + 1
     if q == 1:
-        return np.tile(diag, (len(specs), 1, 1))
-    off = _x_offdiagonal(spec, n_basis)
-    band = np.zeros((2 * q + 3, n_basis))  # band[q + 1 + d, i] = <i + d| x^j |i>; zero end rows
-    band[q + 1] = 1.0
-    for j in range(1, q + 1):  # x^j <- x^(j-1) x, on the diagonals d = -j, -j + 2 .. j
-        new = np.zeros_like(band)
-        d = slice(q + 1 - j, q + 2 + j, 2)
-        new[d, 1:] = off * band[q + 2 - j : q + 3 + j : 2, :-1]
-        new[d, :-1] += off * band[q - j : q + 1 + j : 2, 1:]
-        band = new
-    bands = band[q + 1 : -1] * np.array([s.m * s.lam / q for s in specs])[:, None, None]
-    bands[:, 0] += diag
-    for d in range(1, q + 1):
-        bands[:, d, n_basis - d :] = 0.0
+        bands = np.tile(diag, (len(specs), 1, 1))
+    else:
+        off = _x_offdiagonal(spec, n_basis)
+        band = np.zeros((2 * q + 3, n_basis))  # band[q + 1 + d, i] = <i + d| x^j |i>; zero end rows
+        band[q + 1] = 1.0
+        for j in range(1, q + 1):  # x^j <- x^(j-1) x, on the diagonals d = -j, -j + 2 .. j
+            new = np.zeros_like(band)
+            d = slice(q + 1 - j, q + 2 + j, 2)
+            new[d, 1:] = off * band[q + 2 - j : q + 3 + j : 2, :-1]
+            new[d, :-1] += off * band[q - j : q + 1 + j : 2, 1:]
+            band = new
+        bands = band[q + 1 : -1] * np.array([s.m * s.lam / q for s in specs])[:, None, None]
+        bands[:, 0] += diag
+        for d in range(1, q + 1):
+            bands[:, d, n_basis - d :] = 0.0
+    if not np.isfinite(bands).all():
+        raise OverflowError("the oracle's Hamiltonian is not finite")
     return bands
 
 
@@ -387,14 +390,15 @@ def diagonalize(
     rows, tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states
     and climbs a ladder of rungs, every block of every coupling at once,
     one batched LAPACK call per rung:
-    - Ritz rungs m = states/blocks for states in RITZ_STATES, k_b < m <
-      n_p, of at most 128 rows, so the output holds at any BLAS thread
-      count.  Block Davidson from the unit vectors with the diagonal
-      preconditioner searches exactly the span of the leading unit
-      vectors, w more per step (w the band's width), so the rung takes
-      that span directly: eigh of the leading m x m block H_m.  The Ritz
-      pair's residual in the whole block is (H_m y - theta y, B y), B the
-      w rows below H_m, so a block is done at the first m where |B y| <=
+    - Ritz rungs m = states/blocks for states in RITZ_STATES, planned
+      once: k_b < m < N // blocks (the smaller block at odd N), of at
+      most 128 rows, so the output holds at any BLAS thread count.  Block
+      Davidson from the unit vectors with the diagonal preconditioner
+      searches exactly the span of the leading unit vectors, w more per
+      step (w the band's width), so the rung takes that span directly:
+      eigh of the leading m x m block H_m.  The Ritz pair's residual in
+      the whole block is (H_m y - theta y, B y), B the w rows below H_m,
+      so a block is done at the first m where |B y| <=
       RITZ_TOL*hbar*omega0 for each of its k_b pairs.  Each theta is an
       upper bound on the block's eigenvalue (Cauchy interlacing).
     - The full block, m = n_p, where B is empty, for every block of a
@@ -414,8 +418,8 @@ def diagonalize(
     found: List[Optional[Pairs]] = [None] * len(parts)
     todo = list(range(len(parts)))
     unit = specs[0].hbar * specs[0].omega0
-    for m in [states // nb for states in RITZ_STATES if states // nb <= 128]:
-        todo = [p for p in todo if kb < m < parts[p].shape[1]]
+    rows = n_basis // nb  # of the smaller parity block at odd N
+    for m in [m for m in (states // nb for states in RITZ_STATES) if kb < m < rows and m <= 128]:
         if not todo:
             break
         w = parts[todo[0]].shape[0] - 1
@@ -610,7 +614,8 @@ def compare(
     j = table.order + 1
     if len(_parity_blocks(spec)) == 1 and j % 2:  # odd potential: no odd-order shift
         j += 1
-    base_lam = next((l for l in lambdas if l != 0), None)
+    base_index = next((c for c, lam in enumerate(lambdas) if lam != 0), None)
+    base_lam = None if base_index is None else lambdas[base_index]
     report = ComparisonReport(spec=spec, lambdas=tuple(lambdas), n_track=n_track,
                               n_basis=n_basis, neglected_order=j, base_lam=base_lam)
 
@@ -618,7 +623,6 @@ def compare(
     specs = [OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind) for lam in lambdas]
     bands = _hamiltonian_bands(specs, n_basis)
     shifts = _rs_shifts(spec, bands, n_track)[j - 1]  # lam^j E_j(n)
-    base_index = next((c for c, lam in enumerate(lambdas) if lam != 0), None)
 
     sweep = diagonalize(specs, bands, n_track, base_index)
     deltas = _counted_deltas(specs, n_basis, [r.eigenvalues[: n_track + 1] for r in sweep])
@@ -668,7 +672,7 @@ def compare(
         report.failures.append(f"scaling: exponents {qs} not within {EXPONENT_GATE:g} of {j}")
 
     # amplitude comparison at the first nonzero coupling
-    if base is not None and spec.kind is not Kind.HARMONIC:
+    if base is not None:  # a harmonic spec has lam == 0
         s, evals, x_elem = base.spec, base.eigenvalues, base.x_elements
         # 1.25*r^2 in the smallness ratio r at base_lam (5*lam^2 for x3 and
         # 2.5*lam^2 for x2 in default units); OverflowError beyond r ~ 1e154

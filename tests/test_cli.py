@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from matrixmech.cli import main
+from matrixmech.ladder import solve_quantum
 from matrixmech.oscillator import Kind, OscillatorSpec
-from matrixmech.verify import run_verification
+from matrixmech.verify import apply_mutation, run_verification
 
 
 def run(capsys, *argv):
@@ -169,7 +171,9 @@ MUTATION_TARGETS = {"a2": ("x2", "eom_residual_overtone2"),
 def test_verify_mutations_keep_their_margin(mutate, n_max):
     kind, name = MUTATION_TARGETS[mutate]
     spec = OscillatorSpec(lam=1e-3, kind=Kind.from_name(kind))
-    report = run_verification(spec, n_max=n_max, mutate=mutate)
+    table = solve_quantum(spec, n_max=n_max, order=1)
+    apply_mutation(table, mutate)
+    report = run_verification(table)
     check = next(c for c in report.checks if c.name == name)
     assert not check.passed
     assert check.measured / check.tolerance >= MUTATION_MARGINS[mutate, n_max] / 1e-12
@@ -403,7 +407,7 @@ def test_verify_scaling_without_a_converged_fit_fails():
     # every coupling, lam/2 = 0.15 included, has collapsed: nothing to fit
     spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
     with pytest.warns(UserWarning):
-        report = run_verification(spec, n_max=4)
+        report = run_verification(solve_quantum(spec, n_max=4, order=1))
     checks = {c.name: c for c in report.checks}
     assert not checks["oracle_scaling"].passed
     assert checks["oracle_scaling"].detail == "exponents []"
@@ -497,7 +501,7 @@ def test_verify_tracks_n_max_levels(monkeypatch):
     monkeypatch.setattr(verify.orc, "compare", spy)
     spec = OscillatorSpec(lam=0.001, kind=Kind.QUADRATIC_FORCE)
     for n_max, n_track in ((1, 1), (3, 3), (10, 5)):
-        assert run_verification(spec, n_max=n_max).passed
+        assert run_verification(solve_quantum(spec, n_max=n_max, order=1)).passed
         rep = reports[-1]
         assert rep.n_track == n_track
         assert [a.n for a in rep.amplitudes] == list(range(1, n_track + 1))
@@ -624,6 +628,13 @@ def test_small_ladders_solve_at_order_one(capsys, kind, n_max):
     ("lines", "--kind", "x2", "--nmax", "2", "--lambda", "1e200"),
     ("verify", "--kind", "x3", "--nmax", "4", "--lambda", "1e300"),
     ("oracle-compare", "--kind", "x3", "--nmax", "4", "--lambda", "1e300"),
+    # the oracle's Hamiltonian overflows: before any eigensolve, which failed
+    # to converge or came back unsorted, and before NaN pivots left a
+    # coupling unconverged
+    ("oracle-compare", "--kind", "x3", "--lambda", "0", "--m", "1e-300"),
+    ("oracle-compare", "--kind", "x2", "--lambda", "0", "--m", "1e-300"),
+    ("oracle-compare", "--kind", "x3", "--lambda", "1e-3", "--h", "1e200"),
+    ("oracle-compare", "--kind", "x3", "--lambda", "1e-3", "--m", "1e-152"),  # the 2N band
 ])
 def test_overflowing_coupling_exits_2(capsys, argv, fmt):
     # inf/nan rows or an OverflowError become a usage error before any output
@@ -631,6 +642,7 @@ def test_overflowing_coupling_exits_2(capsys, argv, fmt):
     assert code == 2
     assert out == ""
     assert err.startswith("error: the result overflows double precision")
+    assert "warning:" not in err
 
 
 def test_calls_in_one_process_are_independent(capsys, monkeypatch, tmp_path):
@@ -688,3 +700,51 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(builds) == 1
+
+
+DEAD_FLAGS = [
+    ("levels", "--tol", "1e-30"), ("levels", "--oracle-n", "64"),
+    ("lines", "--tol", "1e-30"), ("lines", "--oracle-n", "64"),
+    ("classical", "--nmax", "3"), ("classical", "--tol", "1e-30"),
+    ("classical", "--oracle-n", "64"), ("classical", "--mutate", "w"),
+    ("oracle-compare", "--tol", "1e-30"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", DEAD_FLAGS)
+def test_flag_a_subcommand_does_not_read_exits_2(capsys, command, flag, value):
+    code, out, err = run(capsys, command, "--kind", "x3", "--lambda", "0.001", flag, value)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+COMMON_FLAGS = {"--m", "--omega0", "--lambda", "--h", "--order", "--kind", "--format",
+                "--config", "--help"}
+COMMAND_FLAGS = {
+    "levels": {"--nmax", "--mutate"},
+    "lines": {"--nmax", "--mutate"},
+    "classical": {"--a1"},
+    "verify": {"--nmax", "--mutate", "--tol", "--oracle-n"},
+    "oracle-compare": {"--nmax", "--mutate", "--oracle-n"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_subcommand_lists_exactly_its_flags(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", out)) == COMMON_FLAGS | COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (("levels", "--kind", "x3", "--lambda", "0.001", "--nmax", "4"),
+     ("tol=1e-10", "oracle-n=64", "a1=0.5")),
+    (("classical", "--kind", "x3", "--lambda", "0.001", "--a1", "1"), ("nmax=3", "oracle-n=64")),
+])
+def test_config_file_keys_stay_shared_across_subcommands(capsys, tmp_path, argv, lines):
+    # a key the subcommand does not read is accepted from a file and changes nothing
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--config", str(cfg)) == (0, plain, "")

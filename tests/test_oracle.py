@@ -762,7 +762,7 @@ def test_verify_default_basis_solves_one_ritz_corner(monkeypatch, spec, shape):
     # rows), in one call; no full block and no eigvalsh
     assert default_basis_size(tracked_levels(10)) == 56
     calls = _count_decompositions(monkeypatch)
-    assert run_verification(spec, n_max=10).passed
+    assert run_verification(solve_quantum(spec, n_max=10, order=1)).passed
     assert calls == {"eigh": [shape], "eigvalsh": []}
 
 
@@ -1313,3 +1313,36 @@ def test_full_block_coupling_is_counted_once(monkeypatch):
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
     assert calls == [4, 1, 1]
     assert rep.convergence_deltas == [1e-13] * 3 + [10.0 ** (7 / 4)]
+
+
+@pytest.mark.parametrize("spec,lams,eigh,eigvalsh", [
+    (OscillatorSpec(lam=0.02, kind=Kind.CUBIC_FORCE), coupling_sweep(0.02),
+     [(1, 16, 16), (1, 17, 17)], [(3, 16, 16), (3, 17, 17)]),
+    (OscillatorSpec(), [0.0], [], [(1, 16, 16), (1, 17, 17)]),
+], ids=["x3", "harmonic"])
+def test_odd_basis_solves_no_rung_its_smaller_block_cannot_take(monkeypatch, spec, lams,
+                                                                eigh, eigvalsh):
+    # N 33: parity blocks of 17 and 16 rows.  The 16-row rung fits the
+    # larger block only, and its Ritz pairs were discarded once the smaller
+    # block went to its full block; the rung plan now skips it, so only the
+    # full blocks are decomposed
+    calls = _count_decompositions(monkeypatch)
+    rep = compare(spec, lams, n_track=5, n_basis=33)
+    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh}
+    assert rep.passed
+
+
+@pytest.mark.filterwarnings("ignore:coupling ratio")
+@pytest.mark.parametrize("spec", [
+    OscillatorSpec(lam=0.0, m=1e-300, kind=Kind.CUBIC_FORCE),  # x^4 inf, times lam 0: NaN
+    OscillatorSpec(lam=0.0, m=1e-300, kind=Kind.QUADRATIC_FORCE),
+    OscillatorSpec(lam=1e-3, planck_h=1e200, kind=Kind.CUBIC_FORCE),
+    OscillatorSpec(lam=1e-3, m=1e-152, kind=Kind.CUBIC_FORCE),  # the doubled band alone
+    OscillatorSpec(planck_h=1e308),  # the harmonic diagonal
+])
+def test_compare_raises_overflow_on_a_non_finite_hamiltonian(spec):
+    # before any eigensolve, which would fail to converge or come back
+    # unsorted, and before NaN pivots leave a coupling unconverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match="Hamiltonian is not finite"):
+            compare(spec, coupling_sweep(spec.lam), n_track=5)

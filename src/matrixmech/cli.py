@@ -24,6 +24,8 @@ import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import classical as cl
 from . import ladder as ld
 from . import oracle as orc
@@ -36,17 +38,16 @@ USAGE_ERROR = 2
 CHECK_ERROR = 1
 TABLES = frozenset(("levels", "lines", "verify", "oracle-compare"))  # subcommands solving a table
 
-# Size caps, checked before any work.  The ladder's stacks are dense
-# (n_max+pad)^2 arrays: verify --lambda 0.001 at n_max 512, as a fresh
-# process on one BLAS thread of a 2-core Xeon VM, takes 0.44 s (x2) and
-# 0.52 s (x3) and peaks at 91 MiB.
-# The oracle at oracle-n 2048, as a fresh process on the same machine:
-# oracle-compare --kind x2 --lambda 0.002 --nmax 5, every coupling
-# converged at a Ritz rung, takes 0.23 s and peaks at 34 MiB (x3: 0.21 s,
-# 35 MiB).  At --lambda 0.01 the two larger couplings are unconverged
-# there: their doubled bases are counted up the delta ladder at their
-# Ritz values (0.2 s), so the run takes 0.4 s and peaks at 82 MiB on one
-# BLAS thread (0.6 s on two).
+# Size caps, checked before any work.  Figures are fresh processes on one
+# BLAS thread of a 2-core Xeon VM, best of 3.  The ladder's stacks are dense
+# (n_max+pad)^2 arrays: at n_max 512 and --lambda 0.001, verify takes 0.62 s
+# (x2) and 0.69 s (x3) and peaks at 97 MiB; lines takes 0.35 s (x2) and
+# 0.29 s (x3) and peaks at 73 MiB.
+# The oracle at oracle-n 2048, oracle-compare --nmax 5: at --lambda 0.002
+# every coupling converges at a Ritz rung (0.18 s, 34 MiB for x2; x3 0.19 s,
+# 36 MiB).  An unconverged coupling is counted up the delta ladder: for x2,
+# --lambda 0.01 takes 0.47 s and peaks at 82 MiB, --lambda 0.05 takes 2.5 s
+# and 131 MiB, and --lambda 0.3, the worst case, 4.9 s and 201 MiB.
 MAX_NMAX = 512
 MAX_ORACLE_N = 2048
 
@@ -55,11 +56,14 @@ class ConfigError(ValueError):
     pass
 
 
+NUMBER = "%.15g"  # every printed float
+
+
 def fmt(x) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise OverflowError(f"non-finite result {x}")
-    return f"{x:.15g}"
+    return NUMBER % x
 
 
 def jnum(x) -> float:
@@ -203,45 +207,39 @@ def _solved_table(config: RunConfig) -> ld.TransitionTable:
     return table
 
 
+def _emit_columns(config: RunConfig, name: str, header: str,
+                  columns: Sequence[np.ndarray]) -> None:
+    """Write a table given as one array per column: CSV under header, or JSON
+    as a list `name` of objects keyed by the header's names.  A non-finite
+    float raises OverflowError, naming the first in row order, before any output."""
+    is_float = [c.dtype.kind == "f" for c in columns]
+    floats = np.array([c for c, f in zip(columns, is_float) if f]).T
+    bad = np.argwhere(~np.isfinite(floats))
+    if len(bad):
+        raise OverflowError(f"non-finite result {float(floats[tuple(bad[0])])}")
+    if config.fmt == "json":
+        cells = [[jnum(v) for v in c.tolist()] if f else c.tolist()
+                 for c, f in zip(columns, is_float)]
+        print(json.dumps({name: [dict(zip(header.split(","), r)) for r in zip(*cells)]}))
+    else:
+        row = ",".join(NUMBER if f else "%d" for f in is_float) + "\n"
+        cells = zip(*(c.tolist() for c in columns))
+        sys.stdout.write(header + "\n" + "".join([row % r for r in cells]))
+
+
 def cmd_levels(config: RunConfig) -> int:
     table = _solved_table(config)
-    lam = config.lam
-    rows = []
-    for n in range(config.n_max + 1):
-        w = table.level(n)
-        rows.append((n, w[0], w[1], w.eval(lam)))
-    if config.fmt == "json":
-        payload = {
-            "levels": [
-                {"n": n, "W0": jnum(w0), "W1": jnum(w1), "W_total": jnum(wt)}
-                for (n, w0, w1, wt) in rows
-            ]
-        }
-        print(json.dumps(payload))
-    else:
-        _emit_csv("n,W0,W1,W_total",
-                  [[str(n), fmt(w0), fmt(w1), fmt(wt)] for (n, w0, w1, wt) in rows])
+    pub = config.n_max + 1
+    w = np.zeros((2, pub))  # W0 and W1 (order 0 has no W1); 0 + W prints -0.0 as 0
+    w[: table.order + 1] += table.w[:, :pub]
+    _emit_columns(config, "levels", "n,W0,W1,W_total",
+                  (np.arange(pub), w[0], w[1], ld._horner(w, config.lam)))
     return 0
 
 
 def cmd_lines(config: RunConfig) -> int:
-    table = _solved_table(config)
-    lines = ld.line_spectrum(table)
-    if config.fmt == "json":
-        payload = {
-            "lines": [
-                {"n": l.upper, "m": l.lower, "omega": jnum(l.omega),
-                 "rel_intensity": jnum(l.rel_intensity), "amp_order": l.leading_order}
-                for l in lines
-            ]
-        }
-        print(json.dumps(payload))
-    else:
-        _emit_csv(
-            "n,m,omega,rel_intensity,amp_order",
-            [[str(l.upper), str(l.lower), fmt(l.omega), fmt(l.rel_intensity),
-              str(l.leading_order)] for l in lines],
-        )
+    _emit_columns(config, "lines", "n,m,omega,rel_intensity,amp_order",
+                  ld.line_columns(_solved_table(config)))
     return 0
 
 

@@ -75,11 +75,25 @@ class OperatorMatrix:
     def mul(self, other: "OperatorMatrix", max_order: int) -> "OperatorMatrix":
         return OperatorMatrix(series_product(self.c, other.c, max_order, np.matmul))
 
-    def power(self, p: int, max_order: int) -> "OperatorMatrix":
-        out = self
-        for _ in range(p - 1):
-            out = out.mul(self, max_order)
-        return out
+
+class _Powers(dict):
+    """Layers of the powers of a coefficient stack x, each formed once: self[j, k]
+    is layer k of x^j, summed as series_product sums it (from 0, over
+    (x^(j-1))_i @ x_(k-i) in increasing i), from x[0 .. k] as they are then."""
+
+    def __init__(self, x: np.ndarray):
+        super().__init__(((1, k), layer) for k, layer in enumerate(x))
+        self.x = x
+
+    def __missing__(self, key: Tuple[int, int]) -> np.ndarray:
+        j, k = key
+        acc = self[key] = np.zeros(self.x.shape[1:])
+        for i in range(k + 1):
+            acc += np.matmul(self[j - 1, i], self.x[k - i])
+        return acc
+
+    def stack(self, j: int, layers: int) -> np.ndarray:
+        return np.array([self[j, k] for k in range(layers)])
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +230,32 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
     spec.check_smallness()
 
     table = _base_ladder(spec, n_max, order, pad=3 * order + 2)
-    w0sq = spec.omega0**2
 
     p = spec.kind.force_power
     x = table.x.c
+    power = _Powers(x)  # the pass at k reads layer k-1, then writes x[k]
     top = order + 1 if order >= 1 and p else 0
+    tau = np.subtract.outer(np.arange(x.shape[1]), np.arange(x.shape[1]))  # n - m
+    div = (tau * tau - 1.0) * spec.omega0**2
     for k in range(1, top + 1):
-        f = np.tril(table.x.power(p, k - 1).c[k - 1])
+        f = power[p, k - 1]
+        # tau = 0 (X(n, n) = lam * a0(n)) and tau >= 2, where F is nonzero
+        solve = (f != 0) & (tau >= 0) & (tau != 1)
         if k > order:
-            f[x.any(axis=0)] = 0.0
-        n, m = np.nonzero(f)
-        fk = f[n, m]
-        tau = n - m
-        rung = tau == 1
-        # tau = 0 (X(n, n) = lam * a0(n)) and tau >= 2
-        n0, m0, t0 = n[~rung], m[~rung], tau[~rung]
-        x[k, n0, m0] = x[k, m0, n0] = fk[~rung] / ((t0 * t0 - 1.0) * w0sq)
-        # tau = 1, only at k = 1 (the k = order+1 pass skips the fundamentals):
-        # omega^2(n,m) = omega0^2 + lam*F/X0, and the sum rule
-        # a^2(n,m)*omega(n,m) = n*h/(pi*m)
-        n1, m1 = n[rung], m[rung]
-        x0 = x[0, n1, m1]
-        w1 = fk[rung] / x0 / (2.0 * spec.omega0)
-        table.fund[1, n1] = w1
-        x[1, n1, m1] = x[1, m1, n1] = -x0 * w1 / (2.0 * spec.omega0)
+            solve &= ~x.any(axis=0)
+        xk = np.divide(f, div, out=np.zeros_like(f), where=solve)
+        x[k] = np.where(tau < 0, xk.T, xk)
+        if k == 1:
+            # tau = 1 (the k = order+1 pass skips the fundamentals):
+            # omega^2(n,m) = omega0^2 + lam*F/X0, and the sum rule
+            # a^2(n,m)*omega(n,m) = n*h/(pi*m)
+            n1 = np.flatnonzero(np.diagonal(f, -1)) + 1
+            x0 = x[0, n1, n1 - 1]
+            w1 = f[n1, n1 - 1] / x0 / (2.0 * spec.omega0)
+            table.fund[1, n1] = w1
+            x[1, n1, n1 - 1] = x[1, n1 - 1, n1] = -x0 * w1 / (2.0 * spec.omega0)
 
-    return energy_levels(spec, table)
+    return _fill_levels(spec, table, power)
 
 
 def level_omega(table: TransitionTable) -> np.ndarray:
@@ -267,15 +281,17 @@ def chain_omega(table: TransitionTable) -> np.ndarray:
     """
     fund = table.fund
     dim = fund.shape[1]
-    hi, lo = np.nonzero(table.x.c.any(axis=0))
-    band = int((hi - lo).max(initial=0))
+    live = table.x.c.any(axis=0)
+    # the farthest entry below the diagonal: each row's first live column
+    band = int((np.arange(dim) - live.argmax(axis=1))[live.any(axis=1)].max(initial=0))
     out = np.zeros((len(fund), dim, dim))
+    # flat: out[n + d, n] at d*dim + n*(dim + 1), out[n, n + d] at d + n*(dim + 1)
+    flat = out.reshape(len(fund), -1)
     window = np.zeros_like(fund)  # window[:, n]: sum of the d rungs ending at n
     for d in range(1, min(band, dim - 1) + 1):
         window[:, d:] = window[:, d - 1 : -1] + fund[:, d:]
-        n = np.arange(d, dim)
-        out[:, n, n - d] = window[:, d:]
-        out[:, n - d, n] = -window[:, d:]
+        flat[:, d * dim :: dim + 1] = window[:, d:]
+        flat[:, d :: dim + 1][:, : dim - d] = -window[:, d:]
     return out
 
 
@@ -294,14 +310,21 @@ def energy_matrix(
     omega is level_omega (the defining convention) or chain_omega
     (solve-time fundamentals, used to bootstrap the levels).
     """
-    x = table.x
-    order = table.order
-    y = OperatorMatrix(series_product(omega, x.c, order, np.multiply))
-    e = (0.5 * spec.m) * (spec.omega0**2 * x.mul(x, order).c - y.mul(y, order).c)
+    y = series_product(omega, table.x.c, table.order, np.multiply)
+    return OperatorMatrix(_energy(spec, table.order, _Powers(table.x.c), y, y))
+
+
+def _energy(spec: OscillatorSpec, order: int, power: _Powers, y: np.ndarray,
+            dy: np.ndarray) -> np.ndarray:
+    """(m/2)(omega0^2 X^2 - y dy) + m/(p+1) * lam * X^(p+1) through lam^order,
+    the powers of X read from power: the energy matrix at y = dy = Y, and its
+    size at |X|, y = -|omega| o |X| and dy = Omega o |X|."""
+    e = (0.5 * spec.m) * (spec.omega0**2 * power.stack(2, order + 1)
+                          - series_product(y, dy, order, np.matmul))
     p = spec.kind.force_power
     if p and order >= 1:
-        e[1:] += (spec.m / (p + 1.0)) * x.power(p + 1, order - 1).c
-    return OperatorMatrix(e)
+        e[1:] += (spec.m / (p + 1.0)) * power.stack(p + 1, order)
+    return e
 
 
 def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTable:
@@ -312,8 +335,12 @@ def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTab
     frequency_consistency), after which omega(n, m) is always derived
     from the levels.
     """
-    e = energy_matrix(spec, table, chain_omega(table))
-    table.w = np.diagonal(e.c, axis1=1, axis2=2).copy()
+    return _fill_levels(spec, table, _Powers(table.x.c))
+
+
+def _fill_levels(spec: OscillatorSpec, table: TransitionTable, power: _Powers) -> TransitionTable:
+    y = series_product(chain_omega(table), table.x.c, table.order, np.multiply)
+    table.w = np.diagonal(_energy(spec, table.order, power, y, y), 0, 1, 2).copy()
     return table
 
 
@@ -373,8 +400,8 @@ def _residual_stacks(
     size = spec.omega0**2 * ax + series_product(wsq_size, ax, top, np.multiply)
     p = spec.kind.force_power
     if p:
-        r[1:] += x.power(p, top - 1).c
-        size[1:] += OperatorMatrix(ax).power(p, top - 1).c
+        r[1:] += _Powers(x.c).stack(p, top)
+        size[1:] += _Powers(ax).stack(p, top)
     convention = np.where(np.eye(x.dim, dtype=bool), 1.0, 2.0)
     return r * convention, size * convention
 
@@ -424,13 +451,9 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     e = energy_matrix(spec, table, omega).c
 
     ax = np.abs(table.x.c)
-    y = series_product(np.abs(omega), ax, order, np.multiply)
+    y = series_product(-np.abs(omega), ax, order, np.multiply)
     dy = series_product(_level_omega_size(table), ax, order, np.multiply)
-    size = (0.5 * spec.m) * (spec.omega0**2 * series_product(ax, ax, order, np.matmul)
-                            + series_product(y, dy, order, np.matmul))
-    p = spec.kind.force_power
-    if p and order >= 1:
-        size[1:] += (spec.m / (p + 1.0)) * OperatorMatrix(ax).power(p + 1, order - 1).c
+    size = _energy(spec, order, _Powers(ax), y, dy)
 
     pub = table.n_max + 1
     off = ~np.eye(pub, dtype=bool)  # public off-diagonal entries
@@ -450,7 +473,13 @@ def _horner(c: np.ndarray, lam: float) -> np.ndarray:
 
 
 def line_spectrum(table: TransitionTable) -> List[SpectralLine]:
-    """Emission lines (n -> m, n > m) with intensities ~ a(n,m)^2.
+    """line_columns as one SpectralLine per line."""
+    return [SpectralLine(*row) for row in zip(*(c.tolist() for c in line_columns(table)))]
+
+
+def line_columns(table: TransitionTable) -> Tuple[np.ndarray, ...]:
+    """Emission lines as arrays: upper state, lower state, omega, relative
+    intensity and the lam power at which the amplitude first appears.
 
     Frequencies are level differences evaluated at the oscillator's
     coupling; relative intensity (a convention: amplitude squared) is
@@ -466,6 +495,4 @@ def line_spectrum(table: TransitionTable) -> List[SpectralLine]:
     inten = a * a
     peak = inten.max(initial=0.0)
     rel = inten / peak if peak else np.zeros_like(inten)
-    lead = (x[:, n, m] != 0).argmax(axis=0)  # lam power at which a(n, m) first appears
-    rows = zip(n.tolist(), m.tolist(), omega.tolist(), rel.tolist(), lead.tolist())
-    return [SpectralLine(*row) for row in rows]
+    return n, m, omega, rel, (x[:, n, m] != 0).argmax(axis=0)

@@ -134,7 +134,10 @@ def run_verification(
             # coupling must shrink the remainder by ~4
             def remainder(l):
                 n = n_max
-                exact = math.sqrt(n * spec.planck_h / (math.pi * spec.m * table.freq(n, n - 1).eval(l)))
+                if (omega := table.freq(n, n - 1).eval(l)) <= 0:
+                    raise ValueError(f"series frequency omega({n}, {n - 1}) = {omega:.6g} is not "
+                                     f"positive at lambda {l:g} (r = {spec.smallness_ratio():.3g})")
+                exact = math.sqrt(n * spec.planck_h / (math.pi * spec.m * omega))
                 return abs(table.amp(n, n - 1).eval(l) - exact)
 
             r1, r2 = remainder(lam), remainder(lam / 2)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matrixmech.cli import main
@@ -748,3 +749,112 @@ def test_config_file_keys_stay_shared_across_subcommands(capsys, tmp_path, argv,
     code, plain, _ = run(capsys, *argv)
     assert code == 0
     assert run(capsys, *argv, "--config", str(cfg)) == (0, plain, "")
+
+
+def _reference_table_output(command, config):
+    """levels and lines as rows of LambdaSeries and SpectralLine values,
+    fmt per value and one print per row."""
+    from matrixmech import cli, ladder
+
+    table = cli._solved_table(config)
+    if command == "levels":
+        rows = []
+        for n in range(config.n_max + 1):
+            w = table.level(n)
+            rows.append((n, w[0], w[1], w.eval(config.lam)))
+        if config.fmt == "json":
+            print(json.dumps({"levels": [
+                {"n": n, "W0": cli.jnum(w0), "W1": cli.jnum(w1), "W_total": cli.jnum(wt)}
+                for (n, w0, w1, wt) in rows]}))
+            return
+        lines = [[str(n), cli.fmt(w0), cli.fmt(w1), cli.fmt(wt)] for (n, w0, w1, wt) in rows]
+        header = "n,W0,W1,W_total"
+    else:
+        spectrum = ladder.line_spectrum(table)
+        if config.fmt == "json":
+            print(json.dumps({"lines": [
+                {"n": l.upper, "m": l.lower, "omega": cli.jnum(l.omega),
+                 "rel_intensity": cli.jnum(l.rel_intensity), "amp_order": l.leading_order}
+                for l in spectrum]}))
+            return
+        lines = [[str(l.upper), str(l.lower), cli.fmt(l.omega), cli.fmt(l.rel_intensity),
+                  str(l.leading_order)] for l in spectrum]
+        header = "n,m,omega,rel_intensity,amp_order"
+    print(header)
+    for row in lines:
+        print(",".join(row))
+
+
+@pytest.mark.parametrize("kind, lam", [("harmonic", "0"), ("x2", "-0.002"), ("x2", "0"),
+                                       ("x2", "0.001"), ("x3", "-0.001"), ("x3", "0"),
+                                       ("x3", "0.002")])
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_levels_and_lines_print_the_row_by_row_bytes(capsys, monkeypatch, kind, lam, order):
+    # the tables come from one solve per n_max; the writer is what is compared
+    from matrixmech import cli, ladder
+
+    solved = {}
+    solve = ladder.solve_quantum
+
+    def solve_once(spec, n_max, order):
+        if n_max not in solved:
+            solved[n_max] = solve(spec, n_max=n_max, order=order)
+        return solved[n_max]
+
+    monkeypatch.setattr(ladder, "solve_quantum", solve_once)
+    for n_max in ["1", "10", "48", "512"]:
+        for command in ["levels", "lines"]:
+            for fmt in ["csv", "json"]:
+                argv = [command, "--kind", kind, "--lambda", lam, "--order", order,
+                        "--nmax", n_max, "--format", fmt]
+                code, out, err = run(capsys, *argv)
+                assert code == 0 and err == ""
+                _reference_table_output(command, cli.resolve_config(cli._parser().parse_args(argv)))
+                assert out == capsys.readouterr().out, argv
+
+
+def test_verify_names_a_series_frequency_below_zero(capsys):
+    # at lambda -0.2 the x3 series omega(10, 9) = 1 - 0.2 * 0.75 * 10 is negative,
+    # so the amplitude's closed form sqrt(n*h/(pi*m*omega)) has no value
+    code, out, err = run(capsys, "verify", "--kind", "x3", "--lambda", "-0.2", "--nmax", "10")
+    assert code == 2 and out == ""
+    assert err == "error: series frequency omega(10, 9) = -0.5 is not positive at lambda -0.2" \
+                  " (r = 0.4)\n"
+
+
+def _doctor(table, variant):
+    if variant == "signed zeros":
+        table.w[table.w == 0] = -0.0
+    else:  # the first non-finite value in row order is not the first by column
+        table.w[1, 0] = np.inf  # level 0's W1
+        table.w[0, 1] = np.nan  # level 1's W0
+        table.w[0, 2] = -np.inf
+        table.x.c[:, 1, 0] = table.x.c[:, 0, 1] = np.inf  # line (1, 0)'s amplitude
+    return table
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["signed zeros", "non-finite"])
+@pytest.mark.parametrize("kind", ["x2", "x3"])
+@pytest.mark.parametrize("command", ["levels", "lines"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_doctored_tables_print_as_row_by_row(capsys, monkeypatch, variant, kind, command, fmt):
+    # a -0.0 coefficient prints as the LambdaSeries view prints it (0), and a
+    # non-finite value stops the table at the first one in row order
+    from matrixmech import cli
+
+    solved = cli._solved_table
+    monkeypatch.setattr(cli, "_solved_table", lambda config: _doctor(solved(config), variant))
+    argv = [command, "--kind", kind, "--lambda", "0.001", "--nmax", "6", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    config = cli.resolve_config(cli._parser().parse_args(argv))
+    if variant == "signed zeros":
+        assert code == 0 and err == ""
+        _reference_table_output(command, config)
+        assert out == capsys.readouterr().out
+    else:
+        with pytest.raises(OverflowError) as caught:
+            _reference_table_output(command, config)
+        assert code == 2 and out == "" and capsys.readouterr().out == ""
+        assert err == ("error: the result overflows double precision at these parameters "
+                       f"({caught.value})\n")

@@ -20,7 +20,7 @@ from matrixmech.ladder import (
 )
 from matrixmech.classical import solve_classical
 from matrixmech.oscillator import Kind, OscillatorSpec
-from matrixmech.series import LambdaSeries
+from matrixmech.series import LambdaSeries, series_product
 
 H_PI = math.pi
 X2 = OscillatorSpec(m=1, omega0=1, lam=1e-3, planck_h=H_PI, kind=Kind.QUADRATIC_FORCE)
@@ -521,3 +521,87 @@ def test_public_states_do_not_depend_on_n_max(spec, order, mutate):
         assert small.dc_series(n).coeffs == large.dc_series(n).coeffs
         for m in range(2):
             assert small.amp(n, m).coeffs == large.amp(n, m).coeffs
+
+
+# ------------------------------------------------- one product per power of X
+
+
+def _reference_solve(spec, n_max, order):
+    """solve_quantum by whole-stack series products, each power of X formed
+    afresh where it is used, and omega scattered diagonal by diagonal."""
+    table = _base_ladder(spec, n_max, order, pad=3 * order + 2)
+    x, w0sq, p = table.x.c, spec.omega0**2, spec.kind.force_power
+
+    def power(q, max_order):
+        out = x
+        for _ in range(q - 1):
+            out = series_product(out, x, max_order, np.matmul)
+        return out
+
+    for k in range(1, (order + 1 if order >= 1 and p else 0) + 1):
+        f = np.tril(power(p, k - 1)[k - 1])
+        if k > order:
+            f[x.any(axis=0)] = 0.0
+        n, m = np.nonzero(f)
+        fk, tau = f[n, m], n - m
+        rung = tau == 1
+        n0, m0, t0 = n[~rung], m[~rung], tau[~rung]
+        x[k, n0, m0] = x[k, m0, n0] = fk[~rung] / ((t0 * t0 - 1.0) * w0sq)
+        n1, m1 = n[rung], m[rung]
+        x0 = x[0, n1, m1]
+        w1 = fk[rung] / x0 / (2.0 * spec.omega0)
+        table.fund[1, n1] = w1
+        x[1, n1, m1] = x[1, m1, n1] = -x0 * w1 / (2.0 * spec.omega0)
+
+    fund = table.fund
+    dim = fund.shape[1]
+    hi, lo = np.nonzero(x.any(axis=0))
+    omega = np.zeros((len(fund), dim, dim))
+    window = np.zeros_like(fund)
+    for d in range(1, min(int((hi - lo).max(initial=0)), dim - 1) + 1):
+        window[:, d:] = window[:, d - 1 : -1] + fund[:, d:]
+        n = np.arange(d, dim)
+        omega[:, n, n - d] = window[:, d:]
+        omega[:, n - d, n] = -window[:, d:]
+    y = series_product(omega, x, order, np.multiply)
+    e = (0.5 * spec.m) * (w0sq * series_product(x, x, order, np.matmul)
+                          - series_product(y, y, order, np.matmul))
+    if p and order >= 1:
+        e[1:] += (spec.m / (p + 1.0)) * power(p + 1, order - 1)
+    table.w = np.diagonal(e, axis1=1, axis2=2).copy()
+    return table
+
+
+@pytest.mark.filterwarnings("ignore::matrixmech.oscillator.SmallnessWarning")
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("order", [0, 1])
+def test_solve_matches_the_whole_stack_products_to_the_bit(kind, order):
+    couplings = [0.0] if kind is Kind.HARMONIC else [0.0, 1e-4, -1e-4, 2e-3, -2e-3, 0.05]
+    for units in [{}, {"m": 1.7, "omega0": 0.6, "planck_h": 3.1}]:
+        for lam in couplings:
+            spec = OscillatorSpec(lam=lam, kind=kind, **units)
+            for n_max in [1, 2, 5, 10, 24, 48, 100, 257]:
+                got, ref = solve_quantum(spec, n_max, order), _reference_solve(spec, n_max, order)
+                for a, b in [(got.x.c, ref.x.c), (got.fund, ref.fund), (got.w, ref.w)]:
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (spec, n_max)
+
+
+@pytest.mark.parametrize("kind, order, products", [
+    (Kind.QUADRATIC_FORCE, 1, 7), (Kind.CUBIC_FORCE, 1, 10), (Kind.HARMONIC, 1, 6),
+    (Kind.QUADRATIC_FORCE, 0, 2), (Kind.CUBIC_FORCE, 0, 2),
+])
+def test_solve_forms_each_power_of_x_once(monkeypatch, kind, order, products):
+    # x2 at order 1: X0^2, X0^3, the two lam^1 terms of X^2 and the three
+    # of Y^2; x3 adds X0^4 and the two lam^1 terms of X^3
+    calls = []
+    matmul = np.matmul
+
+    def counted(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
+    monkeypatch.setattr(np, "matmul", counted)
+    solve_quantum(spec, 10, order)
+    monkeypatch.undo()
+    assert len(calls) == products

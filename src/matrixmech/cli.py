@@ -39,15 +39,15 @@ CHECK_ERROR = 1
 TABLES = frozenset(("levels", "lines", "verify", "oracle-compare"))  # subcommands solving a table
 
 # Size caps, checked before any work.  Figures are fresh processes on one
-# BLAS thread of a 2-core Xeon VM, best of 3.  The ladder's stacks are dense
-# (n_max+pad)^2 arrays: at n_max 512 and --lambda 0.001, verify takes 0.62 s
-# (x2) and 0.69 s (x3) and peaks at 97 MiB; lines takes 0.35 s (x2) and
-# 0.29 s (x3) and peaks at 73 MiB.
-# The oracle at oracle-n 2048, oracle-compare --nmax 5: at --lambda 0.002
-# every coupling converges at a Ritz rung (0.18 s, 34 MiB for x2; x3 0.19 s,
-# 36 MiB).  An unconverged coupling is counted up the delta ladder: for x2,
-# --lambda 0.01 takes 0.47 s and peaks at 82 MiB, --lambda 0.05 takes 2.5 s
-# and 131 MiB, and --lambda 0.3, the worst case, 4.9 s and 201 MiB.
+# BLAS thread of a 2-core Xeon VM, median of 5 to 7.  The ladder's stacks are dense
+# (n_max+pad)^2 arrays: at n_max 512 and --lambda 0.001, verify takes about
+# 0.55 s and peaks at 89 MiB; lines takes 0.23 s (x2) and 0.25 s (x3) and
+# peaks at 58 and 60 MiB.  The oracle's eigensolves stop at 128 rows: at
+# oracle-n 2048, oracle-compare --nmax 5 --lambda 0.002 converges at a Ritz
+# rung (0.16-0.25 s, 34 MiB for x2; x3 0.22 s, 35 MiB), and an unconverged
+# coupling ends at its 128-row corner and searches the delta ladder in two
+# sweeps: for x2, --lambda 0.01 / 0.05 / 0.1 / 0.3 take 0.36 / 0.33 / 0.36 /
+# 0.39 s and peak at 41 / 49 / 49 / 50 MiB.
 MAX_NMAX = 512
 MAX_ORACLE_N = 2048
 

@@ -230,21 +230,29 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
     spec.check_smallness()
 
     table = _base_ladder(spec, n_max, order, pad=3 * order + 2)
+    power = _Powers(table.x.c)  # the pass at k reads layer k-1, then writes x[k]
+    _force_passes(spec, table, power)
+    return _fill_levels(spec, table, power)
 
+
+def _force_passes(spec: OscillatorSpec, table: TransitionTable, power: _Powers) -> None:
+    """solve_quantum's passes k = 1 .. order+1, none at order 0 or without a
+    force; their grids, and X^p's last layer for x^3, go before the levels."""
     p = spec.kind.force_power
-    x = table.x.c
-    power = _Powers(x)  # the pass at k reads layer k-1, then writes x[k]
+    x, order = table.x.c, table.order
     top = order + 1 if order >= 1 and p else 0
     tau = np.subtract.outer(np.arange(x.shape[1]), np.arange(x.shape[1]))  # n - m
     div = (tau * tau - 1.0) * spec.omega0**2
     for k in range(1, top + 1):
         f = power[p, k - 1]
+        if k == top and p > 2:  # the levels read X^p below this layer only
+            del power[p, k - 1]
         # tau = 0 (X(n, n) = lam * a0(n)) and tau >= 2, where F is nonzero
         solve = (f != 0) & (tau >= 0) & (tau != 1)
         if k > order:
             solve &= ~x.any(axis=0)
-        xk = np.divide(f, div, out=np.zeros_like(f), where=solve)
-        x[k] = np.where(tau < 0, xk.T, xk)
+        np.divide(f, div, out=x[k], where=solve)  # x[k] is still zero
+        x[k] = np.where(tau < 0, x[k].T, x[k])
         if k == 1:
             # tau = 1 (the k = order+1 pass skips the fundamentals):
             # omega^2(n,m) = omega0^2 + lam*F/X0, and the sum rule
@@ -254,8 +262,6 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
             w1 = f[n1, n1 - 1] / x0 / (2.0 * spec.omega0)
             table.fund[1, n1] = w1
             x[1, n1, n1 - 1] = x[1, n1 - 1, n1] = -x0 * w1 / (2.0 * spec.omega0)
-
-    return _fill_levels(spec, table, power)
 
 
 def level_omega(table: TransitionTable) -> np.ndarray:

@@ -3,9 +3,9 @@
 Everything here deliberately bypasses the series machinery.  The position
 operator is built from ladder matrices with scale sqrt(hbar/(2 m omega0)),
 the Hamiltonian is held in band storage and its lowest eigenpairs are found
-on one ladder of rungs, Rayleigh-Ritz on leading blocks up to the whole
-parity block (diagonalize), and the resulting eigenvalues and position
-matrix elements are compared against the perturbative table.
+on one ladder of rungs, Rayleigh-Ritz on leading blocks of at most 128 rows
+(diagonalize), and the resulting eigenvalues and position matrix elements
+are compared against the perturbative table.
 
 The x2 kind's cubic potential makes the true spectrum metastable
 (unbounded below); at the couplings treated here the truncated spectrum is
@@ -33,7 +33,7 @@ class OracleError(RuntimeError):
 class OracleResult:
     spec: OscillatorSpec
     n_basis: int
-    eigenvalues: np.ndarray  # ascending: all N from full blocks, else the lowest Ritz values
+    eigenvalues: np.ndarray  # ascending: all of a block solved whole, else its lowest Ritz values
     eigenvectors: np.ndarray  # (N, k): the k = n_track+1 tracked states as columns
     x_elements: np.ndarray  # |<E_i| x |E_j>| for the tracked states i, j <= n_track
     n_track: Optional[int]  # None: eigenvalues only, k = 0
@@ -134,9 +134,6 @@ CONVERGENCE_GATE = CONVERGENCE_LADDER[-1]
 # which an unconverged coupling's delta is counted.  A delta above the top
 # rung is reported as the top rung.
 DELTA_LADDER = tuple(10.0 ** (e / 4) for e in range(-39, 12))
-# The rungs of the doubling check, swept in three groups: the lowest rung,
-# the rest of the gate, then DELTA_LADDER.
-_SWEEPS = (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:], DELTA_LADDER)
 # Largest |q - j| of a fitted residual exponent q from the first power j
 # that the table leaves out.
 EXPONENT_GATE = 0.2
@@ -275,37 +272,48 @@ def _counted_deltas(
     The delta is the smallest rung eps certified at eps*hbar*omega0, an
     upper bound.  Tracked eigenvalue i of H_2N lies within e of E_i
     exactly when H_2N - (E_i - e) has at most i negative pivots and
-    H_2N - (E_i + e) at least i + 1.  The E_i are the values given, Ritz
-    values or full-block eigenvalues alike.  H_2N comes from band
-    storage, split into its parity blocks; no dense doubled matrix is
-    built.  The rungs are swept group by group (_SWEEPS): the lowest rung,
-    the rest up to the gate, then DELTA_LADDER.  A group certifies a
-    coupling when its last rung is certified, and only the couplings it
-    leaves uncertified sweep the next group.  Each sweep stops where the
-    rest of every H_2N - shift it holds is strictly diagonally dominant
-    (_pivots): within the leading rows when all its couplings are
-    converged, while one unconverged coupling usually makes it run to the
-    last row.  A coupling where a swept pivot was zero or not finite is
-    uncertified: it gets None and sweeps no further group.
+    H_2N - (E_i + e) at least i + 1, so a certified rung stays certified
+    up the ladder.  The E_i are the values given, Ritz or exact.  H_2N
+    comes from band storage, split into its parity blocks.  Each sweep
+    counts all its couplings' shifts at once (_pivots): the lowest rung;
+    the rest of the gate, for the couplings it left; then, for those the
+    gate leaves, DELTA_LADDER in two sweeps: every 7th rung down from the
+    top, then the six below the first certified.  A sweep stops where the
+    rest of every H_2N - shift is strictly diagonally dominant: early when
+    all its couplings are converged, at the last row with one that is
+    not.  A coupling with a swept pivot zero or not finite gets None.
     """
     levels = np.array(tracked)  # (C, k)
     i = np.arange(levels.shape[1])
     blocks = _parity_blocks(specs[0])
     bands = _hamiltonian_bands(specs, 2 * n_basis)  # a parity block's band: every other diagonal
     bands = np.stack([bands[:, :: len(blocks), b] for b in blocks])
-    deltas: List[Optional[float]] = [None] * len(specs)
-    asked = np.arange(len(specs))
-    for rungs in _SWEEPS:
+
+    def certified(asked, rungs):  # rungs (asked, R): each certified (asked, R), sound (asked,)
         if not len(asked):
-            break
-        eps = np.array(rungs)[:, None] * (specs[0].hbar * specs[0].omega0)  # absolute
+            return np.zeros(rungs.shape, dtype=bool), np.zeros(0, dtype=bool)
+        eps = rungs[..., None] * (specs[0].hbar * specs[0].omega0)  # absolute
         shifts = np.concatenate([levels[asked, None] - eps, levels[asked, None] + eps], axis=1)
         counts, sound = _negative_pivots(bands[:, asked], shifts.reshape(len(asked), -1))
-        counts = counts.reshape(len(asked), 2, len(rungs), -1)
-        certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)  # (asked, rungs)
-        for c, ok in zip(asked[sound & certified[:, -1]], certified[sound & certified[:, -1]]):
-            deltas[c] = rungs[np.argmax(ok)]
-        asked = asked[sound & ~certified[:, -1]]
+        counts = counts.reshape(len(asked), 2, rungs.shape[1], -1)
+        return np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1), sound
+
+    deltas: List[Optional[float]] = [None] * len(specs)
+    asked = np.arange(len(specs))
+    for rungs in (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:]):
+        ok, sound = certified(asked, np.tile(rungs, (len(asked), 1)))
+        for c, row in zip(asked[sound & ok[:, -1]], ok[sound & ok[:, -1]]):
+            deltas[c] = rungs[np.argmax(row)]
+        asked = asked[sound & ~ok[:, -1]]
+    # DELTA_LADDER: every 7th rung down from the top, then the six below the first certified
+    hi = np.full(len(asked), len(DELTA_LADDER) + 6)  # the first rung known certified; none yet
+    for step, count in ((7, 8), (1, 6)):
+        probes = np.maximum(hi[:, None] - step * np.arange(count, 0, -1), 0)
+        ok, sound = certified(asked, np.array(DELTA_LADDER)[probes])
+        hi = np.where(ok.any(axis=1), probes[np.arange(len(asked)), np.argmax(ok, axis=1)], hi)
+        asked, hi = asked[sound & (hi < len(DELTA_LADDER))], hi[sound & (hi < len(DELTA_LADDER))]
+    for c, h in zip(asked, hi):
+        deltas[c] = DELTA_LADDER[h]
     return deltas
 
 
@@ -355,15 +363,15 @@ def _merge(
     )
 
 
-def _eigh(h: np.ndarray, vectors: bool) -> Pairs:
+def _eigh(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of a batch of symmetric matrices, with their
-    eigenvectors if asked, by one LAPACK call.
+    eigenvectors, by one LAPACK call.
 
     Checks that every matrix's eigenvalues came back ascending, the whole
     batch at once.
     """
     try:
-        w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"eigensolver did not converge: {exc}") from exc
     if not np.all(np.diff(w, axis=-1) >= -1e-9 * np.maximum(1.0, np.abs(w[..., -1:]))):
@@ -388,58 +396,43 @@ def diagonalize(
     parity, so its even and odd blocks are solved separately and merged
     (_merge); x^3 couples both parities, one block.  Each block, of n_p
     rows, tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states
-    and climbs a ladder of rungs, every block of every coupling at once,
-    one batched LAPACK call per rung:
-    - Ritz rungs m = states/blocks for states in RITZ_STATES, planned
-      once: k_b < m < N // blocks (the smaller block at odd N), of at
-      most 128 rows, so the output holds at any BLAS thread count.  Block
-      Davidson from the unit vectors with the diagonal preconditioner
-      searches exactly the span of the leading unit vectors, w more per
-      step (w the band's width), so the rung takes that span directly:
-      eigh of the leading m x m block H_m.  The Ritz pair's residual in
-      the whole block is (H_m y - theta y, B y), B the w rows below H_m,
-      so a block is done at the first m where |B y| <=
-      RITZ_TOL*hbar*omega0 for each of its k_b pairs.  Each theta is an
-      upper bound on the block's eigenvalue (Cauchy interlacing).
-    - The full block, m = n_p, where B is empty, for every block of a
-      coupling that has a block no Ritz rung finished: eigvalsh, or eigh
-      at coupling base; one call per block size.
-    Eigenvalues: all N where the full block was solved, else each block's
-    k_b lowest Ritz values: a Ritz rung finishes on its residual in H_N,
-    whether or not the basis has converged.  Eigenvectors and x_elements
-    of the k lowest states at coupling base only.  Deterministic for
-    fixed input.
+    up a ladder of rungs, m = min(states/blocks, 128) rows for states in
+    RITZ_STATES (below 128 only m > k_b): one batched eigh per rung and
+    block size (odd N: the blocks differ by a row) of each block's leading
+    min(m, n_p) rows, so no call sees more than 128 rows and the output
+    holds at any BLAS thread count.  Block Davidson from the unit vectors
+    with the diagonal preconditioner searches exactly the span of the
+    leading unit vectors, w more per step (w the band's width), so a rung
+    takes that span directly.  The Ritz pair's residual in the whole block
+    is (H_m y - theta y, B y), B the w rows below H_m: a block is done at
+    the first m where |B y| <= RITZ_TOL*hbar*omega0 for its k_b pairs, and
+    at its last rung, min(n_p, 128) rows, whatever the residual.  Each
+    theta bounds the block's eigenvalue from above (Cauchy interlacing).
+    Eigenvalues: all of a block solved whole, else its k_b lowest Ritz
+    values, converged basis or not; compare's counts certify or fail them.
+    Eigenvectors and x_elements of the k lowest states at coupling base
+    only.  Deterministic for fixed input.
     """
     blocks = _parity_blocks(specs[0])
     nb, n_basis = len(blocks), bands[0].shape[1]
-    k = min(n_track + 1, n_basis)
-    kb = -(-k // nb)
+    kb = -(-min(n_track + 1, n_basis) // nb)
     parts = [band[::nb, b] for band in bands for b in blocks]  # block b of coupling c at c*nb + b
     found: List[Optional[Pairs]] = [None] * len(parts)
     todo = list(range(len(parts)))
-    unit = specs[0].hbar * specs[0].omega0
-    rows = n_basis // nb  # of the smaller parity block at odd N
-    for m in [m for m in (states // nb for states in RITZ_STATES) if kb < m < rows and m <= 128]:
-        if not todo:
-            break
-        w = parts[todo[0]].shape[0] - 1
-        h = _corner(np.array([parts[p][:, :m] for p in todo]), m + w, m)
-        theta, y = _eigh(h[:, :m], True)
-        theta, y = theta[:, :kb], y[:, :, :kb]
-        r = np.einsum("pri,pij->prj", h[:, m:], y)
-        done = np.all(np.einsum("prj,prj->pj", r, r) <= (RITZ_TOL * unit) ** 2, axis=1)
-        for p, t, v in zip(np.array(todo)[done], theta[done], y[done]):
-            found[p] = (t, v)
-        todo = [p for p, ok in zip(todo, done) if not ok]
-    whole = [c * nb + b for c in range(len(specs)) for b in range(nb)
-             if any(f is None for f in found[c * nb : (c + 1) * nb])]
-    for n_p in sorted({parts[p].shape[1] for p in whole}):  # odd N: blocks differ by a row
-        for vectors in (False, True):
-            ps = [p for p in whole if parts[p].shape[1] == n_p and (p // nb == base) == vectors]
-            if ps:
-                vals, vecs = _eigh(_corner(np.array([parts[p] for p in ps]), n_p, n_p), vectors)
-                for i, p in enumerate(ps):
-                    found[p] = (vals[i], None if vecs is None else vecs[i])
+    tol, w = (RITZ_TOL * (specs[0].hbar * specs[0].omega0)) ** 2, parts[0].shape[0] - 1
+    for m in sorted({min(s // nb, 128) for s in RITZ_STATES if s // nb > kb} | {128}):
+        for size in sorted({min(m, parts[p].shape[1]) for p in todo}):  # odd N: two sizes
+            ps = [p for p in todo if min(m, parts[p].shape[1]) == size]
+            h = _corner(np.array([parts[p][:, :size] for p in ps]), size + w, size)
+            theta, y = _eigh(h[:, :size])
+            r = np.einsum("pri,pij->prj", h[:, size:], y[:, :, :kb])
+            done = np.all(np.einsum("prj,prj->pj", r, r) <= tol, axis=1)
+            for p, t, v, ok in zip(ps, theta, y, done):
+                if parts[p].shape[1] == size:  # the whole block: every eigenpair
+                    found[p] = (t, v)
+                elif ok or size == 128:  # a block of more than 128 rows ends at its 128-row corner
+                    found[p] = (t[:kb], v[:, :kb])
+            todo = [p for p in todo if found[p] is None]
     return [_merge(s, n_basis, found[c * nb : (c + 1) * nb], n_track if c == base else None)
             for c, s in enumerate(specs)]
 
@@ -574,24 +567,23 @@ def compare(
     theta_i >= lambda_i(H_N) (Ritz values are upper bounds) >=
     lambda_i(H_2N) (interlacing) >= theta_i - eps (the counts), so one
     certificate bounds both the doubling delta and |theta_i -
-    lambda_i(H_N)| by eps.  H_N is not exactly the leading block of H_2N:
+    lambda_i(H_N)| by eps: a block left unfinished at its 128-row corner
+    needs no larger solve.  H_N is not exactly the leading block of H_2N:
     their last q rows differ (_hamiltonian_bands), where converged states
-    have no weight.  The sweep's couplings are one array axis throughout:
-    one band array, one count call, one read of the shifts, one fit per
-    set of fitted couplings.
+    have no weight.  The sweep's couplings are one array axis throughout.
     Eigenvectors are tracked at the base coupling only, the first nonzero
     one (report.base_lam), where the amplitudes read x_elements.
-    convergence_deltas keeps one delta per coupling, so the hardest
-    coupling is checked.
+    convergence_deltas keeps one delta per coupling: the hardest counts.
 
     The verdict is report.failures, each led by the word of its gate:
     - convergence: a doubling delta above CONVERGENCE_GATE, or above the
       top of DELTA_LADDER (failure text "doubling delta > top").  That
       coupling's level rows are kept but add no level failure and no fit
       point: the basis, not the series, failed there.  They are the
-      values its delta was counted at: where its Ritz rungs finished, at
-      any basis size, its Ritz values (for the x2 kind the quasi-bound
-      states); otherwise the lowest eigenvalues of its full blocks.
+      values its delta was counted at: each block's Ritz values at the
+      rung that finished it, up to the 128-row corner of a larger block
+      (for the x2 kind the quasi-bound states), or the lowest eigenvalues
+      of a block of at most 128 rows solved whole.
     - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
       1e-10*hbar*omega0), the Rayleigh-Schroedinger shift read off that
       coupling's H; or no coupling converged.  j is the first power the
@@ -606,8 +598,9 @@ def compare(
     """
     if n_basis is None:
         n_basis = default_basis_size(n_track)
-    if not 0 <= n_track < n_basis:
-        raise OracleError(f"n_track must be in 0 .. {n_basis - 1} for a basis of "
+    top = min(n_basis, 128 * len(_parity_blocks(spec)))  # diagonalize's rungs end at 128 rows
+    if not 0 <= n_track < top:
+        raise OracleError(f"n_track must be in 0 .. {top - 1} for a basis of "
                           f"{n_basis} states, got {n_track}")
     if table is None:
         table = solve_quantum(spec, n_max=n_track + 1, order=1)

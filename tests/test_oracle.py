@@ -492,16 +492,20 @@ def _even_spec(kind, units):
 @pytest.mark.parametrize("kind", EVEN_KINDS)
 @pytest.mark.parametrize("n", SIZES)
 def test_parity_blocks_match_unsplit_eigenvalues(monkeypatch, kind, n, units):
-    # the full blocks alone (no Ritz rung finishes), so that every eigenvalue is there
+    # no Ritz rung finishes, so each block ends at its last rung: the whole
+    # block up to 128 rows, every eigenvalue there; past it (768) the block's
+    # 128-row corner, whose two parities make the unsplit 256-row corner
     monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)
     spec = _even_spec(kind, units)
-    expect = np.linalg.eigvalsh(build_hamiltonian(spec, n))
+    rows = min(n, 256)
+    expect = np.linalg.eigvalsh(build_hamiltonian(spec, n)[:rows, :rows])
     bound = 1e-13 * np.max(np.abs(expect))
     r = solve(spec, n, tracked=False)
-    assert np.max(np.abs(r.eigenvalues - expect)) <= bound
+    assert len(r.eigenvalues) == (n if n <= 256 else 6)
+    assert np.max(np.abs(r.eigenvalues - expect[: len(r.eigenvalues)])) <= bound
     assert r.eigenvectors.shape == (n, 0) and r.x_elements.shape == (0, 0)
     r = solve(spec, n)
-    assert np.max(np.abs(r.eigenvalues - expect)) <= bound
+    assert np.max(np.abs(r.eigenvalues - expect[: len(r.eigenvalues)])) <= bound
 
 
 @pytest.mark.parametrize("units", [{}, ODD_UNITS])
@@ -684,15 +688,34 @@ def _all_rungs_deltas(specs, n_basis, tracked, rungs):
     (Kind.QUADRATIC_FORCE, 0.3, None),  # unconverged everywhere
     (Kind.CUBIC_FORCE, 0.3, 96),
     (Kind.CUBIC_FORCE, 0.3, 150),  # certified at 1e-12 at 4*lam, by the second sweep
+    (Kind.QUADRATIC_FORCE, 0.05, 1024),  # three couplings search DELTA_LADDER at once
+    (Kind.QUADRATIC_FORCE, 0.3, 513),
 ])
 def test_lowest_rung_first_keeps_the_delta_rule(kind, lam, n_basis):
     n_basis = n_basis or default_basis_size(5)
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
     gate = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER)
-    # a coupling uncertified at the gate: up DELTA_LADDER as if all at once
+    # a coupling uncertified at the gate: its two-sweep search of
+    # DELTA_LADDER finds the first rung that one sweep of every rung certifies
     wide = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER + DELTA_LADDER)
     assert (_counted_deltas(specs, n_basis, tracked)
             == [w if g is None else g for g, w in zip(gate, wide)])
+
+
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_delta_ladder_search_finds_every_rung(kind):
+    # tracked values off the doubled basis's eigenvalues by an offset half
+    # way between two rungs, for every pair of adjacent rungs, below the
+    # gate and above the top, each as a coupling of its own: the delta is
+    # the first rung above the offset, as one sweep of every rung finds it
+    spec = OscillatorSpec(lam=1e-3, kind=kind)
+    rungs = CONVERGENCE_LADDER + DELTA_LADDER
+    offsets = [10.0 ** ((e + 0.5) / 4) for e in range(-42, 12)]
+    exact = dense_reference(spec, 64).eigenvalues[:6]
+    specs, tracked = [spec] * len(offsets), [exact + off for off in offsets]
+    got = _counted_deltas(specs, 32, tracked)
+    assert got == [next((r for r in rungs if r > off), None) for off in offsets]
+    assert got == _all_rungs_deltas(specs, 32, tracked, rungs)
 
 
 def test_converged_sweep_sweeps_once_at_the_lowest_rung(monkeypatch):
@@ -766,18 +789,19 @@ def test_verify_default_basis_solves_one_ritz_corner(monkeypatch, spec, shape):
     assert calls == {"eigh": [shape], "eigvalsh": []}
 
 
-def test_default_basis_stays_on_eigvalsh(monkeypatch):
+def test_default_basis_solves_unfinished_blocks_whole(monkeypatch):
     # at verify's default basis even the coupling the counts cannot certify
     # at the gate (x2 at 4*lam = 0.16) is counted up DELTA_LADDER: its
     # doubled basis is not decomposed, and it is not solved twice.  Only
     # the base coupling finishes at the Ritz rung (32 rows); the other
-    # three stop unconverged there, and their full blocks take eigvalsh
+    # three stop unconverged there and take their whole 56-row blocks, by
+    # eigh in one call, the last rung
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     n = default_basis_size(5)
     calls = _count_decompositions(monkeypatch)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.n_basis == n
-    assert calls == {"eigh": [(4, 32, 32)], "eigvalsh": [(3, n, n)]}
+    assert calls == {"eigh": [(4, 32, 32), (3, n, n)], "eigvalsh": []}
     assert rep.convergence_deltas[:3] == [1e-13] * 3
     assert rep.convergence_deltas[3] > CONVERGENCE_LADDER[-1]
 
@@ -1017,9 +1041,9 @@ BANDED_GRID = [
 
 
 # Below 128 states, each with the number of couplings, the last ones of
-# the sweep, that no Ritz rung finished, so that their full blocks were
-# solved.  Up to N 32 (x2) and 33 (x3) the first rung is not below every
-# block's rows, so the full blocks come first.
+# the sweep, with a block that no Ritz rung below its rows finished, so
+# that it was solved whole.  Up to N 32 (x2) and 33 (x3) the first rung
+# is not below every block's rows, so a block is solved whole there.
 SMALL_GRID = [
     (Kind.HARMONIC, 0.0, 9, 1),
     (Kind.HARMONIC, 0.0, 57, 0),
@@ -1047,7 +1071,7 @@ def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
     ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
     hbw = specs[0].hbar * specs[0].omega0
     full = {g[:3]: g[3] for g in SMALL_GRID}.get((kind, lam, n_basis), 0)
-    solved = [len(r.eigenvalues) == n_basis for r in ritz]  # else at a Ritz rung
+    solved = [len(r.eigenvalues) > 6 for r in ritz]  # a block solved whole, else k_b values a block
     assert solved == [False] * (len(specs) - full) + [True] * full
     for c, (s, r) in enumerate(zip(specs, ritz)):
         dense = dense_reference(s, n_basis, 5 if c == 0 else None)
@@ -1072,32 +1096,40 @@ def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
 
 
 def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
-    # x3 at 4*lam = 1.2: the odd block's residuals are still above RITZ_TOL
-    # at 128 leading rows (N = 512, blocks of 256; N = 384, blocks of 192),
-    # so that coupling's blocks take the full rung, by eigvalsh; at N = 256
-    # (blocks of 128) the largest Ritz rung is 64 rows
+    # x3 at 4*lam = 1.2: the residuals are still above RITZ_TOL at 64
+    # leading rows, so that coupling's two blocks climb to their last rung,
+    # 128 rows, in one call: at N = 512 (blocks of 256) and N = 384 (blocks
+    # of 192) a corner, whose k_b Ritz values each block keeps although the
+    # odd block's residuals are above RITZ_TOL there; at N = 256 (blocks of
+    # 128) the whole blocks, every eigenvalue kept.  Nothing larger, and
+    # no eigvalsh
     specs = _sweep_at_ratio(Kind.CUBIC_FORCE, 0.3, {})
     calls = _count_decompositions(monkeypatch)
-    for n_basis, largest in ((512, 128), (384, 128), (256, 64)):
+    for n_basis in (512, 384, 256):
         calls["eigh"].clear()
-        calls["eigvalsh"].clear()
         ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
-        assert [len(r.eigenvalues) for r in ritz] == [6, 6, 6, n_basis]
-        assert calls["eigh"][-1][1:] == (largest, largest)
-        assert calls["eigvalsh"] == [(2, n_basis // 2, n_basis // 2)]
+        assert [len(r.eigenvalues) for r in ritz] == [6, 6, 6, 6 if n_basis > 256 else n_basis]
+        assert calls == {"eigh": [(8, 16, 16), (8, 32, 32), (8, 64, 64), (2, 128, 128)],
+                         "eigvalsh": []}
 
 
-def _dense_diagonalize(specs, bands, n_track, base):
-    """diagonalize replaced by the dense reference at every coupling."""
+def _last_rung_diagonalize(specs, bands, n_track, base):
+    """diagonalize replaced by a dense reference of every block's last
+    rung: np.linalg.eigh of the leading min(n_p, 128) rows of each parity
+    block of build_hamiltonian's matrix, every eigenpair kept."""
     n_basis = bands[0].shape[1]
-    return [dense_reference(s, n_basis, n_track if c == base else None)
-            for c, s in enumerate(specs)]
+    out = []
+    for c, s in enumerate(specs):
+        h = build_hamiltonian(s, n_basis)
+        parts = [np.linalg.eigh(h[b, b][:128, :128]) for b in _parity_blocks(s)]
+        out.append(_merge(s, n_basis, parts, n_track if c == base else None))
+    return out
 
 
 def _dense_route(monkeypatch, spec, n_basis, **kwargs):
-    """compare with every coupling's eigenpairs from the dense reference."""
+    """compare with every coupling's eigenpairs from the dense last rung."""
     with monkeypatch.context() as mp:
-        mp.setattr(oracle, "diagonalize", _dense_diagonalize)
+        mp.setattr(oracle, "diagonalize", _last_rung_diagonalize)
         return compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis, **kwargs)
 
 
@@ -1107,9 +1139,9 @@ def _stall_last_coupling(monkeypatch, blocks, n_p):
     last unit vector, whose residual reaches the rows below the leading block."""
     real = oracle._eigh
 
-    def stalled(h, vectors):
-        w, v = real(h, vectors)
-        if vectors and h.shape[-1] < n_p:
+    def stalled(h):
+        w, v = real(h)
+        if h.shape[-1] < n_p:
             v = v.copy()
             v[-blocks:] = 0.0
             v[-blocks:, -1] = 1.0
@@ -1122,8 +1154,9 @@ def _stall_last_coupling(monkeypatch, blocks, n_p):
 @pytest.mark.parametrize("spec,n_basis", [(X2, 256), (X3, 384),
                                           (OscillatorSpec(lam=0.3, kind=Kind.CUBIC_FORCE), 384)])
 def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_basis):
-    # a coupling whose Ritz solve stops unconverged is solved at its full
-    # blocks: its rows and delta are the dense reference's to the bit
+    # a coupling whose Ritz solve stops unconverged ends at its last rung,
+    # the leading 128 rows of each block: its rows and delta are those of
+    # the dense reference of that corner, to the bit
     dense = _dense_route(monkeypatch, spec, n_basis)
     blocks = len(_parity_blocks(spec))
     _stall_last_coupling(monkeypatch, blocks, n_basis // blocks)
@@ -1150,9 +1183,9 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
     sizes = []
     real = oracle._eigh
 
-    def spy(h, vectors):
+    def spy(h):
         sizes.append(h.shape[-1])
-        return real(h, vectors)
+        return real(h)
 
     monkeypatch.setattr(oracle, "_eigh", spy)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
@@ -1182,7 +1215,7 @@ def test_stalled_ritz_solve_prints_the_dense_output(monkeypatch, capsys):
     argv = ["oracle-compare", "--kind", "x2", "--lambda", "0.003", "--nmax", "6",
             "--oracle-n", "256"]
     with monkeypatch.context() as mp:
-        mp.setattr(oracle, "diagonalize", _dense_diagonalize)
+        mp.setattr(oracle, "diagonalize", _last_rung_diagonalize)
         dense_code = cli.main(argv)
         dense = capsys.readouterr()
     monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)  # no Ritz rung converges
@@ -1299,37 +1332,101 @@ def test_fit_is_one_polyfit_per_point_set(monkeypatch):
 
 def test_full_block_coupling_is_counted_once(monkeypatch):
     # x2 at 4*lam = 0.16 on verify's default basis: its eigenvalues come
-    # from its full block, so after the gate's two sweeps it sweeps
-    # DELTA_LADDER alone, without sweeping the gate again (3 sweeps, not 5)
+    # from its whole block, so after the gate's two sweeps it searches
+    # DELTA_LADDER alone, without sweeping the gate again: every 7th rung
+    # (8 rungs, 96 shifts), then the six below the first certified (72)
     calls = []
     real = oracle._negative_pivots
 
     def spy(bands, shifts):
-        calls.append(len(shifts))
+        calls.append(shifts.shape)
         return real(bands, shifts)
 
     monkeypatch.setattr(oracle, "_negative_pivots", spy)
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
-    assert calls == [4, 1, 1]
+    assert calls == [(4, 12), (1, 36), (1, 96), (1, 72)]
     assert rep.convergence_deltas == [1e-13] * 3 + [10.0 ** (7 / 4)]
 
 
-@pytest.mark.parametrize("spec,lams,eigh,eigvalsh", [
+@pytest.mark.parametrize("spec,lams,eigh", [
     (OscillatorSpec(lam=0.02, kind=Kind.CUBIC_FORCE), coupling_sweep(0.02),
-     [(1, 16, 16), (1, 17, 17)], [(3, 16, 16), (3, 17, 17)]),
-    (OscillatorSpec(), [0.0], [], [(1, 16, 16), (1, 17, 17)]),
+     [(8, 16, 16), (4, 17, 17)]),
+    (OscillatorSpec(), [0.0], [(2, 16, 16)]),
 ], ids=["x3", "harmonic"])
-def test_odd_basis_solves_no_rung_its_smaller_block_cannot_take(monkeypatch, spec, lams,
-                                                                eigh, eigvalsh):
-    # N 33: parity blocks of 17 and 16 rows.  The 16-row rung fits the
-    # larger block only, and its Ritz pairs were discarded once the smaller
-    # block went to its full block; the rung plan now skips it, so only the
-    # full blocks are decomposed
+def test_odd_basis_solves_no_rung_its_smaller_block_cannot_take(monkeypatch, spec, lams, eigh):
+    # N 33: parity blocks of 17 and 16 rows.  The 16-row rung is the
+    # smaller block's whole block and the larger block's Ritz corner, in one
+    # call; a larger block that it leaves unfinished takes its 17 rows at
+    # the next rung, and no block's decomposition is discarded
     calls = _count_decompositions(monkeypatch)
     rep = compare(spec, lams, n_track=5, n_basis=33)
-    assert calls == {"eigh": eigh, "eigvalsh": eigvalsh}
+    assert calls == {"eigh": eigh, "eigvalsh": []}
     assert rep.passed
+
+
+def _spy_on_solvers(monkeypatch):
+    """The shapes of the first argument of each oracle._eigh (the matrices)
+    and oracle._pivots (the bands) call."""
+    calls = {"_eigh": [], "_pivots": []}
+    for name, shapes in calls.items():
+        real = getattr(oracle, name)
+
+        def spy(a, *args, _real=real, _shapes=shapes):
+            _shapes.append(a.shape)
+            return _real(a, *args)
+
+        monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:coupling ratio")
+@pytest.mark.parametrize("kind", list(Kind))
+def test_no_eigensolve_sees_more_than_128_rows(monkeypatch, kind):
+    # every block ends at its last rung, min(n_p, 128) rows, converged or
+    # not: odd N (the larger block one row longer, 129 at N 257), the
+    # x2 couplings the basis leaves unconverged, and x3 at 4*lam = 1.2,
+    # which no rung below 128 rows finishes
+    calls = _spy_on_solvers(monkeypatch)
+    for lam in [0.0] if kind is Kind.HARMONIC else [1e-4, 2e-3, 0.02, 0.3]:
+        for n in (8, 9, 33, 128, 129, 256, 257, 259, 513, 1024, 2047, 2048):
+            rep = compare(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam), n_track=5,
+                          n_basis=n)
+            assert len(rep.levels) == 6 * len(coupling_sweep(lam))
+    assert calls["_eigh"] and max(shape[-1] for shape in calls["_eigh"]) <= 128
+    assert (2, 128, 128) in calls["_eigh"] or kind is not Kind.CUBIC_FORCE
+
+
+@pytest.mark.parametrize("kind,lams,shape", [
+    ("x2", (1e-4, 1e-3, 5e-3), (4, 32, 32)),
+    ("x3", (1e-4, 2e-4, 5e-4, 1.5e-3), (8, 16, 16)),
+])
+@pytest.mark.parametrize("n_basis", [56, 256, 384])
+@pytest.mark.parametrize("n_track", [4, 5])
+def test_benchmark_compares_end_at_their_first_rung(monkeypatch, kind, lams, shape, n_basis,
+                                                     n_track):
+    # the compares of the benchmark's oracle_sweep (N 256, 384) and
+    # verify_audit (N 56) workloads: one eigensolve, of the first rung's
+    # leading blocks, and one inertia count
+    kind = Kind.QUADRATIC_FORCE if kind == "x2" else Kind.CUBIC_FORCE
+    for lam in lams:
+        calls = _spy_on_solvers(monkeypatch)
+        assert compare(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam), n_track=n_track,
+                       n_basis=n_basis).passed
+        assert calls["_eigh"] == [shape] and len(calls["_pivots"]) == 1
+        monkeypatch.undo()
+
+
+def test_unfinished_block_alone_climbs_to_the_next_rung(monkeypatch):
+    # x3 on verify's default basis (blocks of 28 rows): at lam 1.7e-3 only
+    # the odd block of 4*lam is left unfinished at 16 rows, and it alone
+    # takes its whole block; at 2e-3 both of that coupling's blocks do
+    for lam, second in ((1.7e-3, (1, 28, 28)), (2e-3, (2, 28, 28))):
+        calls = _spy_on_solvers(monkeypatch)
+        assert compare(OscillatorSpec(lam=lam, kind=Kind.CUBIC_FORCE), coupling_sweep(lam),
+                       n_track=5, n_basis=56).passed
+        assert calls["_eigh"] == [(8, 16, 16), second] and len(calls["_pivots"]) == 1
+        monkeypatch.undo()
 
 
 @pytest.mark.filterwarnings("ignore:coupling ratio")

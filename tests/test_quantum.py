@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,6 +585,24 @@ def test_solve_matches_the_whole_stack_products_to_the_bit(kind, order):
                 got, ref = solve_quantum(spec, n_max, order), _reference_solve(spec, n_max, order)
                 for a, b in [(got.x.c, ref.x.c), (got.fund, ref.fund), (got.w, ref.w)]:
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), (spec, n_max)
+
+
+@pytest.mark.parametrize("kind, layers", [(Kind.QUADRATIC_FORCE, 12.5), (Kind.CUBIC_FORCE, 13.5)])
+def test_solve_frees_its_pass_arrays_before_the_levels(kind, layers):
+    # traced allocation peak of an order-1 solve, in dim x dim float layers
+    # (12.0 for x2, 13.0 for x3): the passes' n - m and divisor grids, and
+    # for x3 the top layer of X^3, are freed before the levels are built,
+    # each about one layer; the table's bits are pinned by
+    # test_solve_matches_the_whole_stack_products_to_the_bit
+    spec = OscillatorSpec(lam=1e-3, kind=kind)
+    solve_quantum(spec, 8, 1)
+    tracemalloc.start()
+    try:
+        table = solve_quantum(spec, 256, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= layers * table.x.c[0].nbytes
 
 
 @pytest.mark.parametrize("kind, order, products", [

@@ -28,13 +28,13 @@ which keep Fractions exact, otherwise.  The stack is the stored form;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .oscillator import Kind, OscillatorSpec
-from .series import LambdaSeries, series_product
+from .series import LambdaSeries, Powers, series_product
 
 ORDER_CAP = 4
 
@@ -69,32 +69,24 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b, mode="same")
 
 
-def _power(x: np.ndarray, p: int, max_order: int) -> np.ndarray:
-    out = x
-    for _ in range(p - 1):
-        out = series_product(out, x, max_order, _convolve)
-    return out
-
-
 @dataclass(frozen=True)
 class FourierSeries:
-    """Harmonic-balance solution of one oscillator.
+    """Harmonic-balance solution of the oscillator spec.
 
-    x is the two-sided stack, rows lam^0 .. lam^(max_order +
-    extension_order), and w the lam^k coefficients of w^2 (w itself is the
+    x is the two-sided stack, rows lam^0 .. lam^max_order and, for a
+    forced kind, one more holding the leading coefficient solved at
+    lam^(max_order+1); w the lam^k coefficients of w^2 (w itself is the
     positive square root, taken at evaluation time).  coeffs[(tau, k)], the
-    lam^k coefficient of cos(tau*w*t), coeff, omega_sq and max_harmonic are
-    views of them; coeffs[(1, 0)] is a1 itself.  Coefficients are
-    lam-independent: the solution for any coupling is obtained by
-    evaluating the same stack.
+    lam^k coefficient of cos(tau*w*t), coeff and omega_sq are views of
+    them; coeffs[(1, 0)] is a1 itself.  Coefficients are lam-independent:
+    the solution for any coupling is obtained by evaluating the same stack.
     """
 
-    kind: Kind
+    spec: OscillatorSpec
     a1: object
     x: np.ndarray
     w: np.ndarray
     max_order: int
-    extension_order: int = field(default=0)  # leading coeffs solved at max_order+1
 
     @property
     def coeffs(self) -> CosTable:
@@ -107,13 +99,9 @@ class FourierSeries:
     def omega_sq(self) -> LambdaSeries:
         return LambdaSeries.from_coeffs(self.w.tolist())
 
-    @property
-    def max_harmonic(self) -> int:
-        return max(t for (t, _) in self.coeffs)
-
     def solved_set(self) -> set:
         """Keys (tau, k) whose balance equations this solution satisfies."""
-        return solved_keys(self.kind, self.max_order)
+        return solved_keys(self.spec.kind, self.max_order)
 
 
 def _harmonics(kind: Kind, max_tau: int):
@@ -181,13 +169,14 @@ def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
     w[0] = w0sq
     # harmonics balanced at lam^1 .. lam^order, and the next one up at lam^(order+1)
     balanced = [t for t in _harmonics(spec.kind, _max_tau(spec.kind, order)) if t != 1]
+    power = Powers(x, _convolve)  # the step at k reads layer k-1, then writes x[k]
 
     for k in range(1, len(x) if p else 1):
         tau = np.array(balanced if k <= order else [tau_ext])
         divisor = w0sq * (1 - tau * tau)
         # lam*x^p contributes (x^p)_{k-1} at lam^k; only orders < k of x
         # enter, so the recursion is triangular.
-        nl = _power(x, p, k - 1)[k - 1]
+        nl = power[p, k - 1]
         if k <= order and nl[width + 1]:  # the fundamental's balance fixes w[k]
             w[k] = nl[width + 1] / x[0, width + 1]
         cross = 0  # the omega^2 corrections acting on x
@@ -197,24 +186,23 @@ def solve_classical(spec: OscillatorSpec, a1, order: int) -> FourierSeries:
         # both sides of the stack; no float zero in an exact one
         x[k, width + tau] = x[k, width - tau] = np.where(value != 0, value, 0)
 
-    return FourierSeries(kind=spec.kind, a1=a1, x=x, w=w, max_order=order,
-                         extension_order=ext)
+    return FourierSeries(spec=spec, a1=a1, x=x, w=w, max_order=order)
 
 
-def classical_residual(spec: OscillatorSpec, series: FourierSeries) -> np.ndarray:
+def classical_residual(series: FourierSeries) -> np.ndarray:
     """Two-sided stack of the coefficients of lam^k cos(tau*w*t) after
     substituting the series into the equation of motion, in the rows and
     width of series.x.  Zero on the solved set of keys.
     """
-    w0sq = spec.omega0**2
-    p = spec.kind.force_power
+    w0sq = series.spec.omega0**2
+    p = series.spec.kind.force_power
     x = series.x
     width = x.shape[1] // 2
     inertia = series_product(x, series.w[:, None], len(x) - 1, np.multiply)
     tau = np.arange(-width, width + 1)
     r = w0sq * x - tau * tau * inertia
     if p:
-        r[1:] += _power(x, p, len(x) - 2)
+        r[1:] += Powers(x, _convolve).stack(p, len(x) - 1)
     return r
 
 
@@ -241,15 +229,15 @@ class ClassicalEnergy:
         return max(map(abs, cos_table(self.periodic).values()), default=0)
 
 
-def classical_energy(spec: OscillatorSpec, series: FourierSeries) -> ClassicalEnergy:
+def classical_energy(series: FourierSeries) -> ClassicalEnergy:
     """Energy W = m*xdot^2/2 + m*omega0^2*x^2/2 + anharmonic potential.
 
     The anharmonic potential is the integral of the force term:
     m*lam*x^3/3 for the x2 kind, m*lam*x^4/4 for the x3 kind.
     """
-    m = spec.m
-    w0sq = spec.omega0**2
-    p = spec.kind.force_power
+    m = series.spec.m
+    w0sq = series.spec.omega0**2
+    p = series.spec.kind.force_power
     valid = series.max_order
     dtype = np.result_type(series.x, _dtype((m, w0sq)))
     pad = series.x.shape[1] // 2 // max(p, 1)  # x^(p+1) reaches (p+1)/p of x^p's width
@@ -261,10 +249,11 @@ def classical_energy(spec: OscillatorSpec, series: FourierSeries) -> ClassicalEn
 
     yy = series_product(y, y, valid, _convolve)
     kin = m * -series_product(yy, series.w[:, None], valid, np.multiply) / 2
-    harm = m * w0sq * series_product(x, x, valid, _convolve) / 2
+    power = Powers(x, _convolve)
+    harm = m * w0sq * power.stack(2, valid + 1) / 2
     anh = np.zeros_like(kin)
-    if p:
-        anh[1:] = m * _power(x, p + 1, valid - 1) / (p + 1)
+    if p and valid >= 1:
+        anh[1:] = m * power.stack(p + 1, valid) / (p + 1)
     total = kin + harm + anh
 
     def dc_series(stack: np.ndarray) -> LambdaSeries:

@@ -31,6 +31,7 @@ from . import ladder as ld
 from . import oracle as orc
 from . import verify as vf
 from .oscillator import Kind, OscillatorSpec
+from .series import horner
 
 ENV_CONFIG = "MATRIXMECH_CONFIG"
 
@@ -233,7 +234,7 @@ def cmd_levels(config: RunConfig) -> int:
     w = np.zeros((2, pub))  # W0 and W1 (order 0 has no W1); 0 + W prints -0.0 as 0
     w[: table.order + 1] += table.w[:, :pub]
     _emit_columns(config, "levels", "n,W0,W1,W_total",
-                  (np.arange(pub), w[0], w[1], ld._horner(w, config.lam)))
+                  (np.arange(pub), w[0], w[1], horner(w, config.lam)))
     return 0
 
 
@@ -244,9 +245,8 @@ def cmd_lines(config: RunConfig) -> int:
 
 
 def cmd_classical(config: RunConfig) -> int:
-    spec = config.spec()
-    series = cl.solve_classical(spec, config.a1, order=config.order)
-    energy = cl.classical_energy(spec, series)
+    series = cl.solve_classical(config.spec(), config.a1, order=config.order)
+    energy = cl.classical_energy(series)
     coeff_rows = sorted(series.coeffs.items())
     if config.fmt == "json":
         payload = {

@@ -40,7 +40,7 @@ import numpy as np
 
 from .classical import leading_order
 from .oscillator import Kind, OscillatorSpec
-from .series import LambdaSeries, series_product
+from .series import LambdaSeries, Powers, horner, series_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,26 +76,6 @@ class OperatorMatrix:
         return OperatorMatrix(series_product(self.c, other.c, max_order, np.matmul))
 
 
-class _Powers(dict):
-    """Layers of the powers of a coefficient stack x, each formed once: self[j, k]
-    is layer k of x^j, summed as series_product sums it (from 0, over
-    (x^(j-1))_i @ x_(k-i) in increasing i), from x[0 .. k] as they are then."""
-
-    def __init__(self, x: np.ndarray):
-        super().__init__(((1, k), layer) for k, layer in enumerate(x))
-        self.x = x
-
-    def __missing__(self, key: Tuple[int, int]) -> np.ndarray:
-        j, k = key
-        acc = self[key] = np.zeros(self.x.shape[1:])
-        for i in range(k + 1):
-            acc += np.matmul(self[j - 1, i], self.x[k - i])
-        return acc
-
-    def stack(self, j: int, layers: int) -> np.ndarray:
-        return np.array([self[j, k] for k in range(layers)])
-
-
 # ---------------------------------------------------------------------------
 # transition table
 
@@ -114,8 +94,8 @@ class TransitionTable:
     """Amplitudes, DC offsets and level energies as coefficient stacks.
 
     The table is solved on an internal ladder of dim = n_max + pad + 3
-    states, so that every public state n <= n_max has complete equations;
-    trusted(n) is true exactly for 0..n_max.  It holds three stacks:
+    states, so that every public state n <= n_max has complete equations.
+    It holds three stacks:
 
     x     the half-amplitude matrix X, layers lam^0 .. lam^(order+1) (the
           last holds the leading coefficients of the next harmonics up),
@@ -141,9 +121,6 @@ class TransitionTable:
     @property
     def n_top(self) -> int:
         return self.n_max + self.pad
-
-    def trusted(self, n: int) -> bool:
-        return 0 <= n <= self.n_max
 
     def amp(self, n: int, m: int) -> LambdaSeries:
         """Amplitude series a(n, m) = 2X(n, m); zero on the diagonal, below
@@ -184,12 +161,11 @@ def _base_ladder(spec: OscillatorSpec, n_max: int, order: int, pad: int) -> Tran
                            x=OperatorMatrix(x), fund=fund)
 
 
-def sum_rule_residuals(
-    spec: OscillatorSpec, table: TransitionTable
-) -> Tuple[np.ndarray, np.ndarray]:
+def sum_rule_residuals(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
     """pi*m*omega*[a^2(n+1,n) - a^2(n,n-1)] - h at order 0 for n = 0 ..
     n_max-1 (zero when the ladder is correctly quantized), and the size of
     its terms, the same sum with each term taken by magnitude."""
+    spec = table.spec
     up = 2.0 * np.diagonal(table.x.c[0], -1)[: table.n_max]  # a(n+1, n)
     down = np.concatenate(([0.0], up[:-1]))
     c = math.pi * spec.m * spec.omega0
@@ -197,11 +173,11 @@ def sum_rule_residuals(
             c * (up * up + down * down) + spec.planck_h)
 
 
-def quantization_residual(spec: OscillatorSpec, table: TransitionTable, n: int) -> float:
+def quantization_residual(table: TransitionTable, n: int) -> float:
     """The sum rule residual of sum_rule_residuals for one n."""
     if not 0 <= n < table.n_max:
         raise LadderError("n must lie in 0 .. n_max-1 (n+1 on the public ladder)")
-    return float(sum_rule_residuals(spec, table)[0][n])
+    return float(sum_rule_residuals(table)[0][n])
 
 
 def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTable:
@@ -230,14 +206,15 @@ def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTab
     spec.check_smallness()
 
     table = _base_ladder(spec, n_max, order, pad=3 * order + 2)
-    power = _Powers(table.x.c)  # the pass at k reads layer k-1, then writes x[k]
-    _force_passes(spec, table, power)
-    return _fill_levels(spec, table, power)
+    power = Powers(table.x.c, np.matmul)  # the pass at k reads layer k-1, then writes x[k]
+    _force_passes(table, power)
+    return _fill_levels(table, power)
 
 
-def _force_passes(spec: OscillatorSpec, table: TransitionTable, power: _Powers) -> None:
+def _force_passes(table: TransitionTable, power: Powers) -> None:
     """solve_quantum's passes k = 1 .. order+1, none at order 0 or without a
     force; their grids, and X^p's last layer for x^3, go before the levels."""
+    spec = table.spec
     p = spec.kind.force_power
     x, order = table.x.c, table.order
     top = order + 1 if order >= 1 and p else 0
@@ -301,9 +278,7 @@ def chain_omega(table: TransitionTable) -> np.ndarray:
     return out
 
 
-def energy_matrix(
-    spec: OscillatorSpec, table: TransitionTable, omega: np.ndarray
-) -> OperatorMatrix:
+def energy_matrix(table: TransitionTable, omega: np.ndarray) -> OperatorMatrix:
     """Full energy matrix m*(Xdot^2 + omega0^2 X^2)/2 + anharmonic potential,
     through the table's order.
 
@@ -313,18 +288,19 @@ def energy_matrix(
 
         E = (m/2)(omega0^2 X^2 - Y^2) + m/(p+1) * lam * X^(p+1).
 
-    omega is level_omega (the defining convention) or chain_omega
-    (solve-time fundamentals, used to bootstrap the levels).
+    omega is normally level_omega, the defining convention; the levels
+    themselves are bootstrapped from chain_omega by _fill_levels.
     """
     y = series_product(omega, table.x.c, table.order, np.multiply)
-    return OperatorMatrix(_energy(spec, table.order, _Powers(table.x.c), y, y))
+    return OperatorMatrix(_energy(table, Powers(table.x.c, np.matmul), y, y))
 
 
-def _energy(spec: OscillatorSpec, order: int, power: _Powers, y: np.ndarray,
+def _energy(table: TransitionTable, power: Powers, y: np.ndarray,
             dy: np.ndarray) -> np.ndarray:
-    """(m/2)(omega0^2 X^2 - y dy) + m/(p+1) * lam * X^(p+1) through lam^order,
-    the powers of X read from power: the energy matrix at y = dy = Y, and its
-    size at |X|, y = -|omega| o |X| and dy = Omega o |X|."""
+    """(m/2)(omega0^2 X^2 - y dy) + m/(p+1) * lam * X^(p+1) through the
+    table's order, the powers of X read from power: the energy matrix at
+    y = dy = Y, and its size at |X|, y = -|omega| o |X| and dy = Omega o |X|."""
+    spec, order = table.spec, table.order
     e = (0.5 * spec.m) * (spec.omega0**2 * power.stack(2, order + 1)
                           - series_product(y, dy, order, np.matmul))
     p = spec.kind.force_power
@@ -333,7 +309,7 @@ def _energy(spec: OscillatorSpec, order: int, power: _Powers, y: np.ndarray,
     return e
 
 
-def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTable:
+def energy_levels(table: TransitionTable) -> TransitionTable:
     """Fill W(n) with the diagonal of the energy matrix.
 
     The matrix is built with solve-time frequency tags; the resulting
@@ -341,12 +317,12 @@ def energy_levels(spec: OscillatorSpec, table: TransitionTable) -> TransitionTab
     frequency_consistency), after which omega(n, m) is always derived
     from the levels.
     """
-    return _fill_levels(spec, table, _Powers(table.x.c))
+    return _fill_levels(table, Powers(table.x.c, np.matmul))
 
 
-def _fill_levels(spec: OscillatorSpec, table: TransitionTable, power: _Powers) -> TransitionTable:
+def _fill_levels(table: TransitionTable, power: Powers) -> TransitionTable:
     y = series_product(chain_omega(table), table.x.c, table.order, np.multiply)
-    table.w = np.diagonal(_energy(spec, table.order, power, y, y), 0, 1, 2).copy()
+    table.w = np.diagonal(_energy(table, power, y, y), 0, 1, 2).copy()
     return table
 
 
@@ -384,9 +360,7 @@ def trusted_residual_order(kind: Kind, order: int, delta: int) -> int:
     return order if leading_order(kind, delta) <= max(order, 1) else order + 1
 
 
-def _residual_stacks(
-    spec: OscillatorSpec, table: TransitionTable
-) -> Tuple[np.ndarray, np.ndarray]:
+def _residual_stacks(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
     """Equation-of-motion residual stack and the size of its terms.
 
     Residual = [omega0^2 - omega^2(n,m)] * X(n,m) + lam * (X^p)(n,m) over
@@ -395,7 +369,7 @@ def _residual_stacks(
     magnitude, omega^2 counted as |omega| times the size of the levels
     omega is the difference of, and X^p as |X|^p.
     """
-    x = table.x
+    spec, x = table.spec, table.x
     top = table.order + 1
     omega = level_omega(table)
     wsq = series_product(omega, omega, top, np.multiply)
@@ -406,22 +380,20 @@ def _residual_stacks(
     size = spec.omega0**2 * ax + series_product(wsq_size, ax, top, np.multiply)
     p = spec.kind.force_power
     if p:
-        r[1:] += _Powers(x.c).stack(p, top)
-        size[1:] += _Powers(ax).stack(p, top)
+        r[1:] += Powers(x.c, np.matmul).stack(p, top)
+        size[1:] += Powers(ax, np.matmul).stack(p, top)
     convention = np.where(np.eye(x.dim, dtype=bool), 1.0, 2.0)
     return r * convention, size * convention
 
 
-def quantum_residuals(
-    spec: OscillatorSpec, table: TransitionTable
-) -> Dict[Tuple[int, int], LambdaSeries]:
+def quantum_residuals(table: TransitionTable) -> Dict[Tuple[int, int], LambdaSeries]:
     """Equation-of-motion residual series per public entry (n, m), n >= m.
 
     Residual = [omega0^2 - omega^2(n,m)] * X(n,m) + lam * (X^p)(n,m),
     reported in the amplitude convention (off-diagonal entries doubled), so
     each entry reproduces the cosine-coefficient equations term for term.
     """
-    r, _ = _residual_stacks(spec, table)
+    r, _ = _residual_stacks(table)
     entries = r.transpose(1, 2, 0).tolist()
     return {
         (n, m): LambdaSeries.from_coeffs(entries[n][m])
@@ -430,10 +402,11 @@ def quantum_residuals(
     }
 
 
-def worst_scaled_residuals(spec: OscillatorSpec, table: TransitionTable) -> Dict[int, float]:
+def worst_scaled_residuals(table: TransitionTable) -> Dict[int, float]:
     """Largest nondimensionalized trusted residual coefficient per
     delta = n - m, over the public entries."""
-    r, size = _residual_stacks(spec, table)
+    spec = table.spec
+    r, size = _residual_stacks(table)
     scaled = spec.scaled(r, spec.omega0**2 * spec.ladder_amplitude, size)
     worst: Dict[int, float] = {}
     for delta in range(table.n_max + 1):
@@ -443,7 +416,7 @@ def worst_scaled_residuals(spec: OscillatorSpec, table: TransitionTable) -> Dict
     return worst
 
 
-def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> float:
+def offdiagonal_energy_check(table: TransitionTable) -> float:
     """Largest scaled off-diagonal energy-matrix entry over public states.
 
     All periodic parts of the energy must vanish to the solved order; this
@@ -452,14 +425,14 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     counted as (|omega| o |X|)(Omega o |X|), Omega the size of the levels
     omega is the difference of.
     """
-    order = table.order
+    spec, order = table.spec, table.order
     omega = level_omega(table)
-    e = energy_matrix(spec, table, omega).c
+    e = energy_matrix(table, omega).c
 
     ax = np.abs(table.x.c)
     y = series_product(-np.abs(omega), ax, order, np.multiply)
     dy = series_product(_level_omega_size(table), ax, order, np.multiply)
-    size = _energy(spec, order, _Powers(ax), y, dy)
+    size = _energy(table, Powers(ax, np.matmul), y, dy)
 
     pub = table.n_max + 1
     off = ~np.eye(pub, dtype=bool)  # public off-diagonal entries
@@ -467,15 +440,6 @@ def offdiagonal_energy_check(spec: OscillatorSpec, table: TransitionTable) -> fl
     worst = spec.scaled(e[:, :pub, :pub][:, off], spec.m * spec.omega0**2 * a * a,
                         size[:, :pub, :pub][:, off])
     return float(worst.max(initial=0.0))
-
-
-def _horner(c: np.ndarray, lam: float) -> np.ndarray:
-    """Value at lam of every series in a coefficient stack, by Horner's
-    rule over the layers in the order LambdaSeries.eval takes them."""
-    acc = np.zeros(c.shape[1:])
-    for layer in c[::-1]:
-        acc = acc * lam + layer
-    return acc
 
 
 def line_spectrum(table: TransitionTable) -> List[SpectralLine]:
@@ -496,8 +460,8 @@ def line_columns(table: TransitionTable) -> Tuple[np.ndarray, ...]:
     pub = table.n_max + 1
     x = table.x.c[:, :pub, :pub]
     n, m = np.nonzero(np.tril(x.any(axis=0), -1))
-    a = _horner(2.0 * x[:, n, m], spec.lam)
-    omega = _horner((table.w[:, n] - table.w[:, m]) * (TWO_PI / spec.planck_h), spec.lam)
+    a = horner(2.0 * x[:, n, m], spec.lam)
+    omega = horner((table.w[:, n] - table.w[:, m]) * (TWO_PI / spec.planck_h), spec.lam)
     inten = a * a
     peak = inten.max(initial=0.0)
     rel = inten / peak if peak else np.zeros_like(inten)

@@ -380,8 +380,9 @@ def _eigh(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # The Ritz rungs in basis states, each parity block taking states/blocks
-# leading rows, and the largest Ritz residual norm, in hbar*omega0.
-RITZ_STATES = (32, 64, 128, 256)
+# leading rows before its last rung of 128, and the largest Ritz residual
+# norm, in hbar*omega0.
+RITZ_STATES = (32, 64, 128)
 RITZ_TOL = 1e-13
 
 
@@ -396,8 +397,8 @@ def diagonalize(
     parity, so its even and odd blocks are solved separately and merged
     (_merge); x^3 couples both parities, one block.  Each block, of n_p
     rows, tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states
-    up a ladder of rungs, m = min(states/blocks, 128) rows for states in
-    RITZ_STATES (below 128 only m > k_b): one batched eigh per rung and
+    up a ladder of rungs, m = states/blocks rows for states in RITZ_STATES
+    (only m > k_b) and then m = 128: one batched eigh per rung and
     block size (odd N: the blocks differ by a row) of each block's leading
     min(m, n_p) rows, so no call sees more than 128 rows and the output
     holds at any BLAS thread count.  Block Davidson from the unit vectors
@@ -420,7 +421,7 @@ def diagonalize(
     found: List[Optional[Pairs]] = [None] * len(parts)
     todo = list(range(len(parts)))
     tol, w = (RITZ_TOL * (specs[0].hbar * specs[0].omega0)) ** 2, parts[0].shape[0] - 1
-    for m in sorted({min(s // nb, 128) for s in RITZ_STATES if s // nb > kb} | {128}):
+    for m in sorted({s // nb for s in RITZ_STATES if s // nb > kb} | {128}):
         for size in sorted({min(m, parts[p].shape[1]) for p in todo}):  # odd N: two sizes
             ps = [p for p in todo if min(m, parts[p].shape[1]) == size]
             h = _corner(np.array([parts[p][:, :size] for p in ps]), size + w, size)

@@ -6,13 +6,14 @@ arithmetic never forces a type, so solving with Fraction inputs yields
 exact rational coefficients for golden tests.
 
 Bulk work holds many series at once as a NumPy coefficient stack, whose
-leading axis is the power of lam; series_product multiplies two stacks.
+leading axis is the power of lam; series_product multiplies two stacks,
+Powers forms the powers of one, and horner evaluates one at a coupling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +32,36 @@ def series_product(a: np.ndarray, b: np.ndarray, max_order: int, op) -> np.ndarr
         for j in range(min(len(b), max_order + 1 - i)):
             out[i + j] += op(a[i], b[j])
     return out
+
+
+class Powers(dict):
+    """Layers of the powers of a coefficient stack x under the layer product
+    op, each formed once: self[j, k] is layer k of x^j, summed as
+    series_product sums it (from zero in x's dtype, over op((x^(j-1))_i,
+    x_(k-i)) in increasing i), from x[0 .. k] as they are then."""
+
+    def __init__(self, x: np.ndarray, op):
+        super().__init__(((1, k), layer) for k, layer in enumerate(x))
+        self.x, self.op = x, op
+
+    def __missing__(self, key: Tuple[int, int]) -> np.ndarray:
+        j, k = key
+        acc = self[key] = np.zeros(self.x.shape[1:], self.x.dtype)
+        for i in range(k + 1):
+            acc += self.op(self[j - 1, i], self.x[k - i])
+        return acc
+
+    def stack(self, j: int, layers: int) -> np.ndarray:
+        return np.array([self[j, k] for k in range(layers)])
+
+
+def horner(c: np.ndarray, lam: float) -> np.ndarray:
+    """Value at lam of every series in a coefficient stack, by Horner's
+    rule over the layers in the order LambdaSeries.eval takes them."""
+    acc = np.zeros(c.shape[1:])
+    for layer in c[::-1]:
+        acc = acc * lam + layer
+    return acc
 
 
 def _trim(coeffs: Sequence) -> tuple:

@@ -18,6 +18,7 @@ from . import classical as cl
 from . import ladder as ld
 from . import oracle as orc
 from .oscillator import Kind
+from .series import horner
 
 MUTATIONS = ("a2", "a0", "w")
 
@@ -68,13 +69,13 @@ def apply_mutation(table: ld.TransitionTable, mutate: str) -> None:
         raise ValueError(f"unknown mutation {mutate!r} (expected one of {MUTATIONS})")
 
 
-def _residual_groups(spec, table, report, tol):
+def _residual_groups(table, report, tol):
     groups = {0: "eom_residual_dc", 1: "eom_residual_fundamental",
               2: "eom_residual_overtone2", 3: "eom_residual_overtone3",
               5: "eom_residual_overtone5"}
     worst: Dict[str, float] = {name: 0.0 for name in groups.values()}
     worst["eom_residual_other"] = 0.0
-    for delta, v in ld.worst_scaled_residuals(spec, table).items():
+    for delta, v in ld.worst_scaled_residuals(table).items():
         name = groups.get(delta, "eom_residual_other")
         worst[name] = max(worst[name], v)
     for name, v in worst.items():
@@ -99,18 +100,18 @@ def run_verification(
                    spec.scaled(w - ideal, hb_w, np.abs(w) + ideal).max(), tol)
 
     # action sum rule
-    r, size = ld.sum_rule_residuals(spec, table)
+    r, size = ld.sum_rule_residuals(table)
     report.add("quantization_sum_rule", spec.scaled(r[None], spec.planck_h, size[None]).max(), tol)
 
-    _residual_groups(spec, table, report, tol)
+    _residual_groups(table, report, tol)
 
-    report.add("offdiagonal_energy", ld.offdiagonal_energy_check(spec, table), tol)
+    report.add("offdiagonal_energy", ld.offdiagonal_energy_check(table), tol)
     report.add("frequency_consistency", ld.frequency_consistency(table), tol)
 
     # frequency additivity over the corner n > k > m, n <= 6
     lam = spec.lam
     c = min(n_max, 6) + 1
-    o = ld._horner(ld.level_omega(table)[:, :c, :c], lam)
+    o = horner(ld.level_omega(table)[:, :c, :c], lam)
     n, k, m = np.indices((c, c, c))
     r = (o[:, :, None] + o[None, :, :] - o[:, None, :])[(n > k) & (k > m)]
     report.add("ritz_additivity", spec.scaled(r[None], spec.omega0).max(initial=0.0), tol)
@@ -148,11 +149,11 @@ def run_verification(
     # classical side, at the ladder's own amplitude scale
     a1 = spec.ladder_amplitude
     series = cl.solve_classical(spec, a1, order=order)
-    resid = spec.scaled(cl.cos_rows(cl.classical_residual(spec, series)), spec.omega0**2 * a1)
+    resid = spec.scaled(cl.cos_rows(cl.classical_residual(series)), spec.omega0**2 * a1)
     tau, k = np.array(list(series.solved_set())).T
     report.add("classical_residual", resid[k, tau].max(), tol)
 
-    periodic = cl.cos_rows(cl.classical_energy(spec, series).periodic)
+    periodic = cl.cos_rows(cl.classical_energy(series).periodic)
     report.add("classical_energy_periodic",
                spec.scaled(periodic, spec.m * spec.omega0**2 * a1 * a1).max(), tol)
 

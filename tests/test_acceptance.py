@@ -53,14 +53,14 @@ def test_criterion_02_quantization_sum_rule():
     for spec in (X2, X3, OscillatorSpec()):
         table = solve_quantum(spec, n_max=10, order=1)
         for n in range(10):
-            worst = max(worst, abs(quantization_residual(spec, table, n)) / spec.planck_h)
+            worst = max(worst, abs(quantization_residual(table, n)) / spec.planck_h)
     report("02", "action sum rule", worst <= TOL, f"max |residual|/h = {worst:.3e} <= {TOL}")
     assert worst <= TOL
 
 
 def test_criterion_03_quantum_residuals_and_translation():
     table = solve_quantum(X2, n_max=10, order=1)
-    worst = max(worst_scaled_residuals(X2, table).values())
+    worst = max(worst_scaled_residuals(table).values())
     ok_resid = worst <= TOL
 
     def prod(*refs):
@@ -99,7 +99,7 @@ def test_criterion_04_offdiagonal_energy():
     worst = 0.0
     for spec in (X2, X3):
         table = solve_quantum(spec, n_max=10, order=1)
-        worst = max(worst, offdiagonal_energy_check(spec, table))
+        worst = max(worst, offdiagonal_energy_check(table))
     report("04", "off-diagonal energy entries vanish", worst <= TOL,
            f"max scaled |E(n,m)| = {worst:.3e} <= {TOL}")
     assert worst <= TOL
@@ -193,7 +193,7 @@ def test_criterion_08_classical_fixtures():
 
     worst = 0.0
     for spec, series in ((X2, s2), (X3, s3)):
-        resid = cos_table(classical_residual(spec, series))
+        resid = cos_table(classical_residual(series))
         for (tau, k) in series.solved_set():
             worst = max(worst, abs(resid.get((tau, k), 0))
                         / (spec.omega0**2 * spec.order_unit(k, 1)))
@@ -205,7 +205,7 @@ def test_criterion_08_classical_fixtures():
 
 def test_criterion_09_classical_energy_quadratic():
     s = solve_classical(X2, 1.0, 1)
-    e = classical_energy(X2, s)
+    e = classical_energy(s)
     ok = (math.isclose(e.constant[0], 0.5, rel_tol=1e-14)
           and abs(e.constant[1]) <= TOL and e.max_periodic() <= TOL)
     report("09a", "x2 energy: constant m*w0^2*a1^2/2 only, periodic vanish", ok,
@@ -215,7 +215,7 @@ def test_criterion_09_classical_energy_quadratic():
 
 
 def test_criterion_09_classical_energy_cubic_periodic():
-    e = classical_energy(X3, solve_classical(X3, Fraction(1), 1))
+    e = classical_energy(solve_classical(X3, Fraction(1), 1))
     worst = float(e.max_periodic())
     report("09b", "x3 energy: periodic terms vanish", worst <= TOL,
            f"max periodic coefficient = {worst:.3e} <= {TOL}")
@@ -232,7 +232,7 @@ def test_criterion_09_classical_energy_cubic_periodic():
     "(constant vs anharmonic_constant) and tested in the adjacent test.",
 )
 def test_criterion_09_cubic_constant_term_quoted():
-    e = classical_energy(X3, solve_classical(X3, Fraction(1), 1))
+    e = classical_energy(solve_classical(X3, Fraction(1), 1))
     ok = e.constant[1] == Fraction(3, 32)
     report("09c", "x3 energy constant term, quoted value", ok,
            f"first-order constant = {e.constant[1]} vs quoted 3/32 "
@@ -241,7 +241,7 @@ def test_criterion_09_cubic_constant_term_quoted():
 
 
 def test_criterion_09_cubic_constant_term_decomposition():
-    e = classical_energy(X3, solve_classical(X3, Fraction(1), 1))
+    e = classical_energy(solve_classical(X3, Fraction(1), 1))
     ok = (e.constant[0] == Fraction(1, 2)
           and e.constant[1] == Fraction(9, 32)
           and e.anharmonic_constant[1] == Fraction(3, 32))

@@ -2,9 +2,11 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matrixmech import classical
 from matrixmech.classical import (
     SeriesOrderError,
     classical_energy,
@@ -13,14 +15,14 @@ from matrixmech.classical import (
     solve_classical,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec, SmallnessWarning
-from matrixmech.series import LambdaSeries
+from matrixmech.series import LambdaSeries, series_product
 
 X2 = OscillatorSpec(m=1, omega0=1, lam=1e-3, kind=Kind.QUADRATIC_FORCE)
 X3 = OscillatorSpec(m=1, omega0=1, lam=1e-3, kind=Kind.CUBIC_FORCE)
 
 
 def max_solved_residual(spec, series):
-    resid = cos_table(classical_residual(spec, series))
+    resid = cos_table(classical_residual(series))
     worst = 0.0
     for (tau, k) in series.solved_set():
         a1 = abs(series.a1)
@@ -60,9 +62,9 @@ X3_OMEGA_SQ = (1, F(3, 4), F(3, 128), F(-57, 4096), F(1005, 131072))
 def assert_exact_golden(spec, s, coeffs, omega_sq):
     assert s.coeffs == {key: c for key, c in coeffs.items() if key in s.solved_set()}
     assert s.omega_sq == LambdaSeries.from_coeffs(omega_sq[: s.max_order + 1])
-    resid = cos_table(classical_residual(spec, s))
+    resid = cos_table(classical_residual(s))
     assert all(resid.get(key, 0) == 0 for key in s.solved_set())
-    e = classical_energy(spec, s)
+    e = classical_energy(s)
     assert e.max_periodic() == 0
     # every value is an exact Fraction: a float would mean a leak such as
     # -m/2 with an integer m (omega_sq[0] is the spec's own omega0^2)
@@ -143,14 +145,14 @@ def test_residual_sensitivity_to_a2():
     tampered = s.x.copy()
     width = tampered.shape[1] // 2
     tampered[1, [width - 2, width + 2]] += eps / 2  # the cos(2wt) coefficient at lam^1
-    r = cos_table(classical_residual(X2, dataclasses.replace(s, x=tampered)))
+    r = cos_table(classical_residual(dataclasses.replace(s, x=tampered)))
     assert math.isclose(r[(2, 1)], -3.0 * eps, rel_tol=1e-10)
 
 
 def test_residual_zero_for_harmonic_series():
     for order in range(3):
         s = solve_classical(OscillatorSpec(), 1.0, order)
-        assert cos_table(classical_residual(OscillatorSpec(), s)) == {}
+        assert cos_table(classical_residual(s)) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,7 +170,7 @@ def test_backsubstitution_property(m, omega0, a1, kind):
 
 def test_energy_x2_constant_term():
     s = solve_classical(X2, 1.0, 1)
-    e = classical_energy(X2, s)
+    e = classical_energy(s)
     assert math.isclose(e.constant[0], 0.5, rel_tol=1e-14)
     assert abs(e.constant[1]) < 1e-15  # no first-order constant term
     assert e.max_periodic() < 1e-15
@@ -176,7 +178,7 @@ def test_energy_x2_constant_term():
 
 def test_energy_x3_constant_and_periodic():
     s = solve_classical(X3, Fraction(1), 1)
-    e = classical_energy(X3, s)
+    e = classical_energy(s)
     # full constant term carries the kinetic frequency renormalization
     assert e.constant[0] == Fraction(1, 2)
     assert e.constant[1] == Fraction(9, 32)
@@ -188,7 +190,7 @@ def test_energy_x3_constant_and_periodic():
 def test_energy_harmonic():
     spec = OscillatorSpec(m=2.0, omega0=1.5)
     s = solve_classical(spec, 0.7, 1)
-    e = classical_energy(spec, s)
+    e = classical_energy(s)
     assert math.isclose(e.constant[0], 0.5 * 2.0 * 1.5**2 * 0.7**2, rel_tol=1e-14)
     assert e.max_periodic() == 0
 
@@ -197,7 +199,7 @@ def test_energy_scales_with_units():
     spec = OscillatorSpec(m=2.0, omega0=1.3, lam=1e-4, kind=Kind.CUBIC_FORCE)
     a1 = 0.6
     s = solve_classical(spec, a1, 1)
-    e = classical_energy(spec, s)
+    e = classical_energy(s)
     assert math.isclose(e.constant[0], 0.5 * spec.m * spec.omega0**2 * a1 * a1,
                         rel_tol=1e-14)
     assert math.isclose(e.constant[1], 9.0 / 32.0 * spec.m * a1**4, rel_tol=1e-12)
@@ -211,7 +213,7 @@ def test_action_integral():
     for spec, a1 in ((OscillatorSpec(), 1.0), (OscillatorSpec(), 0.0),
                      (OscillatorSpec(m=2, omega0=3), 1.0), (OscillatorSpec(m=2, omega0=3), 0.7)):
         action = math.pi * spec.m * a1 * a1 * spec.omega0
-        energy = classical_energy(spec, solve_classical(spec, a1, 1)).constant[0]
+        energy = classical_energy(solve_classical(spec, a1, 1)).constant[0]
         assert math.isclose(energy, action * spec.omega0 / (2 * math.pi), rel_tol=1e-14)
 
 
@@ -233,3 +235,70 @@ def test_smallness_violation_is_reported():
     strong = OscillatorSpec(lam=0.5, kind=Kind.QUADRATIC_FORCE)
     with pytest.warns(SmallnessWarning):
         solve_classical(strong, 1.0, 1)
+
+
+# ------------------------------------------------- one product per power of x
+
+
+def _power(x, p, max_order):
+    """x^p through lam^max_order, every layer formed afresh by repeated
+    series products (the classical side's power before series.Powers)."""
+    out = x
+    for _ in range(p - 1):
+        out = series_product(out, x, max_order, classical._convolve)
+    return out
+
+
+class _AfreshPowers:
+    """series.Powers' interface with each power formed afresh by _power."""
+
+    def __init__(self, x, op):
+        self.x = x
+
+    def __getitem__(self, key):
+        j, k = key
+        return _power(self.x, j, k)[k]
+
+    def stack(self, j, layers):
+        return _power(self.x, j, layers - 1)
+
+
+def _solved_stacks(spec, a1, order):
+    s = solve_classical(spec, a1, order)
+    e = classical_energy(s)
+    series = (e.constant, e.kinetic_constant, e.harmonic_constant, e.anharmonic_constant)
+    # repr tells -0.0 from 0.0 and a Fraction from an int
+    return [repr(a.tolist()) for a in (s.x, s.w, classical_residual(s), e.periodic)] + [
+        repr(c.coeffs) for c in series]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("order", range(5))
+def test_stacks_match_powers_formed_afresh_to_the_bit(monkeypatch, kind, order):
+    lam = 0.0 if kind is Kind.HARMONIC else 1e-3
+    for spec, a1 in [(OscillatorSpec(lam=lam, kind=kind), Fraction(1)),
+                     (OscillatorSpec(lam=lam, kind=kind), 1.0),
+                     (OscillatorSpec(m=1.7, omega0=0.6, lam=lam / 10, kind=kind), 0.7)]:
+        got = _solved_stacks(spec, a1, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(classical, "Powers", _AfreshPowers)
+            assert got == _solved_stacks(spec, a1, order), (spec, a1)
+
+
+@pytest.mark.parametrize("powers, products", [(None, 30), (_AfreshPowers, 70)])
+def test_solve_forms_each_layer_of_the_force_once(monkeypatch, powers, products):
+    # x3 to lam^4 and the lam^5 extension: layers 0 .. 4 of x^2 and x^3,
+    # 15 convolutions each, where forming x^3 afresh at every step took 70
+    calls = []
+    convolve = np.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return convolve(*args, **kwargs)
+
+    if powers:
+        monkeypatch.setattr(classical, "Powers", powers)
+    monkeypatch.setattr(np, "convolve", counted)
+    solve_classical(X3, Fraction(1), 4)
+    monkeypatch.undo()
+    assert len(calls) == products

@@ -53,7 +53,7 @@ def test_quantization_residual_zero_on_ladder():
     spec = OscillatorSpec(m=1.7, omega0=0.8, planck_h=5.0)
     t = solve_quantum(spec, 8, 0)
     for n in range(7):
-        assert abs(quantization_residual(spec, t, n)) < 1e-12 * spec.planck_h
+        assert abs(quantization_residual(t, n)) < 1e-12 * spec.planck_h
 
 
 def test_quantization_residual_detects_scaling():
@@ -61,7 +61,7 @@ def test_quantization_residual_detects_scaling():
     t = solve_quantum(spec, 6, 0)
     orig = t.amp(3, 2)[0]
     t.x.c[:, [3, 2], [2, 3]] *= 2.0
-    r = quantization_residual(spec, t, 2)
+    r = quantization_residual(t, 2)
     assert math.isclose(r, 3.0 * math.pi * spec.m * spec.omega0 * orig**2, rel_tol=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_quantization_residual_requires_public_state():
     spec = OscillatorSpec()
     t = solve_quantum(spec, 4, 0)
     with pytest.raises(LadderError):
-        quantization_residual(spec, t, 4)
+        quantization_residual(t, 4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -78,7 +78,7 @@ def test_sum_rule_property(m, omega0, h):
     spec = OscillatorSpec(m=m, omega0=omega0, planck_h=h)
     t = solve_quantum(spec, 6, 0)
     for n in range(6):
-        assert abs(quantization_residual(spec, t, n)) < 1e-12 * h
+        assert abs(quantization_residual(t, n)) < 1e-12 * h
 
 
 # ----------------------------------------------------------------- x2 solve
@@ -117,27 +117,27 @@ def test_x2_fundamental_uncorrected_and_levels_unshifted():
 
 def test_x2_residuals_and_energy_offdiagonal():
     t = solve_quantum(X2, n_max=8, order=1)
-    assert max(worst_scaled_residuals(X2, t).values()) < 1e-12
-    assert offdiagonal_energy_check(X2, t) < 1e-12
+    assert max(worst_scaled_residuals(t).values()) < 1e-12
+    assert offdiagonal_energy_check(t) < 1e-12
     assert frequency_consistency(t) < 1e-12
 
 
 def test_residual_sensitivity_to_overtone_amplitude():
     t = solve_quantum(X2, n_max=8, order=1)
-    before = quantum_residuals(X2, t)[(4, 2)]
+    before = quantum_residuals(t)[(4, 2)]
     eps = 1e-5
     t.x.c[1, [4, 2], [2, 4]] += eps / 2  # X = a/2
-    after = quantum_residuals(X2, t)[(4, 2)]
+    after = quantum_residuals(t)[(4, 2)]
     # reported in the amplitude convention: d(residual)/d(a) = -3 w0^2
     assert math.isclose(after[1] - before[1], -3.0 * eps, rel_tol=1e-9)
 
 
 def test_dc_sign_flip_breaks_energy_offdiagonal():
     t = solve_quantum(X2, n_max=8, order=1)
-    assert offdiagonal_energy_check(X2, t) < 1e-12
+    assert offdiagonal_energy_check(t) < 1e-12
     diag = np.arange(t.x.dim)
     t.x.c[:, diag, diag] *= -1.0
-    assert offdiagonal_energy_check(X2, t) > 1e-3
+    assert offdiagonal_energy_check(t) > 1e-3
 
 
 def test_x2_entry_equations_in_printed_form():
@@ -160,7 +160,7 @@ def test_energy_levels_standalone_on_base_ladder():
 
     spec = OscillatorSpec(m=1.3, omega0=0.9, planck_h=4.0)
     table = _base_ladder(spec, 6, 0, pad=2)
-    energy_levels(spec, table)
+    energy_levels(table)
     for n in range(7):
         assert math.isclose(table.level(n).eval(0.0),
                             (n + 0.5) * spec.hbar * spec.omega0, rel_tol=1e-12)
@@ -169,7 +169,7 @@ def test_energy_levels_standalone_on_base_ladder():
 def test_negative_coupling_consistency():
     spec = OscillatorSpec(m=1, omega0=1, lam=-1e-3, kind=Kind.CUBIC_FORCE)
     t = solve_quantum(spec, n_max=6, order=1)
-    assert max(worst_scaled_residuals(spec, t).values()) < 1e-12
+    assert max(worst_scaled_residuals(t).values()) < 1e-12
     # first-order shift changes sign with the coupling
     assert t.level(0).eval(-1e-3) < 0.5
     assert t.freq(1, 0).eval(-1e-3) < 1.0
@@ -230,8 +230,8 @@ def test_x3_five_step_amplitude_mirrors_classical():
 
 def test_x3_residuals_and_energy_offdiagonal():
     t = solve_quantum(X3, n_max=8, order=1)
-    assert max(worst_scaled_residuals(X3, t).values()) < 1e-12
-    assert offdiagonal_energy_check(X3, t) < 1e-12
+    assert max(worst_scaled_residuals(t).values()) < 1e-12
+    assert offdiagonal_energy_check(t) < 1e-12
     assert frequency_consistency(t) < 1e-12
 
 
@@ -254,7 +254,7 @@ def test_harmonic_closed_form_levels():
 def test_harmonic_residuals_vanish():
     spec = OscillatorSpec(m=2.0, omega0=0.7, planck_h=3.0)
     t = solve_quantum(spec, n_max=6, order=1)
-    assert max(worst_scaled_residuals(spec, t).values()) < 1e-13
+    assert max(worst_scaled_residuals(t).values()) < 1e-13
     # the fundamental transition frequency equals the oscillator frequency
     for n in range(1, 6):
         assert math.isclose(t.freq(n, n - 1)[0], spec.omega0, rel_tol=1e-13)
@@ -312,7 +312,7 @@ def test_sum_rule_ground_state_example():
     spec = OscillatorSpec()
     t = solve_quantum(spec, 4, 0)
     assert math.isclose(t.amp(1, 0)[0] ** 2, 2.0, rel_tol=1e-12)
-    assert abs(quantization_residual(spec, t, 0)) < 1e-12 * spec.planck_h
+    assert abs(quantization_residual(t, 0)) < 1e-12 * spec.planck_h
 
 
 def test_ritz_additivity_exact():
@@ -420,11 +420,11 @@ def test_solver_preconditions():
 def test_solution_invariants_property(m, omega0, h, kind):
     spec = OscillatorSpec(m=m, omega0=omega0, lam=1e-4, planck_h=h, kind=kind)
     t = solve_quantum(spec, n_max=5, order=1)
-    assert max(worst_scaled_residuals(spec, t).values()) < 1e-12
-    assert offdiagonal_energy_check(spec, t) < 1e-12
+    assert max(worst_scaled_residuals(t).values()) < 1e-12
+    assert offdiagonal_energy_check(t) < 1e-12
     assert frequency_consistency(t) < 1e-12
     for n in range(4):
-        assert abs(quantization_residual(spec, t, n)) < 1e-12 * h
+        assert abs(quantization_residual(t, n)) < 1e-12 * h
 
 
 # ------------------------------------------------------- operator products
@@ -499,7 +499,7 @@ def test_level_unset_until_energy_levels():
     t = _base_ladder(OscillatorSpec(), 4, 0, pad=2)
     with pytest.raises(LadderError):
         t.level(0)
-    energy_levels(t.spec, t)
+    energy_levels(t)
     assert t.level(0) and not t.amp(2, 2)
     with pytest.raises(LadderError):
         t.level(-1)

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from matrixmech.series import LambdaSeries
+from matrixmech.ladder import solve_quantum
+from matrixmech.oscillator import Kind, OscillatorSpec
+from matrixmech.series import LambdaSeries, horner
 
 
 def test_basic_arithmetic():
@@ -33,6 +35,17 @@ def test_indexing_beyond_length_gives_zero():
 def test_eval_horner():
     a = LambdaSeries.from_coeffs([1, -2, 4])
     assert a.eval(0.5) == 1 - 1.0 + 1.0
+
+
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+@pytest.mark.parametrize("lam", [-2e-3, 0.0, 2e-3])
+def test_horner_matches_eval_to_the_bit(kind, lam):
+    t = solve_quantum(OscillatorSpec(lam=1e-3, kind=kind), n_max=6, order=1)
+    dim = t.x.dim
+    w = [t.level(n).eval(lam) for n in range(dim)]
+    x = [[t.x.entry(n, m).eval(lam) for m in range(dim)] for n in range(dim)]
+    assert repr(horner(t.w, lam).tolist()) == repr([float(v) for v in w])
+    assert repr(horner(t.x.c, lam).tolist()) == repr([[float(v) for v in r] for r in x])
 
 
 def test_exact_fraction_arithmetic():

@@ -290,9 +290,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_oracle_compare(config: RunConfig) -> int:
-    report = orc.compare(config.spec(), orc.coupling_sweep(config.lam),
-                         n_track=orc.tracked_levels(config.n_max), n_basis=config.oracle_n,
-                         table=_solved_table(config))
+    report = orc.compare(_solved_table(config), orc.coupling_sweep(config.lam),
+                         n_track=orc.tracked_levels(config.n_max), n_basis=config.oracle_n)
     if config.fmt == "json":
         payload = {
             "passed": report.passed,

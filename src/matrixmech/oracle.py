@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ladder import TransitionTable, solve_quantum
+from .ladder import TransitionTable
 from .oscillator import OscillatorSpec
 
 
@@ -453,26 +453,20 @@ def _rs_shifts(spec: OscillatorSpec, bands: np.ndarray, n_track: int) -> np.ndar
     (_hamiltonian_bands): an array (2, C, n_track + 1).
 
     H0 is diagonal, (n + 1/2)*hbar*omega0, so lam*E_1 = H_nn - (n + 1/2)
-    hbar*omega0 and lam^2*E_2 = sum_{k != n} H_kn^2/((n - k)*hbar*omega0).
-    Exact when the basis holds every state the potential couples to n,
-    N > n_track + p + 1 for the force power p.  Row n reaches column
-    n + q at most, so the rows are read from the band only up to a
-    multiple of 8 past column n_track + q: within NumPy's first
-    pairwise-summation block (64 or more columns when N > 128, the
-    unrolled part of the whole row otherwise) the sum of those columns
-    is that of all N to the bit, the rest adding -0.0.  Past that block
-    all N columns are read.
+    hbar*omega0 and lam^2*E_2 = sum_{k != n} H_kn^2/((n - k)*hbar*omega0)
+    = sum_d (H(n, n - d)^2 - H(n + d, n)^2)/(d*hbar*omega0), one pair of
+    band slices per diagonal d = 1 .. q.  Exact when the basis holds every
+    state the potential couples to n, N > n_track + p + 1 for the force
+    power p.
     """
-    n_basis = bands.shape[-1]
-    cols = -(-(n_track + bands.shape[-2]) // 8) * 8
-    if cols > (64 if n_basis > 128 else n_basis - n_basis % 8):
-        cols = n_basis
-    rows = _corner(bands, n_track + 1, cols)
-    n = np.arange(n_track + 1)
-    gaps = (n[:, None] - np.arange(cols)) * (spec.hbar * spec.omega0)
-    gaps[n, n] = np.inf  # k = n adds nothing
-    first = rows[..., n, n] - (n + 0.5) * spec.hbar * spec.omega0
-    return np.array([first, np.sum(rows * rows / gaps, axis=-1)])
+    k, hbw = n_track + 1, spec.hbar * spec.omega0
+    first = bands[..., 0, :k] - (np.arange(k) + 0.5) * spec.hbar * spec.omega0
+    second = np.zeros_like(first)
+    for d in range(1, bands.shape[-2]):
+        sq = bands[..., d, :k] ** 2 / (d * hbw)  # H(n + d, n)^2, and H(n, n - d)^2 at n - d
+        second -= sq
+        second[..., d:] += sq[..., : max(k - d, 0)]
+    return np.array([first, second])
 
 
 @dataclass
@@ -548,17 +542,18 @@ def coupling_sweep(lam: float) -> List[float]:
 
 
 def compare(
-    spec: OscillatorSpec,
+    table: TransitionTable,
     lambdas: Sequence[float],
     n_track: int,
     n_basis: Optional[int] = None,
-    table: Optional[TransitionTable] = None,
 ) -> ComparisonReport:
-    """The table's levels and amplitudes against the diagonalization.
+    """The table's levels and amplitudes against the diagonalization of H
+    in the oscillator the table was solved for, table.spec; compare
+    solves no table of its own.
 
     W_pert(n) is table.level(n) at each coupling; the table's coefficients
-    do not depend on lam, so one solve serves the sweep.  Without a table,
-    one is solved to order 1 with n_track + 1 levels.
+    do not depend on lam, so one table serves the sweep.  n_track is at
+    most table.n_max: the levels above it are the solve's internal pad.
     Each coupling's k = n_track+1 lowest eigenpairs come from one batched
     diagonalize call over the sweep, and one _counted_deltas call counts
     the inertia of the doubled basis at the values it returned, up the
@@ -587,9 +582,9 @@ def compare(
       of a block of at most 128 rows solved whole.
     - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
       1e-10*hbar*omega0), the Rayleigh-Schroedinger shift read off that
-      coupling's H; or no coupling converged.  j is the first power the
-      table leaves out, order + 1, raised to the next even power when the
-      potential is odd, which shifts no level at odd orders.
+      coupling's band (_rs_shifts); or no coupling converged.  j is the
+      first power the table leaves out, order + 1, raised to the next even
+      power when the potential is odd, which shifts no level at odd orders.
     - scaling: with two or more nonzero couplings, the residual is fit to
       C*lam^q per level; exponent_gap above EXPONENT_GATE (or no fit).
     - amplitude: at the base coupling, a relative error against the
@@ -597,14 +592,15 @@ def compare(
       smallness ratio there), or that coupling unconverged.  The rows,
       with the table's amplitude series, are kept either way.
     """
+    spec = table.spec
     if n_basis is None:
         n_basis = default_basis_size(n_track)
     top = min(n_basis, 128 * len(_parity_blocks(spec)))  # diagonalize's rungs end at 128 rows
     if not 0 <= n_track < top:
         raise OracleError(f"n_track must be in 0 .. {top - 1} for a basis of "
                           f"{n_basis} states, got {n_track}")
-    if table is None:
-        table = solve_quantum(spec, n_max=n_track + 1, order=1)
+    if n_track > table.n_max:
+        raise OracleError(f"n_track {n_track} is above the table's n_max {table.n_max}")
     j = table.order + 1
     if len(_parity_blocks(spec)) == 1 and j % 2:  # odd potential: no odd-order shift
         j += 1

@@ -37,6 +37,11 @@ X2 = OscillatorSpec(m=1, omega0=1, lam=LAM, kind=Kind.QUADRATIC_FORCE)
 X3 = OscillatorSpec(m=1, omega0=1, lam=LAM, kind=Kind.CUBIC_FORCE)
 
 
+def compare_spec(spec, lambdas, n_track, n_basis=None):
+    """compare on spec's order-1 table of n_track + 1 levels."""
+    return compare(solve_quantum(spec, n_max=n_track + 1, order=1), lambdas, n_track, n_basis)
+
+
 def report(num: str, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
 
@@ -143,16 +148,17 @@ def test_criterion_05_cubic_closed_form_identities():
 def test_criterion_06_oracle_agreement_stated():
     # each level row is |W_pert(n) - E_n| of the order-1 table against the
     # oracle's eigenvalue
-    worst = max(r.residual for r in compare(X3, [LAM], n_track=5, n_basis=64).levels)
+    worst = max(r.residual for r in compare_spec(X3, [LAM], n_track=5, n_basis=64).levels)
     report("06a", "oracle agreement at quoted tolerance", worst <= 5e-7,
            f"max |W_pert - E_n| (n<=5, lam=1e-3, N=64) = {worst:.3e} vs 5e-7")
     assert worst <= 5e-7
 
 
 def test_criterion_06_oracle_agreement_attainable():
-    gap0 = compare(X3, [LAM], n_track=5, n_basis=64).levels[0].residual
+    gap0 = compare_spec(X3, [LAM], n_track=5, n_basis=64).levels[0].residual
     small = OscillatorSpec(m=1, omega0=1, lam=1e-4, kind=Kind.CUBIC_FORCE)
-    worst_small = max(r.residual for r in compare(small, [small.lam], n_track=5, n_basis=64).levels)
+    worst_small = max(r.residual
+                      for r in compare_spec(small, [small.lam], n_track=5, n_basis=64).levels)
     ok = gap0 <= 5e-7 and worst_small <= 5e-7
     report("06b", "oracle agreement, attainable regime", ok,
            f"n=0 at lam=1e-3: {gap0:.3e} <= 5e-7; max n<=5 at lam=1e-4: "
@@ -161,7 +167,7 @@ def test_criterion_06_oracle_agreement_attainable():
 
 
 def test_criterion_06_residual_scaling_exponent():
-    rep = compare(X3, [5e-4, 1e-3, 2e-3, 4e-3], n_track=5, n_basis=64)
+    rep = compare_spec(X3, [5e-4, 1e-3, 2e-3, 4e-3], n_track=5, n_basis=64)
     assert rep.neglected_order == 2  # first order solved: the residual is O(lam^2)
     worst = max(abs(q - 2.0) for q in rep.fit_exponent.values())
     report("06c", "residual scaling exponent", worst <= 0.2,
@@ -170,7 +176,7 @@ def test_criterion_06_residual_scaling_exponent():
 
 
 def test_criterion_07_amplitude_oracle():
-    rep = compare(X3, [LAM], n_track=5, n_basis=64)
+    rep = compare_spec(X3, [LAM], n_track=5, n_basis=64)
     worst = max(a.rel_error_exact for a in rep.amplitudes)
     ok = worst <= 5 * LAM**2
     # informational: the linearized series alone drifts at O((n lam)^2)

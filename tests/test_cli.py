@@ -555,7 +555,6 @@ def test_size_caps_checked_before_work(capsys, monkeypatch):
 
     monkeypatch.setattr(oracle, "_hamiltonian_bands", forbidden)
     monkeypatch.setattr(oracle, "diagonalize", forbidden)
-    monkeypatch.setattr(oracle, "solve_quantum", forbidden)
     monkeypatch.setattr(ladder, "solve_quantum", forbidden)
 
     over_n = str(cli.MAX_ORACLE_N + 1)

@@ -45,6 +45,11 @@ def solve(spec, n_basis, n_track=5, tracked=True):
     return diagonalize([spec], bands, n_track, 0 if tracked else None)[0]
 
 
+def compare_spec(spec, lambdas, n_track, n_basis=None):
+    """compare on spec's order-1 table of n_track + 1 levels."""
+    return compare(solve_quantum(spec, n_max=n_track + 1, order=1), lambdas, n_track, n_basis)
+
+
 def dense_reference(spec, n_basis, n_track=None):
     """The dense reference for diagonalize: np.linalg.eigvalsh (eigh when
     n_track is given) of each parity block of build_hamiltonian's matrix,
@@ -183,17 +188,45 @@ def test_basis_size_validation():
 
 @pytest.mark.parametrize("n_track,n_basis", [(10, 8), (8, 8), (-1, 8), (-1, None)])
 def test_compare_rejects_n_track_outside_the_basis(monkeypatch, n_track, n_basis):
+    table = solve_quantum(X3, n_max=11, order=1)
+
     def tripwire(*args, **kwargs):
         raise AssertionError("work started before n_track was checked")
 
-    monkeypatch.setattr(oracle, "solve_quantum", tripwire)
     monkeypatch.setattr(oracle, "_hamiltonian_bands", tripwire)
     with pytest.raises(OracleError, match="n_track must be in 0 .. "):
-        compare(X3, [1e-3], n_track=n_track, n_basis=n_basis)
+        compare(table, [1e-3], n_track=n_track, n_basis=n_basis)
+
+
+def test_compare_rejects_n_track_above_the_table():
+    # the levels above n_max are the solve's internal pad, not the table's
+    table = solve_quantum(X3, n_max=2, order=1)
+    with pytest.raises(OracleError, match="n_track 5 is above the table's n_max 2"):
+        compare(table, coupling_sweep(1e-3), n_track=5)
+
+
+def test_compare_solves_no_table(monkeypatch):
+    def tripwire(*args, **kwargs):
+        raise AssertionError("compare solved a table")
+
+    table = solve_quantum(X3, n_max=5, order=1)
+    monkeypatch.setattr("matrixmech.ladder.solve_quantum", tripwire)
+    rep = compare(table, coupling_sweep(1e-3), n_track=5)
+    assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_compare_reads_the_units_of_its_table(kind):
+    # no oscillator is passed beside the table: its spec sets the units
+    spec = OscillatorSpec(lam=1e-3, kind=kind, **ODD_UNITS)
+    table = solve_quantum(spec, n_max=5, order=1)
+    rep = compare(table, coupling_sweep(spec.lam), n_track=5)
+    assert rep.passed, rep.failures
+    assert rep.spec is table.spec
 
 
 def test_compare_x3_scaling_and_amplitudes():
-    rep = compare(X3, [5e-4, 1e-3, 2e-3, 4e-3], n_track=5, n_basis=64)
+    rep = compare_spec(X3, [5e-4, 1e-3, 2e-3, 4e-3], n_track=5, n_basis=64)
     assert rep.passed, rep.failures
     for n, q in rep.fit_exponent.items():
         assert abs(q - 2.0) < 0.2
@@ -207,7 +240,7 @@ def test_compare_x3_scaling_and_amplitudes():
 
 
 def test_compare_x2_levels_are_second_order():
-    rep = compare(X2, [1e-3], n_track=4, n_basis=64)
+    rep = compare_spec(X2, [1e-3], n_track=4, n_basis=64)
     assert rep.passed, rep.failures
     for r in rep.levels:
         # no first-order shift; the gap is O(lam^2) and small
@@ -220,7 +253,7 @@ def test_compare_envelope_is_first_neglected_shift(kind):
     # the tolerance of each level row is 4*|lam^j E_j(n)|, j the first
     # power the order-1 table leaves out: 2 for either kind
     spec = OscillatorSpec(lam=1e-3, kind=kind)
-    rep = compare(spec, [1e-3], n_track=5, n_basis=64)
+    rep = compare_spec(spec, [1e-3], n_track=5, n_basis=64)
     assert rep.neglected_order == 2
     table = solve_quantum(spec, n_max=6, order=1)
     for r in rep.levels:
@@ -233,7 +266,7 @@ def test_order_zero_table_neglects_first_nonzero_power(kind):
     # x2's odd potential has no first-order shift, so j = 2 at order 0 too
     spec = OscillatorSpec(lam=1e-3, kind=kind)
     table = solve_quantum(spec, n_max=5, order=0)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=64, table=table)
+    rep = compare(table, coupling_sweep(spec.lam), n_track=5, n_basis=64)
     assert rep.passed, rep.failures
     j = 2 if kind is Kind.QUADRATIC_FORCE else 1
     assert rep.neglected_order == j
@@ -247,13 +280,13 @@ def test_compare_fails_mutated_levels(kind):
     spec = OscillatorSpec(lam=1e-3, kind=kind)
     table = solve_quantum(spec, n_max=5, order=1)
     apply_mutation(table, "w")
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=64, table=table)
+    rep = compare(table, coupling_sweep(spec.lam), n_track=5, n_basis=64)
     fails = [f for f in rep.failures if f.startswith("level")]
     assert fails and all(f.startswith(("level n=1 ", "level n=3 ", "level n=5 ")) for f in fails)
 
 
 def test_compare_harmonic_is_exact():
-    rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=48)
+    rep = compare_spec(OscillatorSpec(), [0.0], n_track=5, n_basis=48)
     assert rep.passed
     assert rep.base_lam is None and rep.amplitudes == []  # no nonzero coupling
     for r in rep.levels:
@@ -262,7 +295,7 @@ def test_compare_harmonic_is_exact():
 
 def test_compare_uses_solved_table_for_series_form():
     table = solve_quantum(X3, n_max=6, order=1)
-    rep = compare(X3, [1e-3], n_track=5, n_basis=64, table=table)
+    rep = compare(table, [1e-3], n_track=5, n_basis=64)
     for a in rep.amplitudes:
         expect = table.amp(a.n, a.n - 1).eval(1e-3)
         assert math.isclose(a.series_form, expect, rel_tol=1e-13)
@@ -274,7 +307,7 @@ def test_compare_keeps_every_coupling_delta():
     # at 4*lam = 0.16 the x2 spectrum has collapsed and the basis doubling
     # moves the tracked levels by O(50); lam/2 alone would look converged
     spec = OscillatorSpec(m=1, omega0=1, lam=0.04, kind=Kind.QUADRATIC_FORCE)
-    rep = compare(spec, [0.02, 0.04, 0.08, 0.16], n_track=5)
+    rep = compare_spec(spec, [0.02, 0.04, 0.08, 0.16], n_track=5)
     assert len(rep.convergence_deltas) == 4
     assert rep.convergence_deltas[0] < 1e-10
     assert rep.convergence_delta == max(rep.convergence_deltas) > 1.0
@@ -284,11 +317,11 @@ def test_unconverged_coupling_is_blamed_on_convergence():
     # the collapsed 4*lam point is the basis's failure, not the series':
     # its level rows stay, but it adds no level failure and no fit point
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.failures == ["convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10"]
     assert [r.lam for r in rep.levels] == [l for l in coupling_sweep(0.04) for _ in range(6)]
     assert max(r.residual for r in rep.levels if r.lam == 0.16) > 0.5
-    converged = compare(spec, coupling_sweep(spec.lam)[:3], n_track=5)
+    converged = compare_spec(spec, coupling_sweep(spec.lam)[:3], n_track=5)
     assert converged.passed
     assert rep.fit_exponent == converged.fit_exponent
     assert all(2.0 < q < 2.05 for q in rep.fit_exponent.values())
@@ -300,7 +333,7 @@ def test_unconverged_base_coupling_adds_no_amplitude_failure():
     # error fails; each gate says instead that it compared nothing
     spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
     with pytest.warns(UserWarning):
-        rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+        rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.unconverged == coupling_sweep(spec.lam)
     assert rep.base_lam == 0.15
     assert [f.split(":")[0] for f in rep.failures[:4]] == [
@@ -338,7 +371,7 @@ def test_top_rung_delta_is_converged_in_any_units(m, omega0, planck_h):
                           kind=Kind.QUADRATIC_FORCE)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_negative_pivots", _top_rung_only(spec.hbar * spec.omega0, 3))
-        rep = compare(spec, coupling_sweep(spec.lam), n_track=2, n_basis=16)
+        rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=2, n_basis=16)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[-1]] * 4
     assert rep.unconverged == []
     assert not [f for f in rep.failures if f.startswith("convergence")]
@@ -367,7 +400,7 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
     # x^4 is even: parity blocks only; x^3 is not: the whole matrix
     for spec, blocks in ((X3, 2), (X2, 1)):
         calls = _count_decompositions(monkeypatch)
-        rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
+        rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
         n = 32 // blocks
         # one batched call: every block of every coupling at the first
         # Ritz rung, 32 states; the converged doubled bases are counted,
@@ -401,7 +434,7 @@ def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+    rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
     assert rep.passed, rep.failures
     assert inside == [True]
 
@@ -420,14 +453,14 @@ def test_unsorted_eigenvalues_raise_at_every_rung(monkeypatch, spec, n_basis):
 
     monkeypatch.setattr(np.linalg, "eigh", unsorted)
     with pytest.raises(OracleError, match="eigenvalues not sorted"):
-        compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+        compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
 
 
 def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     # the diagonal band leaves no rows below a leading block: both blocks
     # finish at the first Ritz rung, 16 of their 32 rows
-    rep = compare(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
+    rep = compare_spec(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
     assert rep.passed
     assert calls == {"eigh": [(2, 16, 16)], "eigvalsh": []}
     assert rep.convergence_deltas == [1e-13]
@@ -477,7 +510,7 @@ def test_compare_builds_without_matrix_power(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "matrix_power", tripwire)
     for spec in (X2, X3):
-        rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
+        rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
         assert rep.passed, rep.failures
 
 
@@ -654,7 +687,7 @@ def test_unsound_pivots_are_uncertified(monkeypatch):
                         lambda bands, shifts: (np.zeros(shifts.shape, int),
                                                np.zeros(len(shifts), bool)))
     assert _counted_deltas(specs, 80, tracked) == [None] * 4
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=80)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=80)
     assert rep.convergence_deltas == [DELTA_LADDER[-1]] * 4
     assert [f for f in rep.failures if f.startswith("convergence")] == [
         f"convergence lam={l:g}: doubling delta > 5.623e+02" for l in coupling_sweep(spec.lam)]
@@ -727,7 +760,7 @@ def test_converged_sweep_sweeps_once_at_the_lowest_rung(monkeypatch):
         return real(bands, shifts)
 
     monkeypatch.setattr(oracle, "_negative_pivots", spy)
-    rep = compare(X2, coupling_sweep(1e-3), n_track=5, n_basis=64)
+    rep = compare_spec(X2, coupling_sweep(1e-3), n_track=5, n_basis=64)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
     assert calls == [(4, (4, 2 * 6))]  # E_i -+ 1e-13*hbar*omega0 for the six tracked levels
 
@@ -742,7 +775,7 @@ def test_unconverged_coupling_reports_counted_delta():
         (0.04, None, 10**1.75, "convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10"),
     ):
         spec = OscillatorSpec(lam=lam, kind=Kind.QUADRATIC_FORCE)
-        rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+        rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
         specs, tracked = _sweep_levels(spec, rep.n_basis)
         assert rep.convergence_deltas[:3] == [1e-13] * 3
         assert rep.convergence_deltas[3] in DELTA_LADDER
@@ -768,7 +801,7 @@ def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
             return real_build(s, n, **kwargs)
 
         monkeypatch.setattr(oracle, "build_hamiltonian", recording)
-        rep = compare(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+        rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
         assert rep.passed, rep.failures
         n = 32 // blocks
         assert built == []
@@ -799,7 +832,7 @@ def test_default_basis_solves_unfinished_blocks_whole(monkeypatch):
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     n = default_basis_size(5)
     calls = _count_decompositions(monkeypatch)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.n_basis == n
     assert calls == {"eigh": [(4, 32, 32), (3, n, n)], "eigvalsh": []}
     assert rep.convergence_deltas[:3] == [1e-13] * 3
@@ -819,7 +852,7 @@ def test_amplitude_gate_is_in_the_smallness_ratio(kind, units):
     r = OscillatorSpec(lam=0.01, kind=kind).smallness_ratio()
     spec = OscillatorSpec(kind=kind, **units)
     spec = OscillatorSpec(lam=r / spec.coupling_unit(spec.ladder_amplitude), kind=kind, **units)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
     assert rep.passed, rep.failures
     r_b = OscillatorSpec(lam=spec.lam / 2, kind=kind, **units).smallness_ratio()
     worst = max(a.rel_error_exact for a in rep.amplitudes) / r_b**2
@@ -840,7 +873,7 @@ def test_compare_forms_each_basis_band_once(monkeypatch, n_basis):
         return real(specs, n)
 
     monkeypatch.setattr(oracle, "_hamiltonian_bands", spy)
-    rep = compare(X2, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+    rep = compare_spec(X2, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
     assert rep.passed, rep.failures
     assert calls == [(4, n_basis), (4, 2 * n_basis)]
 
@@ -970,7 +1003,7 @@ def test_converged_sweep_eliminates_few_rows(monkeypatch, spec, n_basis):
         return pivots
 
     monkeypatch.setattr(oracle, "_pivots", spy)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
     assert len(swept) == 1
     rows, eliminated = swept[0]
@@ -1088,7 +1121,7 @@ def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
     specs = _sweep_at_ratio(kind, lam, {})
     ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
     assert all(len(r.eigenvalues) < n_basis for r in ritz)
-    rep = compare(specs[1], [s.lam for s in specs], n_track=5, n_basis=n_basis)
+    rep = compare_spec(specs[1], [s.lam for s in specs], n_track=5, n_basis=n_basis)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
     assert [r.exact for r in rep.levels] == [float(e) for r in ritz for e in r.eigenvalues[:6]]
     assert [a.measured for a in rep.amplitudes] == [2.0 * float(ritz[0].x_elements[n - 1, n])
@@ -1126,11 +1159,11 @@ def _last_rung_diagonalize(specs, bands, n_track, base):
     return out
 
 
-def _dense_route(monkeypatch, spec, n_basis, **kwargs):
+def _dense_route(monkeypatch, spec, n_basis):
     """compare with every coupling's eigenpairs from the dense last rung."""
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "diagonalize", _last_rung_diagonalize)
-        return compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis, **kwargs)
+        return compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
 
 
 def _stall_last_coupling(monkeypatch, blocks, n_p):
@@ -1160,7 +1193,7 @@ def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_ba
     dense = _dense_route(monkeypatch, spec, n_basis)
     blocks = len(_parity_blocks(spec))
     _stall_last_coupling(monkeypatch, blocks, n_basis // blocks)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
     last = coupling_sweep(spec.lam)[-1]
     assert rep.convergence_deltas[-1] == dense.convergence_deltas[-1]
     assert [r for r in rep.levels if r.lam == last] == [r for r in dense.levels if r.lam == last]
@@ -1168,7 +1201,7 @@ def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_ba
         f for f in dense.failures if f"lam={last:g}" in f]
     # every coupling unconverged: the whole report is the dense reference's
     monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)
-    assert compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis) == dense
+    assert compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis) == dense
 
 
 def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
@@ -1188,7 +1221,7 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(oracle, "_eigh", spy)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
     assert max(sizes) <= 128
     assert [r.exact for r in rep.levels if r.lam == 0.06] == ritz[3].eigenvalues[:6].tolist()
     counted = _counted_deltas(specs, 256, [r.eigenvalues[:6] for r in ritz])
@@ -1202,7 +1235,7 @@ def test_unconverged_rows_are_the_quasi_bound_states():
     # hbar*omega0), while the Ritz rungs find the quasi-bound states, which
     # stay within 0.05 of the series although the basis has not converged
     spec = OscillatorSpec(lam=0.01, kind=Kind.QUADRATIC_FORCE)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5, n_basis=1024)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=1024)
     assert rep.unconverged == [0.04]
     rows = [r for r in rep.levels if r.lam == 0.04]
     assert len(rows) == 6
@@ -1268,21 +1301,24 @@ def test_batched_bands_equal_the_per_coupling_loop(kind, n, units):
 
 def dense_row_shifts(spec, matrix, n_track):
     """lam*E_1(n) and lam^2*E_2(n) summed over all N columns of the dense
-    rows H[: n_track + 1]: the reference for _rs_shifts's narrow read."""
+    rows H[: n_track + 1], the reference for _rs_shifts, and the sum of
+    the sizes of E_2's terms, sum_k |H_kn^2/((n - k)*hbar*omega0)|."""
     rows = matrix[: n_track + 1]
     n = np.arange(n_track + 1)
     gaps = (n[:, None] - np.arange(rows.shape[1])) * (spec.hbar * spec.omega0)
     gaps[n, n] = np.inf
     first = rows[n, n] - (n + 0.5) * spec.hbar * spec.omega0
-    return np.array([first, np.sum(rows * rows / gaps, axis=1)])
+    terms = rows * rows / gaps
+    return np.array([first, np.sum(terms, axis=1), np.sum(np.abs(terms), axis=1)])
 
 
 @pytest.mark.parametrize("units", [{}, ODD_UNITS])
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 56, 57, 127, 128, 129, 256, 257, 2048])
 def test_rs_shifts_equal_the_dense_row_sums(kind, n, units):
-    # sizes on both sides of NumPy's 8-wide and 128-wide pairwise-summation
-    # blocks; n_track 70 reaches past the first block, where every column is read
+    # the band's diagonals against all N columns of the dense rows, odd and
+    # even N, n_track up to 70: E_1 to the bit, and E_2, summed in another
+    # order, within 2 eps of the sum of its terms' sizes
     lams = [0.0] if kind is Kind.HARMONIC else [-3e-3, 1e-3, 0.2]
     specs = [OscillatorSpec(lam=l, kind=kind, **units) for l in lams]
     bands = _hamiltonian_bands(specs, n)
@@ -1291,7 +1327,9 @@ def test_rs_shifts_equal_the_dense_row_sums(kind, n, units):
         shifts = _rs_shifts(specs[0], bands, n_track)
         assert shifts.shape == (2, len(specs), n_track + 1)
         for c, (s, h) in enumerate(zip(specs, dense)):
-            assert shifts[:, c].tobytes() == dense_row_shifts(s, h, n_track).tobytes()
+            first, second, size = dense_row_shifts(s, h, n_track)
+            assert shifts[0, c].tobytes() == first.tobytes()
+            assert np.all(np.abs(shifts[1, c] - second) <= 2 * np.finfo(float).eps * size)
 
 
 def _pinned_table(table, pinned):
@@ -1300,7 +1338,8 @@ def _pinned_table(table, pinned):
     def level(n):
         real = table.level(n)
         return SimpleNamespace(eval=lambda lam: pinned.get((n, lam), real.eval(lam)))
-    return SimpleNamespace(order=table.order, level=level, amp=table.amp)
+    return SimpleNamespace(spec=table.spec, n_max=table.n_max, order=table.order, level=level,
+                           amp=table.amp)
 
 
 def test_fit_is_one_polyfit_per_point_set(monkeypatch):
@@ -1309,7 +1348,7 @@ def test_fit_is_one_polyfit_per_point_set(monkeypatch):
     # per-level np.polyfit's to the bit, the keys in ascending n
     lams = coupling_sweep(1e-3)
     table = solve_quantum(X3, n_max=6, order=1)
-    exact = {(r.n, r.lam): r.exact for r in compare(X3, lams, n_track=5, n_basis=64).levels}
+    exact = {(r.n, r.lam): r.exact for r in compare_spec(X3, lams, n_track=5, n_basis=64).levels}
     pinned = {(2, lams[2]): exact[2, lams[2]], **{(4, l): exact[4, l] for l in lams[1:]}}
     calls = []
     real = np.polyfit
@@ -1319,7 +1358,7 @@ def test_fit_is_one_polyfit_per_point_set(monkeypatch):
         return real(x, y, deg)
 
     monkeypatch.setattr(np, "polyfit", spy)
-    rep = compare(X3, lams, n_track=5, n_basis=64, table=_pinned_table(table, pinned))
+    rep = compare(_pinned_table(table, pinned), lams, n_track=5, n_basis=64)
     assert calls == [(4, (4, 4)), (3, (3, 1))]
     assert list(rep.fit_exponent) == list(rep.fit_constant) == [0, 1, 2, 3, 5]
     for n in rep.fit_exponent:
@@ -1344,7 +1383,7 @@ def test_full_block_coupling_is_counted_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_negative_pivots", spy)
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
-    rep = compare(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
     assert calls == [(4, 12), (1, 36), (1, 96), (1, 72)]
     assert rep.convergence_deltas == [1e-13] * 3 + [10.0 ** (7 / 4)]
 
@@ -1360,7 +1399,7 @@ def test_odd_basis_solves_no_rung_its_smaller_block_cannot_take(monkeypatch, spe
     # call; a larger block that it leaves unfinished takes its 17 rows at
     # the next rung, and no block's decomposition is discarded
     calls = _count_decompositions(monkeypatch)
-    rep = compare(spec, lams, n_track=5, n_basis=33)
+    rep = compare_spec(spec, lams, n_track=5, n_basis=33)
     assert calls == {"eigh": eigh, "eigvalsh": []}
     assert rep.passed
 
@@ -1390,8 +1429,8 @@ def test_no_eigensolve_sees_more_than_128_rows(monkeypatch, kind):
     calls = _spy_on_solvers(monkeypatch)
     for lam in [0.0] if kind is Kind.HARMONIC else [1e-4, 2e-3, 0.02, 0.3]:
         for n in (8, 9, 33, 128, 129, 256, 257, 259, 513, 1024, 2047, 2048):
-            rep = compare(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam), n_track=5,
-                          n_basis=n)
+            rep = compare_spec(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam),
+                               n_track=5, n_basis=n)
             assert len(rep.levels) == 6 * len(coupling_sweep(lam))
     assert calls["_eigh"] and max(shape[-1] for shape in calls["_eigh"]) <= 128
     assert (2, 128, 128) in calls["_eigh"] or kind is not Kind.CUBIC_FORCE
@@ -1411,8 +1450,8 @@ def test_benchmark_compares_end_at_their_first_rung(monkeypatch, kind, lams, sha
     kind = Kind.QUADRATIC_FORCE if kind == "x2" else Kind.CUBIC_FORCE
     for lam in lams:
         calls = _spy_on_solvers(monkeypatch)
-        assert compare(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam), n_track=n_track,
-                       n_basis=n_basis).passed
+        assert compare_spec(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam),
+                            n_track=n_track, n_basis=n_basis).passed
         assert calls["_eigh"] == [shape] and len(calls["_pivots"]) == 1
         monkeypatch.undo()
 
@@ -1423,8 +1462,8 @@ def test_unfinished_block_alone_climbs_to_the_next_rung(monkeypatch):
     # takes its whole block; at 2e-3 both of that coupling's blocks do
     for lam, second in ((1.7e-3, (1, 28, 28)), (2e-3, (2, 28, 28))):
         calls = _spy_on_solvers(monkeypatch)
-        assert compare(OscillatorSpec(lam=lam, kind=Kind.CUBIC_FORCE), coupling_sweep(lam),
-                       n_track=5, n_basis=56).passed
+        assert compare_spec(OscillatorSpec(lam=lam, kind=Kind.CUBIC_FORCE), coupling_sweep(lam),
+                            n_track=5, n_basis=56).passed
         assert calls["_eigh"] == [(8, 16, 16), second] and len(calls["_pivots"]) == 1
         monkeypatch.undo()
 
@@ -1442,4 +1481,4 @@ def test_compare_raises_overflow_on_a_non_finite_hamiltonian(spec):
     # unsorted, and before NaN pivots leave a coupling unconverged
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowError, match="Hamiltonian is not finite"):
-            compare(spec, coupling_sweep(spec.lam), n_track=5)
+            compare_spec(spec, coupling_sweep(spec.lam), n_track=5)

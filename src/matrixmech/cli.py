@@ -5,7 +5,8 @@ All data goes to stdout with a fixed column order and 15 significant
 digits, so identical configurations produce byte-identical output;
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage or configuration error, which includes a result that overflows
-double precision: it is reported before anything is printed.
+double precision and an oracle eigensolve that fails: either is reported
+before anything is printed.
 
 Options may come from a plain key=value config file (# comments allowed),
 selected with --config or the MATRIXMECH_CONFIG environment variable;
@@ -290,8 +291,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_oracle_compare(config: RunConfig) -> int:
-    report = orc.compare(_solved_table(config), orc.coupling_sweep(config.lam),
-                         n_track=orc.tracked_levels(config.n_max), n_basis=config.oracle_n)
+    report = orc.compare(_solved_table(config), n_basis=config.oracle_n)
     if config.fmt == "json":
         payload = {
             "passed": report.passed,
@@ -356,7 +356,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for message in dict.fromkeys(str(w.message) for w in caught):
                 print(f"warning: {message}", file=sys.stderr)
         return code
-    except (ConfigError, ValueError, ld.LadderError, cl.SeriesOrderError) as exc:
+    except (ConfigError, ValueError, ld.LadderError, cl.SeriesOrderError,
+            orc.OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OverflowError as exc:

@@ -438,15 +438,6 @@ def diagonalize(
             for c, s in enumerate(specs)]
 
 
-def tracked_levels(n_max: int) -> int:
-    """Levels 0 .. n_track the oracle checks for a ladder solved to n_max."""
-    return min(5, n_max)
-
-
-def default_basis_size(n_track: int) -> int:
-    return 4 * (n_track + 1) + 32
-
-
 def _rs_shifts(spec: OscillatorSpec, bands: np.ndarray, n_track: int) -> np.ndarray:
     """Rayleigh-Schroedinger level shifts lam*E_1(n) and lam^2*E_2(n), rows
     0 and 1, for n = 0 .. n_track, of each coupling's lower band of H
@@ -505,7 +496,7 @@ class ComparisonReport:
     n_track: int
     n_basis: int
     neglected_order: int  # j: the first power of lam the table leaves out
-    base_lam: Optional[float]  # the first nonzero coupling, where amplitudes are compared
+    base_lam: Optional[float]  # lam/2, where amplitudes are compared; None at lam 0
     levels: List[LevelComparison] = field(default_factory=list)
     amplitudes: List[AmplitudeComparison] = field(default_factory=list)
     fit_constant: Dict[int, float] = field(default_factory=dict)
@@ -536,77 +527,54 @@ class ComparisonReport:
                 if delta > CONVERGENCE_GATE]
 
 
-def coupling_sweep(lam: float) -> List[float]:
-    """Couplings at which the oracle checks a run at lam: lam/2 .. 4*lam."""
-    return [lam / 2, lam, 2 * lam, 4 * lam] if lam != 0 else [0.0]
-
-
-def compare(
-    table: TransitionTable,
-    lambdas: Sequence[float],
-    n_track: int,
-    n_basis: Optional[int] = None,
-) -> ComparisonReport:
+def compare(table: TransitionTable, n_basis: Optional[int] = None) -> ComparisonReport:
     """The table's levels and amplitudes against the diagonalization of H
     in the oscillator the table was solved for, table.spec; compare
     solves no table of its own.
 
-    W_pert(n) is table.level(n) at each coupling; the table's coefficients
-    do not depend on lam, so one table serves the sweep.  n_track is at
-    most table.n_max: the levels above it are the solve's internal pad.
-    Each coupling's k = n_track+1 lowest eigenpairs come from one batched
-    diagonalize call over the sweep, and one _counted_deltas call counts
-    the inertia of the doubled basis at the values it returned, up the
-    gate and then DELTA_LADDER; above its top rung the delta is reported
-    as that rung.  The counts bound |E_i - lambda_i(H_2N)| by eps for the
-    values E_i that are reported.  For Ritz values they bound more:
-    theta_i >= lambda_i(H_N) (Ritz values are upper bounds) >=
-    lambda_i(H_2N) (interlacing) >= theta_i - eps (the counts), so one
-    certificate bounds both the doubling delta and |theta_i -
-    lambda_i(H_N)| by eps: a block left unfinished at its 128-row corner
-    needs no larger solve.  H_N is not exactly the leading block of H_2N:
-    their last q rows differ (_hamiltonian_bands), where converged states
-    have no weight.  The sweep's couplings are one array axis throughout.
-    Eigenvectors are tracked at the base coupling only, the first nonzero
-    one (report.base_lam), where the amplitudes read x_elements.
-    convergence_deltas keeps one delta per coupling: the hardest counts.
+    The plan comes from the table alone: the couplings lam/2, lam, 2*lam
+    and 4*lam (lam = table.spec.lam; 0 alone when lam is 0), the levels
+    n = 0 .. n_track = min(5, table.n_max), and a basis of n_basis states,
+    4*(n_track + 1) + 32 by default.  W_pert(n) is table.level(n) at each
+    coupling; the table's coefficients do not depend on lam, so one table
+    serves the sweep.  Each coupling's n_track + 1 lowest eigenpairs come
+    from one batched diagonalize call, and one _counted_deltas call counts
+    the inertia of the doubled basis at the values it returned.  For Ritz
+    values theta_i >= lambda_i(H_N) >= lambda_i(H_2N) >= theta_i - eps
+    (upper bounds, interlacing, the counts), so one certificate bounds
+    both the doubling delta and |theta_i - lambda_i(H_N)|: a block left
+    unfinished at its 128-row corner needs no larger solve.  Eigenvectors
+    are tracked at the base coupling only, lam/2 (report.base_lam), where
+    the amplitudes read x_elements.
 
     The verdict is report.failures, each led by the word of its gate:
     - convergence: a doubling delta above CONVERGENCE_GATE, or above the
       top of DELTA_LADDER (failure text "doubling delta > top").  That
-      coupling's level rows are kept but add no level failure and no fit
-      point: the basis, not the series, failed there.  They are the
-      values its delta was counted at: each block's Ritz values at the
-      rung that finished it, up to the 128-row corner of a larger block
-      (for the x2 kind the quasi-bound states), or the lowest eigenvalues
-      of a block of at most 128 rows solved whole.
+      coupling's level rows, the values its delta was counted at, are kept
+      but add no level failure and no fit point: the basis, not the
+      series, failed there.
     - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
       1e-10*hbar*omega0), the Rayleigh-Schroedinger shift read off that
       coupling's band (_rs_shifts); or no coupling converged.  j is the
       first power the table leaves out, order + 1, raised to the next even
       power when the potential is odd, which shifts no level at odd orders.
-    - scaling: with two or more nonzero couplings, the residual is fit to
-      C*lam^q per level; exponent_gap above EXPONENT_GATE (or no fit).
+    - scaling: at lam != 0, the residual is fit to C*lam^q per level;
+      exponent_gap above EXPONENT_GATE (or no fit).
     - amplitude: at the base coupling, a relative error against the
       sum-rule form at the measured frequency above 1.25*r^2 (r the
       smallness ratio there), or that coupling unconverged.  The rows,
       with the table's amplitude series, are kept either way.
     """
     spec = table.spec
+    lambdas = (spec.lam / 2, spec.lam, 2 * spec.lam, 4 * spec.lam) if spec.lam != 0 else (0.0,)
+    n_track = min(5, table.n_max)
     if n_basis is None:
-        n_basis = default_basis_size(n_track)
-    top = min(n_basis, 128 * len(_parity_blocks(spec)))  # diagonalize's rungs end at 128 rows
-    if not 0 <= n_track < top:
-        raise OracleError(f"n_track must be in 0 .. {top - 1} for a basis of "
-                          f"{n_basis} states, got {n_track}")
-    if n_track > table.n_max:
-        raise OracleError(f"n_track {n_track} is above the table's n_max {table.n_max}")
+        n_basis = 4 * (n_track + 1) + 32
     j = table.order + 1
     if len(_parity_blocks(spec)) == 1 and j % 2:  # odd potential: no odd-order shift
         j += 1
-    base_index = next((c for c, lam in enumerate(lambdas) if lam != 0), None)
-    base_lam = None if base_index is None else lambdas[base_index]
-    report = ComparisonReport(spec=spec, lambdas=tuple(lambdas), n_track=n_track,
+    base_lam = lambdas[0] if spec.lam != 0 else None  # eigenvectors and amplitudes here
+    report = ComparisonReport(spec=spec, lambdas=lambdas, n_track=n_track,
                               n_basis=n_basis, neglected_order=j, base_lam=base_lam)
 
     residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
@@ -614,10 +582,9 @@ def compare(
     bands = _hamiltonian_bands(specs, n_basis)
     shifts = _rs_shifts(spec, bands, n_track)[j - 1]  # lam^j E_j(n)
 
-    sweep = diagonalize(specs, bands, n_track, base_index)
+    sweep = diagonalize(specs, bands, n_track, None if base_lam is None else 0)
     deltas = _counted_deltas(specs, n_basis, [r.eigenvalues[: n_track + 1] for r in sweep])
     report.convergence_deltas = [DELTA_LADDER[-1] if d is None else d for d in deltas]
-    base = sweep[base_index] if base_index is not None else None
 
     unconverged = report.unconverged
     hbw = spec.hbar * spec.omega0
@@ -657,13 +624,13 @@ def compare(
     for n, (slope, intercept) in sorted(fits.items()):
         report.fit_exponent[n] = float(slope)
         report.fit_constant[n] = float(math.exp(intercept))
-    if sum(lam != 0 for lam in lambdas) >= 2 and not report.exponent_gap <= EXPONENT_GATE:
+    if spec.lam != 0 and not report.exponent_gap <= EXPONENT_GATE:
         qs = sorted(round(q, 3) for q in report.fit_exponent.values())
         report.failures.append(f"scaling: exponents {qs} not within {EXPONENT_GATE:g} of {j}")
 
-    # amplitude comparison at the first nonzero coupling
-    if base is not None:  # a harmonic spec has lam == 0
-        s, evals, x_elem = base.spec, base.eigenvalues, base.x_elements
+    # amplitude comparison at the base coupling
+    if base_lam is not None:  # a harmonic spec has lam == 0
+        s, evals, x_elem = sweep[0].spec, sweep[0].eigenvalues, sweep[0].x_elements
         # 1.25*r^2 in the smallness ratio r at base_lam (5*lam^2 for x3 and
         # 2.5*lam^2 for x2 in default units); OverflowError beyond r ~ 1e154
         amp_tol = 1.25 * s.smallness_ratio() ** 2

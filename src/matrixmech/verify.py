@@ -159,8 +159,7 @@ def run_verification(
 
     # oracle comparison: compare decides every gate, and each row maps the
     # failures of one gate word
-    rep = orc.compare(table, orc.coupling_sweep(lam), n_track=orc.tracked_levels(n_max),
-                      n_basis=oracle_n)
+    rep = orc.compare(table, n_basis=oracle_n)
     failed = {gate: [f for f in rep.failures if f.startswith(gate)]
               for gate in ("level", "amplitude", "convergence")}
     report.add("oracle_levels", len(failed["level"]), 0,

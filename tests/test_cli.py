@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -508,19 +509,38 @@ def test_verify_tracks_n_max_levels(monkeypatch):
         assert [a.n for a in rep.amplitudes] == list(range(1, n_track + 1))
 
 
-def test_module_entry_point():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def python_m(*argv):
+    """`python -m matrixmech argv` in a fresh process on this checkout's src."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "matrixmech", "levels", "--kind", "x3",
-         "--lambda", "0.001", "--nmax", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "matrixmech", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point():
+    proc = python_m("levels", "--kind", "x3", "--lambda", "0.001", "--nmax", "3")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "n,W0,W1,W_total"
     assert len(lines) == 5
+
+
+def test_console_script_matches_the_module_entry_point(capsys, monkeypatch):
+    # the installed `matrixmech` script calls pyproject's target with no
+    # arguments, so it reads sys.argv; it prints what `python -m` prints
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = target["matrixmech"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    argv = ["levels", "--kind", "x3", "--lambda", "0.001", "--nmax", "3"]
+    monkeypatch.setattr(sys, "argv", ["matrixmech", *argv])
+    assert entry() == 0
+    proc = python_m(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert capsys.readouterr().out == proc.stdout
 
 
 @pytest.mark.parametrize("kind", ["x2", "x3"])
@@ -643,6 +663,22 @@ def test_overflowing_coupling_exits_2(capsys, argv, fmt):
     assert out == ""
     assert err.startswith("error: the result overflows double precision")
     assert "warning:" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["verify", "oracle-compare"])
+def test_failed_eigensolve_exits_2(capsys, monkeypatch, command, fmt):
+    # the oracle's OracleError is reported like any error the run cannot
+    # get past: exit 2, its reason on stderr and nothing on stdout; exit 1
+    # would say that a check failed
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    code, out, err = run(capsys, command, "--kind", "x3", "--lambda", "0.001", "--nmax", "3",
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: eigensolver did not converge: Eigenvalues did not converge\n"
 
 
 def test_calls_in_one_process_are_independent(capsys, monkeypatch, tmp_path):

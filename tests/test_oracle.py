@@ -21,10 +21,7 @@ from matrixmech.oracle import (
     _x_offdiagonal,
     build_hamiltonian,
     compare,
-    coupling_sweep,
-    default_basis_size,
     diagonalize,
-    tracked_levels,
 )
 from matrixmech.oscillator import Kind, OscillatorSpec
 from matrixmech.verify import apply_mutation, run_verification
@@ -45,9 +42,14 @@ def solve(spec, n_basis, n_track=5, tracked=True):
     return diagonalize([spec], bands, n_track, 0 if tracked else None)[0]
 
 
-def compare_spec(spec, lambdas, n_track, n_basis=None):
-    """compare on spec's order-1 table of n_track + 1 levels."""
-    return compare(solve_quantum(spec, n_max=n_track + 1, order=1), lambdas, n_track, n_basis)
+def compare_spec(spec, n_max, n_basis=None):
+    """compare on spec's order-1 table solved to n_max."""
+    return compare(solve_quantum(spec, n_max=n_max, order=1), n_basis)
+
+
+def coupling_sweep(lam):
+    """The couplings compare checks a table at lam against: lam/2 .. 4*lam."""
+    return [lam / 2, lam, 2 * lam, 4 * lam] if lam != 0 else [0.0]
 
 
 def dense_reference(spec, n_basis, n_track=None):
@@ -183,26 +185,19 @@ def test_determinism():
 def test_basis_size_validation():
     with pytest.raises(OracleError):
         build_hamiltonian(X3, 4)
-    assert default_basis_size(5) == 56
 
 
-@pytest.mark.parametrize("n_track,n_basis", [(10, 8), (8, 8), (-1, 8), (-1, None)])
-def test_compare_rejects_n_track_outside_the_basis(monkeypatch, n_track, n_basis):
-    table = solve_quantum(X3, n_max=11, order=1)
-
-    def tripwire(*args, **kwargs):
-        raise AssertionError("work started before n_track was checked")
-
-    monkeypatch.setattr(oracle, "_hamiltonian_bands", tripwire)
-    with pytest.raises(OracleError, match="n_track must be in 0 .. "):
-        compare(table, [1e-3], n_track=n_track, n_basis=n_basis)
-
-
-def test_compare_rejects_n_track_above_the_table():
-    # the levels above n_max are the solve's internal pad, not the table's
-    table = solve_quantum(X3, n_max=2, order=1)
-    with pytest.raises(OracleError, match="n_track 5 is above the table's n_max 2"):
-        compare(table, coupling_sweep(1e-3), n_track=5)
+@pytest.mark.parametrize("n_max", range(1, 8))
+@pytest.mark.parametrize("spec", [OscillatorSpec(), X2, X3], ids=["harmonic", "x2", "x3"])
+def test_compare_plans_its_check_from_the_table(spec, n_max):
+    # the couplings, the tracked levels, the default basis and the base
+    # coupling all come from the table's lam and n_max
+    rep = compare_spec(spec, n_max)
+    assert rep.lambdas == tuple(coupling_sweep(spec.lam))
+    assert rep.n_track == min(5, n_max)
+    assert rep.n_basis == 4 * (rep.n_track + 1) + 32
+    assert rep.base_lam == (spec.lam / 2 if spec.lam else None)
+    assert [r.n for r in rep.levels] == list(range(rep.n_track + 1)) * len(rep.lambdas)
 
 
 def test_compare_solves_no_table(monkeypatch):
@@ -211,7 +206,7 @@ def test_compare_solves_no_table(monkeypatch):
 
     table = solve_quantum(X3, n_max=5, order=1)
     monkeypatch.setattr("matrixmech.ladder.solve_quantum", tripwire)
-    rep = compare(table, coupling_sweep(1e-3), n_track=5)
+    rep = compare(table)
     assert rep.passed, rep.failures
 
 
@@ -220,13 +215,13 @@ def test_compare_reads_the_units_of_its_table(kind):
     # no oscillator is passed beside the table: its spec sets the units
     spec = OscillatorSpec(lam=1e-3, kind=kind, **ODD_UNITS)
     table = solve_quantum(spec, n_max=5, order=1)
-    rep = compare(table, coupling_sweep(spec.lam), n_track=5)
+    rep = compare(table)
     assert rep.passed, rep.failures
     assert rep.spec is table.spec
 
 
 def test_compare_x3_scaling_and_amplitudes():
-    rep = compare_spec(X3, [5e-4, 1e-3, 2e-3, 4e-3], n_track=5, n_basis=64)
+    rep = compare_spec(X3, 5, 64)
     assert rep.passed, rep.failures
     for n, q in rep.fit_exponent.items():
         assert abs(q - 2.0) < 0.2
@@ -240,25 +235,26 @@ def test_compare_x3_scaling_and_amplitudes():
 
 
 def test_compare_x2_levels_are_second_order():
-    rep = compare_spec(X2, [1e-3], n_track=4, n_basis=64)
+    rep = compare_spec(X2, 4, 64)
     assert rep.passed, rep.failures
     for r in rep.levels:
-        # no first-order shift; the gap is O(lam^2) and small
-        assert r.residual < 1e-5
-        assert r.residual <= 4.0 * abs(rs_closed_forms(X2, r.n)[1])
+        # no first-order shift; the gap is O(lam^2), below 1e-5 at lam = 1e-3
+        at = OscillatorSpec(lam=r.lam, kind=X2.kind)
+        assert r.residual <= 4.0 * abs(rs_closed_forms(at, r.n)[1])
+    assert max(r.residual for r in rep.levels if r.lam == X2.lam) < 1e-5
 
 
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
 def test_compare_envelope_is_first_neglected_shift(kind):
     # the tolerance of each level row is 4*|lam^j E_j(n)|, j the first
     # power the order-1 table leaves out: 2 for either kind
-    spec = OscillatorSpec(lam=1e-3, kind=kind)
-    rep = compare_spec(spec, [1e-3], n_track=5, n_basis=64)
+    table = solve_quantum(OscillatorSpec(lam=1e-3, kind=kind), n_max=5, order=1)
+    rep = compare(table, 64)
     assert rep.neglected_order == 2
-    table = solve_quantum(spec, n_max=6, order=1)
     for r in rep.levels:
         assert r.perturbative == table.level(r.n).eval(r.lam)
-        assert r.residual <= 4.0 * abs(rs_closed_forms(spec, r.n)[1])
+        at = OscillatorSpec(lam=r.lam, kind=kind)
+        assert r.residual <= 4.0 * abs(rs_closed_forms(at, r.n)[1])
 
 
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
@@ -266,7 +262,7 @@ def test_order_zero_table_neglects_first_nonzero_power(kind):
     # x2's odd potential has no first-order shift, so j = 2 at order 0 too
     spec = OscillatorSpec(lam=1e-3, kind=kind)
     table = solve_quantum(spec, n_max=5, order=0)
-    rep = compare(table, coupling_sweep(spec.lam), n_track=5, n_basis=64)
+    rep = compare(table, 64)
     assert rep.passed, rep.failures
     j = 2 if kind is Kind.QUADRATIC_FORCE else 1
     assert rep.neglected_order == j
@@ -280,13 +276,13 @@ def test_compare_fails_mutated_levels(kind):
     spec = OscillatorSpec(lam=1e-3, kind=kind)
     table = solve_quantum(spec, n_max=5, order=1)
     apply_mutation(table, "w")
-    rep = compare(table, coupling_sweep(spec.lam), n_track=5, n_basis=64)
+    rep = compare(table, 64)
     fails = [f for f in rep.failures if f.startswith("level")]
     assert fails and all(f.startswith(("level n=1 ", "level n=3 ", "level n=5 ")) for f in fails)
 
 
 def test_compare_harmonic_is_exact():
-    rep = compare_spec(OscillatorSpec(), [0.0], n_track=5, n_basis=48)
+    rep = compare_spec(OscillatorSpec(), 5, 48)
     assert rep.passed
     assert rep.base_lam is None and rep.amplitudes == []  # no nonzero coupling
     for r in rep.levels:
@@ -294,10 +290,11 @@ def test_compare_harmonic_is_exact():
 
 
 def test_compare_uses_solved_table_for_series_form():
-    table = solve_quantum(X3, n_max=6, order=1)
-    rep = compare(table, [1e-3], n_track=5, n_basis=64)
+    table = solve_quantum(X3, n_max=5, order=1)
+    rep = compare(table, 64)
+    assert rep.base_lam == 5e-4
     for a in rep.amplitudes:
-        expect = table.amp(a.n, a.n - 1).eval(1e-3)
+        expect = table.amp(a.n, a.n - 1).eval(a.lam)
         assert math.isclose(a.series_form, expect, rel_tol=1e-13)
         # the series form agrees with the measurement to second order
         assert a.rel_error_series < 25 * (a.n * a.lam) ** 2 + 1e-8
@@ -307,7 +304,7 @@ def test_compare_keeps_every_coupling_delta():
     # at 4*lam = 0.16 the x2 spectrum has collapsed and the basis doubling
     # moves the tracked levels by O(50); lam/2 alone would look converged
     spec = OscillatorSpec(m=1, omega0=1, lam=0.04, kind=Kind.QUADRATIC_FORCE)
-    rep = compare_spec(spec, [0.02, 0.04, 0.08, 0.16], n_track=5)
+    rep = compare_spec(spec, 5)
     assert len(rep.convergence_deltas) == 4
     assert rep.convergence_deltas[0] < 1e-10
     assert rep.convergence_delta == max(rep.convergence_deltas) > 1.0
@@ -317,13 +314,17 @@ def test_unconverged_coupling_is_blamed_on_convergence():
     # the collapsed 4*lam point is the basis's failure, not the series':
     # its level rows stay, but it adds no level failure and no fit point
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, 5)
     assert rep.failures == ["convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10"]
     assert [r.lam for r in rep.levels] == [l for l in coupling_sweep(0.04) for _ in range(6)]
     assert max(r.residual for r in rep.levels if r.lam == 0.16) > 0.5
-    converged = compare_spec(spec, coupling_sweep(spec.lam)[:3], n_track=5)
-    assert converged.passed
-    assert rep.fit_exponent == converged.fit_exponent
+    # every level is fit, by np.polyfit over the three converged couplings alone
+    assert list(rep.fit_exponent) == list(range(6))
+    for n, q in rep.fit_exponent.items():
+        pts = [(r.lam, r.residual) for r in rep.levels
+               if r.n == n and r.lam != 0.16 and r.residual > 0]
+        slope, intercept = np.polyfit(np.log([l for l, _ in pts]), np.log([r for _, r in pts]), 1)
+        assert q == float(slope) and rep.fit_constant[n] == float(math.exp(intercept))
     assert all(2.0 < q < 2.05 for q in rep.fit_exponent.values())
 
 
@@ -333,7 +334,7 @@ def test_unconverged_base_coupling_adds_no_amplitude_failure():
     # error fails; each gate says instead that it compared nothing
     spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
     with pytest.warns(UserWarning):
-        rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
+        rep = compare_spec(spec, 5)
     assert rep.unconverged == coupling_sweep(spec.lam)
     assert rep.base_lam == 0.15
     assert [f.split(":")[0] for f in rep.failures[:4]] == [
@@ -371,16 +372,18 @@ def test_top_rung_delta_is_converged_in_any_units(m, omega0, planck_h):
                           kind=Kind.QUADRATIC_FORCE)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_negative_pivots", _top_rung_only(spec.hbar * spec.omega0, 3))
-        rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=2, n_basis=16)
+        rep = compare_spec(spec, 2, 16)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[-1]] * 4
     assert rep.unconverged == []
     assert not [f for f in rep.failures if f.startswith("convergence")]
 
 
 def test_coupling_sweep():
-    assert coupling_sweep(1e-3) == [5e-4, 1e-3, 2e-3, 4e-3]
-    assert coupling_sweep(-2e-3) == [-1e-3, -2e-3, -4e-3, -8e-3]
-    assert coupling_sweep(0.0) == [0.0]
+    # the sweep follows the sign of the table's coupling
+    assert compare_spec(X2, 1).lambdas == (5e-4, 1e-3, 2e-3, 4e-3)
+    negative = OscillatorSpec(lam=-2e-3, kind=Kind.QUADRATIC_FORCE)
+    assert compare_spec(negative, 1).lambdas == (-1e-3, -2e-3, -4e-3, -8e-3)
+    assert compare_spec(OscillatorSpec(), 1).lambdas == (0.0,)
 
 
 def _count_decompositions(monkeypatch):
@@ -400,7 +403,7 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
     # x^4 is even: parity blocks only; x^3 is not: the whole matrix
     for spec, blocks in ((X3, 2), (X2, 1)):
         calls = _count_decompositions(monkeypatch)
-        rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
+        rep = compare_spec(spec, 5, 64)
         n = 32 // blocks
         # one batched call: every block of every coupling at the first
         # Ritz rung, 32 states; the converged doubled bases are counted,
@@ -434,7 +437,7 @@ def test_compare_decomposes_only_inside_diagonalize(monkeypatch, spec, n_basis):
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+    rep = compare_spec(spec, 5, n_basis)
     assert rep.passed, rep.failures
     assert inside == [True]
 
@@ -453,14 +456,14 @@ def test_unsorted_eigenvalues_raise_at_every_rung(monkeypatch, spec, n_basis):
 
     monkeypatch.setattr(np.linalg, "eigh", unsorted)
     with pytest.raises(OracleError, match="eigenvalues not sorted"):
-        compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+        compare_spec(spec, 5, n_basis)
 
 
 def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     # the diagonal band leaves no rows below a leading block: both blocks
     # finish at the first Ritz rung, 16 of their 32 rows
-    rep = compare_spec(OscillatorSpec(), [0.0], n_track=5, n_basis=64)
+    rep = compare_spec(OscillatorSpec(), 5, 64)
     assert rep.passed
     assert calls == {"eigh": [(2, 16, 16)], "eigvalsh": []}
     assert rep.convergence_deltas == [1e-13]
@@ -510,7 +513,7 @@ def test_compare_builds_without_matrix_power(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "matrix_power", tripwire)
     for spec in (X2, X3):
-        rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=64)
+        rep = compare_spec(spec, 5, 64)
         assert rep.passed, rep.failures
 
 
@@ -687,7 +690,7 @@ def test_unsound_pivots_are_uncertified(monkeypatch):
                         lambda bands, shifts: (np.zeros(shifts.shape, int),
                                                np.zeros(len(shifts), bool)))
     assert _counted_deltas(specs, 80, tracked) == [None] * 4
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=80)
+    rep = compare_spec(spec, 5, 80)
     assert rep.convergence_deltas == [DELTA_LADDER[-1]] * 4
     assert [f for f in rep.failures if f.startswith("convergence")] == [
         f"convergence lam={l:g}: doubling delta > 5.623e+02" for l in coupling_sweep(spec.lam)]
@@ -725,7 +728,7 @@ def _all_rungs_deltas(specs, n_basis, tracked, rungs):
     (Kind.QUADRATIC_FORCE, 0.3, 513),
 ])
 def test_lowest_rung_first_keeps_the_delta_rule(kind, lam, n_basis):
-    n_basis = n_basis or default_basis_size(5)
+    n_basis = n_basis or 56
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
     gate = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER)
     # a coupling uncertified at the gate: its two-sweep search of
@@ -760,7 +763,7 @@ def test_converged_sweep_sweeps_once_at_the_lowest_rung(monkeypatch):
         return real(bands, shifts)
 
     monkeypatch.setattr(oracle, "_negative_pivots", spy)
-    rep = compare_spec(X2, coupling_sweep(1e-3), n_track=5, n_basis=64)
+    rep = compare_spec(X2, 5, 64)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
     assert calls == [(4, (4, 2 * 6))]  # E_i -+ 1e-13*hbar*omega0 for the six tracked levels
 
@@ -775,7 +778,7 @@ def test_unconverged_coupling_reports_counted_delta():
         (0.04, None, 10**1.75, "convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10"),
     ):
         spec = OscillatorSpec(lam=lam, kind=Kind.QUADRATIC_FORCE)
-        rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+        rep = compare_spec(spec, 5, n_basis)
         specs, tracked = _sweep_levels(spec, rep.n_basis)
         assert rep.convergence_deltas[:3] == [1e-13] * 3
         assert rep.convergence_deltas[3] in DELTA_LADDER
@@ -801,7 +804,7 @@ def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
             return real_build(s, n, **kwargs)
 
         monkeypatch.setattr(oracle, "build_hamiltonian", recording)
-        rep = compare_spec(spec, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+        rep = compare_spec(spec, 5, n_basis)
         assert rep.passed, rep.failures
         n = 32 // blocks
         assert built == []
@@ -816,7 +819,6 @@ def test_verify_default_basis_solves_one_ritz_corner(monkeypatch, spec, shape):
     # run decomposes only the first Ritz rung's leading blocks, 32 states
     # (x2: 4 couplings of 32 rows; x3: 4 couplings x 2 parities of 16
     # rows), in one call; no full block and no eigvalsh
-    assert default_basis_size(tracked_levels(10)) == 56
     calls = _count_decompositions(monkeypatch)
     assert run_verification(solve_quantum(spec, n_max=10, order=1)).passed
     assert calls == {"eigh": [shape], "eigvalsh": []}
@@ -830,9 +832,9 @@ def test_default_basis_solves_unfinished_blocks_whole(monkeypatch):
     # three stop unconverged there and take their whole 56-row blocks, by
     # eigh in one call, the last rung
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
-    n = default_basis_size(5)
+    n = 56
     calls = _count_decompositions(monkeypatch)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, 5)
     assert rep.n_basis == n
     assert calls == {"eigh": [(4, 32, 32), (3, n, n)], "eigvalsh": []}
     assert rep.convergence_deltas[:3] == [1e-13] * 3
@@ -840,7 +842,7 @@ def test_default_basis_solves_unfinished_blocks_whole(monkeypatch):
 
 
 def test_tracked_levels():
-    assert [tracked_levels(n) for n in (1, 2, 5, 6, 10, 20)] == [1, 2, 5, 5, 5, 5]
+    assert [compare_spec(X3, n).n_track for n in (1, 2, 5, 6, 10, 20)] == [1, 2, 5, 5, 5, 5]
 
 
 @pytest.mark.parametrize("units", [{}, {"omega0": 0.01}, ODD_UNITS])
@@ -852,7 +854,7 @@ def test_amplitude_gate_is_in_the_smallness_ratio(kind, units):
     r = OscillatorSpec(lam=0.01, kind=kind).smallness_ratio()
     spec = OscillatorSpec(kind=kind, **units)
     spec = OscillatorSpec(lam=r / spec.coupling_unit(spec.ladder_amplitude), kind=kind, **units)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, 5)
     assert rep.passed, rep.failures
     r_b = OscillatorSpec(lam=spec.lam / 2, kind=kind, **units).smallness_ratio()
     worst = max(a.rel_error_exact for a in rep.amplitudes) / r_b**2
@@ -873,7 +875,7 @@ def test_compare_forms_each_basis_band_once(monkeypatch, n_basis):
         return real(specs, n)
 
     monkeypatch.setattr(oracle, "_hamiltonian_bands", spy)
-    rep = compare_spec(X2, coupling_sweep(1e-3), n_track=5, n_basis=n_basis)
+    rep = compare_spec(X2, 5, n_basis)
     assert rep.passed, rep.failures
     assert calls == [(4, n_basis), (4, 2 * n_basis)]
 
@@ -1003,7 +1005,7 @@ def test_converged_sweep_eliminates_few_rows(monkeypatch, spec, n_basis):
         return pivots
 
     monkeypatch.setattr(oracle, "_pivots", spy)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+    rep = compare_spec(spec, 5, n_basis)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
     assert len(swept) == 1
     rows, eliminated = swept[0]
@@ -1121,7 +1123,7 @@ def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
     specs = _sweep_at_ratio(kind, lam, {})
     ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
     assert all(len(r.eigenvalues) < n_basis for r in ritz)
-    rep = compare_spec(specs[1], [s.lam for s in specs], n_track=5, n_basis=n_basis)
+    rep = compare_spec(specs[1], 5, n_basis)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
     assert [r.exact for r in rep.levels] == [float(e) for r in ritz for e in r.eigenvalues[:6]]
     assert [a.measured for a in rep.amplitudes] == [2.0 * float(ritz[0].x_elements[n - 1, n])
@@ -1163,7 +1165,7 @@ def _dense_route(monkeypatch, spec, n_basis):
     """compare with every coupling's eigenpairs from the dense last rung."""
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "diagonalize", _last_rung_diagonalize)
-        return compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+        return compare_spec(spec, 5, n_basis)
 
 
 def _stall_last_coupling(monkeypatch, blocks, n_p):
@@ -1193,7 +1195,7 @@ def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_ba
     dense = _dense_route(monkeypatch, spec, n_basis)
     blocks = len(_parity_blocks(spec))
     _stall_last_coupling(monkeypatch, blocks, n_basis // blocks)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis)
+    rep = compare_spec(spec, 5, n_basis)
     last = coupling_sweep(spec.lam)[-1]
     assert rep.convergence_deltas[-1] == dense.convergence_deltas[-1]
     assert [r for r in rep.levels if r.lam == last] == [r for r in dense.levels if r.lam == last]
@@ -1201,7 +1203,7 @@ def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_ba
         f for f in dense.failures if f"lam={last:g}" in f]
     # every coupling unconverged: the whole report is the dense reference's
     monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)
-    assert compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=n_basis) == dense
+    assert compare_spec(spec, 5, n_basis) == dense
 
 
 def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
@@ -1221,7 +1223,7 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(oracle, "_eigh", spy)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=256)
+    rep = compare_spec(spec, 5, 256)
     assert max(sizes) <= 128
     assert [r.exact for r in rep.levels if r.lam == 0.06] == ritz[3].eigenvalues[:6].tolist()
     counted = _counted_deltas(specs, 256, [r.eigenvalues[:6] for r in ritz])
@@ -1235,7 +1237,7 @@ def test_unconverged_rows_are_the_quasi_bound_states():
     # hbar*omega0), while the Ritz rungs find the quasi-bound states, which
     # stay within 0.05 of the series although the basis has not converged
     spec = OscillatorSpec(lam=0.01, kind=Kind.QUADRATIC_FORCE)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5, n_basis=1024)
+    rep = compare_spec(spec, 5, 1024)
     assert rep.unconverged == [0.04]
     rows = [r for r in rep.levels if r.lam == 0.04]
     assert len(rows) == 6
@@ -1348,7 +1350,7 @@ def test_fit_is_one_polyfit_per_point_set(monkeypatch):
     # per-level np.polyfit's to the bit, the keys in ascending n
     lams = coupling_sweep(1e-3)
     table = solve_quantum(X3, n_max=6, order=1)
-    exact = {(r.n, r.lam): r.exact for r in compare_spec(X3, lams, n_track=5, n_basis=64).levels}
+    exact = {(r.n, r.lam): r.exact for r in compare_spec(X3, 5, 64).levels}
     pinned = {(2, lams[2]): exact[2, lams[2]], **{(4, l): exact[4, l] for l in lams[1:]}}
     calls = []
     real = np.polyfit
@@ -1358,7 +1360,7 @@ def test_fit_is_one_polyfit_per_point_set(monkeypatch):
         return real(x, y, deg)
 
     monkeypatch.setattr(np, "polyfit", spy)
-    rep = compare(_pinned_table(table, pinned), lams, n_track=5, n_basis=64)
+    rep = compare(_pinned_table(table, pinned), 64)
     assert calls == [(4, (4, 4)), (3, (3, 1))]
     assert list(rep.fit_exponent) == list(rep.fit_constant) == [0, 1, 2, 3, 5]
     for n in rep.fit_exponent:
@@ -1383,23 +1385,22 @@ def test_full_block_coupling_is_counted_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_negative_pivots", spy)
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
-    rep = compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
+    rep = compare_spec(spec, 5)
     assert calls == [(4, 12), (1, 36), (1, 96), (1, 72)]
     assert rep.convergence_deltas == [1e-13] * 3 + [10.0 ** (7 / 4)]
 
 
-@pytest.mark.parametrize("spec,lams,eigh", [
-    (OscillatorSpec(lam=0.02, kind=Kind.CUBIC_FORCE), coupling_sweep(0.02),
-     [(8, 16, 16), (4, 17, 17)]),
-    (OscillatorSpec(), [0.0], [(2, 16, 16)]),
+@pytest.mark.parametrize("spec,eigh", [
+    (OscillatorSpec(lam=0.02, kind=Kind.CUBIC_FORCE), [(8, 16, 16), (4, 17, 17)]),
+    (OscillatorSpec(), [(2, 16, 16)]),
 ], ids=["x3", "harmonic"])
-def test_odd_basis_solves_no_rung_its_smaller_block_cannot_take(monkeypatch, spec, lams, eigh):
+def test_odd_basis_solves_no_rung_its_smaller_block_cannot_take(monkeypatch, spec, eigh):
     # N 33: parity blocks of 17 and 16 rows.  The 16-row rung is the
     # smaller block's whole block and the larger block's Ritz corner, in one
     # call; a larger block that it leaves unfinished takes its 17 rows at
     # the next rung, and no block's decomposition is discarded
     calls = _count_decompositions(monkeypatch)
-    rep = compare_spec(spec, lams, n_track=5, n_basis=33)
+    rep = compare_spec(spec, 5, 33)
     assert calls == {"eigh": eigh, "eigvalsh": []}
     assert rep.passed
 
@@ -1429,8 +1430,7 @@ def test_no_eigensolve_sees_more_than_128_rows(monkeypatch, kind):
     calls = _spy_on_solvers(monkeypatch)
     for lam in [0.0] if kind is Kind.HARMONIC else [1e-4, 2e-3, 0.02, 0.3]:
         for n in (8, 9, 33, 128, 129, 256, 257, 259, 513, 1024, 2047, 2048):
-            rep = compare_spec(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam),
-                               n_track=5, n_basis=n)
+            rep = compare_spec(OscillatorSpec(lam=lam, kind=kind), 5, n)
             assert len(rep.levels) == 6 * len(coupling_sweep(lam))
     assert calls["_eigh"] and max(shape[-1] for shape in calls["_eigh"]) <= 128
     assert (2, 128, 128) in calls["_eigh"] or kind is not Kind.CUBIC_FORCE
@@ -1441,17 +1441,16 @@ def test_no_eigensolve_sees_more_than_128_rows(monkeypatch, kind):
     ("x3", (1e-4, 2e-4, 5e-4, 1.5e-3), (8, 16, 16)),
 ])
 @pytest.mark.parametrize("n_basis", [56, 256, 384])
-@pytest.mark.parametrize("n_track", [4, 5])
+@pytest.mark.parametrize("n_max", [4, 5])
 def test_benchmark_compares_end_at_their_first_rung(monkeypatch, kind, lams, shape, n_basis,
-                                                     n_track):
+                                                     n_max):
     # the compares of the benchmark's oracle_sweep (N 256, 384) and
     # verify_audit (N 56) workloads: one eigensolve, of the first rung's
     # leading blocks, and one inertia count
     kind = Kind.QUADRATIC_FORCE if kind == "x2" else Kind.CUBIC_FORCE
     for lam in lams:
         calls = _spy_on_solvers(monkeypatch)
-        assert compare_spec(OscillatorSpec(lam=lam, kind=kind), coupling_sweep(lam),
-                            n_track=n_track, n_basis=n_basis).passed
+        assert compare_spec(OscillatorSpec(lam=lam, kind=kind), n_max, n_basis).passed
         assert calls["_eigh"] == [shape] and len(calls["_pivots"]) == 1
         monkeypatch.undo()
 
@@ -1462,8 +1461,7 @@ def test_unfinished_block_alone_climbs_to_the_next_rung(monkeypatch):
     # takes its whole block; at 2e-3 both of that coupling's blocks do
     for lam, second in ((1.7e-3, (1, 28, 28)), (2e-3, (2, 28, 28))):
         calls = _spy_on_solvers(monkeypatch)
-        assert compare_spec(OscillatorSpec(lam=lam, kind=Kind.CUBIC_FORCE), coupling_sweep(lam),
-                            n_track=5, n_basis=56).passed
+        assert compare_spec(OscillatorSpec(lam=lam, kind=Kind.CUBIC_FORCE), 5, 56).passed
         assert calls["_eigh"] == [(8, 16, 16), second] and len(calls["_pivots"]) == 1
         monkeypatch.undo()
 
@@ -1481,4 +1479,4 @@ def test_compare_raises_overflow_on_a_non_finite_hamiltonian(spec):
     # unsorted, and before NaN pivots leave a coupling unconverged
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowError, match="Hamiltonian is not finite"):
-            compare_spec(spec, coupling_sweep(spec.lam), n_track=5)
+            compare_spec(spec, 5)

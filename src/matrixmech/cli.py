@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -42,9 +43,9 @@ TABLES = frozenset(("levels", "lines", "verify", "oracle-compare"))  # subcomman
 
 # Size caps, checked before any work.  Figures are fresh processes on one
 # BLAS thread of a 2-core Xeon VM, median of 5 to 7.  The ladder's stacks are dense
-# (n_max+pad)^2 arrays: at n_max 512 and --lambda 0.001, verify takes about
-# 0.55 s and peaks at 89 MiB; lines takes 0.23 s (x2) and 0.25 s (x3) and
-# peaks at 58 and 60 MiB.  The oracle's eigensolves stop at 128 rows: at
+# (n_max+pad)^2 arrays: at n_max 512 and --lambda 0.001, verify takes 0.35 s
+# (x2) and 0.39 s (x3) and peaks at 88 and 83 MiB; lines takes 0.23 and 0.25 s
+# and peaks at 58 and 60 MiB.  The oracle's eigensolves stop at 128 rows: at
 # oracle-n 2048, oracle-compare --nmax 5 --lambda 0.002 converges at a Ritz
 # rung (0.16-0.25 s, 34 MiB for x2; x3 0.22 s, 35 MiB), and an unconverged
 # coupling ends at its 128-row corner and searches the delta ladder in two
@@ -340,10 +341,25 @@ COMMANDS = {
 }
 
 
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """argv with a negative number after a flag that takes a value (or an
+    abbreviation of one) joined to it as --flag=value: argparse reads
+    '-0.001' as a value but '-1e-3' as an unknown flag."""
+    flags = [f"--{key}" for key in OPTIONS] + ["--config"]
+    out: List[str] = []
+    for arg in argv:
+        if (re.fullmatch(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", arg, re.IGNORECASE) and out
+                and len(out[-1]) > 2 and any(f.startswith(out[-1]) for f in flags)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code; never calls sys.exit."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 0 if exc.code in (0, None) else USAGE_ERROR

@@ -247,13 +247,6 @@ def level_omega(table: TransitionTable) -> np.ndarray:
     return (w[:, :, None] - w[:, None, :]) * (TWO_PI / table.spec.planck_h)
 
 
-def _level_omega_size(table: TransitionTable) -> np.ndarray:
-    """Stack of (2*pi/h)(|W(n)| + |W(m)|): the size of the two levels whose
-    difference is omega(n, m), so omega carries round-off relative to it."""
-    w = np.abs(table.w)
-    return (w[:, :, None] + w[:, None, :]) * (TWO_PI / table.spec.planck_h)
-
-
 def chain_omega(table: TransitionTable) -> np.ndarray:
     """Stack of omega(n, m) as the sum of the solved fundamentals fund(i)
     for min(n,m) < i <= max(n,m), on the diagonals where the table has
@@ -291,18 +284,14 @@ def energy_matrix(table: TransitionTable, omega: np.ndarray) -> OperatorMatrix:
     omega is normally level_omega, the defining convention; the levels
     themselves are bootstrapped from chain_omega by _fill_levels.
     """
-    y = series_product(omega, table.x.c, table.order, np.multiply)
-    return OperatorMatrix(_energy(table, Powers(table.x.c, np.matmul), y, y))
+    return OperatorMatrix(_residual_and_energy(table, table.x.c, omega, omega)[1])
 
 
-def _energy(table: TransitionTable, power: Powers, y: np.ndarray,
-            dy: np.ndarray) -> np.ndarray:
-    """(m/2)(omega0^2 X^2 - y dy) + m/(p+1) * lam * X^(p+1) through the
-    table's order, the powers of X read from power: the energy matrix at
-    y = dy = Y, and its size at |X|, y = -|omega| o |X| and dy = Omega o |X|."""
+def _energy(table: TransitionTable, power: Powers, yy: np.ndarray) -> np.ndarray:
+    """(m/2)(omega0^2 X^2 - yy) + m/(p+1) * lam * X^(p+1) through the
+    table's order, the powers of X read from power and yy standing for Y^2."""
     spec, order = table.spec, table.order
-    e = (0.5 * spec.m) * (spec.omega0**2 * power.stack(2, order + 1)
-                          - series_product(y, dy, order, np.matmul))
+    e = (0.5 * spec.m) * (spec.omega0**2 * power.stack(2, order + 1) - yy)
     p = spec.kind.force_power
     if p and order >= 1:
         e[1:] += (spec.m / (p + 1.0)) * power.stack(p + 1, order)
@@ -322,7 +311,9 @@ def energy_levels(table: TransitionTable) -> TransitionTable:
 
 def _fill_levels(table: TransitionTable, power: Powers) -> TransitionTable:
     y = series_product(chain_omega(table), table.x.c, table.order, np.multiply)
-    table.w = np.diagonal(_energy(table, power, y, y), 0, 1, 2).copy()
+    yy = series_product(y, y, table.order, np.matmul)
+    del y
+    table.w = np.diagonal(_energy(table, power, yy), 0, 1, 2).copy()
     return table
 
 
@@ -360,30 +351,55 @@ def trusted_residual_order(kind: Kind, order: int, delta: int) -> int:
     return order if leading_order(kind, delta) <= max(order, 1) else order + 1
 
 
-def _residual_stacks(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
-    """Equation-of-motion residual stack and the size of its terms.
+def _residual_and_energy(table: TransitionTable, x: np.ndarray, wa: np.ndarray,
+                         wb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """R = omega0^2 x - (wa o wb) o x + lam * x^p through lam^(order+1), in
+    the amplitude convention (off-diagonal entries doubled), and the energy
+    _energy(x, (wa o x)(wb o x)), each power of x formed once for both.
+    At (X, omega, omega) these are the equation-of-motion residual and the
+    energy matrix; at (|X|, -|omega|, Omega), Omega the size of the two
+    levels omega is the difference of, the sizes of their terms: each term
+    by magnitude, with its sign in the formula (negation is exact)."""
+    spec, order, top = table.spec, table.order, table.order + 1
+    # each stack goes once read (at the sizes, nothing else holds -|omega|)
+    y = series_product(wa, x, order, np.multiply)
+    dy = y if wb is wa else series_product(wb, x, order, np.multiply)
+    wsq = series_product(wa, wb, top, np.multiply)
+    del wa, wb
+    yy = series_product(y, dy, order, np.matmul)
+    del y, dy
+    r = spec.omega0**2 * x
+    r -= series_product(wsq, x, top, np.multiply)
+    del wsq
+    power = Powers(x, np.matmul)
+    if spec.kind.force_power:
+        r[1:] += power.stack(spec.kind.force_power, top)
+    r *= np.where(np.eye(x.shape[1], dtype=bool), 1.0, 2.0)
+    return r, _energy(table, power, yy)
 
-    Residual = [omega0^2 - omega^2(n,m)] * X(n,m) + lam * (X^p)(n,m) over
-    the internal ladder, in the amplitude convention (off-diagonal entries
-    doubled).  The size is the same sum with every term taken by
-    magnitude, omega^2 counted as |omega| times the size of the levels
-    omega is the difference of, and X^p as |X|^p.
-    """
-    spec, x = table.spec, table.x
-    top = table.order + 1
+
+def ladder_checks(table: TransitionTable) -> Tuple[Dict[int, float], float]:
+    """Largest scaled trusted residual coefficient per delta = n - m, and
+    largest scaled off-diagonal energy entry (every periodic part of the
+    energy must vanish), over the public entries, each scaled by the size
+    of its terms."""
+    spec, pub = table.spec, table.n_max + 1
     omega = level_omega(table)
-    wsq = series_product(omega, omega, top, np.multiply)
-    r = spec.omega0**2 * x.c - series_product(wsq, x.c, top, np.multiply)
-
-    ax = np.abs(x.c)
-    wsq_size = series_product(np.abs(omega), _level_omega_size(table), top, np.multiply)
-    size = spec.omega0**2 * ax + series_product(wsq_size, ax, top, np.multiply)
-    p = spec.kind.force_power
-    if p:
-        r[1:] += Powers(x.c, np.matmul).stack(p, top)
-        size[1:] += Powers(ax, np.matmul).stack(p, top)
-    convention = np.where(np.eye(x.dim, dtype=bool), 1.0, 2.0)
-    return r * convention, size * convention
+    w = np.abs(table.w)
+    big = (w[:, :, None] + w[:, None, :]) * (TWO_PI / spec.planck_h)  # Omega
+    # sizes first, so that no |X| stack is alive beside the values' pass
+    r_size, e_size = _residual_and_energy(table, np.abs(table.x.c), -np.abs(omega), big)
+    del big
+    r, e = _residual_and_energy(table, table.x.c, omega, omega)
+    del omega
+    a = spec.ladder_amplitude
+    off = ~np.eye(pub, dtype=bool)  # public off-diagonal entries
+    energy = spec.scaled(e[:, :pub, :pub][:, off], spec.m * spec.omega0**2 * a * a,
+                         e_size[:, :pub, :pub][:, off]).max(initial=0.0)
+    scaled = spec.scaled(r[:, :pub, :pub], spec.omega0**2 * a, r_size[:, :pub, :pub])
+    worst = {d: float(np.diagonal(scaled[: trusted_residual_order(spec.kind, table.order, d) + 1],
+                                  -d, 1, 2).max()) for d in range(pub)}
+    return worst, float(energy)
 
 
 def quantum_residuals(table: TransitionTable) -> Dict[Tuple[int, int], LambdaSeries]:
@@ -393,53 +409,21 @@ def quantum_residuals(table: TransitionTable) -> Dict[Tuple[int, int], LambdaSer
     reported in the amplitude convention (off-diagonal entries doubled), so
     each entry reproduces the cosine-coefficient equations term for term.
     """
-    r, _ = _residual_stacks(table)
+    omega = level_omega(table)
+    r = _residual_and_energy(table, table.x.c, omega, omega)[0]
     entries = r.transpose(1, 2, 0).tolist()
-    return {
-        (n, m): LambdaSeries.from_coeffs(entries[n][m])
-        for n in range(table.n_max + 1)
-        for m in range(n + 1)
-    }
+    return {(n, m): LambdaSeries.from_coeffs(entries[n][m])
+            for n in range(table.n_max + 1) for m in range(n + 1)}
 
 
 def worst_scaled_residuals(table: TransitionTable) -> Dict[int, float]:
-    """Largest nondimensionalized trusted residual coefficient per
-    delta = n - m, over the public entries."""
-    spec = table.spec
-    r, size = _residual_stacks(table)
-    scaled = spec.scaled(r, spec.omega0**2 * spec.ladder_amplitude, size)
-    worst: Dict[int, float] = {}
-    for delta in range(table.n_max + 1):
-        k = trusted_residual_order(spec.kind, table.order, delta) + 1
-        n = np.arange(delta, table.n_max + 1)
-        worst[delta] = float(scaled[:k, n, n - delta].max())
-    return worst
+    """The residual half of ladder_checks."""
+    return ladder_checks(table)[0]
 
 
 def offdiagonal_energy_check(table: TransitionTable) -> float:
-    """Largest scaled off-diagonal energy-matrix entry over public states.
-
-    All periodic parts of the energy must vanish to the solved order; this
-    is the internal-consistency check of the whole labeling.  An entry's
-    size is the energy formula with every term taken by magnitude, Y^2
-    counted as (|omega| o |X|)(Omega o |X|), Omega the size of the levels
-    omega is the difference of.
-    """
-    spec, order = table.spec, table.order
-    omega = level_omega(table)
-    e = energy_matrix(table, omega).c
-
-    ax = np.abs(table.x.c)
-    y = series_product(-np.abs(omega), ax, order, np.multiply)
-    dy = series_product(_level_omega_size(table), ax, order, np.multiply)
-    size = _energy(table, Powers(ax, np.matmul), y, dy)
-
-    pub = table.n_max + 1
-    off = ~np.eye(pub, dtype=bool)  # public off-diagonal entries
-    a = spec.ladder_amplitude
-    worst = spec.scaled(e[:, :pub, :pub][:, off], spec.m * spec.omega0**2 * a * a,
-                        size[:, :pub, :pub][:, off])
-    return float(worst.max(initial=0.0))
+    """The energy half of ladder_checks."""
+    return ladder_checks(table)[1]
 
 
 def line_spectrum(table: TransitionTable) -> List[SpectralLine]:

@@ -893,3 +893,23 @@ def test_doctored_tables_print_as_row_by_row(capsys, monkeypatch, variant, kind,
         assert code == 2 and out == "" and capsys.readouterr().out == ""
         assert err == ("error: the result overflows double precision at these parameters "
                        f"({caught.value})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("levels", "--kind", "x3", "--nmax", "3", "--lambda"),
+    ("lines", "--kind", "x3", "--nmax", "3", "--format", "json", "--lambda"),
+    ("verify", "--kind", "x2", "--nmax", "3", "--lambda"),
+    ("oracle-compare", "--kind", "x3", "--nmax", "3", "--lambda"),
+    ("classical", "--kind", "x3", "--a1", "1", "--lambda"),
+    ("levels", "--kind", "x3", "--nmax", "3", "--lam"),  # an abbreviated flag
+])
+def test_negative_number_in_exponent_form_is_a_value(capsys, argv):
+    # argparse reads -1e-3 as a flag unless it is joined to its own with '='
+    spaced = run(capsys, *argv, "-1e-3")
+    assert spaced == run(capsys, *argv[:-1], "--lambda=-1e-3")
+    assert spaced[0] == 0 and spaced[1]
+
+
+def test_negative_tol_in_exponent_form_names_tol(capsys):
+    code, out, err = run(capsys, "verify", "--tol", "-1e-9")
+    assert (code, out) == (2, "") and "tol must be a finite number above 0" in err

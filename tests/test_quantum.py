@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matrixmech import ladder
 from matrixmech.ladder import (
     LadderError,
     OperatorMatrix,
     _base_ladder,
     energy_matrix,
     frequency_consistency,
+    ladder_checks,
+    level_omega,
     line_spectrum,
     offdiagonal_energy_check,
     quantization_residual,
@@ -22,6 +26,7 @@ from matrixmech.ladder import (
 from matrixmech.classical import solve_classical
 from matrixmech.oscillator import Kind, OscillatorSpec
 from matrixmech.series import LambdaSeries, series_product
+from matrixmech.verify import MUTATIONS, apply_mutation
 
 H_PI = math.pi
 X2 = OscillatorSpec(m=1, omega0=1, lam=1e-3, planck_h=H_PI, kind=Kind.QUADRATIC_FORCE)
@@ -590,10 +595,10 @@ def test_solve_matches_the_whole_stack_products_to_the_bit(kind, order):
 @pytest.mark.parametrize("kind, layers", [(Kind.QUADRATIC_FORCE, 12.5), (Kind.CUBIC_FORCE, 13.5)])
 def test_solve_frees_its_pass_arrays_before_the_levels(kind, layers):
     # traced allocation peak of an order-1 solve, in dim x dim float layers
-    # (12.0 for x2, 13.0 for x3): the passes' n - m and divisor grids, and
+    # (11.0 for x2, 12.0 for x3): the passes' n - m and divisor grids, and
     # for x3 the top layer of X^3, are freed before the levels are built,
-    # each about one layer; the table's bits are pinned by
-    # test_solve_matches_the_whole_stack_products_to_the_bit
+    # each about one layer, and Y is freed once Y^2 is formed; the table's
+    # bits are pinned by test_solve_matches_the_whole_stack_products_to_the_bit
     spec = OscillatorSpec(lam=1e-3, kind=kind)
     solve_quantum(spec, 8, 1)
     tracemalloc.start()
@@ -624,3 +629,150 @@ def test_solve_forms_each_power_of_x_once(monkeypatch, kind, order, products):
     solve_quantum(spec, 10, order)
     monkeypatch.undo()
     assert len(calls) == products
+
+
+# ------------------------------------------- the ladder checks in one pass
+
+
+def _reference_checks(table):
+    """The residual, the energy matrix and the sizes of their terms, each
+    by its own sums: omega, Omega, |X| and every power formed afresh per
+    stack, the sizes with every term added by magnitude."""
+    spec, x, order = table.spec, table.x.c, table.order
+    top, p, ax = order + 1, spec.kind.force_power, np.abs(x)
+    f = 2.0 * math.pi / spec.planck_h
+    w = table.w
+    omega = (w[:, :, None] - w[:, None, :]) * f
+    big = (np.abs(w)[:, :, None] + np.abs(w)[:, None, :]) * f
+    convention = np.where(np.eye(x.shape[1], dtype=bool), 1.0, 2.0)
+
+    def power(x, q, max_order):
+        out = x
+        for _ in range(q - 1):
+            out = series_product(out, x, max_order, np.matmul)
+        return out
+
+    def residual(x, wsq, sign):
+        r = spec.omega0**2 * x + sign * series_product(wsq, x, top, np.multiply)
+        if p:
+            r[1:] += power(x, p, top - 1)
+        return r * convention
+
+    def energy(x, y, dy):
+        e = (0.5 * spec.m) * (spec.omega0**2 * power(x, 2, order)
+                              - series_product(y, dy, order, np.matmul))
+        if p and order >= 1:
+            e[1:] += (spec.m / (p + 1.0)) * power(x, p + 1, order - 1)
+        return e
+
+    y = series_product(omega, x, order, np.multiply)
+    return (residual(x, series_product(omega, omega, top, np.multiply), -1.0),
+            residual(ax, series_product(np.abs(omega), big, top, np.multiply), 1.0),
+            energy(x, y, y),
+            energy(ax, series_product(-np.abs(omega), ax, order, np.multiply),
+                   series_product(big, ax, order, np.multiply)))
+
+
+def _check_tables():
+    """Solved tables of every kind and order, plain and under each --mutate
+    that applies, in two unit sets."""
+    for units in [{}, {"m": 1.7, "omega0": 0.6, "planck_h": 3.1}]:
+        for kind, lam in [(Kind.HARMONIC, 0.0), (Kind.QUADRATIC_FORCE, 1e-3),
+                          (Kind.QUADRATIC_FORCE, -1e-2), (Kind.CUBIC_FORCE, 1e-3),
+                          (Kind.CUBIC_FORCE, -1e-2)]:
+            for n_max, order, mutate in itertools.product([1, 3, 10, 48], [0, 1],
+                                                          (None,) + MUTATIONS):
+                table = solve_quantum(OscillatorSpec(lam=lam, kind=kind, **units), n_max, order)
+                if mutate:
+                    try:
+                        apply_mutation(table, mutate)
+                    except ValueError:  # not this kind's mutation
+                        continue
+                yield table
+
+
+@pytest.mark.filterwarnings("ignore::matrixmech.oscillator.SmallnessWarning")
+def test_checks_match_the_separate_sums_to_the_bit():
+    for table in _check_tables():
+        spec, pub = table.spec, table.n_max + 1
+        r, r_size, e, e_size = _reference_checks(table)
+        a = spec.ladder_amplitude
+        scaled = spec.scaled(r, spec.omega0**2 * a, r_size)
+        off = ~np.eye(pub, dtype=bool)
+        worst_energy = spec.scaled(e[:, :pub, :pub][:, off], spec.m * spec.omega0**2 * a * a,
+                                   e_size[:, :pub, :pub][:, off]).max(initial=0.0)
+        worst = {d: float(scaled[:trusted_residual_order(spec.kind, table.order, d) + 1,
+                                 np.arange(d, pub), np.arange(pub - d)].max())
+                 for d in range(pub)}
+        assert ladder_checks(table) == (worst, worst_energy)
+        residuals = quantum_residuals(table)
+        assert all(residuals[n, m] == LambdaSeries.from_coeffs(r[:, n, m].tolist())
+                   for n in range(pub) for m in range(n + 1))
+        assert energy_matrix(table, level_omega(table)).c.tobytes() == e.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::matrixmech.oscillator.SmallnessWarning")
+@pytest.mark.parametrize("kind, mutate", [
+    (Kind.QUADRATIC_FORCE, None), (Kind.QUADRATIC_FORCE, "a2"), (Kind.QUADRATIC_FORCE, "a0"),
+    (Kind.QUADRATIC_FORCE, "w"), (Kind.CUBIC_FORCE, None), (Kind.CUBIC_FORCE, "w"),
+])
+@pytest.mark.parametrize("lam", [1e-3, -1e-2])
+@pytest.mark.parametrize("n_max", [3, 10, 48])
+def test_the_size_of_the_terms_bounds_their_sum(monkeypatch, kind, mutate, lam, n_max):
+    # ladder_checks forms the residual and the energy at (X, omega, omega)
+    # and their sizes at (|X|, -|omega|, Omega); a size below its value
+    # would let a fault pass as round-off
+    table = solve_quantum(OscillatorSpec(lam=lam, kind=kind), n_max, 1)
+    if mutate:
+        apply_mutation(table, mutate)
+    passes = {}
+    one_pass = ladder._residual_and_energy
+
+    def recorded(table, x, wa, wb):
+        out = passes["values" if x is table.x.c else "sizes"] = one_pass(table, x, wa, wb)
+        return out
+
+    monkeypatch.setattr(ladder, "_residual_and_energy", recorded)
+    ladder_checks(table)
+    for value, size in zip(passes["values"], passes["sizes"]):
+        assert np.all(np.abs(value) <= size * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("kind, order, products", [
+    (Kind.QUADRATIC_FORCE, 1, 14), (Kind.CUBIC_FORCE, 1, 20), (Kind.HARMONIC, 1, 12),
+    (Kind.QUADRATIC_FORCE, 0, 4), (Kind.CUBIC_FORCE, 0, 6),
+])
+def test_ladder_checks_form_each_power_once_per_pass(monkeypatch, kind, order, products):
+    # per pass at order 1: x2 forms X^2 (three products, shared by the force
+    # and the energy), X^3's first layer and the three terms of Y^2; x3
+    # forms X^2 and X^3 (six) for the force, X^4's first layer and Y^2
+    table = solve_quantum(OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3,
+                                         kind=kind), 10, order)
+    calls = []
+    matmul = np.matmul
+
+    def counted(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    ladder_checks(table)
+    monkeypatch.undo()
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
+def test_ladder_checks_peak_memory(kind):
+    # traced allocation peak above the solved table, in dim x dim float
+    # layers: 19.7 for x2 and 20.0 for x3, where forming the residual and
+    # the energy check apart peaked at 24.0; each pass frees its inputs
+    # once read, and the sizes' pass runs first
+    table = solve_quantum(OscillatorSpec(lam=1e-3, kind=kind), 256, 1)
+    ladder_checks(solve_quantum(OscillatorSpec(lam=1e-3, kind=kind), 8, 1))
+    tracemalloc.start()
+    try:
+        ladder_checks(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.5 * table.x.c[0].nbytes

@@ -38,13 +38,18 @@ def position_matrix(spec, n_basis):
 
 def solve(spec, n_basis, n_track=5, tracked=True):
     """diagonalize at one coupling, with its eigenvectors if tracked."""
-    bands = _hamiltonian_bands([spec], n_basis)
+    bands = _hamiltonian_bands([spec], n_basis)[0]
     return diagonalize([spec], bands, n_track, 0 if tracked else None)[0]
 
 
 def compare_spec(spec, n_max, n_basis=None):
     """compare on spec's order-1 table solved to n_max."""
     return compare(solve_quantum(spec, n_max=n_max, order=1), n_basis)
+
+
+def counted_deltas(specs, n_basis, tracked):
+    """_counted_deltas on the doubled basis of n_basis states."""
+    return _counted_deltas(specs, _hamiltonian_bands(specs, 2 * n_basis)[0], tracked)
 
 
 def coupling_sweep(lam):
@@ -93,7 +98,7 @@ def test_harmonic_eigenpairs():
     # x elements match half the ladder amplitudes: sqrt(n hbar/(2 m w))
     for n in range(1, 6):
         assert math.isclose(r.x_elements[n - 1, n], math.sqrt(n / 2), rel_tol=1e-12)
-    assert _counted_deltas([r.spec], 32, [r.eigenvalues[:6]])[0] < 1e-12
+    assert counted_deltas([r.spec], 32, [r.eigenvalues[:6]])[0] < 1e-12
 
 
 def test_banded_coupling_structure():
@@ -131,8 +136,8 @@ def test_rs_first_order_values():
     # the table's lam^1 level coefficient and the first-order shift read off H
     t2, t3 = solve_quantum(X2, n_max=4, order=1), solve_quantum(X3, n_max=4, order=1)
     assert t2.level(3)[1] == 0.0  # odd potential term: no diagonal shift
-    assert _rs_shifts(X2, _hamiltonian_bands([X2], 16), 4)[0, 0, 3] == 0.0
-    shift3 = _rs_shifts(X3, _hamiltonian_bands([X3], 16), 4)[0, 0]
+    assert _rs_shifts(X2, _hamiltonian_bands([X2], 16)[0], 4)[0, 0, 3] == 0.0
+    shift3 = _rs_shifts(X3, _hamiltonian_bands([X3], 16)[0], 4)[0, 0]
     for n, expect in ((0, 0.1875e-3), (2, 0.375e-3 * 6.5)):
         assert math.isclose(X3.lam * t3.level(n)[1], expect, rel_tol=1e-13)
         assert math.isclose(shift3[n], expect, rel_tol=1e-13)
@@ -145,7 +150,7 @@ UNIT_SETS = [{}, dict(m=1.7, omega0=0.6, planck_h=3.1)]
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
 def test_rs_shifts_match_closed_forms(kind, units):
     spec = OscillatorSpec(lam=2e-3, kind=kind, **units)
-    shifts = _rs_shifts(spec, _hamiltonian_bands([spec], 16), 5)[:, 0]
+    shifts = _rs_shifts(spec, _hamiltonian_bands([spec], 16)[0], 5)[:, 0]
     for n in range(6):
         first, second = rs_closed_forms(spec, n)
         if kind is Kind.QUADRATIC_FORCE:
@@ -162,7 +167,7 @@ def test_x3_ground_level_against_diagonalization():
     second = (21.0 / 128.0) * X3.lam**2
     first_order = solve_quantum(X3, n_max=1, order=1).level(0).eval(X3.lam)
     assert abs(abs(r.eigenvalues[0] - first_order) - second) < 1e-9
-    assert _counted_deltas([X3], 64, [r.eigenvalues[:6]])[0] < 1e-10
+    assert counted_deltas([X3], 64, [r.eigenvalues[:6]])[0] < 1e-10
 
 
 def test_determinism():
@@ -178,8 +183,8 @@ def test_determinism():
             b = solve(spec, n)
             for name in ("eigenvalues", "eigenvectors", "x_elements"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert (_counted_deltas([spec], n, [a.eigenvalues[:6]])
-                    == _counted_deltas([spec], n, [b.eigenvalues[:6]]))
+            assert (counted_deltas([spec], n, [a.eigenvalues[:6]])
+                    == counted_deltas([spec], n, [b.eigenvalues[:6]]))
 
 
 def test_basis_size_validation():
@@ -563,7 +568,7 @@ def test_parity_block_eigenvectors(kind, n, units):
 
 def _band(spec, n):
     """Lower band of H at one coupling."""
-    return _hamiltonian_bands([spec], n)[0]
+    return _hamiltonian_bands([spec], n)[0][0]
 
 
 def _block_bands(spec, n):
@@ -674,7 +679,7 @@ def test_certified_delta_bounds_measured_delta(kind, lam, n_basis):
     # gate is not certified and the delta is counted up DELTA_LADDER, to
     # within a quarter decade above the measured one
     specs, tracked = _sweep_levels(OscillatorSpec(lam=lam, kind=kind), n_basis)
-    deltas = _counted_deltas(specs, n_basis, tracked)
+    deltas = counted_deltas(specs, n_basis, tracked)
     for s, t, delta in zip(specs, tracked, deltas):
         measured = measured_delta(s, n_basis, t)
         assert delta >= measured
@@ -689,7 +694,7 @@ def test_unsound_pivots_are_uncertified(monkeypatch):
     monkeypatch.setattr(oracle, "_negative_pivots",
                         lambda bands, shifts: (np.zeros(shifts.shape, int),
                                                np.zeros(len(shifts), bool)))
-    assert _counted_deltas(specs, 80, tracked) == [None] * 4
+    assert counted_deltas(specs, 80, tracked) == [None] * 4
     rep = compare_spec(spec, 5, 80)
     assert rep.convergence_deltas == [DELTA_LADDER[-1]] * 4
     assert [f for f in rep.failures if f.startswith("convergence")] == [
@@ -734,7 +739,7 @@ def test_lowest_rung_first_keeps_the_delta_rule(kind, lam, n_basis):
     # a coupling uncertified at the gate: its two-sweep search of
     # DELTA_LADDER finds the first rung that one sweep of every rung certifies
     wide = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER + DELTA_LADDER)
-    assert (_counted_deltas(specs, n_basis, tracked)
+    assert (counted_deltas(specs, n_basis, tracked)
             == [w if g is None else g for g, w in zip(gate, wide)])
 
 
@@ -749,7 +754,7 @@ def test_delta_ladder_search_finds_every_rung(kind):
     offsets = [10.0 ** ((e + 0.5) / 4) for e in range(-42, 12)]
     exact = dense_reference(spec, 64).eigenvalues[:6]
     specs, tracked = [spec] * len(offsets), [exact + off for off in offsets]
-    got = _counted_deltas(specs, 32, tracked)
+    got = counted_deltas(specs, 32, tracked)
     assert got == [next((r for r in rungs if r > off), None) for off in offsets]
     assert got == _all_rungs_deltas(specs, 32, tracked, rungs)
 
@@ -861,23 +866,45 @@ def test_amplitude_gate_is_in_the_smallness_ratio(kind, units):
     assert 0.05 < worst < 0.3  # at least 4x below the gate
 
 
-# --- x^q band once per basis size; diagonal-band inertia ---------------------
+# --- one x^q recursion for both basis sizes; diagonal-band inertia ----------
 
 @pytest.mark.parametrize("n_basis", [64, 256])
 def test_compare_forms_each_basis_band_once(monkeypatch, n_basis):
-    # the lam-independent x^q band is formed once for the N basis and once
-    # for the doubled one, whether the full blocks or Ritz rungs solve it
-    calls = []
-    real = oracle._hamiltonian_bands
+    # one recursion forms the lam-independent x^q band for the N basis and
+    # the doubled one, whether the full blocks or Ritz rungs solve it, and
+    # a converged sweep counts the doubled basis in one sweep
+    calls, sweeps = [], []
+    real_bands, real_pivots = oracle._hamiltonian_bands, oracle._negative_pivots
 
-    def spy(specs, n):
-        calls.append((len(specs), n))
-        return real(specs, n)
+    def bands_spy(specs, *sizes):
+        calls.append((len(specs), sizes))
+        return real_bands(specs, *sizes)
 
-    monkeypatch.setattr(oracle, "_hamiltonian_bands", spy)
+    def pivots_spy(bands, shifts):
+        sweeps.append(bands.shape)
+        return real_pivots(bands, shifts)
+
+    monkeypatch.setattr(oracle, "_hamiltonian_bands", bands_spy)
+    monkeypatch.setattr(oracle, "_negative_pivots", pivots_spy)
     rep = compare_spec(X2, 5, n_basis)
     assert rep.passed, rep.failures
-    assert calls == [(4, n_basis), (4, 2 * n_basis)]
+    assert calls == [(4, (n_basis, 2 * n_basis))]
+    assert sweeps == [(1, 4, 4, 2 * n_basis)]
+
+
+@pytest.mark.parametrize("units", [{}, ODD_UNITS])
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [8, 9, 16, 33, 56, 128, 129, 384])
+def test_shared_recursion_equals_single_size_builds(kind, n, units):
+    # the N and 2N bands of one recursion are those of a recursion of each
+    # width alone, to the bit, signed zeros included
+    lams = [0.0] if kind is Kind.HARMONIC else [-3e-3, 0.0, 1e-3, 0.2]
+    specs = [OscillatorSpec(lam=l, kind=kind, **units) for l in lams]
+    shared = _hamiltonian_bands(specs, n, 2 * n)
+    for got, size in zip(shared, (n, 2 * n)):
+        want = _hamiltonian_bands(specs, size)[0]
+        assert got.shape == want.shape and got.shape[::2] == (len(specs), size)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind,entries", [(Kind.QUADRATIC_FORCE, [(15, 14)]),
@@ -1103,7 +1130,7 @@ SMALL_GRID = [
 @pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID + [g[:3] for g in SMALL_GRID])
 def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
     specs = _sweep_at_ratio(kind, lam, units)
-    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
+    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis)[0], 5, 0)
     hbw = specs[0].hbar * specs[0].omega0
     full = {g[:3]: g[3] for g in SMALL_GRID}.get((kind, lam, n_basis), 0)
     solved = [len(r.eigenvalues) > 6 for r in ritz]  # a block solved whole, else k_b values a block
@@ -1121,7 +1148,7 @@ def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
 @pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID[:3] + BANDED_GRID[5:8])
 def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
     specs = _sweep_at_ratio(kind, lam, {})
-    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
+    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis)[0], 5, 0)
     assert all(len(r.eigenvalues) < n_basis for r in ritz)
     rep = compare_spec(specs[1], 5, n_basis)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
@@ -1142,7 +1169,7 @@ def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     for n_basis in (512, 384, 256):
         calls["eigh"].clear()
-        ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis), 5, 0)
+        ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis)[0], 5, 0)
         assert [len(r.eigenvalues) for r in ritz] == [6, 6, 6, 6 if n_basis > 256 else n_basis]
         assert calls == {"eigh": [(8, 16, 16), (8, 32, 32), (8, 64, 64), (2, 128, 128)],
                          "eigvalsh": []}
@@ -1213,7 +1240,7 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
     # its delta is counted on them up DELTA_LADDER, and no full block is solved
     spec = OscillatorSpec(lam=0.015, kind=Kind.QUADRATIC_FORCE)
     specs = [OscillatorSpec(lam=l, kind=spec.kind) for l in coupling_sweep(spec.lam)]
-    ritz = diagonalize(specs, _hamiltonian_bands(specs, 256), 5, 0)
+    ritz = diagonalize(specs, _hamiltonian_bands(specs, 256)[0], 5, 0)
     assert all(len(r.eigenvalues) < 256 for r in ritz)
     sizes = []
     real = oracle._eigh
@@ -1226,7 +1253,7 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
     rep = compare_spec(spec, 5, 256)
     assert max(sizes) <= 128
     assert [r.exact for r in rep.levels if r.lam == 0.06] == ritz[3].eigenvalues[:6].tolist()
-    counted = _counted_deltas(specs, 256, [r.eigenvalues[:6] for r in ritz])
+    counted = counted_deltas(specs, 256, [r.eigenvalues[:6] for r in ritz])
     assert rep.convergence_deltas[3] == counted[3] == 10.0 ** (9 / 4)
     assert rep.failures == ["convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10"]
 
@@ -1294,7 +1321,7 @@ def per_coupling_bands(specs, n_basis):
 def test_batched_bands_equal_the_per_coupling_loop(kind, n, units):
     lams = [0.0] if kind is Kind.HARMONIC else [-3e-3, 0.0, 1e-3, 0.2]
     specs = [OscillatorSpec(lam=l, kind=kind, **units) for l in lams]
-    bands = _hamiltonian_bands(specs, n)
+    bands = _hamiltonian_bands(specs, n)[0]
     expect = per_coupling_bands(specs, n)
     assert bands.shape == (len(specs),) + expect[0].shape
     for got, want in zip(bands, expect):
@@ -1323,7 +1350,7 @@ def test_rs_shifts_equal_the_dense_row_sums(kind, n, units):
     # order, within 2 eps of the sum of its terms' sizes
     lams = [0.0] if kind is Kind.HARMONIC else [-3e-3, 1e-3, 0.2]
     specs = [OscillatorSpec(lam=l, kind=kind, **units) for l in lams]
-    bands = _hamiltonian_bands(specs, n)
+    bands = _hamiltonian_bands(specs, n)[0]
     dense = [build_hamiltonian(s, n) for s in specs]
     for n_track in sorted({0, 1, 5, min(n - 1, 12), min(n - 1, 70)}):
         shifts = _rs_shifts(specs[0], bands, n_track)

@@ -23,7 +23,6 @@ from .ladder import (
     solve_quantum,
 )
 from .oracle import (
-    OracleResult,
     build_hamiltonian,
     compare,
     diagonalize,
@@ -41,7 +40,6 @@ __all__ = [
     "Kind",
     "LambdaSeries",
     "OperatorMatrix",
-    "OracleResult",
     "OscillatorSpec",
     "PathTerm",
     "SmallnessWarning",

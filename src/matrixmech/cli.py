@@ -372,8 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for message in dict.fromkeys(str(w.message) for w in caught):
                 print(f"warning: {message}", file=sys.stderr)
         return code
-    except (ConfigError, ValueError, ld.LadderError, cl.SeriesOrderError,
-            orc.OracleError) as exc:
+    except (ValueError, orc.OracleError) as exc:  # ConfigError, LadderError, SeriesOrderError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OverflowError as exc:

@@ -162,22 +162,28 @@ def _base_ladder(spec: OscillatorSpec, n_max: int, order: int, pad: int) -> Tran
 
 
 def sum_rule_residuals(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
-    """pi*m*omega*[a^2(n+1,n) - a^2(n,n-1)] - h at order 0 for n = 0 ..
-    n_max-1 (zero when the ladder is correctly quantized), and the size of
-    its terms, the same sum with each term taken by magnitude."""
-    spec = table.spec
-    up = 2.0 * np.diagonal(table.x.c[0], -1)[: table.n_max]  # a(n+1, n)
-    down = np.concatenate(([0.0], up[:-1]))
-    c = math.pi * spec.m * spec.omega0
-    return (c * (up * up - down * down) - spec.planck_h,
-            c * (up * up + down * down) + spec.planck_h)
+    """pi*m*[a^2 omega(n+1, n) - a^2 omega(n, n-1)] - h for n = 0 .. n_max-1,
+    row k its lam^k coefficient for k <= order (zero when the ladder is
+    correctly quantized), omega the solved fundamentals fund, and the size
+    of its terms, the same sums with every factor taken by magnitude."""
+    spec, order = table.spec, table.order
+    a = 2.0 * np.diagonal(table.x.c[: order + 1], -1, 1, 2)[:, : table.n_max]  # a(n+1, n)
+    omega = table.fund[:, 1 : table.n_max + 1] / spec.omega0
+    h = np.eye(order + 1, 1) * spec.planck_h
+
+    def rule(a, omega, sign):  # a^2 omega/omega0 at (n+1, n), with sign that at (n, n-1)
+        up = series_product(series_product(a, a, order, np.multiply), omega, order, np.multiply)
+        down = np.concatenate([np.zeros((order + 1, 1)), up[:, :-1]], axis=1)  # a(0, -1) = 0
+        return math.pi * spec.m * spec.omega0 * (up + sign * down) + sign * h
+
+    return rule(a, omega, -1.0), rule(np.abs(a), np.abs(omega), 1.0)
 
 
 def quantization_residual(table: TransitionTable, n: int) -> float:
-    """The sum rule residual of sum_rule_residuals for one n."""
+    """The lam^0 sum rule residual of sum_rule_residuals for one n."""
     if not 0 <= n < table.n_max:
         raise LadderError("n must lie in 0 .. n_max-1 (n+1 on the public ladder)")
-    return float(sum_rule_residuals(table)[0][n])
+    return float(sum_rule_residuals(table)[0][0, n])
 
 
 def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTable:

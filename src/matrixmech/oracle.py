@@ -29,16 +29,6 @@ class OracleError(RuntimeError):
     pass
 
 
-@dataclass
-class OracleResult:
-    spec: OscillatorSpec
-    n_basis: int
-    eigenvalues: np.ndarray  # ascending: all of a block solved whole, else its lowest Ritz values
-    eigenvectors: np.ndarray  # (N, k): the k = n_track+1 tracked states as columns
-    x_elements: np.ndarray  # |<E_i| x |E_j>| for the tracked states i, j <= n_track
-    n_track: Optional[int]  # None: eigenvalues only, k = 0
-
-
 def _x_offdiagonal(spec: OscillatorSpec, n_basis: int) -> np.ndarray:
     """<k-1| x |k> for k = 1 .. n_basis-1: scale*sqrt(k)."""
     scale = math.sqrt(spec.hbar / (2.0 * spec.m * spec.omega0))
@@ -278,7 +268,7 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
 
 
 def _counted_deltas(
-    specs: Sequence[OscillatorSpec], bands: np.ndarray, tracked: Sequence[np.ndarray],
+    specs: Sequence[OscillatorSpec], bands: np.ndarray, levels: np.ndarray,
 ) -> List[Optional[float]]:
     """Basis-doubling delta of each coupling's tracked eigenvalues that
     inertia counts of the doubled basis certify, in units of hbar*omega0;
@@ -291,9 +281,9 @@ def _counted_deltas(
     values given, and at lam 1.2 at 1e-12 against 1.2e-12.  Tracked
     eigenvalue i of H_2N lies within e of E_i exactly when H_2N - (E_i - e)
     has at most i negative pivots and H_2N - (E_i + e) at least i + 1, so
-    a certified rung stays certified up the ladder.  The E_i are the
-    values given, Ritz or exact.  H_2N is each coupling's lower band of
-    the doubled basis, bands (C, q + 1, 2N) from _hamiltonian_bands,
+    a certified rung stays certified up the ladder.  The E_i are the rows
+    of levels (C, k), Ritz or exact.  H_2N is each coupling's lower band
+    of the doubled basis, bands (C, q + 1, 2N) from _hamiltonian_bands,
     split into its parity blocks.  Each sweep counts all its couplings'
     shifts at once (_pivots): the lowest rung; the rest of the gate, for
     the couplings it left; then, for those the gate leaves, DELTA_LADDER
@@ -305,7 +295,6 @@ def _counted_deltas(
     that is not.  A coupling with a swept pivot zero or not finite gets
     None.
     """
-    levels = np.array(tracked)  # (C, k)
     i = np.arange(levels.shape[1])
     blocks = _parity_blocks(specs[0])
     # a parity block's band: every other diagonal
@@ -342,50 +331,14 @@ def _counted_deltas(
     return deltas
 
 
-Pairs = Tuple[np.ndarray, Optional[np.ndarray]]  # (eigenvalues, eigenvectors or None)
-
-
-def _merge(
-    spec: OscillatorSpec, n_basis: int, parts: Sequence[Pairs], n_track: Optional[int],
-) -> OracleResult:
-    """One OracleResult from each parity block's ascending eigenvalues and
-    (n_track not None) the vectors of its lowest states, held in the
-    block's leading rows.
-
-    The spectra are merged by a stable sort, which keeps the even state
-    first on a tie.  The vectors of the k = n_track+1 lowest states are
-    scattered into their parity rows as the columns of an N x k array;
-    x_elements is |V_k^T (x V_k)|, with x V_k formed from the two
-    off-diagonals of x in O(N k).
-    """
-    evals = np.concatenate([w for w, _ in parts])
-    order = np.argsort(evals, kind="stable")
-    if n_track is None:  # most calls; the vector work would add about 25 us to each
-        return OracleResult(spec=spec, n_basis=n_basis, eigenvalues=evals[order],
-                            eigenvectors=np.zeros((n_basis, 0)),
-                            x_elements=np.zeros((0, 0)), n_track=None)
-
-    k = min(n_track + 1, n_basis)
-    vk = np.zeros((n_basis, k), order="F")
-    start = 0
-    for b, (w, v) in zip(_parity_blocks(spec), parts):
-        cols = order[:k] - start
-        mine = (cols >= 0) & (cols < len(w))
-        vk[b][: len(v), mine] = v[:, cols[mine]]
-        start += len(w)
-    off = _x_offdiagonal(spec, n_basis)[:, None]
-    xv = np.zeros_like(vk)
-    xv[:-1] = off * vk[1:]
-    xv[1:] += off * vk[:-1]
-
-    return OracleResult(
-        spec=spec,
-        n_basis=n_basis,
-        eigenvalues=evals[order],
-        eigenvectors=vk,
-        x_elements=np.abs(vk.T @ xv),
-        n_track=n_track,
-    )
+def _x_elements(spec: OscillatorSpec, vectors: np.ndarray) -> np.ndarray:
+    """|V^T (x V)| for the tracked states, the columns of vectors (N, k),
+    with x V formed from the two off-diagonals of x in O(N k)."""
+    off = _x_offdiagonal(spec, len(vectors))[:, None]
+    xv = np.zeros_like(vectors)
+    xv[:-1] = off * vectors[1:]
+    xv[1:] += off * vectors[:-1]
+    return np.abs(vectors.T @ xv)
 
 
 def _eigh(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -414,17 +367,17 @@ RITZ_TOL = 1e-13
 def diagonalize(
     specs: Sequence[OscillatorSpec], bands: Sequence[np.ndarray], n_track: int,
     base: Optional[int],
-) -> List[OracleResult]:
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Each coupling's lowest eigenpairs from its lower band of H
     (_hamiltonian_bands): the oracle's one eigensolve.
 
     An even potential (x3 kind, harmonic) makes H block diagonal in
-    parity, so its even and odd blocks are solved separately and merged
-    (_merge); x^3 couples both parities, one block.  Each block, of n_p
-    rows, tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states
-    up a ladder of rungs, m = states/blocks rows for states in RITZ_STATES
-    (only m > k_b) and then m = 128: one batched eigh per rung and
-    block size (odd N: the blocks differ by a row) of each block's leading
+    parity, so its even and odd blocks are solved separately and merged;
+    x^3 couples both parities, one block.  Each block, of n_p rows,
+    tracks k_b = ceil(k/blocks) of the k = n_track+1 lowest states up a
+    ladder of rungs, m = states/blocks rows for states in RITZ_STATES
+    (only m > k_b) and then m = 128: one batched eigh per rung and block
+    size (odd N: the blocks differ by a row) of each block's leading
     min(m, n_p) rows, so no call sees more than 128 rows and the output
     holds at any BLAS thread count.  Block Davidson from the unit vectors
     with the diagonal preconditioner searches exactly the span of the
@@ -434,16 +387,19 @@ def diagonalize(
     the first m where |B y| <= RITZ_TOL*hbar*omega0 for its k_b pairs, and
     at its last rung, min(n_p, 128) rows, whatever the residual.  Each
     theta bounds the block's eigenvalue from above (Cauchy interlacing).
-    Eigenvalues: all of a block solved whole, else its k_b lowest Ritz
-    values, converged basis or not; compare's counts certify or fail them.
-    Eigenvectors and x_elements of the k lowest states at coupling base
-    only.  Deterministic for fixed input.
+    Returns (levels, vectors): levels (C, k), each coupling's k lowest
+    eigenvalues, exact for a block solved whole, else Ritz values, converged
+    basis or not (compare's counts certify or fail them), its blocks merged
+    by a stable sort (a tie keeps the even state first); vectors (N, k), the
+    states of levels[base] as columns in their parity rows, None when base
+    is None.  Deterministic for fixed input.
     """
     blocks = _parity_blocks(specs[0])
     nb, n_basis = len(blocks), bands[0].shape[1]
-    kb = -(-min(n_track + 1, n_basis) // nb)
+    k = min(n_track + 1, n_basis)
+    kb = -(-k // nb)
     parts = [band[::nb, b] for band in bands for b in blocks]  # block b of coupling c at c*nb + b
-    found: List[Optional[Pairs]] = [None] * len(parts)
+    found: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(parts)
     todo = list(range(len(parts)))
     tol, w = (RITZ_TOL * (specs[0].hbar * specs[0].omega0)) ** 2, parts[0].shape[0] - 1
     for m in sorted({s // nb for s in RITZ_STATES if s // nb > kb} | {128}):
@@ -459,8 +415,20 @@ def diagonalize(
                 elif ok or size == 128:  # a block of more than 128 rows ends at its 128-row corner
                     found[p] = (t[:kb], v[:, :kb])
             todo = [p for p in todo if found[p] is None]
-    return [_merge(s, n_basis, found[c * nb : (c + 1) * nb], n_track if c == base else None)
-            for c, s in enumerate(specs)]
+    levels, vectors = np.empty((len(specs), k)), None
+    for c in range(len(specs)):
+        pairs = found[c * nb : (c + 1) * nb]
+        evals = np.concatenate([t for t, _ in pairs])
+        order = np.argsort(evals, kind="stable")[:k]
+        levels[c] = evals[order]
+        if c == base:  # each block's vectors sit in its leading rows
+            vectors, start = np.zeros((n_basis, k), order="F"), 0
+            for b, (t, v) in zip(blocks, pairs):
+                cols = order - start
+                mine = (cols >= 0) & (cols < len(t))
+                vectors[b][: len(v), mine] = v[:, cols[mine]]
+                start += len(t)
+    return levels, vectors
 
 
 def _rs_shifts(spec: OscillatorSpec, bands: np.ndarray, n_track: int) -> np.ndarray:
@@ -572,7 +540,7 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
     both the doubling delta and |theta_i - lambda_i(H_N)|: a block left
     unfinished at its 128-row corner needs no larger solve.  Eigenvectors
     are tracked at the base coupling only, lam/2 (report.base_lam), where
-    the amplitudes read x_elements.
+    the amplitudes read their x elements (_x_elements).
 
     The verdict is report.failures, each led by the word of its gate:
     - convergence: a doubling delta above CONVERGENCE_GATE, or above the
@@ -609,16 +577,15 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
     bands, doubled = _hamiltonian_bands(specs, n_basis, 2 * n_basis)
     shifts = _rs_shifts(spec, bands, n_track)[j - 1]  # lam^j E_j(n)
 
-    sweep = diagonalize(specs, bands, n_track, None if base_lam is None else 0)
-    deltas = _counted_deltas(specs, doubled, [r.eigenvalues[: n_track + 1] for r in sweep])
+    levels, vectors = diagonalize(specs, bands, n_track, None if base_lam is None else 0)
+    deltas = _counted_deltas(specs, doubled, levels)
     report.convergence_deltas = [DELTA_LADDER[-1] if d is None else d for d in deltas]
 
     unconverged = report.unconverged
     hbw = spec.hbar * spec.omega0
     series = [table.level(n) for n in range(n_track + 1)]
     tols = np.maximum(4.0 * np.abs(shifts), 1e-10 * spec.hbar * spec.omega0).tolist()
-    for r, delta, tol in zip(sweep, deltas, tols):
-        lam, exact = r.spec.lam, r.eigenvalues[: n_track + 1].tolist()
+    for lam, exact, delta, tol in zip(lambdas, levels.tolist(), deltas, tols):
         if lam in unconverged:
             told = (f"> {DELTA_LADDER[-1] * hbw:.3e}" if delta is None
                     else f"{delta * hbw:.3e} > {CONVERGENCE_GATE * hbw:.3e}")
@@ -657,7 +624,7 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
 
     # amplitude comparison at the base coupling
     if base_lam is not None:  # a harmonic spec has lam == 0
-        s, evals, x_elem = sweep[0].spec, sweep[0].eigenvalues, sweep[0].x_elements
+        s, evals, x_elem = specs[0], levels[0], _x_elements(specs[0], vectors)
         # 1.25*r^2 in the smallness ratio r at base_lam (5*lam^2 for x3 and
         # 2.5*lam^2 for x2 in default units); OverflowError beyond r ~ 1e154
         amp_tol = 1.25 * s.smallness_ratio() ** 2

@@ -13,11 +13,11 @@ from matrixmech.oracle import (
     OracleError,
     _counted_deltas,
     _hamiltonian_bands,
-    _merge,
     _negative_pivots,
     _parity_blocks,
     _pivots,
     _rs_shifts,
+    _x_elements,
     _x_offdiagonal,
     build_hamiltonian,
     compare,
@@ -37,9 +37,11 @@ def position_matrix(spec, n_basis):
 
 
 def solve(spec, n_basis, n_track=5, tracked=True):
-    """diagonalize at one coupling, with its eigenvectors if tracked."""
+    """diagonalize at one coupling: its n_track + 1 lowest levels and, if
+    tracked, their eigenvectors (else None)."""
     bands = _hamiltonian_bands([spec], n_basis)[0]
-    return diagonalize([spec], bands, n_track, 0 if tracked else None)[0]
+    levels, vectors = diagonalize([spec], bands, n_track, 0 if tracked else None)
+    return levels[0], vectors
 
 
 def compare_spec(spec, n_max, n_basis=None):
@@ -49,7 +51,7 @@ def compare_spec(spec, n_max, n_basis=None):
 
 def counted_deltas(specs, n_basis, tracked):
     """_counted_deltas on the doubled basis of n_basis states."""
-    return _counted_deltas(specs, _hamiltonian_bands(specs, 2 * n_basis)[0], tracked)
+    return _counted_deltas(specs, _hamiltonian_bands(specs, 2 * n_basis)[0], np.array(tracked))
 
 
 def coupling_sweep(lam):
@@ -57,20 +59,37 @@ def coupling_sweep(lam):
     return [lam / 2, lam, 2 * lam, 4 * lam] if lam != 0 else [0.0]
 
 
+def merged(spec, n_basis, parts, n_track):
+    """Each parity block's eigenpairs (w, v), v held in the block's leading
+    rows, as every eigenvalue merged ascending by a stable sort and (n_track
+    not None) the vectors of the n_track + 1 lowest states in their parity
+    rows, else None."""
+    evals = np.concatenate([w for w, _ in parts])
+    order = np.argsort(evals, kind="stable")
+    if n_track is None:
+        return evals[order], None
+    vectors = np.zeros((n_basis, len(evals)))  # every block's vectors, in evals' order
+    start = 0
+    for b, (w, v) in zip(_parity_blocks(spec), parts):
+        vectors[b][: len(v), start : start + len(w)] = v
+        start += len(w)
+    return evals[order], vectors[:, order[: n_track + 1]]
+
+
 def dense_reference(spec, n_basis, n_track=None):
     """The dense reference for diagonalize: np.linalg.eigvalsh (eigh when
     n_track is given) of each parity block of build_hamiltonian's matrix,
-    merged ascending."""
+    merged (every eigenvalue, and the tracked vectors or None)."""
     h = build_hamiltonian(spec, n_basis)
     parts = [np.linalg.eigh(h[b, b]) if n_track is not None else (np.linalg.eigvalsh(h[b, b]), None)
              for b in _parity_blocks(spec)]
-    return _merge(spec, n_basis, parts, n_track)
+    return merged(spec, n_basis, parts, n_track)
 
 
 def measured_delta(spec, n_basis, tracked):
     """Largest change of the tracked eigenvalues when the basis is doubled,
     from the dense reference, in units of hbar*omega0."""
-    doubled = dense_reference(spec, 2 * n_basis).eigenvalues
+    doubled, _ = dense_reference(spec, 2 * n_basis)
     return float(np.max(np.abs(tracked - doubled[: len(tracked)]))) / (spec.hbar * spec.omega0)
 
 
@@ -90,15 +109,17 @@ def test_harmonic_hamiltonian_is_diagonal():
 
 
 def test_harmonic_eigenpairs():
-    r = solve(OscillatorSpec(), 32)
-    assert np.max(np.abs(r.eigenvalues - (np.arange(32) + 0.5))) < 1e-12
+    spec = OscillatorSpec()
+    levels, vectors = solve(spec, 32, n_track=31)  # every state tracked
+    assert np.max(np.abs(levels - (np.arange(32) + 0.5))) < 1e-12
     # orthonormal eigenvectors, one per tracked state
-    g = r.eigenvectors.T @ r.eigenvectors
-    assert np.max(np.abs(g - np.eye(6))) < 1e-10
+    g = vectors.T @ vectors
+    assert np.max(np.abs(g - np.eye(32))) < 1e-10
     # x elements match half the ladder amplitudes: sqrt(n hbar/(2 m w))
+    x = _x_elements(spec, vectors)
     for n in range(1, 6):
-        assert math.isclose(r.x_elements[n - 1, n], math.sqrt(n / 2), rel_tol=1e-12)
-    assert counted_deltas([r.spec], 32, [r.eigenvalues[:6]])[0] < 1e-12
+        assert math.isclose(x[n - 1, n], math.sqrt(n / 2), rel_tol=1e-12)
+    assert counted_deltas([spec], 32, [levels[:6]])[0] < 1e-12
 
 
 def test_banded_coupling_structure():
@@ -161,30 +182,29 @@ def test_rs_shifts_match_closed_forms(kind, units):
 
 
 def test_x3_ground_level_against_diagonalization():
-    r = solve(X3, 64)
-    assert abs(r.eigenvalues[0] - 0.5001875) < 5e-7
+    levels, _ = solve(X3, 64)
+    assert abs(levels[0] - 0.5001875) < 5e-7
     # the gap to first order is the known second-order shift
     second = (21.0 / 128.0) * X3.lam**2
     first_order = solve_quantum(X3, n_max=1, order=1).level(0).eval(X3.lam)
-    assert abs(abs(r.eigenvalues[0] - first_order) - second) < 1e-9
-    assert counted_deltas([X3], 64, [r.eigenvalues[:6]])[0] < 1e-10
+    assert abs(abs(levels[0] - first_order) - second) < 1e-9
+    assert counted_deltas([X3], 64, [levels])[0] < 1e-10
 
 
 def test_determinism():
     a = solve(X3, 48, n_track=4)
     b = solve(X3, 48, n_track=4)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.x_elements, b.x_elements)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(_x_elements(X3, a[1]), _x_elements(X3, b[1]))
     # every kind, odd N, with the merged parity blocks and the doubling
     # check; at 257 the Ritz rungs
     for spec in (OscillatorSpec(), X2, X3):
         for n in (65, 257):
             a = solve(spec, n)
             b = solve(spec, n)
-            for name in ("eigenvalues", "eigenvectors", "x_elements"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert (counted_deltas([spec], n, [a.eigenvalues[:6]])
-                    == counted_deltas([spec], n, [b.eigenvalues[:6]]))
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+            assert np.array_equal(_x_elements(spec, a[1]), _x_elements(spec, b[1]))
+            assert counted_deltas([spec], n, [a[0]]) == counted_deltas([spec], n, [b[0]])
 
 
 def test_basis_size_validation():
@@ -500,16 +520,16 @@ def test_tracked_x_elements_match_full_product(kind, n_basis, n_track):
     # at 256 the tracked states are Ritz pairs of the leading rows
     spec = OscillatorSpec(lam=0.0 if kind is Kind.HARMONIC else 1e-3, kind=kind)
     h = build_hamiltonian(spec, n_basis)
-    r = solve(spec, n_basis, n_track=n_track)
+    _, vk = solve(spec, n_basis, n_track=n_track)
+    elements = _x_elements(spec, vk)
     k = min(n_track + 1, n_basis)
-    assert r.x_elements.shape == (k, k)
-    assert r.eigenvectors.shape == (n_basis, k)
+    assert elements.shape == (k, k)
+    assert vk.shape == (n_basis, k)
     x = position_matrix(spec, n_basis)
     _, v = np.linalg.eigh(h)  # the full basis, unsplit
     full = np.abs(v.T @ x @ v)
-    assert np.max(np.abs(r.x_elements - full[:k, :k])) <= 1e-12
-    vk = r.eigenvectors
-    assert np.max(np.abs(r.x_elements - np.abs(vk.T @ x @ vk))) <= 1e-12
+    assert np.max(np.abs(elements - full[:k, :k])) <= 1e-12
+    assert np.max(np.abs(elements - np.abs(vk.T @ x @ vk))) <= 1e-12
 
 
 def test_compare_builds_without_matrix_power(monkeypatch):
@@ -541,20 +561,20 @@ def test_parity_blocks_match_unsplit_eigenvalues(monkeypatch, kind, n, units):
     rows = min(n, 256)
     expect = np.linalg.eigvalsh(build_hamiltonian(spec, n)[:rows, :rows])
     bound = 1e-13 * np.max(np.abs(expect))
-    r = solve(spec, n, tracked=False)
-    assert len(r.eigenvalues) == (n if n <= 256 else 6)
-    assert np.max(np.abs(r.eigenvalues - expect[: len(r.eigenvalues)])) <= bound
-    assert r.eigenvectors.shape == (n, 0) and r.x_elements.shape == (0, 0)
-    r = solve(spec, n)
-    assert np.max(np.abs(r.eigenvalues - expect[: len(r.eigenvalues)])) <= bound
+    # every state tracked where the blocks are whole, else the k_b per block
+    levels, vectors = solve(spec, n, n_track=n - 1 if n <= 256 else 5, tracked=False)
+    assert len(levels) == (n if n <= 256 else 6)
+    assert np.max(np.abs(levels - expect[: len(levels)])) <= bound
+    assert vectors is None
+    levels, _ = solve(spec, n)
+    assert np.max(np.abs(levels - expect[: len(levels)])) <= bound
 
 
 @pytest.mark.parametrize("units", [{}, ODD_UNITS])
 @pytest.mark.parametrize("kind", EVEN_KINDS)
 @pytest.mark.parametrize("n", [8, 9, 64])
 def test_parity_block_eigenvectors(kind, n, units):
-    r = solve(_even_spec(kind, units), n)
-    v = r.eigenvectors
+    _, v = solve(_even_spec(kind, units), n)
     k = min(6, n)
     assert v.shape == (n, k)
     assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
@@ -663,7 +683,7 @@ def test_zero_pivot_is_not_sound():
 
 def _sweep_levels(spec, n_basis, k=6):
     specs = [OscillatorSpec(lam=l, kind=spec.kind) for l in coupling_sweep(spec.lam)]
-    return specs, [dense_reference(s, n_basis).eigenvalues[:k] for s in specs]
+    return specs, [dense_reference(s, n_basis)[0][:k] for s in specs]
 
 
 @pytest.mark.parametrize("kind,lam,n_basis", [
@@ -752,7 +772,7 @@ def test_delta_ladder_search_finds_every_rung(kind):
     spec = OscillatorSpec(lam=1e-3, kind=kind)
     rungs = CONVERGENCE_LADDER + DELTA_LADDER
     offsets = [10.0 ** ((e + 0.5) / 4) for e in range(-42, 12)]
-    exact = dense_reference(spec, 64).eigenvalues[:6]
+    exact = dense_reference(spec, 64)[0][:6]
     specs, tracked = [spec] * len(offsets), [exact + off for off in offsets]
     got = counted_deltas(specs, 32, tracked)
     assert got == [next((r for r in rungs if r > off), None) for off in offsets]
@@ -1126,35 +1146,54 @@ SMALL_GRID = [
 ]
 
 
+def _diagonalize_watching_blocks(monkeypatch, specs, n_basis):
+    """diagonalize of a sweep, vectors at its first coupling, and for each
+    coupling whether a parity block of it went to eigh whole (else only
+    its leading rows, Ritz rungs)."""
+    seen = []
+    real = oracle._eigh
+
+    def spy(h):
+        seen.extend(h)
+        return real(h)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_eigh", spy)
+        levels, vectors = diagonalize(specs, _hamiltonian_bands(specs, n_basis)[0], 5, 0)
+    whole = [any(np.array_equal(h, build_hamiltonian(s, n_basis)[b, b])
+                 for b in _parity_blocks(s) for h in seen) for s in specs]
+    return levels, vectors, whole
+
+
 @pytest.mark.parametrize("units", [{}, ODD_UNITS])
 @pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID + [g[:3] for g in SMALL_GRID])
-def test_ritz_pairs_match_the_dense_eigensolve(kind, lam, n_basis, units):
+def test_ritz_pairs_match_the_dense_eigensolve(monkeypatch, kind, lam, n_basis, units):
     specs = _sweep_at_ratio(kind, lam, units)
-    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis)[0], 5, 0)
+    levels, vectors, solved = _diagonalize_watching_blocks(monkeypatch, specs, n_basis)
     hbw = specs[0].hbar * specs[0].omega0
     full = {g[:3]: g[3] for g in SMALL_GRID}.get((kind, lam, n_basis), 0)
-    solved = [len(r.eigenvalues) > 6 for r in ritz]  # a block solved whole, else k_b values a block
     assert solved == [False] * (len(specs) - full) + [True] * full
-    for c, (s, r) in enumerate(zip(specs, ritz)):
-        dense = dense_reference(s, n_basis, 5 if c == 0 else None)
-        theta, e = r.eigenvalues[:6], dense.eigenvalues[:6]
+    for c, (s, theta) in enumerate(zip(specs, levels)):
+        e, dense_vectors = dense_reference(s, n_basis, 5 if c == 0 else None)
+        e = e[:6]
         assert np.max(np.abs(theta - e)) <= 1e-13 * hbw
         assert np.all(theta >= e - 1e-14 * np.maximum(1.0, np.abs(e)))  # upper bounds
         if c == 0:
-            assert r.x_elements.shape == (6, 6)
-            assert np.max(np.abs(r.x_elements - dense.x_elements)) <= 1e-12
+            x = _x_elements(s, vectors)
+            assert x.shape == (6, 6)
+            assert np.max(np.abs(x - _x_elements(s, dense_vectors))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind,lam,n_basis", BANDED_GRID[:3] + BANDED_GRID[5:8])
-def test_banded_compare_reports_certified_ritz_values(kind, lam, n_basis):
+def test_banded_compare_reports_certified_ritz_values(monkeypatch, kind, lam, n_basis):
     specs = _sweep_at_ratio(kind, lam, {})
-    ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis)[0], 5, 0)
-    assert all(len(r.eigenvalues) < n_basis for r in ritz)
+    levels, vectors, solved = _diagonalize_watching_blocks(monkeypatch, specs, n_basis)
+    assert not any(solved)
     rep = compare_spec(specs[1], 5, n_basis)
     assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
-    assert [r.exact for r in rep.levels] == [float(e) for r in ritz for e in r.eigenvalues[:6]]
-    assert [a.measured for a in rep.amplitudes] == [2.0 * float(ritz[0].x_elements[n - 1, n])
-                                                    for n in range(1, 6)]
+    assert [r.exact for r in rep.levels] == levels.ravel().tolist()
+    x = _x_elements(specs[0], vectors)
+    assert [a.measured for a in rep.amplitudes] == [2.0 * float(x[n - 1, n]) for n in range(1, 6)]
 
 
 def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
@@ -1169,8 +1208,8 @@ def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
     calls = _count_decompositions(monkeypatch)
     for n_basis in (512, 384, 256):
         calls["eigh"].clear()
-        ritz = diagonalize(specs, _hamiltonian_bands(specs, n_basis)[0], 5, 0)
-        assert [len(r.eigenvalues) for r in ritz] == [6, 6, 6, 6 if n_basis > 256 else n_basis]
+        *_, solved = _diagonalize_watching_blocks(monkeypatch, specs, n_basis)
+        assert solved == [False, False, False, n_basis == 256]
         assert calls == {"eigh": [(8, 16, 16), (8, 32, 32), (8, 64, 64), (2, 128, 128)],
                          "eigvalsh": []}
 
@@ -1178,14 +1217,16 @@ def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
 def _last_rung_diagonalize(specs, bands, n_track, base):
     """diagonalize replaced by a dense reference of every block's last
     rung: np.linalg.eigh of the leading min(n_p, 128) rows of each parity
-    block of build_hamiltonian's matrix, every eigenpair kept."""
+    block of build_hamiltonian's matrix, every eigenpair merged."""
     n_basis = bands[0].shape[1]
-    out = []
+    levels, vectors = [], None
     for c, s in enumerate(specs):
         h = build_hamiltonian(s, n_basis)
         parts = [np.linalg.eigh(h[b, b][:128, :128]) for b in _parity_blocks(s)]
-        out.append(_merge(s, n_basis, parts, n_track if c == base else None))
-    return out
+        evals, v = merged(s, n_basis, parts, n_track if c == base else None)
+        levels.append(evals[: n_track + 1])
+        vectors = v if c == base else vectors
+    return np.array(levels), vectors
 
 
 def _dense_route(monkeypatch, spec, n_basis):
@@ -1240,8 +1281,8 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
     # its delta is counted on them up DELTA_LADDER, and no full block is solved
     spec = OscillatorSpec(lam=0.015, kind=Kind.QUADRATIC_FORCE)
     specs = [OscillatorSpec(lam=l, kind=spec.kind) for l in coupling_sweep(spec.lam)]
-    ritz = diagonalize(specs, _hamiltonian_bands(specs, 256)[0], 5, 0)
-    assert all(len(r.eigenvalues) < 256 for r in ritz)
+    levels, _, solved = _diagonalize_watching_blocks(monkeypatch, specs, 256)
+    assert not any(solved)
     sizes = []
     real = oracle._eigh
 
@@ -1252,8 +1293,8 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
     monkeypatch.setattr(oracle, "_eigh", spy)
     rep = compare_spec(spec, 5, 256)
     assert max(sizes) <= 128
-    assert [r.exact for r in rep.levels if r.lam == 0.06] == ritz[3].eigenvalues[:6].tolist()
-    counted = counted_deltas(specs, 256, [r.eigenvalues[:6] for r in ritz])
+    assert [r.exact for r in rep.levels if r.lam == 0.06] == levels[3].tolist()
+    counted = counted_deltas(specs, 256, levels)
     assert rep.convergence_deltas[3] == counted[3] == 10.0 ** (9 / 4)
     assert rep.failures == ["convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10"]
 

@@ -92,3 +92,15 @@ def test_unmutated_tables_pass_every_row():
 ])
 def test_row_fails_under_some_family(row):
     assert mutation_matrix()[2].get(row)
+
+
+@pytest.mark.parametrize("change", CHANGES)
+@pytest.mark.parametrize("n", STATES)
+@pytest.mark.parametrize("kind,lam", [t for t in TABLES if t[0] is not Kind.CUBIC_FORCE])
+def test_sum_rule_sees_the_first_order_rung(kind, lam, n, change):
+    # the lam^1 coefficient of a^2*omega on a rung of an x2 or harmonic
+    # table, where omega has no lam^1 part to cancel X_1
+    table = solve_quantum(OscillatorSpec(lam=lam, kind=kind), N_MAX, 1)
+    mutate(table, "X1 rung", n, change)
+    row = next(c for c in run_verification(table).checks if c.name == "quantization_sum_rule")
+    assert not row.passed, row

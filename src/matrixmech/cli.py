@@ -6,7 +6,9 @@ digits, so identical configurations produce byte-identical output;
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage or configuration error, which includes a result that overflows
 double precision and an oracle eigensolve that fails: either is reported
-before anything is printed.
+before anything is printed; 141 (128 + SIGPIPE, what a shell reports for a
+writer killed by a closed pipe) when the reader closes stdout early, as
+`matrixmech ... | head` does, with nothing on stderr.
 
 Options may come from a plain key=value config file (# comments allowed),
 selected with --config or the MATRIXMECH_CONFIG environment variable;
@@ -39,6 +41,7 @@ ENV_CONFIG = "MATRIXMECH_CONFIG"
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
+CLOSED_PIPE = 141
 TABLES = frozenset(("levels", "lines", "verify", "oracle-compare"))  # subcommands solving a table
 
 # Size caps, checked before any work.  Figures are fresh processes on one
@@ -293,6 +296,12 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_oracle_compare(config: RunConfig) -> int:
     report = orc.compare(_solved_table(config), n_basis=config.oracle_n)
+    # (lambda, n, three values) per row: each level at each coupling, each amplitude
+    levels = [(lam, n, v) for lam, block in zip(report.lambdas, np.stack(
+        [report.perturbative, report.exact, report.residual], axis=-1).tolist())
+        for n, v in enumerate(block)]
+    amplitudes = [(report.base_lam, n, v) for n, v in enumerate(np.stack(
+        [report.measured, report.sum_rule_form, report.series_form], axis=-1).tolist(), 1)]
     if config.fmt == "json":
         payload = {
             "passed": report.passed,
@@ -300,9 +309,9 @@ def cmd_oracle_compare(config: RunConfig) -> int:
             "convergence_delta": jnum(report.convergence_delta
                                       * (report.spec.hbar * report.spec.omega0)),
             "levels": [
-                {"lambda": jnum(r.lam), "n": r.n, "W_pert": jnum(r.perturbative),
-                 "E_exact": jnum(r.exact), "residual": jnum(r.residual)}
-                for r in report.levels
+                {"lambda": jnum(lam), "n": n,
+                 **dict(zip(("W_pert", "E_exact", "residual"), map(jnum, v)))}
+                for lam, n, v in levels
             ],
             "fits": [
                 {"n": n, "constant": jnum(report.fit_constant[n]),
@@ -310,21 +319,17 @@ def cmd_oracle_compare(config: RunConfig) -> int:
                 for n in sorted(report.fit_exponent)
             ],
             "amplitudes": [
-                {"n": a.n, "measured": jnum(a.measured),
-                 "sum_rule_form": jnum(a.sum_rule_form),
-                 "series_form": jnum(a.series_form)}
-                for a in report.amplitudes
+                {"n": n, **dict(zip(("measured", "sum_rule_form", "series_form"), map(jnum, v)))}
+                for _, n, v in amplitudes
             ],
             "failures": report.failures,
         }
         print(json.dumps(payload))
     else:
-        rows = [["level", fmt(r.lam), str(r.n), fmt(r.perturbative), fmt(r.exact),
-                 fmt(r.residual)] for r in report.levels]
+        rows = [["level", fmt(lam), str(n), *map(fmt, v)] for lam, n, v in levels]
         rows += [["fit", "", str(n), fmt(report.fit_constant[n]),
                   fmt(report.fit_exponent[n]), ""] for n in sorted(report.fit_exponent)]
-        rows += [["amplitude", fmt(a.lam), str(a.n), fmt(a.measured),
-                  fmt(a.sum_rule_form), fmt(a.series_form)] for a in report.amplitudes]
+        rows += [["amplitude", fmt(lam), str(n), *map(fmt, v)] for lam, n, v in amplitudes]
         _emit_csv("row,lambda,n,value1,value2,value3", rows)
         for f in report.failures:
             print(f"mismatch: {f}", file=sys.stderr)
@@ -357,7 +362,25 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command and return its exit code; never calls sys.exit."""
+    """Run one command and return its exit code; never calls sys.exit.
+
+    stdout is flushed here, so a reader that closed it early is seen here
+    and not at interpreter exit: the run then returns CLOSED_PIPE quietly.
+    """
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what stdout still buffers goes to the null device, not to the
+        # closed pipe again when the interpreter flushes it at exit
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return CLOSED_PIPE
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:

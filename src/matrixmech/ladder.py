@@ -118,10 +118,6 @@ class TransitionTable:
     fund: np.ndarray
     w: Optional[np.ndarray] = None
 
-    @property
-    def n_top(self) -> int:
-        return self.n_max + self.pad
-
     def amp(self, n: int, m: int) -> LambdaSeries:
         """Amplitude series a(n, m) = 2X(n, m); zero on the diagonal, below
         the floor or off the table."""

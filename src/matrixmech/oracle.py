@@ -23,6 +23,7 @@ import numpy as np
 
 from .ladder import TransitionTable
 from .oscillator import OscillatorSpec
+from .series import horner
 
 
 class OracleError(RuntimeError):
@@ -269,10 +270,11 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
 
 def _counted_deltas(
     specs: Sequence[OscillatorSpec], bands: np.ndarray, levels: np.ndarray,
-) -> List[Optional[float]]:
+) -> np.ndarray:
     """Basis-doubling delta of each coupling's tracked eigenvalues that
-    inertia counts of the doubled basis certify, in units of hbar*omega0;
-    None where they certify no rung up to the top of DELTA_LADDER.
+    inertia counts of the doubled basis certify, in units of hbar*omega0,
+    an array (C,); inf where they certify no rung up to the top of
+    DELTA_LADDER.
 
     The delta is the smallest rung eps certified at eps*hbar*omega0, an
     upper bound up to the round-off of double-precision factorizations:
@@ -293,7 +295,7 @@ def _counted_deltas(
     where the rest of every H_2N - shift is strictly diagonally dominant:
     early when all its couplings are converged, at the last row with one
     that is not.  A coupling with a swept pivot zero or not finite gets
-    None.
+    inf.
     """
     i = np.arange(levels.shape[1])
     blocks = _parity_blocks(specs[0])
@@ -308,12 +310,12 @@ def _counted_deltas(
         counts = counts.reshape(len(asked), 2, rungs.shape[1], -1)
         return np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1), sound
 
-    deltas: List[Optional[float]] = [None] * len(specs)
+    deltas = np.full(len(specs), np.inf)
     asked = np.arange(len(specs))
     for rungs in (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:]):
         ok, sound = certified(asked, np.tile(rungs, (len(asked), 1)))
-        for c, row in zip(asked[sound & ok[:, -1]], ok[sound & ok[:, -1]]):
-            deltas[c] = rungs[np.argmax(row)]
+        done = sound & ok[:, -1]
+        deltas[asked[done]] = np.array(rungs)[np.argmax(ok[done], axis=1)]
         asked = asked[sound & ~ok[:, -1]]
         if not len(asked):
             return deltas
@@ -326,8 +328,7 @@ def _counted_deltas(
         asked, hi = asked[sound & (hi < len(DELTA_LADDER))], hi[sound & (hi < len(DELTA_LADDER))]
         if not len(asked):
             return deltas
-    for c, h in zip(asked, hi):
-        deltas[c] = DELTA_LADDER[h]
+    deltas[asked] = np.array(DELTA_LADDER)[hi]
     return deltas
 
 
@@ -454,35 +455,6 @@ def _rs_shifts(spec: OscillatorSpec, bands: np.ndarray, n_track: int) -> np.ndar
 
 
 @dataclass
-class LevelComparison:
-    lam: float
-    n: int
-    perturbative: float
-    exact: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.perturbative - self.exact)
-
-
-@dataclass
-class AmplitudeComparison:
-    n: int
-    measured: float          # 2|<E_{n-1}|x|E_n>|
-    sum_rule_form: float     # sqrt(n h/(pi m omega(n,n-1))), exact frequency
-    series_form: float       # the table's amplitude series
-    lam: float
-
-    @property
-    def rel_error_exact(self) -> float:
-        return abs(self.measured - self.sum_rule_form) / self.sum_rule_form
-
-    @property
-    def rel_error_series(self) -> float:
-        return abs(self.measured - self.series_form) / self.series_form
-
-
-@dataclass
 class ComparisonReport:
     spec: OscillatorSpec
     lambdas: Tuple[float, ...]
@@ -490,11 +462,15 @@ class ComparisonReport:
     n_basis: int
     neglected_order: int  # j: the first power of lam the table leaves out
     base_lam: Optional[float]  # lam/2, where amplitudes are compared; None at lam 0
-    levels: List[LevelComparison] = field(default_factory=list)
-    amplitudes: List[AmplitudeComparison] = field(default_factory=list)
+    perturbative: np.ndarray  # (C, n_track + 1): W_pert(n) at each coupling
+    exact: np.ndarray  # (C, n_track + 1): the oracle's E_n at each coupling
+    # (n_track,), for n = 1 .. n_track at base_lam; empty at lam 0
+    measured: np.ndarray  # 2|<E_{n-1}|x|E_n>|
+    sum_rule_form: np.ndarray  # sqrt(n h/(pi m omega(n,n-1))), exact frequency
+    series_form: np.ndarray  # the table's amplitude series
+    convergence_deltas: np.ndarray  # (C,), in hbar*omega0; inf where no rung is certified
     fit_constant: Dict[int, float] = field(default_factory=dict)
     fit_exponent: Dict[int, float] = field(default_factory=dict)
-    convergence_deltas: List[float] = field(default_factory=list)  # per coupling, in hbar*omega0
     failures: List[str] = field(default_factory=list)  # each starts with its gate word
 
     @property
@@ -502,9 +478,14 @@ class ComparisonReport:
         return not self.failures
 
     @property
+    def residual(self) -> np.ndarray:
+        return np.abs(self.perturbative - self.exact)
+
+    @property
     def convergence_delta(self) -> float:
-        """The largest doubling delta of the sweep."""
-        return float(np.max(self.convergence_deltas, initial=0.0))
+        """The largest doubling delta of the sweep, capped at the top of
+        DELTA_LADDER."""
+        return float(np.max(np.minimum(self.convergence_deltas, DELTA_LADDER[-1]), initial=0.0))
 
     @property
     def exponent_gap(self) -> float:
@@ -514,10 +495,9 @@ class ComparisonReport:
         return float(np.max(gaps)) if gaps else float(self.neglected_order)
 
     @property
-    def unconverged(self) -> List[float]:
-        """Couplings whose delta is above the gate."""
-        return [lam for lam, delta in zip(self.lambdas, self.convergence_deltas)
-                if delta > CONVERGENCE_GATE]
+    def unconverged(self) -> np.ndarray:
+        """Mask of the couplings whose delta is above the gate."""
+        return self.convergence_deltas > CONVERGENCE_GATE
 
 
 def compare(table: TransitionTable, n_basis: Optional[int] = None) -> ComparisonReport:
@@ -529,12 +509,14 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
     and 4*lam (lam = table.spec.lam; 0 alone when lam is 0), the levels
     n = 0 .. n_track = min(5, table.n_max), and a basis of n_basis states,
     4*(n_track + 1) + 32 by default.  W_pert(n) is table.level(n) at each
-    coupling; the table's coefficients do not depend on lam, so one table
-    serves the sweep.  One _hamiltonian_bands recursion forms the bands
-    of the N basis and of the doubled one.  Each coupling's n_track + 1
+    coupling, evaluated on table.w by Horner's rule in LambdaSeries.eval's
+    order; the table's coefficients do not depend on lam, so one table
+    serves the sweep.  One _hamiltonian_bands recursion forms the bands of
+    the N basis and of the doubled one.  Each coupling's n_track + 1
     lowest eigenpairs come from one batched diagonalize call, and one
     _counted_deltas call counts the inertia of the doubled basis at the
-    values it returned.  For Ritz
+    values it returned.  The report holds arrays: the levels (C, n_track
+    + 1) and the amplitudes at the base coupling (n_track,).  For Ritz
     values theta_i >= lambda_i(H_N) >= lambda_i(H_2N) >= theta_i - eps
     (upper bounds, interlacing, the counts), so one certificate bounds
     both the doubling delta and |theta_i - lambda_i(H_N)|: a block left
@@ -545,9 +527,9 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
     The verdict is report.failures, each led by the word of its gate:
     - convergence: a doubling delta above CONVERGENCE_GATE, or above the
       top of DELTA_LADDER (failure text "doubling delta > top").  That
-      coupling's level rows, the values its delta was counted at, are kept
-      but add no level failure and no fit point: the basis, not the
-      series, failed there.
+      coupling's levels, the values its delta was counted at, are kept in
+      report.exact but add no level failure and no fit point: the basis,
+      not the series, failed there.
     - level: |W_pert(n) - E_n| beyond 4*|lam^j E_j(n)| (floor
       1e-10*hbar*omega0), the Rayleigh-Schroedinger shift read off that
       coupling's band (_rs_shifts); or no coupling converged.  j is the
@@ -557,7 +539,7 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
       exponent_gap above EXPONENT_GATE (or no fit).
     - amplitude: at the base coupling, a relative error against the
       sum-rule form at the measured frequency above 1.25*r^2 (r the
-      smallness ratio there), or that coupling unconverged.  The rows,
+      smallness ratio there), or that coupling unconverged.  The arrays,
       with the table's amplitude series, are kept either way.
     """
     spec = table.spec
@@ -569,80 +551,65 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
     if len(_parity_blocks(spec)) == 1 and j % 2:  # odd potential: no odd-order shift
         j += 1
     base_lam = lambdas[0] if spec.lam != 0 else None  # eigenvectors and amplitudes here
-    report = ComparisonReport(spec=spec, lambdas=lambdas, n_track=n_track,
-                              n_basis=n_basis, neglected_order=j, base_lam=base_lam)
 
-    residuals: Dict[int, List[Tuple[float, float]]] = {n: [] for n in range(n_track + 1)}
     specs = [OscillatorSpec(spec.m, spec.omega0, lam, spec.planck_h, spec.kind) for lam in lambdas]
     bands, doubled = _hamiltonian_bands(specs, n_basis, 2 * n_basis)
     shifts = _rs_shifts(spec, bands, n_track)[j - 1]  # lam^j E_j(n)
-
     levels, vectors = diagonalize(specs, bands, n_track, None if base_lam is None else 0)
-    deltas = _counted_deltas(specs, doubled, levels)
-    report.convergence_deltas = [DELTA_LADDER[-1] if d is None else d for d in deltas]
+    lams = np.array(lambdas)
+    report = ComparisonReport(
+        spec=spec, lambdas=lambdas, n_track=n_track, n_basis=n_basis, neglected_order=j,
+        base_lam=base_lam, perturbative=horner(table.w[:, None, : n_track + 1], lams[:, None]),
+        exact=levels, measured=np.empty(0), sum_rule_form=np.empty(0), series_form=np.empty(0),
+        convergence_deltas=_counted_deltas(specs, doubled, levels))
 
-    unconverged = report.unconverged
-    hbw = spec.hbar * spec.omega0
-    series = [table.level(n) for n in range(n_track + 1)]
-    tols = np.maximum(4.0 * np.abs(shifts), 1e-10 * spec.hbar * spec.omega0).tolist()
-    for lam, exact, delta, tol in zip(lambdas, levels.tolist(), deltas, tols):
-        if lam in unconverged:
-            told = (f"> {DELTA_LADDER[-1] * hbw:.3e}" if delta is None
+    unconverged, residual, hbw = report.unconverged, report.residual, spec.hbar * spec.omega0
+    tols = np.maximum(4.0 * np.abs(shifts), 1e-10 * spec.hbar * spec.omega0)
+    for c, (lam, delta) in enumerate(zip(lambdas, report.convergence_deltas)):
+        if unconverged[c]:  # the basis, not the series, is at fault here
+            told = (f"> {DELTA_LADDER[-1] * hbw:.3e}" if delta > DELTA_LADDER[-1]
                     else f"{delta * hbw:.3e} > {CONVERGENCE_GATE * hbw:.3e}")
             report.failures.append(f"convergence lam={lam:g}: doubling delta {told}")
-        for n in range(n_track + 1):
-            row = LevelComparison(lam=lam, n=n, perturbative=series[n].eval(lam), exact=exact[n])
-            report.levels.append(row)
-            if lam in unconverged:  # the basis, not the series, is at fault here
-                continue
-            if lam != 0 and row.residual > 0:
-                residuals[n].append((abs(lam), row.residual))
-            if row.residual > tol[n]:
-                report.failures.append(
-                    f"level n={n} lam={lam:g}: |dW|={row.residual:.3e} > {tol[n]:.3e}"
-                )
-    if len(unconverged) == len(lambdas):
+        else:
+            report.failures += [f"level n={i} lam={lam:g}: |dW|={residual[c, i]:.3e} > "
+                                f"{tols[c, i]:.3e}" for i in np.flatnonzero(residual[c] > tols[c])]
+    if unconverged.all():
         report.failures.append(
-            "level: none compared, unconverged lam=" + ", ".join(f"{l:g}" for l in unconverged))
+            "level: none compared, unconverged lam=" + ", ".join(f"{l:g}" for l in lambdas))
 
-    # power-law fit of the residual per level (in |lam|): one polyfit per set
-    # of couplings, with its levels as columns
-    levels_at: Dict[Tuple[float, ...], List[int]] = {}
-    for n, pts in residuals.items():
-        if len(pts) >= 2:
-            levels_at.setdefault(tuple(l for l, _ in pts), []).append(n)
+    # power-law fit of the residual per level (in |lam|) over the converged
+    # couplings where it is nonzero: one polyfit per set of couplings, with
+    # its levels as columns
+    fitted = ~unconverged[:, None] & (lams != 0)[:, None] & (residual > 0)
+    levels_at: Dict[Tuple[bool, ...], List[int]] = {}
+    for i in np.flatnonzero(fitted.sum(axis=0) >= 2):
+        levels_at.setdefault(tuple(fitted[:, i]), []).append(int(i))
     fits = {}
-    for xs, ns in levels_at.items():
-        ys = np.log([[r for _, r in residuals[n]] for n in ns]).T
-        fits.update(zip(ns, np.polyfit(np.log(xs), ys, 1).T))
-    for n, (slope, intercept) in sorted(fits.items()):
-        report.fit_exponent[n] = float(slope)
-        report.fit_constant[n] = float(math.exp(intercept))
+    for rows, ns in levels_at.items():
+        rows = np.array(rows)
+        ys = np.log(residual[rows][:, ns])
+        fits.update(zip(ns, np.polyfit(np.log(np.abs(lams[rows])), ys, 1).T))
+    for i, (slope, intercept) in sorted(fits.items()):
+        report.fit_exponent[i] = float(slope)
+        report.fit_constant[i] = float(math.exp(intercept))
     if spec.lam != 0 and not report.exponent_gap <= EXPONENT_GATE:
         qs = sorted(round(q, 3) for q in report.fit_exponent.values())
         report.failures.append(f"scaling: exponents {qs} not within {EXPONENT_GATE:g} of {j}")
 
     # amplitude comparison at the base coupling
     if base_lam is not None:  # a harmonic spec has lam == 0
-        s, evals, x_elem = specs[0], levels[0], _x_elements(specs[0], vectors)
+        s, n = specs[0], np.arange(1, n_track + 1)
+        report.measured = 2.0 * np.diagonal(_x_elements(s, vectors), 1)
         # 1.25*r^2 in the smallness ratio r at base_lam (5*lam^2 for x3 and
         # 2.5*lam^2 for x2 in default units); OverflowError beyond r ~ 1e154
         amp_tol = 1.25 * s.smallness_ratio() ** 2
-        if base_lam in unconverged:
+        omega_exact = np.diff(levels[0]) / s.hbar
+        report.sum_rule_form = np.sqrt(n * s.planck_h / (math.pi * s.m * omega_exact))
+        report.series_form = horner(2.0 * table.x.c[:, n, n - 1], base_lam)
+        if unconverged[0]:
             report.failures.append(f"amplitude: none compared, unconverged lam={base_lam:g}")
-        for n in range(1, n_track + 1):
-            omega_exact = float(evals[n] - evals[n - 1]) / s.hbar
-            sum_rule = math.sqrt(n * s.planck_h / (math.pi * s.m * omega_exact))
-            row = AmplitudeComparison(
-                n=n,
-                measured=2.0 * float(x_elem[n - 1, n]),
-                sum_rule_form=sum_rule,
-                series_form=table.amp(n, n - 1).eval(base_lam),
-                lam=base_lam,
-            )
-            report.amplitudes.append(row)
-            if base_lam not in unconverged and row.rel_error_exact > amp_tol:
-                report.failures.append(
-                    f"amplitude n={n}: rel err {row.rel_error_exact:.3e} > 1.25*r^2"
-                )
+        else:
+            rel = np.abs(report.measured - report.sum_rule_form) / report.sum_rule_form
+            report.failures += [f"amplitude n={i + 1}: rel err {rel[i]:.3e} > 1.25*r^2"
+                                for i in np.flatnonzero(rel > amp_tol)]
     return report

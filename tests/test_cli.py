@@ -506,7 +506,8 @@ def test_verify_tracks_n_max_levels(monkeypatch):
         assert run_verification(solve_quantum(spec, n_max=n_max, order=1)).passed
         rep = reports[-1]
         assert rep.n_track == n_track
-        assert [a.n for a in rep.amplitudes] == list(range(1, n_track + 1))
+        # one amplitude per n = 1 .. n_track, at index n - 1
+        assert rep.measured.shape == rep.sum_rule_form.shape == rep.series_form.shape == (n_track,)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -518,6 +519,38 @@ def python_m(*argv):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "matrixmech", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+README_EXAMPLES = (
+    "levels --kind x3 --lambda 0.001 --nmax 10",
+    "lines --kind x2 --lambda 0.001 --nmax 10 --format json",
+    "classical --kind x3 --a1 1.0 --lambda 0.001",
+    "verify --kind x3 --lambda 0.001 --nmax 8",
+    "oracle-compare --kind x3 --lambda 0.001 --oracle-n 64",
+)
+
+
+@pytest.mark.parametrize("args,read", [(args, 0) for args in README_EXAMPLES] + [
+    # 151 KB, far past the pipe's buffer: the reader stops after 100 bytes
+    ("lines --kind x2 --lambda 1e-3 --nmax 512 --format json", 100),
+])
+def test_closed_stdout_ends_quietly(args, read):
+    # the reader closes its end after `read` bytes (0: before the child
+    # writes, as `| true` does): the run ends with 128 + SIGPIPE, what a
+    # shell reports for a writer a closed pipe killed, and says nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "matrixmech", *args.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_module_entry_point():

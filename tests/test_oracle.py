@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +52,13 @@ def compare_spec(spec, n_max, n_basis=None):
 def counted_deltas(specs, n_basis, tracked):
     """_counted_deltas on the doubled basis of n_basis states."""
     return _counted_deltas(specs, _hamiltonian_bands(specs, 2 * n_basis)[0], np.array(tracked))
+
+
+def assert_same_report(a, b):
+    """Every field of two comparison reports equal, arrays entry by entry."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x.tolist() == y.tolist()) if isinstance(x, np.ndarray) else x == y, f.name
 
 
 def coupling_sweep(lam):
@@ -204,7 +211,8 @@ def test_determinism():
             b = solve(spec, n)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
             assert np.array_equal(_x_elements(spec, a[1]), _x_elements(spec, b[1]))
-            assert counted_deltas([spec], n, [a[0]]) == counted_deltas([spec], n, [b[0]])
+            assert (counted_deltas([spec], n, [a[0]]).tolist()
+                    == counted_deltas([spec], n, [b[0]]).tolist())
 
 
 def test_basis_size_validation():
@@ -222,7 +230,8 @@ def test_compare_plans_its_check_from_the_table(spec, n_max):
     assert rep.n_track == min(5, n_max)
     assert rep.n_basis == 4 * (rep.n_track + 1) + 32
     assert rep.base_lam == (spec.lam / 2 if spec.lam else None)
-    assert [r.n for r in rep.levels] == list(range(rep.n_track + 1)) * len(rep.lambdas)
+    shape = (len(rep.lambdas), rep.n_track + 1)  # a row per coupling, a column per level
+    assert rep.perturbative.shape == rep.exact.shape == rep.residual.shape == shape
 
 
 def test_compare_solves_no_table(monkeypatch):
@@ -250,23 +259,23 @@ def test_compare_x3_scaling_and_amplitudes():
     assert rep.passed, rep.failures
     for n, q in rep.fit_exponent.items():
         assert abs(q - 2.0) < 0.2
-    for a in rep.amplitudes:
-        assert a.rel_error_exact < 5.0 * a.lam**2
+    rel_error_exact = np.abs(rep.measured - rep.sum_rule_form) / rep.sum_rule_form
+    assert len(rel_error_exact) == 5 and np.all(rel_error_exact < 5.0 * rep.base_lam**2)
     # residual ratio across a coupling doubling is ~4 (second-order dominance)
-    res = {(r.lam, r.n): r.residual for r in rep.levels}
-    for n in range(6):
-        ratio = res[(2e-3, n)] / res[(1e-3, n)]
-        assert 3.5 < ratio < 4.5
+    assert rep.lambdas[1:3] == (1e-3, 2e-3)
+    ratio = rep.residual[2] / rep.residual[1]
+    assert np.all((3.5 < ratio) & (ratio < 4.5))
 
 
 def test_compare_x2_levels_are_second_order():
     rep = compare_spec(X2, 4, 64)
     assert rep.passed, rep.failures
-    for r in rep.levels:
+    for lam, residual in zip(rep.lambdas, rep.residual):
         # no first-order shift; the gap is O(lam^2), below 1e-5 at lam = 1e-3
-        at = OscillatorSpec(lam=r.lam, kind=X2.kind)
-        assert r.residual <= 4.0 * abs(rs_closed_forms(at, r.n)[1])
-    assert max(r.residual for r in rep.levels if r.lam == X2.lam) < 1e-5
+        at = OscillatorSpec(lam=lam, kind=X2.kind)
+        for n, r in enumerate(residual):
+            assert r <= 4.0 * abs(rs_closed_forms(at, n)[1])
+    assert rep.residual[rep.lambdas.index(X2.lam)].max() < 1e-5
 
 
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
@@ -276,10 +285,11 @@ def test_compare_envelope_is_first_neglected_shift(kind):
     table = solve_quantum(OscillatorSpec(lam=1e-3, kind=kind), n_max=5, order=1)
     rep = compare(table, 64)
     assert rep.neglected_order == 2
-    for r in rep.levels:
-        assert r.perturbative == table.level(r.n).eval(r.lam)
-        at = OscillatorSpec(lam=r.lam, kind=kind)
-        assert r.residual <= 4.0 * abs(rs_closed_forms(at, r.n)[1])
+    for lam, perturbative, residual in zip(rep.lambdas, rep.perturbative, rep.residual):
+        at = OscillatorSpec(lam=lam, kind=kind)
+        for n in range(rep.n_track + 1):
+            assert perturbative[n] == table.level(n).eval(lam)
+            assert residual[n] <= 4.0 * abs(rs_closed_forms(at, n)[1])
 
 
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
@@ -309,20 +319,22 @@ def test_compare_fails_mutated_levels(kind):
 def test_compare_harmonic_is_exact():
     rep = compare_spec(OscillatorSpec(), 5, 48)
     assert rep.passed
-    assert rep.base_lam is None and rep.amplitudes == []  # no nonzero coupling
-    for r in rep.levels:
-        assert r.residual < 1e-10
+    assert rep.base_lam is None  # no nonzero coupling, so no amplitude
+    assert rep.measured.size == rep.sum_rule_form.size == rep.series_form.size == 0
+    assert rep.residual.shape == (1, 6) and np.all(rep.residual < 1e-10)
 
 
 def test_compare_uses_solved_table_for_series_form():
     table = solve_quantum(X3, n_max=5, order=1)
     rep = compare(table, 64)
     assert rep.base_lam == 5e-4
-    for a in rep.amplitudes:
-        expect = table.amp(a.n, a.n - 1).eval(a.lam)
-        assert math.isclose(a.series_form, expect, rel_tol=1e-13)
+    assert len(rep.series_form) == 5
+    for n, series_form, measured in zip(range(1, 6), rep.series_form, rep.measured):
+        expect = table.amp(n, n - 1).eval(rep.base_lam)
+        assert math.isclose(series_form, expect, rel_tol=1e-13)
         # the series form agrees with the measurement to second order
-        assert a.rel_error_series < 25 * (a.n * a.lam) ** 2 + 1e-8
+        rel_error_series = abs(measured - series_form) / series_form
+        assert rel_error_series < 25 * (n * rep.base_lam) ** 2 + 1e-8
 
 
 def test_compare_keeps_every_coupling_delta():
@@ -330,7 +342,7 @@ def test_compare_keeps_every_coupling_delta():
     # moves the tracked levels by O(50); lam/2 alone would look converged
     spec = OscillatorSpec(m=1, omega0=1, lam=0.04, kind=Kind.QUADRATIC_FORCE)
     rep = compare_spec(spec, 5)
-    assert len(rep.convergence_deltas) == 4
+    assert rep.convergence_deltas.shape == (4,)
     assert rep.convergence_deltas[0] < 1e-10
     assert rep.convergence_delta == max(rep.convergence_deltas) > 1.0
 
@@ -341,13 +353,13 @@ def test_unconverged_coupling_is_blamed_on_convergence():
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     rep = compare_spec(spec, 5)
     assert rep.failures == ["convergence lam=0.16: doubling delta 5.623e+01 > 1.000e-10"]
-    assert [r.lam for r in rep.levels] == [l for l in coupling_sweep(0.04) for _ in range(6)]
-    assert max(r.residual for r in rep.levels if r.lam == 0.16) > 0.5
+    assert rep.lambdas == tuple(coupling_sweep(0.04)) and rep.residual.shape == (4, 6)
+    assert rep.residual[3].max() > 0.5  # lam 0.16
     # every level is fit, by np.polyfit over the three converged couplings alone
     assert list(rep.fit_exponent) == list(range(6))
     for n, q in rep.fit_exponent.items():
-        pts = [(r.lam, r.residual) for r in rep.levels
-               if r.n == n and r.lam != 0.16 and r.residual > 0]
+        pts = [(lam, r) for lam, r in zip(rep.lambdas, rep.residual[:, n])
+               if lam != 0.16 and r > 0]
         slope, intercept = np.polyfit(np.log([l for l, _ in pts]), np.log([r for _, r in pts]), 1)
         assert q == float(slope) and rep.fit_constant[n] == float(math.exp(intercept))
     assert all(2.0 < q < 2.05 for q in rep.fit_exponent.values())
@@ -360,7 +372,7 @@ def test_unconverged_base_coupling_adds_no_amplitude_failure():
     spec = OscillatorSpec(lam=0.3, kind=Kind.QUADRATIC_FORCE)
     with pytest.warns(UserWarning):
         rep = compare_spec(spec, 5)
-    assert rep.unconverged == coupling_sweep(spec.lam)
+    assert rep.unconverged.tolist() == [True] * 4
     assert rep.base_lam == 0.15
     assert [f.split(":")[0] for f in rep.failures[:4]] == [
         f"convergence lam={l:g}" for l in coupling_sweep(spec.lam)]
@@ -368,8 +380,8 @@ def test_unconverged_base_coupling_adds_no_amplitude_failure():
                                 "scaling: exponents [] not within 0.2 of 2",
                                 "amplitude: none compared, unconverged lam=0.15"]
     assert not any(f.startswith("amplitude n=") for f in rep.failures)
-    assert [a.n for a in rep.amplitudes] == [1, 2, 3, 4, 5]
-    assert max(a.rel_error_exact for a in rep.amplitudes) > 5.0 * 0.15**2
+    assert rep.measured.shape == rep.sum_rule_form.shape == rep.series_form.shape == (5,)
+    assert max(abs(rep.measured - rep.sum_rule_form) / rep.sum_rule_form) > 5.0 * 0.15**2
 
 
 def _top_rung_only(hbw, k):
@@ -398,8 +410,8 @@ def test_top_rung_delta_is_converged_in_any_units(m, omega0, planck_h):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_negative_pivots", _top_rung_only(spec.hbar * spec.omega0, 3))
         rep = compare_spec(spec, 2, 16)
-    assert rep.convergence_deltas == [CONVERGENCE_LADDER[-1]] * 4
-    assert rep.unconverged == []
+    assert rep.convergence_deltas.tolist() == [CONVERGENCE_LADDER[-1]] * 4
+    assert not rep.unconverged.any()
     assert not [f for f in rep.failures if f.startswith("convergence")]
 
 
@@ -434,7 +446,7 @@ def test_compare_decomposes_each_coupling_once(monkeypatch):
         # Ritz rung, 32 states; the converged doubled bases are counted,
         # not decomposed
         assert calls == {"eigh": [(4 * blocks, n, n)], "eigvalsh": []}
-        assert len(rep.amplitudes) == 5
+        assert len(rep.measured) == 5
         assert len(rep.convergence_deltas) == 4
         monkeypatch.undo()
 
@@ -491,7 +503,7 @@ def test_compare_harmonic_decomposes_parity_blocks(monkeypatch):
     rep = compare_spec(OscillatorSpec(), 5, 64)
     assert rep.passed
     assert calls == {"eigh": [(2, 16, 16)], "eigvalsh": []}
-    assert rep.convergence_deltas == [1e-13]
+    assert rep.convergence_deltas.tolist() == [1e-13]
 
 
 SIZES = [8, 9, 64, 768]
@@ -512,6 +524,42 @@ def test_banded_build_matches_matrix_power(kind, n, units):
     i, j = np.indices(h.shape)
     assert not np.any(h[np.abs(i - j) > q])
     assert np.array_equal(h, h.T)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("units", [{}, ODD_UNITS], ids=["default", "odd"])
+@pytest.mark.parametrize("kind,lam", [
+    (Kind.QUADRATIC_FORCE, -1e-3), (Kind.QUADRATIC_FORCE, 1e-3),
+    (Kind.CUBIC_FORCE, -1e-3), (Kind.CUBIC_FORCE, 1e-3), (Kind.HARMONIC, 0.0),
+])
+def test_report_arrays_are_the_public_views_to_the_bit(monkeypatch, kind, lam, units, order):
+    # the report's arrays hold what the table's lam-series views and the
+    # oracle's eigensolve give, to the bit: W_pert(n) is table.level(n) at
+    # each coupling, the series form table.amp(n, n - 1) at base_lam, and
+    # the exact levels diagonalize's
+    table = solve_quantum(OscillatorSpec(lam=lam, kind=kind, **units), n_max=6, order=order)
+    solved = []
+    real = oracle.diagonalize
+
+    def spy(*args):
+        solved.append(real(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(oracle, "diagonalize", spy)
+    rep = compare(table)
+    levels = range(rep.n_track + 1)
+    assert bits(rep.perturbative) == bits([[table.level(n).eval(l) for n in levels]
+                                           for l in rep.lambdas])
+    assert bits(rep.exact) == bits(solved[0][0])
+    if lam == 0:
+        assert rep.series_form.shape == (0,)
+    else:
+        assert bits(rep.series_form) == bits([table.amp(n, n - 1).eval(rep.base_lam)
+                                              for n in levels[1:]])
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -708,15 +756,17 @@ def test_certified_delta_bounds_measured_delta(kind, lam, n_basis):
 
 def test_unsound_pivots_are_uncertified(monkeypatch):
     # a zero or non-finite pivot certifies no rung, up to the top of
-    # DELTA_LADDER: compare reports the top rung and says the delta is above it
+    # DELTA_LADDER: its delta is inf, compare reports the top rung and says
+    # the delta is above it
     spec = OscillatorSpec(lam=1e-3, kind=Kind.QUADRATIC_FORCE)
     specs, tracked = _sweep_levels(spec, 80)
     monkeypatch.setattr(oracle, "_negative_pivots",
                         lambda bands, shifts: (np.zeros(shifts.shape, int),
                                                np.zeros(len(shifts), bool)))
-    assert counted_deltas(specs, 80, tracked) == [None] * 4
+    assert counted_deltas(specs, 80, tracked).tolist() == [math.inf] * 4
     rep = compare_spec(spec, 5, 80)
-    assert rep.convergence_deltas == [DELTA_LADDER[-1]] * 4
+    assert rep.convergence_deltas.tolist() == [math.inf] * 4
+    assert rep.convergence_delta == DELTA_LADDER[-1]
     assert [f for f in rep.failures if f.startswith("convergence")] == [
         f"convergence lam={l:g}: doubling delta > 5.623e+02" for l in coupling_sweep(spec.lam)]
 
@@ -724,7 +774,7 @@ def test_unsound_pivots_are_uncertified(monkeypatch):
 def _all_rungs_deltas(specs, n_basis, tracked, rungs):
     """The delta rule over every rung at once: one _negative_pivots call
     with the shifts of every rung, then the smallest certified rung, or
-    None where the top rung is not certified or a pivot unsound."""
+    inf where the top rung is not certified or a pivot unsound."""
     eps = np.array(rungs)[:, None] * (specs[0].hbar * specs[0].omega0)
     levels = np.array(tracked)[:, None]
     shifts = np.concatenate([levels - eps, levels + eps], axis=1).reshape(len(specs), -1)
@@ -733,7 +783,8 @@ def _all_rungs_deltas(specs, n_basis, tracked, rungs):
     counts = counts.reshape(len(specs), 2, len(eps), -1)
     i = np.arange(len(tracked[0]))
     certified = np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1)
-    return [rungs[np.argmax(ok)] if good and ok[-1] else None for ok, good in zip(certified, sound)]
+    return [rungs[np.argmax(ok)] if good and ok[-1] else math.inf
+            for ok, good in zip(certified, sound)]
 
 
 @pytest.mark.parametrize("kind,lam,n_basis", [
@@ -759,8 +810,8 @@ def test_lowest_rung_first_keeps_the_delta_rule(kind, lam, n_basis):
     # a coupling uncertified at the gate: its two-sweep search of
     # DELTA_LADDER finds the first rung that one sweep of every rung certifies
     wide = _all_rungs_deltas(specs, n_basis, tracked, CONVERGENCE_LADDER + DELTA_LADDER)
-    assert (counted_deltas(specs, n_basis, tracked)
-            == [w if g is None else g for g, w in zip(gate, wide)])
+    assert (counted_deltas(specs, n_basis, tracked).tolist()
+            == [w if g == math.inf else g for g, w in zip(gate, wide)])
 
 
 @pytest.mark.parametrize("kind", [Kind.QUADRATIC_FORCE, Kind.CUBIC_FORCE])
@@ -774,8 +825,8 @@ def test_delta_ladder_search_finds_every_rung(kind):
     offsets = [10.0 ** ((e + 0.5) / 4) for e in range(-42, 12)]
     exact = dense_reference(spec, 64)[0][:6]
     specs, tracked = [spec] * len(offsets), [exact + off for off in offsets]
-    got = counted_deltas(specs, 32, tracked)
-    assert got == [next((r for r in rungs if r > off), None) for off in offsets]
+    got = counted_deltas(specs, 32, tracked).tolist()
+    assert got == [next((r for r in rungs if r > off), math.inf) for off in offsets]
     assert got == _all_rungs_deltas(specs, 32, tracked, rungs)
 
 
@@ -789,7 +840,7 @@ def test_converged_sweep_sweeps_once_at_the_lowest_rung(monkeypatch):
 
     monkeypatch.setattr(oracle, "_negative_pivots", spy)
     rep = compare_spec(X2, 5, 64)
-    assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
+    assert rep.convergence_deltas.tolist() == [CONVERGENCE_LADDER[0]] * 4
     assert calls == [(4, (4, 2 * 6))]  # E_i -+ 1e-13*hbar*omega0 for the six tracked levels
 
 
@@ -805,7 +856,7 @@ def test_unconverged_coupling_reports_counted_delta():
         spec = OscillatorSpec(lam=lam, kind=Kind.QUADRATIC_FORCE)
         rep = compare_spec(spec, 5, n_basis)
         specs, tracked = _sweep_levels(spec, rep.n_basis)
-        assert rep.convergence_deltas[:3] == [1e-13] * 3
+        assert rep.convergence_deltas[:3].tolist() == [1e-13] * 3
         assert rep.convergence_deltas[3] in DELTA_LADDER
         assert math.isclose(rep.convergence_deltas[3], delta, rel_tol=1e-12)
         measured = measured_delta(specs[3], rep.n_basis, tracked[3])
@@ -834,7 +885,7 @@ def test_converged_compare_counts_instead_of_decomposing(monkeypatch):
         n = 32 // blocks
         assert built == []
         assert calls == {"eigh": [(4 * blocks, n, n)], "eigvalsh": []}
-        assert rep.convergence_deltas == [1e-13] * 4
+        assert rep.convergence_deltas.tolist() == [1e-13] * 4
         monkeypatch.undo()
 
 
@@ -862,7 +913,7 @@ def test_default_basis_solves_unfinished_blocks_whole(monkeypatch):
     rep = compare_spec(spec, 5)
     assert rep.n_basis == n
     assert calls == {"eigh": [(4, 32, 32), (3, n, n)], "eigvalsh": []}
-    assert rep.convergence_deltas[:3] == [1e-13] * 3
+    assert rep.convergence_deltas[:3].tolist() == [1e-13] * 3
     assert rep.convergence_deltas[3] > CONVERGENCE_LADDER[-1]
 
 
@@ -882,7 +933,7 @@ def test_amplitude_gate_is_in_the_smallness_ratio(kind, units):
     rep = compare_spec(spec, 5)
     assert rep.passed, rep.failures
     r_b = OscillatorSpec(lam=spec.lam / 2, kind=kind, **units).smallness_ratio()
-    worst = max(a.rel_error_exact for a in rep.amplitudes) / r_b**2
+    worst = max(abs(rep.measured - rep.sum_rule_form) / rep.sum_rule_form) / r_b**2
     assert 0.05 < worst < 0.3  # at least 4x below the gate
 
 
@@ -1053,7 +1104,7 @@ def test_converged_sweep_eliminates_few_rows(monkeypatch, spec, n_basis):
 
     monkeypatch.setattr(oracle, "_pivots", spy)
     rep = compare_spec(spec, 5, n_basis)
-    assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
+    assert rep.convergence_deltas.tolist() == [CONVERGENCE_LADDER[0]] * 4
     assert len(swept) == 1
     rows, eliminated = swept[0]
     assert rows == 2 * n_basis // len(_parity_blocks(spec))
@@ -1190,10 +1241,10 @@ def test_banded_compare_reports_certified_ritz_values(monkeypatch, kind, lam, n_
     levels, vectors, solved = _diagonalize_watching_blocks(monkeypatch, specs, n_basis)
     assert not any(solved)
     rep = compare_spec(specs[1], 5, n_basis)
-    assert rep.convergence_deltas == [CONVERGENCE_LADDER[0]] * 4
-    assert [r.exact for r in rep.levels] == levels.ravel().tolist()
+    assert rep.convergence_deltas.tolist() == [CONVERGENCE_LADDER[0]] * 4
+    assert rep.exact.tolist() == levels.tolist()
     x = _x_elements(specs[0], vectors)
-    assert [a.measured for a in rep.amplitudes] == [2.0 * float(x[n - 1, n]) for n in range(1, 6)]
+    assert rep.measured.tolist() == [2.0 * float(x[n - 1, n]) for n in range(1, 6)]
 
 
 def test_ritz_solve_stops_unconverged_past_its_largest_block(monkeypatch):
@@ -1265,13 +1316,15 @@ def test_unconverged_ritz_coupling_takes_the_dense_route(monkeypatch, spec, n_ba
     _stall_last_coupling(monkeypatch, blocks, n_basis // blocks)
     rep = compare_spec(spec, 5, n_basis)
     last = coupling_sweep(spec.lam)[-1]
+    assert rep.lambdas[-1] == last
     assert rep.convergence_deltas[-1] == dense.convergence_deltas[-1]
-    assert [r for r in rep.levels if r.lam == last] == [r for r in dense.levels if r.lam == last]
+    assert rep.perturbative[-1].tolist() == dense.perturbative[-1].tolist()
+    assert rep.exact[-1].tolist() == dense.exact[-1].tolist()
     assert [f for f in rep.failures if f"lam={last:g}" in f] == [
         f for f in dense.failures if f"lam={last:g}" in f]
     # every coupling unconverged: the whole report is the dense reference's
     monkeypatch.setattr(oracle, "RITZ_TOL", math.nan)
-    assert compare_spec(spec, 5, n_basis) == dense
+    assert_same_report(compare_spec(spec, 5, n_basis), dense)
 
 
 def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
@@ -1293,7 +1346,7 @@ def test_uncertified_ritz_coupling_is_counted_on_its_ritz_values(monkeypatch):
     monkeypatch.setattr(oracle, "_eigh", spy)
     rep = compare_spec(spec, 5, 256)
     assert max(sizes) <= 128
-    assert [r.exact for r in rep.levels if r.lam == 0.06] == levels[3].tolist()
+    assert rep.lambdas[3] == 0.06 and rep.exact[3].tolist() == levels[3].tolist()
     counted = counted_deltas(specs, 256, levels)
     assert rep.convergence_deltas[3] == counted[3] == 10.0 ** (9 / 4)
     assert rep.failures == ["convergence lam=0.06: doubling delta 1.778e+02 > 1.000e-10"]
@@ -1306,10 +1359,9 @@ def test_unconverged_rows_are_the_quasi_bound_states():
     # stay within 0.05 of the series although the basis has not converged
     spec = OscillatorSpec(lam=0.01, kind=Kind.QUADRATIC_FORCE)
     rep = compare_spec(spec, 5, 1024)
-    assert rep.unconverged == [0.04]
-    rows = [r for r in rep.levels if r.lam == 0.04]
-    assert len(rows) == 6
-    assert max(r.residual for r in rows) < 0.05
+    assert rep.unconverged.tolist() == [False, False, False, True]
+    assert rep.lambdas[3] == 0.04 and rep.residual[3].shape == (6,)
+    assert rep.residual[3].max() < 0.05
 
 
 def test_stalled_ritz_solve_prints_the_dense_output(monkeypatch, capsys):
@@ -1402,24 +1454,29 @@ def test_rs_shifts_equal_the_dense_row_sums(kind, n, units):
             assert np.all(np.abs(shifts[1, c] - second) <= 2 * np.finfo(float).eps * size)
 
 
-def _pinned_table(table, pinned):
-    """table with level(n) evaluating to pinned[(n, lam)] where listed: a
-    residual of exactly zero there, which the fit leaves out."""
-    def level(n):
-        real = table.level(n)
-        return SimpleNamespace(eval=lambda lam: pinned.get((n, lam), real.eval(lam)))
-    return SimpleNamespace(spec=table.spec, n_max=table.n_max, order=table.order, level=level,
-                           amp=table.amp)
+def _pin_levels(monkeypatch, pinned):
+    """compare's W_pert(n) at coupling c set to pinned[(n, c)] where listed:
+    a residual of exactly zero there, which the fit leaves out.  The levels
+    are the one horner call whose value is (C, n_track + 1)."""
+    real = oracle.horner
+
+    def horner(c, lam):
+        out = real(c, lam)
+        if out.ndim == 2:
+            for (n, coupling), value in pinned.items():
+                out[coupling, n] = value
+        return out
+
+    monkeypatch.setattr(oracle, "horner", horner)
 
 
 def test_fit_is_one_polyfit_per_point_set(monkeypatch):
     # level 2 drops its point at 2*lam and level 4 keeps one point: two
     # point sets, one polyfit each, and no fit of level 4; every fit is
     # per-level np.polyfit's to the bit, the keys in ascending n
-    lams = coupling_sweep(1e-3)
     table = solve_quantum(X3, n_max=6, order=1)
-    exact = {(r.n, r.lam): r.exact for r in compare_spec(X3, 5, 64).levels}
-    pinned = {(2, lams[2]): exact[2, lams[2]], **{(4, l): exact[4, l] for l in lams[1:]}}
+    exact = compare_spec(X3, 5, 64).exact
+    _pin_levels(monkeypatch, {(2, 2): exact[2, 2], **{(4, c): exact[c, 4] for c in (1, 2, 3)}})
     calls = []
     real = np.polyfit
 
@@ -1428,11 +1485,12 @@ def test_fit_is_one_polyfit_per_point_set(monkeypatch):
         return real(x, y, deg)
 
     monkeypatch.setattr(np, "polyfit", spy)
-    rep = compare(_pinned_table(table, pinned), 64)
+    rep = compare(table, 64)
+    assert rep.lambdas == tuple(coupling_sweep(1e-3))
     assert calls == [(4, (4, 4)), (3, (3, 1))]
     assert list(rep.fit_exponent) == list(rep.fit_constant) == [0, 1, 2, 3, 5]
     for n in rep.fit_exponent:
-        pts = [(r.lam, r.residual) for r in rep.levels if r.n == n and r.residual > 0]
+        pts = [(lam, r) for lam, r in zip(rep.lambdas, rep.residual[:, n]) if r > 0]
         assert len(pts) == (3 if n == 2 else 4)
         slope, intercept = real(np.log([l for l, _ in pts]), np.log([r for _, r in pts]), 1)
         assert rep.fit_exponent[n] == float(slope)
@@ -1455,7 +1513,7 @@ def test_full_block_coupling_is_counted_once(monkeypatch):
     spec = OscillatorSpec(lam=0.04, kind=Kind.QUADRATIC_FORCE)
     rep = compare_spec(spec, 5)
     assert calls == [(4, 12), (1, 36), (1, 96), (1, 72)]
-    assert rep.convergence_deltas == [1e-13] * 3 + [10.0 ** (7 / 4)]
+    assert rep.convergence_deltas.tolist() == [1e-13] * 3 + [10.0 ** (7 / 4)]
 
 
 @pytest.mark.parametrize("spec,eigh", [
@@ -1499,7 +1557,7 @@ def test_no_eigensolve_sees_more_than_128_rows(monkeypatch, kind):
     for lam in [0.0] if kind is Kind.HARMONIC else [1e-4, 2e-3, 0.02, 0.3]:
         for n in (8, 9, 33, 128, 129, 256, 257, 259, 513, 1024, 2047, 2048):
             rep = compare_spec(OscillatorSpec(lam=lam, kind=kind), 5, n)
-            assert len(rep.levels) == 6 * len(coupling_sweep(lam))
+            assert rep.exact.shape == (len(coupling_sweep(lam)), 6)
     assert calls["_eigh"] and max(shape[-1] for shape in calls["_eigh"]) <= 128
     assert (2, 128, 128) in calls["_eigh"] or kind is not Kind.CUBIC_FORCE
 

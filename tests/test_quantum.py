@@ -490,7 +490,7 @@ def _accessor_series(t):
 def test_store_invariants(spec, mutate):
     t = _apply(solve_quantum(spec, n_max=6, order=1), mutate)
     x = t.x.c
-    assert x.shape == (3, t.n_top + 3, t.n_top + 3)
+    assert x.shape == (3, t.n_max + t.pad + 3, t.n_max + t.pad + 3)
     assert np.array_equal(x, x.transpose(0, 2, 1))  # X is symmetric
     for n in range(-1, t.x.dim + 1):
         for m in range(-1, t.x.dim + 1):

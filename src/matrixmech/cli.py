@@ -326,13 +326,18 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         }
         print(json.dumps(payload))
     else:
-        rows = [["level", fmt(lam), str(n), *map(fmt, v)] for lam, n, v in levels]
-        rows += [["fit", "", str(n), fmt(report.fit_constant[n]),
-                  fmt(report.fit_exponent[n]), ""] for n in sorted(report.fit_exponent)]
-        rows += [["amplitude", fmt(lam), str(n), *map(fmt, v)] for lam, n, v in amplitudes]
-        _emit_csv("row,lambda,n,value1,value2,value3", rows)
-        for f in report.failures:
-            print(f"mismatch: {f}", file=sys.stderr)
+        # one %-format per row, after one finiteness check of every value in row order
+        row = f"{NUMBER},%d,{NUMBER},{NUMBER},{NUMBER}\n"
+        rows = [("level," + row, (lam, n, *v)) for lam, n, v in levels]
+        rows += [(f"fit,,%d,{NUMBER},{NUMBER},\n",
+                  (n, report.fit_constant[n], report.fit_exponent[n]))
+                 for n in sorted(report.fit_exponent)]
+        rows += [("amplitude," + row, (lam, n, *v)) for lam, n, v in amplitudes]
+        bad = next((x for _, values in rows for x in values if not math.isfinite(x)), None)
+        if bad is not None:
+            raise OverflowError(f"non-finite result {bad}")
+        sys.stdout.write("row,lambda,n,value1,value2,value3\n" + "".join([t % v for t, v in rows]))
+        sys.stderr.write("".join(f"mismatch: {f}\n" for f in report.failures))
     return 0 if report.passed else CHECK_ERROR
 
 

@@ -399,9 +399,19 @@ def ladder_checks(table: TransitionTable) -> Tuple[Dict[int, float], float]:
     energy = spec.scaled(e[:, :pub, :pub][:, off], spec.m * spec.omega0**2 * a * a,
                          e_size[:, :pub, :pub][:, off]).max(initial=0.0)
     scaled = spec.scaled(r[:, :pub, :pub], spec.omega0**2 * a, r_size[:, :pub, :pub])
-    worst = {d: float(np.diagonal(scaled[: trusted_residual_order(spec.kind, table.order, d) + 1],
-                                  -d, 1, 2).max()) for d in range(pub)}
-    return worst, float(energy)
+    # each lower diagonal d = n - m as a column, diagonals[l, n, d] = padded[l, n, pub + n - d],
+    # -inf where d > n: l = 0 the layers every delta trusts, l = 1 the top layer, -inf at
+    # each d that does not trust it; one reduction takes every maximum (NaN propagates)
+    top = table.order + 1
+    padded = np.full((2, pub, 2 * pub), -np.inf)
+    np.maximum.reduce(scaled[:top], axis=0, out=padded[0, :, pub:])
+    padded[1, :, pub:] = scaled[top]
+    s0, s1, s2 = padded.strides
+    diagonals = np.lib.stride_tricks.as_strided(padded[:, :, pub:], (2, pub, pub),
+                                                (s0, s1 + s2, -s2))
+    diagonals[1, :, [trusted_residual_order(spec.kind, table.order, d) < top
+                     for d in range(pub)]] = -np.inf
+    return dict(enumerate(diagonals.max(axis=(0, 1)).tolist())), float(energy)
 
 
 def quantum_residuals(table: TransitionTable) -> Dict[Tuple[int, int], LambdaSeries]:

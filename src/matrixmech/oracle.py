@@ -64,17 +64,17 @@ def _hamiltonian_bands(specs: Sequence[OscillatorSpec], *sizes: int) -> List[np.
     if q == 1:
         bands = [np.tile(diag[:n], (len(specs), 1, 1)) for n in sizes]
     else:
-        smaller = [n for n in sizes if n < width]
         # runs of states: the largest basis, then the last 2q states of each smaller
         # one, each run starting with x cut (0) from the one before
-        off = np.concatenate([_x_offdiagonal(spec, width)]
-                             + [np.append(0.0, _x_offdiagonal(spec, n)[n - 2 * q :]) for n in smaller])
+        x = _x_offdiagonal(spec, width)
+        off = np.concatenate([x] + [v for n in sizes if n < width
+                                    for v in ([0.0], x[n - 2 * q : n - 1])])
         band = np.zeros((2 * q + 3, len(off) + 1))  # band[q + 1 + d, i] = <i + d| x^j |i>; zero end rows
         band[q + 1] = 1.0
         for j in range(1, q + 1):  # x^j <- x^(j-1) x, on the diagonals d = -j, -j + 2 .. j
-            new = np.zeros_like(band)
+            new = np.zeros(band.shape)
             d = slice(q + 1 - j, q + 2 + j, 2)
-            new[d, 1:] = off * band[q + 2 - j : q + 3 + j : 2, :-1]
+            np.multiply(off, band[q + 2 - j : q + 3 + j : 2, :-1], out=new[d, 1:])
             new[d, :-1] += off * band[q - j : q + 1 + j : 2, 1:]
             band = new
         lower, lams = band[q + 1 : -1], np.array([s.m * s.lam / q for s in specs])[:, None, None]
@@ -82,7 +82,8 @@ def _hamiltonian_bands(specs: Sequence[OscillatorSpec], *sizes: int) -> List[np.
         for n in sizes:
             xq = lower[:, :n]
             if n < width:
-                xq, edge = np.hstack([xq[:, : n - q], lower[:, edge : edge + q]]), edge + 2 * q
+                xq = np.concatenate([xq[:, : n - q], lower[:, edge : edge + q]], axis=1)
+                edge += 2 * q
             bands.append(xq * lams)
             bands[-1][:, 0] += diag[:n]
             for d in range(1, q + 1):
@@ -155,11 +156,12 @@ def _first_dominant_row(bands: np.ndarray, shifts: np.ndarray) -> int:
     bands and shifts as in _pivots.  A NaN anywhere fails the margin.
     """
     width, n = bands.shape[2:]
-    off = np.abs(bands[:, :, 1:]).sum(axis=2)  # above the diagonal: <i| H |i + d>
+    size = np.abs(bands[:, :, 1:])  # |<i + d| H |i>| for d = 1 .. width - 1
+    off = np.add.reduce(size, axis=2)  # above the diagonal: <i| H |i + d>
     for d in range(1, width):  # below it: <i| H |i - d>
-        off[..., d:] += np.abs(bands[:, :, d, : n - d])
-    margin = bands[:, :, 0] - off - np.max(shifts, axis=1)[:, None]
-    bad = np.flatnonzero(~np.all(margin > 0, axis=(0, 1)))
+        np.add(off[..., d:], size[:, :, d - 1, : n - d], off[..., d:])
+    margin = bands[:, :, 0] - off - np.maximum.reduce(shifts, axis=1)[:, None]
+    bad = (~np.logical_and.reduce(margin > 0, axis=(0, 1))).nonzero()[0]
     return int(bad[-1]) + 1 if len(bad) else 0
 
 
@@ -168,10 +170,10 @@ def _carried_rows_dominant(held: np.ndarray) -> bool:
     not yet eliminated) are strictly diagonally dominant with a positive
     diagonal, at every block, coupling and shift."""
     w = len(held)
-    off = np.abs(held[:, w + 1 :]).sum(axis=1)
+    off = np.add.reduce(np.abs(held[:, w + 1 :]), axis=1)
     for a in range(1, w):
-        off[a] += np.abs(held[a, w - a : w]).sum(axis=0)
-    return bool(np.all(held[:, w] > off))
+        off[a] += np.add.reduce(np.abs(held[a, w - a : w]), axis=0)
+    return bool(np.logical_and.reduce(held[:, w] > off, axis=None))
 
 
 def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -199,9 +201,10 @@ def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     pivots: the counts, and whether every pivot is finite and nonzero,
     are the full sweep's.  The first row tried is _first_dominant_row's;
     where the carried rows fail (a leading block nearly singular at a
-    shift next to an eigenvalue), row 2r + 8, and so on.  Where no row
-    passes (an unconverged coupling or a shift above the Gershgorin
-    region anywhere in the batch) all N rows are eliminated.
+    shift next to an eigenvalue), row 2r + 8, and so on, each run filled
+    through the row tried after the next.  Where no row passes (an
+    unconverged coupling or a shift above the Gershgorin region anywhere
+    in the batch) all N rows are eliminated.
     """
     n_blocks, n_couplings, width, n = bands.shape
     if width == 1:
@@ -209,15 +212,14 @@ def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     w = width - 1
     m = min(n, _SWEEP_ROWS)
     buf = np.empty((m + w, 2 * w + 1, n_blocks, n_couplings, shifts.shape[1]))
+    flat = buf.reshape(m + w, 2 * w + 1, -1)  # the batch as one axis
     # window[j, r, c] = buf[j + r, w + c - r]: the rows j .. j + w being eliminated
-    window = np.lib.stride_tricks.as_strided(
-        buf[0, w], (m, w + 1, w + 1) + buf.shape[2:],
-        (buf.strides[0], buf.strides[0] - buf.strides[1]) + buf.strides[1:])
+    (s0, s1, s2), batch = flat.strides, flat.shape[2]
+    window = np.ndarray((m, w + 1, w + 1, batch), float, flat, w * s1, (s0, s0 - s1, s1, s2))
     views = (window[:, 1:, 0], window[:, 0, 0], window[:, 0, 1:], window[:, 1:, 1:])
-    steps: List[Tuple[np.ndarray, ...]] = []  # one window per row, made when first eliminated
     band = bands.transpose(3, 2, 0, 1)[..., None]  # band[i, d] = bands[:, :, d, i], over the shifts
-    ratio = np.empty((w, 1) + buf.shape[2:])
-    update = np.empty((w, w) + buf.shape[2:])
+    ratio = np.empty((w, 1, batch))
+    quotient, update = ratio[:, 0], np.empty((w, w, batch))
     pivots = np.empty((n,) + buf.shape[2:])
     stop = max(_first_dominant_row(bands, shifts), 1)  # the next row at which to test the rest
     j = size = 0
@@ -225,7 +227,7 @@ def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         while j < n:
             fresh = w if j else 0  # after the first run the top w rows are carried
             buf[:fresh] = buf[size : size + fresh]
-            size = min(m, n - j, stop - j)
+            size = min(m, n - j, 2 * stop + 8 - j)
             # buf[a, w + t] = H[i, i + t] (less the shift at t = 0) for row
             # i = j + a, zero outside the matrix; rows lo .. hi - 1 are new
             new = buf[fresh : size + w]
@@ -238,17 +240,19 @@ def _pivots(bands: np.ndarray, shifts: np.ndarray) -> np.ndarray:
                 if first < hi:
                     new[first - lo : hi - lo, w - d] = band[first - d : hi - d, d]
             np.subtract(new[: hi - lo, w], shifts, out=new[: hi - lo, w])
-            steps += zip(*(v[len(steps) : size] for v in views))  # rows new to this call
-            for col, pivot, row, rest in steps[:size]:
-                np.divide(col, pivot, out=ratio[:, 0])
-                np.multiply(ratio, row, out=update)
-                np.subtract(rest, update, out=rest)
-            pivots[j : j + size] = buf[:size, w]
+            a = 0  # the run's rows eliminated
+            while a < size:
+                b, a = a, min(stop - j, size)
+                for col, pivot, row, rest in zip(*(v[b:a] for v in views)):
+                    np.divide(col, pivot, quotient)
+                    np.multiply(ratio, row, update)
+                    np.subtract(rest, update, rest)
+                pivots[j + b : j + a] = buf[b:a, w]
+                if j + a == stop:
+                    if stop + w <= n and _carried_rows_dominant(buf[a : a + w]):
+                        return pivots[:stop]
+                    stop = 2 * stop + 8
             j += size
-            if j == stop:
-                if j + w <= n and _carried_rows_dominant(buf[size : size + w]):
-                    return pivots[:j]
-                stop = 2 * stop + 8
     return pivots
 
 
@@ -263,8 +267,8 @@ def _negative_pivots(bands: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray,
     non-finite pivot either.
     """
     pivots = _pivots(bands, shifts)
-    counts = np.count_nonzero(pivots < 0, axis=(0, 1))
-    sound = np.all(np.isfinite(pivots) & (pivots != 0), axis=(0, 1, 3))
+    counts = np.add.reduce(pivots < 0, axis=(0, 1), dtype=np.intp)
+    sound = np.logical_and.reduce(np.isfinite(pivots) & (pivots != 0), axis=(0, 1, 3))
     return counts, sound
 
 
@@ -298,24 +302,25 @@ def _counted_deltas(
     inf.
     """
     i = np.arange(levels.shape[1])
-    blocks = _parity_blocks(specs[0])
-    # a parity block's band: every other diagonal
-    bands = np.stack([bands[:, :: len(blocks), b] for b in blocks])
+    (n_couplings, _, n), nb = bands.shape, len(_parity_blocks(specs[0]))
+    # parity block b's band: every nb-th diagonal, at every nb-th state from b
+    bands = np.ascontiguousarray(
+        bands[:, ::nb].reshape(n_couplings, -1, n // nb, nb).transpose(3, 0, 1, 2))
 
-    def certified(asked, rungs):  # rungs (asked, R): each certified (asked, R), sound (asked,)
+    def certified(asked, rungs):  # rungs (asked or 1, R): each certified (asked, R), sound (asked,)
         eps = rungs[..., None] * (specs[0].hbar * specs[0].omega0)  # absolute
         shifts = np.concatenate([levels[asked, None] - eps, levels[asked, None] + eps], axis=1)
-        counts, sound = _negative_pivots(bands if len(asked) == len(specs) else bands[:, asked],
+        counts, sound = _negative_pivots(bands if len(asked) == n_couplings else bands[:, asked],
                                          shifts.reshape(len(asked), -1))
         counts = counts.reshape(len(asked), 2, rungs.shape[1], -1)
-        return np.all((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1), sound
+        return np.logical_and.reduce((counts[:, 0] <= i) & (counts[:, 1] >= i + 1), axis=-1), sound
 
-    deltas = np.full(len(specs), np.inf)
-    asked = np.arange(len(specs))
-    for rungs in (CONVERGENCE_LADDER[:1], CONVERGENCE_LADDER[1:]):
-        ok, sound = certified(asked, np.tile(rungs, (len(asked), 1)))
+    deltas = np.full(n_couplings, np.inf)
+    asked = np.arange(n_couplings)
+    for rungs in (np.array([CONVERGENCE_LADDER[:1]]), np.array([CONVERGENCE_LADDER[1:]])):
+        ok, sound = certified(asked, rungs)
         done = sound & ok[:, -1]
-        deltas[asked[done]] = np.array(rungs)[np.argmax(ok[done], axis=1)]
+        deltas[asked[done]] = rungs[0, ok[done].argmax(axis=1)]
         asked = asked[sound & ~ok[:, -1]]
         if not len(asked):
             return deltas
@@ -324,7 +329,7 @@ def _counted_deltas(
     for step, count in ((7, 8), (1, 6)):
         probes = np.maximum(hi[:, None] - step * np.arange(count, 0, -1), 0)
         ok, sound = certified(asked, np.array(DELTA_LADDER)[probes])
-        hi = np.where(ok.any(axis=1), probes[np.arange(len(asked)), np.argmax(ok, axis=1)], hi)
+        hi = np.where(ok.any(axis=1), probes[np.arange(len(asked)), ok.argmax(axis=1)], hi)
         asked, hi = asked[sound & (hi < len(DELTA_LADDER))], hi[sound & (hi < len(DELTA_LADDER))]
         if not len(asked):
             return deltas
@@ -353,7 +358,7 @@ def _eigh(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"eigensolver did not converge: {exc}") from exc
-    if not np.all(np.diff(w, axis=-1) >= -1e-9 * np.maximum(1.0, np.abs(w[..., -1:]))):
+    if not (w[..., 1:] - w[..., :-1] >= -1e-9 * np.maximum(1.0, np.abs(w[..., -1:]))).all():
         raise OracleError("eigenvalues not sorted; decomposition failed")
     return w, v
 
@@ -409,26 +414,27 @@ def diagonalize(
             h = _corner(np.array([parts[p][:, :size] for p in ps]), size + w, size)
             theta, y = _eigh(h[:, :size])
             r = np.einsum("pri,pij->prj", h[:, size:], y[:, :, :kb])
-            done = np.all(np.einsum("prj,prj->pj", r, r) <= tol, axis=1)
-            for p, t, v, ok in zip(ps, theta, y, done):
+            # a block of more than 128 rows ends at its 128-row corner
+            done = (np.einsum("prj,prj->pj", r, r) <= tol).all(axis=1) | (size == 128)
+            for p, t, v, ok in zip(ps, theta, y, done.tolist()):
                 if parts[p].shape[1] == size:  # the whole block: every eigenpair
                     found[p] = (t, v)
-                elif ok or size == 128:  # a block of more than 128 rows ends at its 128-row corner
+                elif ok:
                     found[p] = (t[:kb], v[:, :kb])
             todo = [p for p in todo if found[p] is None]
-    levels, vectors = np.empty((len(specs), k)), None
-    for c in range(len(specs)):
-        pairs = found[c * nb : (c + 1) * nb]
-        evals = np.concatenate([t for t, _ in pairs])
-        order = np.argsort(evals, kind="stable")[:k]
-        levels[c] = evals[order]
-        if c == base:  # each block's vectors sit in its leading rows
-            vectors, start = np.zeros((n_basis, k), order="F"), 0
-            for b, (t, v) in zip(blocks, pairs):
-                cols = order - start
-                mine = (cols >= 0) & (cols < len(t))
-                vectors[b][: len(v), mine] = v[:, cols[mine]]
-                start += len(t)
+    # each coupling's blocks side by side, each padded with inf to the longest
+    width = max([len(t) for t, _ in found])
+    evals = np.full((len(parts), width), np.inf)
+    for p, (t, _) in enumerate(found):
+        evals[p, : len(t)] = t
+    evals = evals.reshape(len(specs), -1)
+    order = np.argsort(evals, axis=1, kind="stable")[:, :k]
+    levels, vectors = evals[np.arange(len(specs))[:, None], order], None
+    if base is not None:  # each block's vectors sit in its leading rows
+        vectors, (block, col) = np.zeros((n_basis, k), order="F"), np.divmod(order[base], width)
+        for b, rows in enumerate(blocks):
+            v, mine = found[base * nb + b][1], block == b
+            vectors[rows][: len(v), mine] = v[:, col[mine]]
     return levels, vectors
 
 
@@ -446,7 +452,7 @@ def _rs_shifts(spec: OscillatorSpec, bands: np.ndarray, n_track: int) -> np.ndar
     """
     k, hbw = n_track + 1, spec.hbar * spec.omega0
     first = bands[..., 0, :k] - (np.arange(k) + 0.5) * spec.hbar * spec.omega0
-    second = np.zeros_like(first)
+    second = np.zeros(first.shape)
     for d in range(1, bands.shape[-2]):
         sq = bands[..., d, :k] ** 2 / (d * hbw)  # H(n + d, n)^2, and H(n, n - d)^2 at n - d
         second -= sq
@@ -492,7 +498,7 @@ class ComparisonReport:
         """Largest |q - j| over the fitted levels (NaN propagates); j when
         none was fitted."""
         gaps = [abs(q - self.neglected_order) for q in self.fit_exponent.values()]
-        return float(np.max(gaps)) if gaps else float(self.neglected_order)
+        return float(np.maximum.reduce(gaps)) if gaps else float(self.neglected_order)
 
     @property
     def unconverged(self) -> np.ndarray:
@@ -565,15 +571,16 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
 
     unconverged, residual, hbw = report.unconverged, report.residual, spec.hbar * spec.omega0
     tols = np.maximum(4.0 * np.abs(shifts), 1e-10 * spec.hbar * spec.omega0)
-    for c, (lam, delta) in enumerate(zip(lambdas, report.convergence_deltas)):
+    over = (residual > tols).tolist()
+    for c, (lam, delta) in enumerate(zip(lambdas, report.convergence_deltas.tolist())):
         if unconverged[c]:  # the basis, not the series, is at fault here
             told = (f"> {DELTA_LADDER[-1] * hbw:.3e}" if delta > DELTA_LADDER[-1]
                     else f"{delta * hbw:.3e} > {CONVERGENCE_GATE * hbw:.3e}")
             report.failures.append(f"convergence lam={lam:g}: doubling delta {told}")
         else:
             report.failures += [f"level n={i} lam={lam:g}: |dW|={residual[c, i]:.3e} > "
-                                f"{tols[c, i]:.3e}" for i in np.flatnonzero(residual[c] > tols[c])]
-    if unconverged.all():
+                                f"{tols[c, i]:.3e}" for i, bad in enumerate(over[c]) if bad]
+    if all(unconverged):
         report.failures.append(
             "level: none compared, unconverged lam=" + ", ".join(f"{l:g}" for l in lambdas))
 
@@ -582,16 +589,16 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
     # its levels as columns
     fitted = ~unconverged[:, None] & (lams != 0)[:, None] & (residual > 0)
     levels_at: Dict[Tuple[bool, ...], List[int]] = {}
-    for i in np.flatnonzero(fitted.sum(axis=0) >= 2):
-        levels_at.setdefault(tuple(fitted[:, i]), []).append(int(i))
+    for i in (fitted.sum(axis=0) >= 2).nonzero()[0].tolist():
+        levels_at.setdefault(tuple(fitted[:, i].tolist()), []).append(i)
     fits = {}
     for rows, ns in levels_at.items():
         rows = np.array(rows)
         ys = np.log(residual[rows][:, ns])
-        fits.update(zip(ns, np.polyfit(np.log(np.abs(lams[rows])), ys, 1).T))
+        fits.update(zip(ns, np.polyfit(np.log(np.abs(lams[rows])), ys, 1).T.tolist()))
     for i, (slope, intercept) in sorted(fits.items()):
-        report.fit_exponent[i] = float(slope)
-        report.fit_constant[i] = float(math.exp(intercept))
+        report.fit_exponent[i] = slope
+        report.fit_constant[i] = math.exp(intercept)
     if spec.lam != 0 and not report.exponent_gap <= EXPONENT_GATE:
         qs = sorted(round(q, 3) for q in report.fit_exponent.values())
         report.failures.append(f"scaling: exponents {qs} not within {EXPONENT_GATE:g} of {j}")
@@ -599,11 +606,11 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
     # amplitude comparison at the base coupling
     if base_lam is not None:  # a harmonic spec has lam == 0
         s, n = specs[0], np.arange(1, n_track + 1)
-        report.measured = 2.0 * np.diagonal(_x_elements(s, vectors), 1)
+        report.measured = 2.0 * _x_elements(s, vectors).diagonal(1)
         # 1.25*r^2 in the smallness ratio r at base_lam (5*lam^2 for x3 and
         # 2.5*lam^2 for x2 in default units); OverflowError beyond r ~ 1e154
         amp_tol = 1.25 * s.smallness_ratio() ** 2
-        omega_exact = np.diff(levels[0]) / s.hbar
+        omega_exact = (levels[0, 1:] - levels[0, :-1]) / s.hbar
         report.sum_rule_form = np.sqrt(n * s.planck_h / (math.pi * s.m * omega_exact))
         report.series_form = horner(2.0 * table.x.c[:, n, n - 1], base_lam)
         if unconverged[0]:
@@ -611,5 +618,5 @@ def compare(table: TransitionTable, n_basis: Optional[int] = None) -> Comparison
         else:
             rel = np.abs(report.measured - report.sum_rule_form) / report.sum_rule_form
             report.failures += [f"amplitude n={i + 1}: rel err {rel[i]:.3e} > 1.25*r^2"
-                                for i in np.flatnonzero(rel > amp_tol)]
+                                for i, bad in enumerate((rel > amp_tol).tolist()) if bad]
     return report

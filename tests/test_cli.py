@@ -820,10 +820,13 @@ def test_config_file_keys_stay_shared_across_subcommands(capsys, tmp_path, argv,
 
 
 def _reference_table_output(command, config):
-    """levels and lines as rows of LambdaSeries and SpectralLine values,
-    fmt per value and one print per row."""
+    """levels and lines as rows of LambdaSeries and SpectralLine values, and
+    oracle-compare as rows of its report's arrays: fmt (CSV) or jnum (JSON)
+    per value, every row formed before the first print and one print per row."""
     from matrixmech import cli, ladder
 
+    if command == "oracle-compare":
+        return _reference_oracle_output(cli, config)
     table = cli._solved_table(config)
     if command == "levels":
         rows = []
@@ -850,6 +853,36 @@ def _reference_table_output(command, config):
         header = "n,m,omega,rel_intensity,amp_order"
     print(header)
     for row in lines:
+        print(",".join(row))
+
+
+def _reference_oracle_output(cli, config):
+    report = cli.orc.compare(cli._solved_table(config), n_basis=config.oracle_n)
+    levels = [(lam, n, report.perturbative[c, n], report.exact[c, n], report.residual[c, n])
+              for c, lam in enumerate(report.lambdas) for n in range(report.n_track + 1)]
+    fits = [(n, report.fit_constant[n], report.fit_exponent[n]) for n in sorted(report.fit_exponent)]
+    amplitudes = [(report.base_lam, n, report.measured[n - 1], report.sum_rule_form[n - 1],
+                   report.series_form[n - 1]) for n in range(1, len(report.measured) + 1)]
+    if config.fmt == "json":
+        print(json.dumps({
+            "passed": report.passed,
+            "n_basis": report.n_basis,
+            "convergence_delta": cli.jnum(report.convergence_delta
+                                          * (report.spec.hbar * report.spec.omega0)),
+            "levels": [{"lambda": cli.jnum(lam), "n": n, "W_pert": cli.jnum(p),
+                        "E_exact": cli.jnum(e), "residual": cli.jnum(r)}
+                       for lam, n, p, e, r in levels],
+            "fits": [{"n": n, "constant": cli.jnum(c), "exponent": cli.jnum(q)} for n, c, q in fits],
+            "amplitudes": [{"n": n, "measured": cli.jnum(m), "sum_rule_form": cli.jnum(s),
+                            "series_form": cli.jnum(t)} for _, n, m, s, t in amplitudes],
+            "failures": report.failures,
+        }))
+        return
+    rows = [["level", cli.fmt(lam), str(n), *map(cli.fmt, v)] for lam, n, *v in levels]
+    rows += [["fit", "", str(n), cli.fmt(c), cli.fmt(q), ""] for n, c, q in fits]
+    rows += [["amplitude", cli.fmt(lam), str(n), *map(cli.fmt, v)] for lam, n, *v in amplitudes]
+    print("row,lambda,n,value1,value2,value3")
+    for row in rows:
         print(",".join(row))
 
 
@@ -901,18 +934,35 @@ def _doctor(table, variant):
     return table
 
 
+def _doctor_report(report, variant):
+    if variant == "signed zeros":
+        report.exact[1, 2] = report.measured[0] = report.series_form[-1] = -0.0
+        report.fit_constant[min(report.fit_constant)] = -0.0
+    else:  # the first non-finite value in row order is not the first by column
+        report.exact[0, 0] = np.inf  # level row 0's value2, and so its residual
+        report.perturbative[0, 1] = np.nan  # level row 1's value1
+        report.measured[0] = -np.inf
+    return report
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("variant", ["signed zeros", "non-finite"])
 @pytest.mark.parametrize("kind", ["x2", "x3"])
-@pytest.mark.parametrize("command", ["levels", "lines"])
+@pytest.mark.parametrize("command", ["levels", "lines", "oracle-compare"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_doctored_tables_print_as_row_by_row(capsys, monkeypatch, variant, kind, command, fmt):
     # a -0.0 coefficient prints as the LambdaSeries view prints it (0), and a
-    # non-finite value stops the table at the first one in row order
+    # non-finite value stops the table at the first one in row order; for
+    # oracle-compare the report that compare returns is doctored
     from matrixmech import cli
 
-    solved = cli._solved_table
-    monkeypatch.setattr(cli, "_solved_table", lambda config: _doctor(solved(config), variant))
+    if command == "oracle-compare":
+        compare = cli.orc.compare
+        monkeypatch.setattr(cli.orc, "compare", lambda table, n_basis=None: _doctor_report(
+            compare(table, n_basis), variant))
+    else:
+        solved = cli._solved_table
+        monkeypatch.setattr(cli, "_solved_table", lambda config: _doctor(solved(config), variant))
     argv = [command, "--kind", kind, "--lambda", "0.001", "--nmax", "6", "--format", fmt]
     code, out, err = run(capsys, *argv)
     config = cli.resolve_config(cli._parser().parse_args(argv))

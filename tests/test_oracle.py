@@ -384,6 +384,43 @@ def test_unconverged_base_coupling_adds_no_amplitude_failure():
     assert max(abs(rep.measured - rep.sum_rule_form) / rep.sum_rule_form) > 5.0 * 0.15**2
 
 
+@pytest.mark.parametrize("spec", [X2, X3])
+def test_a_wrong_amplitude_fails_its_level_in_compare_verify_and_the_cli(monkeypatch, capsys, spec):
+    # at a converged, in-regime coupling every relative error is far inside
+    # 1.25*r^2; scaling <1|x|2> and <3|x|4> by 1 + 1e-4 fails n = 2 and n = 4
+    # alone, in that order, in compare, in verify's oracle_amplitudes row
+    # and in the exit code of both commands
+    from matrixmech import cli
+
+    table = solve_quantum(spec, n_max=5, order=1)
+    before = compare(table)
+    assert before.passed, before.failures
+    x_elements = oracle._x_elements
+
+    def scaled(spec, vectors):
+        x = x_elements(spec, vectors)
+        x[1, 2] *= 1.0 + 1e-4
+        x[3, 4] *= 1.0 + 1e-4
+        return x
+
+    monkeypatch.setattr(oracle, "_x_elements", scaled)
+    rep = compare(table)
+    s = before.sum_rule_form
+    expected = [f"amplitude n={n}: rel err "
+                f"{abs(before.measured[n - 1] * (1.0 + 1e-4) - s[n - 1]) / s[n - 1]:.3e} > 1.25*r^2"
+                for n in (2, 4)]
+    assert rep.failures == expected
+    assert rep.measured[[0, 2, 4]].tolist() == before.measured[[0, 2, 4]].tolist()
+    row = {c.name: c for c in run_verification(table).checks}["oracle_amplitudes"]
+    assert (row.passed, row.measured, row.tolerance) == (False, 2.0, 0.0)
+    assert row.detail == "; ".join(expected)
+    argv = ["--kind", spec.kind.value, "--lambda", "1e-3", "--nmax", "5"]
+    assert cli.main(["oracle-compare", *argv]) == 1
+    assert capsys.readouterr().err == "".join(f"mismatch: {f}\n" for f in expected)
+    assert cli.main(["verify", *argv]) == 1
+    assert "oracle_amplitudes,FAIL,2,0\n" in capsys.readouterr().out
+
+
 def _top_rung_only(hbw, k):
     """Inertia counts that certify every coupling at the top rung alone.
 

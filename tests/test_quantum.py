@@ -711,6 +711,38 @@ def test_checks_match_the_separate_sums_to_the_bit():
         assert energy_matrix(table, level_omega(table)).c.tobytes() == e.tobytes()
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_worst_residual_per_delta_takes_nan_from_trusted_layers_only(monkeypatch, order):
+    # x2 at order 1 trusts layers 0 .. 1 at delta 1 and 0 .. 2 at delta 3; at
+    # order 0, layer 0 at delta 1 and 0 .. 1 at delta 3; layer 0 at every
+    # delta.  A NaN in the residual at a trusted layer makes its delta's worst
+    # NaN; one above is not read.
+    table = solve_quantum(OscillatorSpec(lam=1e-3, kind=Kind.QUADRATIC_FORCE), 10, order)
+    one_pass = ladder._residual_and_energy
+
+    def doctored(table, x, wa, wb):
+        r, e = one_pass(table, x, wa, wb)
+        if x is table.x.c:
+            r[order + 1, 5, 4] = np.nan  # delta 1, untrusted
+            r[order + 1, 7, 4] = np.nan  # delta 3, trusted
+            r[0, 9, 2] = np.nan  # delta 7
+        return r, e
+
+    monkeypatch.setattr(ladder, "_residual_and_energy", doctored)
+    worst, _ = ladder_checks(table)
+    spec, pub = table.spec, table.n_max + 1
+    monkeypatch.undo()
+    r, r_size, _, _ = _reference_checks(table)
+    r[order + 1, 5, 4] = r[order + 1, 7, 4] = r[0, 9, 2] = np.nan
+    a = spec.ladder_amplitude
+    scaled = spec.scaled(r, spec.omega0**2 * a, r_size)
+    reference = [scaled[:trusted_residual_order(spec.kind, order, d) + 1,
+                        np.arange(d, pub), np.arange(pub - d)].max() for d in range(pub)]
+    assert list(worst) == list(range(pub))
+    assert np.isnan(worst[3]) and np.isnan(worst[7]) and not np.isnan(worst[1])
+    np.testing.assert_array_equal(list(worst.values()), reference)
+
+
 @pytest.mark.filterwarnings("ignore::matrixmech.oscillator.SmallnessWarning")
 @pytest.mark.parametrize("kind, mutate", [
     (Kind.QUADRATIC_FORCE, None), (Kind.QUADRATIC_FORCE, "a2"), (Kind.QUADRATIC_FORCE, "a0"),

@@ -18,7 +18,6 @@ from .ladder import (
     frequency_consistency,
     line_spectrum,
     offdiagonal_energy_check,
-    quantization_residual,
     quantum_residuals,
     solve_quantum,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "frequency_consistency",
     "line_spectrum",
     "offdiagonal_energy_check",
-    "quantization_residual",
     "quantum_residuals",
     "solve_classical",
     "solve_quantum",

@@ -3,12 +3,14 @@
 Subcommands: levels | lines | classical | verify | oracle-compare.
 All data goes to stdout with a fixed column order and 15 significant
 digits, so identical configurations produce byte-identical output;
-diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage or configuration error, which includes a result that overflows
-double precision and an oracle eigensolve that fails: either is reported
-before anything is printed; 141 (128 + SIGPIPE, what a shell reports for a
-writer killed by a closed pipe) when the reader closes stdout early, as
-`matrixmech ... | head` does, with nothing on stderr.
+diagnostics go to stderr.  Every table goes through one writer, _write,
+which checks every float before it writes anything.  Exit codes: 0
+success, 1 verification failure, 2 usage or configuration error, which
+includes a result that overflows double precision and an oracle
+eigensolve that fails: either is reported before anything is printed; 141
+(128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe)
+when the reader closes stdout early, as `matrixmech ... | head` does, with
+nothing on stderr.
 
 Options may come from a plain key=value config file (# comments allowed),
 selected with --config or the MATRIXMECH_CONFIG environment variable;
@@ -26,7 +28,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,16 +67,13 @@ class ConfigError(ValueError):
 NUMBER = "%.15g"  # every printed float
 
 
-def fmt(x) -> str:
+def jnum(x) -> float:
+    """Round to the serialized precision so JSON round-trips exactly; a
+    non-finite x raises OverflowError."""
     x = float(x)
     if not math.isfinite(x):
         raise OverflowError(f"non-finite result {x}")
-    return NUMBER % x
-
-
-def jnum(x) -> float:
-    """Round to the serialized precision so JSON round-trips exactly."""
-    return float(fmt(x))
+    return float(NUMBER % x)
 
 
 @dataclass
@@ -200,12 +199,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _emit_csv(header: str, rows: List[List[str]]) -> None:
-    print(header)
-    for row in rows:
-        print(",".join(row))
-
-
 def _solved_table(config: RunConfig) -> ld.TransitionTable:
     table = ld.solve_quantum(config.spec(), n_max=config.n_max, order=config.order)
     if config.mutate:
@@ -213,24 +206,43 @@ def _solved_table(config: RunConfig) -> ld.TransitionTable:
     return table
 
 
-def _emit_columns(config: RunConfig, name: str, header: str,
-                  columns: Sequence[np.ndarray]) -> None:
-    """Write a table given as one array per column: CSV under header, or JSON
-    as a list `name` of objects keyed by the header's names.  A non-finite
-    float raises OverflowError, naming the first in row order, before any output."""
-    is_float = [c.dtype.kind == "f" for c in columns]
-    floats = np.array([c for c, f in zip(columns, is_float) if f]).T
-    bad = np.argwhere(~np.isfinite(floats))
-    if len(bad):
-        raise OverflowError(f"non-finite result {float(floats[tuple(bad[0])])}")
-    if config.fmt == "json":
-        cells = [[jnum(v) for v in c.tolist()] if f else c.tolist()
-                 for c, f in zip(columns, is_float)]
-        print(json.dumps({name: [dict(zip(header.split(","), r)) for r in zip(*cells)]}))
-    else:
-        row = ",".join(NUMBER if f else "%d" for f in is_float) + "\n"
-        cells = zip(*(c.tolist() for c in columns))
-        sys.stdout.write(header + "\n" + "".join([row % r for r in cells]))
+def _cells(column: np.ndarray) -> list:
+    """A column as JSON values, each float at the printed precision."""
+    values = column.tolist()
+    return [float(NUMBER % v) for v in values] if column.dtype.kind == "f" else values
+
+
+def _records(keys: Sequence[str], *columns: np.ndarray) -> List[dict]:
+    """One JSON object per row of columns, keyed by keys."""
+    return [dict(zip(keys, row)) for row in zip(*map(_cells, columns))]
+
+
+def _write(config: RunConfig, header: str, blocks: Sequence[tuple],
+           payload: Callable[[], dict]) -> None:
+    """Write a table as CSV under header, or payload() as JSON.
+
+    blocks are the table's rows in order, each a tuple of cells: an array,
+    one value per row, or a str written into every row.  Every float is
+    checked once, in row order, before anything is written: a non-finite
+    one raises OverflowError naming the first.  Each CSV row is one
+    %-format, NUMBER for a float and %s for any other value.  payload is
+    called for JSON only, before the check, so a scalar it rounds with jnum
+    is checked first, as the payload orders it.
+    """
+    text = json.dumps(payload()) if config.fmt == "json" else None
+    columns = [[c for c in b if not isinstance(c, str)] for b in blocks]
+    floats = np.concatenate([np.array([c for c in cs if c.dtype.kind == "f"]).T.ravel()
+                             for cs in columns])
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        raise OverflowError(f"non-finite result {float(floats[bad[0]])}")
+    if text is not None:
+        print(text)  # text, then newline: a table past the pipe's buffer sees a closed stdout
+        return
+    rows = [",".join(c if isinstance(c, str) else NUMBER if c.dtype.kind == "f" else "%s"
+                     for c in b) + "\n" for b in blocks]
+    sys.stdout.write(header + "\n" + "".join([row % r for row, cs in zip(rows, columns)
+                                              for r in zip(*(c.tolist() for c in cs))]))
 
 
 def cmd_levels(config: RunConfig) -> int:
@@ -238,105 +250,73 @@ def cmd_levels(config: RunConfig) -> int:
     pub = config.n_max + 1
     w = np.zeros((2, pub))  # W0 and W1 (order 0 has no W1); 0 + W prints -0.0 as 0
     w[: table.order + 1] += table.w[:, :pub]
-    _emit_columns(config, "levels", "n,W0,W1,W_total",
-                  (np.arange(pub), w[0], w[1], horner(w, config.lam)))
+    header = "n,W0,W1,W_total"
+    columns = (np.arange(pub), w[0], w[1], horner(w, config.lam))
+    _write(config, header, [columns], lambda: {"levels": _records(header.split(","), *columns)})
     return 0
 
 
 def cmd_lines(config: RunConfig) -> int:
-    _emit_columns(config, "lines", "n,m,omega,rel_intensity,amp_order",
-                  ld.line_columns(_solved_table(config)))
+    header = "n,m,omega,rel_intensity,amp_order"
+    columns = ld.line_columns(_solved_table(config))
+    _write(config, header, [columns], lambda: {"lines": _records(header.split(","), *columns)})
     return 0
 
 
 def cmd_classical(config: RunConfig) -> int:
     series = cl.solve_classical(config.spec(), config.a1, order=config.order)
     energy = cl.classical_energy(series)
-    coeff_rows = sorted(series.coeffs.items())
-    if config.fmt == "json":
-        payload = {
-            "coefficients": [
-                {"tau": t, "order": k, "value": jnum(v)} for (t, k), v in coeff_rows
-            ],
-            "omega_sq": [jnum(c) for c in series.omega_sq.coeffs],
-            "energy_constant": [jnum(energy.constant[k])
-                                for k in range(energy.valid_order + 1)],
-            "energy_periodic_max": jnum(energy.max_periodic()),
-        }
-        print(json.dumps(payload))
-    else:
-        rows = [["coeff", str(t), str(k), fmt(v)] for (t, k), v in coeff_rows]
-        rows += [["omega_sq", "", str(k), fmt(c)]
-                 for k, c in enumerate(series.omega_sq.coeffs)]
-        rows += [["energy_constant", "", str(k), fmt(energy.constant[k])]
-                 for k in range(energy.valid_order + 1)]
-        rows.append(["energy_periodic_max", "", "", fmt(energy.max_periodic())])
-        _emit_csv("quantity,tau,order,value", rows)
+    keys, values = zip(*sorted(series.coeffs.items()))
+    coeffs = (*np.array(keys).T, np.array(values, dtype=float))
+    omega_sq = np.array(series.omega_sq.coeffs, dtype=float)
+    constant = np.array([energy.constant[k] for k in range(energy.valid_order + 1)], dtype=float)
+    periodic = np.array([energy.max_periodic()], dtype=float)
+    blocks = [("coeff", *coeffs), ("omega_sq", "", np.arange(len(omega_sq)), omega_sq),
+              ("energy_constant", "", np.arange(len(constant)), constant),
+              ("energy_periodic_max", "", "", periodic)]
+    _write(config, "quantity,tau,order,value", blocks, lambda: {
+        "coefficients": _records(("tau", "order", "value"), *coeffs),
+        "omega_sq": _cells(omega_sq), "energy_constant": _cells(constant),
+        "energy_periodic_max": _cells(periodic)[0],
+    })
     return 0
 
 
 def cmd_verify(config: RunConfig) -> int:
     report = vf.run_verification(_solved_table(config), config.tol, config.oracle_n)
-    if config.fmt == "json":
-        payload = {
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "measured": jnum(c.measured),
-                 "tolerance": jnum(c.tolerance), "detail": c.detail}
-                for c in report.checks
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        rows = [[c.name, "PASS" if c.passed else "FAIL", fmt(c.measured), fmt(c.tolerance)]
-                for c in report.checks]
-        _emit_csv("check,status,measured,tolerance", rows)
+    names, passed, measured, tolerance, details = map(np.array, zip(*(
+        (c.name, c.passed, c.measured, c.tolerance, c.detail) for c in report.checks)))
+    _write(config, "check,status,measured,tolerance",
+           [(names, np.where(passed, "PASS", "FAIL"), measured, tolerance)],
+           lambda: {"passed": report.passed, "checks": _records(
+               ("name", "passed", "measured", "tolerance", "detail"),
+               names, passed, measured, tolerance, details)})
     return 0 if report.passed else CHECK_ERROR
 
 
 def cmd_oracle_compare(config: RunConfig) -> int:
     report = orc.compare(_solved_table(config), n_basis=config.oracle_n)
-    # (lambda, n, three values) per row: each level at each coupling, each amplitude
-    levels = [(lam, n, v) for lam, block in zip(report.lambdas, np.stack(
-        [report.perturbative, report.exact, report.residual], axis=-1).tolist())
-        for n, v in enumerate(block)]
-    amplitudes = [(report.base_lam, n, v) for n, v in enumerate(np.stack(
-        [report.measured, report.sum_rule_form, report.series_form], axis=-1).tolist(), 1)]
-    if config.fmt == "json":
-        payload = {
-            "passed": report.passed,
-            "n_basis": report.n_basis,
-            "convergence_delta": jnum(report.convergence_delta
-                                      * (report.spec.hbar * report.spec.omega0)),
-            "levels": [
-                {"lambda": jnum(lam), "n": n,
-                 **dict(zip(("W_pert", "E_exact", "residual"), map(jnum, v)))}
-                for lam, n, v in levels
-            ],
-            "fits": [
-                {"n": n, "constant": jnum(report.fit_constant[n]),
-                 "exponent": jnum(report.fit_exponent[n])}
-                for n in sorted(report.fit_exponent)
-            ],
-            "amplitudes": [
-                {"n": n, **dict(zip(("measured", "sum_rule_form", "series_form"), map(jnum, v)))}
-                for _, n, v in amplitudes
-            ],
-            "failures": report.failures,
-        }
-        print(json.dumps(payload))
-    else:
-        # one %-format per row, after one finiteness check of every value in row order
-        row = f"{NUMBER},%d,{NUMBER},{NUMBER},{NUMBER}\n"
-        rows = [("level," + row, (lam, n, *v)) for lam, n, v in levels]
-        rows += [(f"fit,,%d,{NUMBER},{NUMBER},\n",
-                  (n, report.fit_constant[n], report.fit_exponent[n]))
-                 for n in sorted(report.fit_exponent)]
-        rows += [("amplitude," + row, (lam, n, *v)) for lam, n, v in amplitudes]
-        bad = next((x for _, values in rows for x in values if not math.isfinite(x)), None)
-        if bad is not None:
-            raise OverflowError(f"non-finite result {bad}")
-        sys.stdout.write("row,lambda,n,value1,value2,value3\n" + "".join([t % v for t, v in rows]))
+    couplings, track = report.exact.shape
+    levels = (np.repeat(report.lambdas, track), np.tile(np.arange(track), couplings),
+              report.perturbative.ravel(), report.exact.ravel(), report.residual.ravel())
+    fit_n = sorted(report.fit_exponent)
+    fits = (np.array(fit_n), np.array([report.fit_constant[n] for n in fit_n]),
+            np.array([report.fit_exponent[n] for n in fit_n]))
+    amplitudes = (np.arange(1, len(report.measured) + 1), report.measured,
+                  report.sum_rule_form, report.series_form)
+    blocks = [("level", *levels), ("fit", "", *fits, ""),
+              ("amplitude", np.full(len(report.measured), report.base_lam, dtype=float),
+               *amplitudes)]
+    _write(config, "row,lambda,n,value1,value2,value3", blocks, lambda: {
+        "passed": report.passed, "n_basis": report.n_basis,
+        "convergence_delta": jnum(report.convergence_delta
+                                  * (report.spec.hbar * report.spec.omega0)),
+        "levels": _records(("lambda", "n", "W_pert", "E_exact", "residual"), *levels),
+        "fits": _records(("n", "constant", "exponent"), *fits),
+        "amplitudes": _records(("n", "measured", "sum_rule_form", "series_form"), *amplitudes),
+        "failures": report.failures,
+    })
+    if config.fmt == "csv":
         sys.stderr.write("".join(f"mismatch: {f}\n" for f in report.failures))
     return 0 if report.passed else CHECK_ERROR
 

@@ -175,13 +175,6 @@ def sum_rule_residuals(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
     return rule(a, omega, -1.0), rule(np.abs(a), np.abs(omega), 1.0)
 
 
-def quantization_residual(table: TransitionTable, n: int) -> float:
-    """The lam^0 sum rule residual of sum_rule_residuals for one n."""
-    if not 0 <= n < table.n_max:
-        raise LadderError("n must lie in 0 .. n_max-1 (n+1 on the public ladder)")
-    return float(sum_rule_residuals(table)[0][0, n])
-
-
 def solve_quantum(spec: OscillatorSpec, n_max: int, order: int) -> TransitionTable:
     """Solve amplitudes and levels through lam^order (order 0 or 1).
 
@@ -426,11 +419,6 @@ def quantum_residuals(table: TransitionTable) -> Dict[Tuple[int, int], LambdaSer
     entries = r.transpose(1, 2, 0).tolist()
     return {(n, m): LambdaSeries.from_coeffs(entries[n][m])
             for n in range(table.n_max + 1) for m in range(n + 1)}
-
-
-def worst_scaled_residuals(table: TransitionTable) -> Dict[int, float]:
-    """The residual half of ladder_checks."""
-    return ladder_checks(table)[0]
 
 
 def offdiagonal_energy_check(table: TransitionTable) -> float:

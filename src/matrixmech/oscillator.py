@@ -68,8 +68,9 @@ class OscillatorSpec:
     """Physical parameters of one oscillator.
 
     Every parameter must be finite; m, omega0 and planck_h must be
-    positive, and omega0^2 at least 1e-300.  lam carries the units that
-    make lam*x^p an acceleration.  The harmonic kind forces lam == 0.
+    positive, omega0^2 at least 1e-300, and hbar*omega0 a normal double (at
+    least np.finfo(float).tiny).  lam carries the units that make lam*x^p
+    an acceleration.  The harmonic kind forces lam == 0.
     """
 
     m: float = 1.0
@@ -85,6 +86,9 @@ class OscillatorSpec:
             raise ValueError("m, omega0 and planck_h must all be positive")
         if self.omega0**2 < 1e-300:  # every harmonic-balance divisor carries it
             raise ValueError("omega0 too small: omega0^2 underflows below 1e-300")
+        if self.hbar * self.omega0 < np.finfo(float).tiny:  # the unit of every level
+            raise ValueError(f"hbar*omega0 = {self.hbar * self.omega0:g} is below the "
+                             "smallest normal double, so levels lose digits")
         if self.kind is Kind.HARMONIC and self.lam != 0:
             raise ValueError("harmonic kind requires lam == 0")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from matrixmech.cli import main
 from matrixmech.ladder import solve_quantum
 from matrixmech.oscillator import Kind, OscillatorSpec
+from matrixmech.series import LambdaSeries
 from matrixmech.verify import apply_mutation, run_verification
 
 
@@ -376,12 +378,13 @@ def test_non_finite_input_exits_2(capsys, flag, value):
 @pytest.mark.parametrize("command", ["levels", "lines", "classical", "verify",
                                      "oracle-compare"])
 def test_underflowing_omega0_exits_2(capsys, command, kind):
-    # omega0^2 underflows: rejected once, by the spec, before any work
-    code, out, err = run(capsys, command, "--kind", kind, "--omega0", "1e-200",
-                         "--lambda", "0")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "omega0" in err
+    # omega0^2 underflows, or hbar*omega0 is below the normal doubles (every
+    # level would lose digits): rejected once, by the spec, before any work
+    for units in (("--omega0", "1e-200"), ("--h", "1e-320")):
+        code, out, err = run(capsys, command, "--kind", kind, *units, "--lambda", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "omega0" in err
 
 
 def test_verify_flags_unconverged_hardest_coupling(capsys):
@@ -819,14 +822,27 @@ def test_config_file_keys_stay_shared_across_subcommands(capsys, tmp_path, argv,
     assert run(capsys, *argv, "--config", str(cfg)) == (0, plain, "")
 
 
+def fmt(x):
+    """One float cell as the CLI once formatted each: %.15g after a finiteness check."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise OverflowError(f"non-finite result {x}")
+    return "%.15g" % x
+
+
 def _reference_table_output(command, config):
-    """levels and lines as rows of LambdaSeries and SpectralLine values, and
-    oracle-compare as rows of its report's arrays: fmt (CSV) or jnum (JSON)
-    per value, every row formed before the first print and one print per row."""
+    """levels and lines as rows of LambdaSeries and SpectralLine values,
+    classical as rows of its series and energy, and verify and
+    oracle-compare as rows of their reports: fmt (CSV) or jnum (JSON) per
+    value, every row formed before the first print and one print per row."""
     from matrixmech import cli, ladder
 
     if command == "oracle-compare":
         return _reference_oracle_output(cli, config)
+    if command == "classical":
+        return _reference_classical_output(cli, config)
+    if command == "verify":
+        return _reference_verify_output(cli, config)
     table = cli._solved_table(config)
     if command == "levels":
         rows = []
@@ -838,7 +854,7 @@ def _reference_table_output(command, config):
                 {"n": n, "W0": cli.jnum(w0), "W1": cli.jnum(w1), "W_total": cli.jnum(wt)}
                 for (n, w0, w1, wt) in rows]}))
             return
-        lines = [[str(n), cli.fmt(w0), cli.fmt(w1), cli.fmt(wt)] for (n, w0, w1, wt) in rows]
+        lines = [[str(n), fmt(w0), fmt(w1), fmt(wt)] for (n, w0, w1, wt) in rows]
         header = "n,W0,W1,W_total"
     else:
         spectrum = ladder.line_spectrum(table)
@@ -848,11 +864,49 @@ def _reference_table_output(command, config):
                  "rel_intensity": cli.jnum(l.rel_intensity), "amp_order": l.leading_order}
                 for l in spectrum]}))
             return
-        lines = [[str(l.upper), str(l.lower), cli.fmt(l.omega), cli.fmt(l.rel_intensity),
+        lines = [[str(l.upper), str(l.lower), fmt(l.omega), fmt(l.rel_intensity),
                   str(l.leading_order)] for l in spectrum]
         header = "n,m,omega,rel_intensity,amp_order"
     print(header)
     for row in lines:
+        print(",".join(row))
+
+
+def _reference_classical_output(cli, config):
+    series = cli.cl.solve_classical(config.spec(), config.a1, order=config.order)
+    energy = cli.cl.classical_energy(series)
+    coeff_rows = sorted(series.coeffs.items())
+    if config.fmt == "json":
+        print(json.dumps({
+            "coefficients": [{"tau": t, "order": k, "value": cli.jnum(v)}
+                             for (t, k), v in coeff_rows],
+            "omega_sq": [cli.jnum(c) for c in series.omega_sq.coeffs],
+            "energy_constant": [cli.jnum(energy.constant[k])
+                                for k in range(energy.valid_order + 1)],
+            "energy_periodic_max": cli.jnum(energy.max_periodic()),
+        }))
+        return
+    rows = [["coeff", str(t), str(k), fmt(v)] for (t, k), v in coeff_rows]
+    rows += [["omega_sq", "", str(k), fmt(c)] for k, c in enumerate(series.omega_sq.coeffs)]
+    rows += [["energy_constant", "", str(k), fmt(energy.constant[k])]
+             for k in range(energy.valid_order + 1)]
+    rows.append(["energy_periodic_max", "", "", fmt(energy.max_periodic())])
+    print("quantity,tau,order,value")
+    for row in rows:
+        print(",".join(row))
+
+
+def _reference_verify_output(cli, config):
+    report = cli.vf.run_verification(cli._solved_table(config), config.tol, config.oracle_n)
+    if config.fmt == "json":
+        print(json.dumps({"passed": report.passed, "checks": [
+            {"name": c.name, "passed": c.passed, "measured": cli.jnum(c.measured),
+             "tolerance": cli.jnum(c.tolerance), "detail": c.detail} for c in report.checks]}))
+        return
+    rows = [[c.name, "PASS" if c.passed else "FAIL", fmt(c.measured), fmt(c.tolerance)]
+            for c in report.checks]
+    print("check,status,measured,tolerance")
+    for row in rows:
         print(",".join(row))
 
 
@@ -878,9 +932,9 @@ def _reference_oracle_output(cli, config):
             "failures": report.failures,
         }))
         return
-    rows = [["level", cli.fmt(lam), str(n), *map(cli.fmt, v)] for lam, n, *v in levels]
-    rows += [["fit", "", str(n), cli.fmt(c), cli.fmt(q), ""] for n, c, q in fits]
-    rows += [["amplitude", cli.fmt(lam), str(n), *map(cli.fmt, v)] for lam, n, *v in amplitudes]
+    rows = [["level", fmt(lam), str(n), *map(fmt, v)] for lam, n, *v in levels]
+    rows += [["fit", "", str(n), fmt(c), fmt(q), ""] for n, c, q in fits]
+    rows += [["amplitude", fmt(lam), str(n), *map(fmt, v)] for lam, n, *v in amplitudes]
     print("row,lambda,n,value1,value2,value3")
     for row in rows:
         print(",".join(row))
@@ -945,25 +999,57 @@ def _doctor_report(report, variant):
     return report
 
 
+def _doctor_energy(energy, variant):
+    # the energy's one float column: its constant rows and the periodic maximum
+    c0 = energy.constant[0]
+    if variant == "signed zeros":
+        return dataclasses.replace(energy, constant=LambdaSeries((c0, -0.0)))
+    periodic = energy.periodic.copy()
+    periodic[0, 0] = -np.inf  # energy_periodic_max, the last row
+    return dataclasses.replace(energy, constant=LambdaSeries((c0, np.nan)), periodic=periodic)
+
+
+def _doctor_checks(report, variant):
+    checks = report.checks
+    if variant == "signed zeros":
+        for c in checks:
+            c.measured, c.tolerance = c.measured or -0.0, c.tolerance or -0.0
+    else:  # the first non-finite value in row order is not the first by column
+        checks[0].tolerance = np.inf  # row 0's tolerance
+        checks[1].measured = np.nan  # row 1's measured
+        checks[2].measured = -np.inf
+    return report
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("variant", ["signed zeros", "non-finite"])
 @pytest.mark.parametrize("kind", ["x2", "x3"])
-@pytest.mark.parametrize("command", ["levels", "lines", "oracle-compare"])
+@pytest.mark.parametrize("command", ["levels", "lines", "classical", "verify", "oracle-compare"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_doctored_tables_print_as_row_by_row(capsys, monkeypatch, variant, kind, command, fmt):
     # a -0.0 coefficient prints as the LambdaSeries view prints it (0), and a
     # non-finite value stops the table at the first one in row order; for
-    # oracle-compare the report that compare returns is doctored
+    # classical, verify and oracle-compare what the energy, the verification
+    # and compare return is doctored
     from matrixmech import cli
 
     if command == "oracle-compare":
         compare = cli.orc.compare
         monkeypatch.setattr(cli.orc, "compare", lambda table, n_basis=None: _doctor_report(
             compare(table, n_basis), variant))
+    elif command == "classical":
+        energy = cli.cl.classical_energy
+        monkeypatch.setattr(cli.cl, "classical_energy",
+                            lambda series: _doctor_energy(energy(series), variant))
+    elif command == "verify":
+        verification = cli.vf.run_verification
+        monkeypatch.setattr(cli.vf, "run_verification", lambda *args: _doctor_checks(
+            verification(*args), variant))
     else:
         solved = cli._solved_table
         monkeypatch.setattr(cli, "_solved_table", lambda config: _doctor(solved(config), variant))
-    argv = [command, "--kind", kind, "--lambda", "0.001", "--nmax", "6", "--format", fmt]
+    size = [] if command == "classical" else ["--nmax", "6"]
+    argv = [command, "--kind", kind, "--lambda", "0.001", *size, "--format", fmt]
     code, out, err = run(capsys, *argv)
     config = cli.resolve_config(cli._parser().parse_args(argv))
     if variant == "signed zeros":

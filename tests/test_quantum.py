@@ -17,11 +17,10 @@ from matrixmech.ladder import (
     level_omega,
     line_spectrum,
     offdiagonal_energy_check,
-    quantization_residual,
     quantum_residuals,
     solve_quantum,
+    sum_rule_residuals,
     trusted_residual_order,
-    worst_scaled_residuals,
 )
 from matrixmech.classical import solve_classical
 from matrixmech.oscillator import Kind, OscillatorSpec
@@ -57,8 +56,7 @@ def test_base_amplitude_values():
 def test_quantization_residual_zero_on_ladder():
     spec = OscillatorSpec(m=1.7, omega0=0.8, planck_h=5.0)
     t = solve_quantum(spec, 8, 0)
-    for n in range(7):
-        assert abs(quantization_residual(t, n)) < 1e-12 * spec.planck_h
+    assert np.all(np.abs(sum_rule_residuals(t)[0][0, :7]) < 1e-12 * spec.planck_h)
 
 
 def test_quantization_residual_detects_scaling():
@@ -66,15 +64,8 @@ def test_quantization_residual_detects_scaling():
     t = solve_quantum(spec, 6, 0)
     orig = t.amp(3, 2)[0]
     t.x.c[:, [3, 2], [2, 3]] *= 2.0
-    r = quantization_residual(t, 2)
+    r = sum_rule_residuals(t)[0][0, 2]
     assert math.isclose(r, 3.0 * math.pi * spec.m * spec.omega0 * orig**2, rel_tol=1e-12)
-
-
-def test_quantization_residual_requires_public_state():
-    spec = OscillatorSpec()
-    t = solve_quantum(spec, 4, 0)
-    with pytest.raises(LadderError):
-        quantization_residual(t, 4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -82,8 +73,7 @@ def test_quantization_residual_requires_public_state():
 def test_sum_rule_property(m, omega0, h):
     spec = OscillatorSpec(m=m, omega0=omega0, planck_h=h)
     t = solve_quantum(spec, 6, 0)
-    for n in range(6):
-        assert abs(quantization_residual(t, n)) < 1e-12 * h
+    assert np.all(np.abs(sum_rule_residuals(t)[0][0, :6]) < 1e-12 * h)
 
 
 # ----------------------------------------------------------------- x2 solve
@@ -122,7 +112,7 @@ def test_x2_fundamental_uncorrected_and_levels_unshifted():
 
 def test_x2_residuals_and_energy_offdiagonal():
     t = solve_quantum(X2, n_max=8, order=1)
-    assert max(worst_scaled_residuals(t).values()) < 1e-12
+    assert max(ladder_checks(t)[0].values()) < 1e-12
     assert offdiagonal_energy_check(t) < 1e-12
     assert frequency_consistency(t) < 1e-12
 
@@ -174,7 +164,7 @@ def test_energy_levels_standalone_on_base_ladder():
 def test_negative_coupling_consistency():
     spec = OscillatorSpec(m=1, omega0=1, lam=-1e-3, kind=Kind.CUBIC_FORCE)
     t = solve_quantum(spec, n_max=6, order=1)
-    assert max(worst_scaled_residuals(t).values()) < 1e-12
+    assert max(ladder_checks(t)[0].values()) < 1e-12
     # first-order shift changes sign with the coupling
     assert t.level(0).eval(-1e-3) < 0.5
     assert t.freq(1, 0).eval(-1e-3) < 1.0
@@ -235,7 +225,7 @@ def test_x3_five_step_amplitude_mirrors_classical():
 
 def test_x3_residuals_and_energy_offdiagonal():
     t = solve_quantum(X3, n_max=8, order=1)
-    assert max(worst_scaled_residuals(t).values()) < 1e-12
+    assert max(ladder_checks(t)[0].values()) < 1e-12
     assert offdiagonal_energy_check(t) < 1e-12
     assert frequency_consistency(t) < 1e-12
 
@@ -259,7 +249,7 @@ def test_harmonic_closed_form_levels():
 def test_harmonic_residuals_vanish():
     spec = OscillatorSpec(m=2.0, omega0=0.7, planck_h=3.0)
     t = solve_quantum(spec, n_max=6, order=1)
-    assert max(worst_scaled_residuals(t).values()) < 1e-13
+    assert max(ladder_checks(t)[0].values()) < 1e-13
     # the fundamental transition frequency equals the oscillator frequency
     for n in range(1, 6):
         assert math.isclose(t.freq(n, n - 1)[0], spec.omega0, rel_tol=1e-13)
@@ -317,7 +307,7 @@ def test_sum_rule_ground_state_example():
     spec = OscillatorSpec()
     t = solve_quantum(spec, 4, 0)
     assert math.isclose(t.amp(1, 0)[0] ** 2, 2.0, rel_tol=1e-12)
-    assert abs(quantization_residual(t, 0)) < 1e-12 * spec.planck_h
+    assert abs(sum_rule_residuals(t)[0][0, 0]) < 1e-12 * spec.planck_h
 
 
 def test_ritz_additivity_exact():
@@ -425,11 +415,10 @@ def test_solver_preconditions():
 def test_solution_invariants_property(m, omega0, h, kind):
     spec = OscillatorSpec(m=m, omega0=omega0, lam=1e-4, planck_h=h, kind=kind)
     t = solve_quantum(spec, n_max=5, order=1)
-    assert max(worst_scaled_residuals(t).values()) < 1e-12
+    assert max(ladder_checks(t)[0].values()) < 1e-12
     assert offdiagonal_energy_check(t) < 1e-12
     assert frequency_consistency(t) < 1e-12
-    for n in range(4):
-        assert abs(quantization_residual(t, n)) < 1e-12 * h
+    assert np.all(np.abs(sum_rule_residuals(t)[0][0, :4]) < 1e-12 * h)
 
 
 # ------------------------------------------------------- operator products

@@ -14,7 +14,7 @@ nothing on stderr.
 
 Options may come from a plain key=value config file (# comments allowed),
 selected with --config or the MATRIXMECH_CONFIG environment variable;
-command-line flags override file values.
+command-line flags override file values, which override OPTIONS' defaults.
 """
 
 from __future__ import annotations
@@ -76,51 +76,32 @@ def jnum(x) -> float:
     return float(NUMBER % x)
 
 
-@dataclass
-class RunConfig:
-    m: float = 1.0
-    omega0: float = 1.0
-    lam: float = 0.0
-    planck_h: float = 2.0 * math.pi
-    kind: str = "harmonic"
-    n_max: int = 10
-    order: int = 1
-    fmt: str = "csv"
-    tol: float = 1e-12
-    oracle_n: Optional[int] = None
-    a1: float = 1.0
-    mutate: Optional[str] = None
-
-    def spec(self) -> OscillatorSpec:
-        return OscillatorSpec(
-            m=self.m, omega0=self.omega0, lam=self.lam,
-            planck_h=self.planck_h, kind=Kind.from_name(self.kind),
-        )
-
-
 @dataclass(frozen=True)
 class Option:
-    field: str  # RunConfig attribute
+    field: str  # attribute of the resolved configuration
     cast: type
+    default: object = None
     choices: Optional[Tuple[str, ...]] = None
     commands: FrozenSet[str] = TABLES | {"classical"}  # the subcommands that read it
 
 
+_SPEC = OscillatorSpec()  # the oscillator options' defaults
+
 # Every option, keyed by its flag name (a flag of only the subcommands that
 # read it) and config-file key (of any subcommand); both are checked alike.
 OPTIONS = {
-    "m": Option("m", float),
-    "omega0": Option("omega0", float),
-    "lambda": Option("lam", float),
-    "h": Option("planck_h", float),
-    "nmax": Option("n_max", int, commands=TABLES),
-    "order": Option("order", int),
-    "kind": Option("kind", str, tuple(k.cli_name for k in Kind)),
-    "format": Option("fmt", str, ("csv", "json")),
-    "tol": Option("tol", float, commands=frozenset({"verify"})),
+    "m": Option("m", float, _SPEC.m),
+    "omega0": Option("omega0", float, _SPEC.omega0),
+    "lambda": Option("lam", float, _SPEC.lam),
+    "h": Option("planck_h", float, _SPEC.planck_h),
+    "nmax": Option("n_max", int, 10, commands=TABLES),
+    "order": Option("order", int, 1),
+    "kind": Option("kind", str, _SPEC.kind.cli_name, tuple(k.cli_name for k in Kind)),
+    "format": Option("fmt", str, "csv", ("csv", "json")),
+    "tol": Option("tol", float, 1e-12, commands=frozenset({"verify"})),
     "oracle-n": Option("oracle_n", int, commands=frozenset({"verify", "oracle-compare"})),
-    "mutate": Option("mutate", str, vf.MUTATIONS, commands=TABLES),
-    "a1": Option("a1", float, commands=frozenset({"classical"})),
+    "mutate": Option("mutate", str, choices=vf.MUTATIONS, commands=TABLES),
+    "a1": Option("a1", float, 1.0, commands=frozenset({"classical"})),
 }
 
 
@@ -176,20 +157,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Each option's value: its flag, else its config-file value, else its
+    default."""
+    config = argparse.Namespace(**{o.field: o.default for o in OPTIONS.values()})
     path = args.config or os.environ.get(ENV_CONFIG)
     if path:
-        for attr, value in read_config_file(path).items():
-            setattr(config, attr, value)
+        vars(config).update(read_config_file(path))
     for option in OPTIONS.values():
         value = getattr(args, option.field, None)
         if value is not None:
             setattr(config, option.field, value)
     if not 1 <= config.n_max <= MAX_NMAX:
         raise ConfigError(f"nmax must be between 1 and {MAX_NMAX}")
-    if config.order not in (0, 1):
-        raise ConfigError("order must be 0 or 1")
     if config.oracle_n is not None and not 8 <= config.oracle_n <= MAX_ORACLE_N:
         raise ConfigError(f"oracle-n must be between 8 and {MAX_ORACLE_N}")
     if not (math.isfinite(config.tol) and config.tol > 0):
@@ -199,8 +179,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _solved_table(config: RunConfig) -> ld.TransitionTable:
-    table = ld.solve_quantum(config.spec(), n_max=config.n_max, order=config.order)
+def _spec(config: argparse.Namespace) -> OscillatorSpec:
+    return OscillatorSpec(m=config.m, omega0=config.omega0, lam=config.lam,
+                          planck_h=config.planck_h, kind=Kind.from_name(config.kind))
+
+
+def _solved_table(config: argparse.Namespace) -> ld.TransitionTable:
+    table = ld.solve_quantum(_spec(config), n_max=config.n_max, order=config.order)
     if config.mutate:
         vf.apply_mutation(table, config.mutate)
     return table
@@ -217,7 +202,7 @@ def _records(keys: Sequence[str], *columns: np.ndarray) -> List[dict]:
     return [dict(zip(keys, row)) for row in zip(*map(_cells, columns))]
 
 
-def _write(config: RunConfig, header: str, blocks: Sequence[tuple],
+def _write(config: argparse.Namespace, header: str, blocks: Sequence[tuple],
            payload: Callable[[], dict]) -> None:
     """Write a table as CSV under header, or payload() as JSON.
 
@@ -245,7 +230,7 @@ def _write(config: RunConfig, header: str, blocks: Sequence[tuple],
                                               for r in zip(*(c.tolist() for c in cs))]))
 
 
-def cmd_levels(config: RunConfig) -> int:
+def cmd_levels(config: argparse.Namespace) -> int:
     table = _solved_table(config)
     pub = config.n_max + 1
     w = np.zeros((2, pub))  # W0 and W1 (order 0 has no W1); 0 + W prints -0.0 as 0
@@ -256,15 +241,15 @@ def cmd_levels(config: RunConfig) -> int:
     return 0
 
 
-def cmd_lines(config: RunConfig) -> int:
+def cmd_lines(config: argparse.Namespace) -> int:
     header = "n,m,omega,rel_intensity,amp_order"
     columns = ld.line_columns(_solved_table(config))
     _write(config, header, [columns], lambda: {"lines": _records(header.split(","), *columns)})
     return 0
 
 
-def cmd_classical(config: RunConfig) -> int:
-    series = cl.solve_classical(config.spec(), config.a1, order=config.order)
+def cmd_classical(config: argparse.Namespace) -> int:
+    series = cl.solve_classical(_spec(config), config.a1, order=config.order)
     energy = cl.classical_energy(series)
     keys, values = zip(*sorted(series.coeffs.items()))
     coeffs = (*np.array(keys).T, np.array(values, dtype=float))
@@ -282,7 +267,7 @@ def cmd_classical(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     report = vf.run_verification(_solved_table(config), config.tol, config.oracle_n)
     names, passed, measured, tolerance, details = map(np.array, zip(*(
         (c.name, c.passed, c.measured, c.tolerance, c.detail) for c in report.checks)))
@@ -294,7 +279,7 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if report.passed else CHECK_ERROR
 
 
-def cmd_oracle_compare(config: RunConfig) -> int:
+def cmd_oracle_compare(config: argparse.Namespace) -> int:
     report = orc.compare(_solved_table(config), n_basis=config.oracle_n)
     couplings, track = report.exact.shape
     levels = (np.repeat(report.lambdas, track), np.tile(np.arange(track), couplings),

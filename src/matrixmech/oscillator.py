@@ -125,12 +125,14 @@ class OscillatorSpec:
 
         The scale is the natural unit base * order_unit(k), or
         ROUNDOFF_SHARE of size (the size of the terms that cancel in the
-        entry, shaped like value) when that is larger.
+        entry, shaped like value) when that is larger.  A zero entry scales
+        to 0 even where its scale underflows to 0.
         """
         value = np.asarray(value, dtype=float)
         unit = np.array([base * self.order_unit(k) for k in range(len(value))])
         unit = unit.reshape((-1,) + (1,) * (value.ndim - 1))
-        return np.abs(value) / np.maximum(unit, ROUNDOFF_SHARE * size)
+        return np.divide(np.abs(value), np.maximum(unit, ROUNDOFF_SHARE * size),
+                         out=np.zeros_like(value), where=value != 0)
 
     def smallness_ratio(self, amplitude: float | None = None) -> float:
         """Dimensionless r = |lam| * (amplitude scale)^(p-1) / omega0^2."""

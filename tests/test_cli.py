@@ -873,7 +873,7 @@ def _reference_table_output(command, config):
 
 
 def _reference_classical_output(cli, config):
-    series = cli.cl.solve_classical(config.spec(), config.a1, order=config.order)
+    series = cli.cl.solve_classical(cli._spec(config), config.a1, order=config.order)
     energy = cli.cl.classical_energy(series)
     coeff_rows = sorted(series.coeffs.items())
     if config.fmt == "json":
@@ -1082,3 +1082,82 @@ def test_negative_number_in_exponent_form_is_a_value(capsys, argv):
 def test_negative_tol_in_exponent_form_names_tol(capsys):
     code, out, err = run(capsys, "verify", "--tol", "-1e-9")
     assert (code, out) == (2, "") and "tol must be a finite number above 0" in err
+
+
+CLASSICAL_X3 = ("classical", "--kind", "x3", "--a1", "1", "--lambda", "0.001")
+TABLE_COMMANDS = ("levels", "lines", "verify", "oracle-compare")
+QUANTUM_RANGE = "quantum solve supports order 0 or 1"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["x2", "x3"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_classical_prints_the_solver_coefficients_up_to_its_cap(capsys, order, kind, fmt):
+    from matrixmech.classical import solve_classical
+
+    code, out, err = run(capsys, "classical", "--kind", kind, "--a1", "1", "--lambda", "0.001",
+                         "--order", str(order), "--format", fmt)
+    assert (code, err) == (0, "")
+    spec = OscillatorSpec(lam=0.001, kind=Kind.from_name(kind))
+    coeffs = sorted(solve_classical(spec, 1.0, order=order).coeffs.items())
+    assert max(k for (_, k), _ in coeffs) == order + 1
+    if fmt == "json":
+        assert json.loads(out)["coefficients"] == [
+            {"tau": t, "order": k, "value": float("%.15g" % v)} for (t, k), v in coeffs]
+    else:
+        rows = [line for line in out.splitlines() if line.startswith("coeff,")]
+        assert rows == ["coeff,%d,%d,%.15g" % (t, k, v) for (t, k), v in coeffs]
+
+
+@pytest.mark.parametrize("argv,order,message", [
+    (CLASSICAL_X3, "5", "order 5 exceeds cap 4"),
+    (CLASSICAL_X3, "-1", "order must be nonnegative"),
+] + [((command, "--kind", "x3", "--lambda", "0.001"), order, QUANTUM_RANGE)
+     for command in TABLE_COMMANDS for order in ("2", "-1")])
+def test_order_outside_its_solver_range_exits_2(capsys, argv, order, message):
+    assert run(capsys, *argv, "--order", order) == (2, "", f"error: {message}\n")
+
+
+def test_order_from_a_config_file_is_checked_by_its_solver(capsys, tmp_path):
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text("kind=x3\nlambda=0.001\norder=2\n")
+    for command in TABLE_COMMANDS:
+        assert run(capsys, command, "--config", str(cfg)) == (2, "", f"error: {QUANTUM_RANGE}\n")
+    code, out, err = run(capsys, "classical", "--config", str(cfg))
+    assert (code, out, err) == (0, *run(capsys, *CLASSICAL_X3, "--order", "2")[1:])
+    cfg.write_text("order=5\n")
+    assert run(capsys, "classical", "--config", str(cfg)) == (
+        2, "", "error: order 5 exceeds cap 4\n")
+
+
+@pytest.mark.parametrize("command", ["levels", "lines", "classical", "verify",
+                                     "oracle-compare"])
+def test_each_default_is_written_once(monkeypatch, command):
+    # the table's defaults, and the oscillator's from OscillatorSpec alone
+    from matrixmech import cli
+
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    config = cli.resolve_config(cli._parser().parse_args([command]))
+    assert vars(config) == {o.field: o.default for o in cli.OPTIONS.values()}
+    assert cli._spec(config) == OscillatorSpec()
+
+
+@pytest.mark.parametrize("units", [("--h", "1e-150"), ("--m", "1e150")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_underflowing_check_units_measure_finite_values(capsys, units, fmt):
+    # r = 3e-154: the lam^2 unit of classical_residual underflows to 0 while
+    # its entries are 0, and a zero entry scales to 0; the run fails on the
+    # round-off family of checks alone
+    code, out, err = run(capsys, "verify", "--kind", "x3", "--lambda", "0.001", "--nmax", "4",
+                         *units, "--format", fmt)
+    assert code == 1 and "overflows" not in err
+    if fmt == "json":
+        checks = json.loads(out)["checks"]
+        rows = [(c["name"], c["passed"], c["measured"], c["tolerance"]) for c in checks]
+    else:
+        rows = [(name, status == "PASS", float(measured), float(tolerance))
+                for name, status, measured, tolerance in
+                (line.split(",") for line in out.splitlines()[1:])]
+    assert all(math.isfinite(m) and math.isfinite(t) for _, _, m, t in rows)
+    assert {name for name, passed, _, _ in rows if not passed} == {
+        "amplitude_quadratic_remainder", "oracle_scaling", "oracle_amplitudes"}

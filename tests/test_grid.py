@@ -68,10 +68,13 @@ KERNEL_BOUND = 1e-12
 # |W_pert - E_exact| is a difference of two compared columns, relative
 # round-off of E over the residual's size; the fit rows fit that residual
 # (measured spread: 9.5e-7 of the constant, 5.7e-8 of the exponent), and
-# the scaling gate they feed is held by the exit code.
+# the scaling gate they feed is held by the exit code; classical's largest
+# periodic energy coefficient is zero but for round-off (the energy is
+# conserved), and from order 2 on it reads 1e-17 to 1e-16 in default units,
+# which np.convolve's dot products change from kernel to kernel.
 ROUND_OFF = {("verify", "*", "measured"), ("oracle-compare", "level", "value3"),
              ("oracle-compare", "levels", "residual"), ("oracle-compare", "fit", "*"),
-             ("oracle-compare", "fits", "*")}
+             ("oracle-compare", "fits", "*"), ("classical", "energy_periodic_max", "*")}
 
 
 def _dynamic_openblas():
@@ -140,7 +143,7 @@ def test_one_output_contract_across_blas_kernels():
     # within KERNEL_BOUND of its column's largest magnitude
     runs = [argv for argv in grid.grid() if "512" not in argv and "2048" not in argv][::6]
     detected, haswell = [_kernel_outputs(runs, coretype) for coretype in (None, "Haswell")]
-    assert len(detected) == len(haswell) == len(runs) == 649
+    assert len(detected) == len(haswell) == len(runs) == 661
     for argv, (code, out), (their_code, theirs) in zip(runs, detected, haswell):
         assert code == their_code, argv
         command = argv.split()[0]

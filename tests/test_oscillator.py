@@ -74,3 +74,16 @@ def test_scaled_divides_row_k_by_base_times_u_to_the_k():
     # the size of the cancelling terms sets a floor under the unit
     size = np.array([[0.0, 4.0 / ROUNDOFF_SHARE], [0.0, 0.0]])
     assert np.allclose(spec.scaled(value, 2.0, size), [[1.5, 0.75], [1.5 / u, 0.0]], rtol=1e-15)
+
+
+def test_scaled_zero_entry_over_an_underflowed_unit_is_zero():
+    # at h 1e-150 the x3 unit u is 3e-151, so base * u^2 underflows to 0
+    spec = OscillatorSpec(planck_h=1e-150, lam=1e-3, kind=Kind.CUBIC_FORCE)
+    assert 1e-30 * spec.order_unit(2) == 0.0
+    value = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.0, 0.0]])
+    assert np.array_equal(spec.scaled(value, 1e-30)[2], [0.0, 0.0, 0.0])
+    # a nonzero entry over that unit, or a NaN entry, is still not finite
+    value[2, 1:] = [1.0, np.nan]
+    with np.errstate(divide="ignore"):
+        row = spec.scaled(value, 1e-30)[2]
+    assert row[0] == 0.0 and row[1] == np.inf and np.isnan(row[2])

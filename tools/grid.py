@@ -13,9 +13,10 @@ The grid: levels, lines, verify and oracle-compare for the harmonic kind
 (at lambda 0) and for x2 and x3 at each coupling of LAMBDAS, at each n_max
 of N_MAX, in both unit sets, as CSV and JSON, unmutated and under every
 --mutate that applies.  Beyond it: the size caps (n_max 512, oracle-n up
-to 2048), order 0, the classical command, and negative numbers written in
-exponent form after their flag.  A run's output depends on the NumPy build
-and the CPU kernel, so compare two revisions on one machine.
+to 2048), order 0, the classical command at orders 0 to 4, and negative
+numbers written in exponent form after their flag.  A run's output
+depends on the NumPy build and the CPU kernel, so compare two revisions
+on one machine.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ def grid() -> Iterator[str]:
         for lam in lambdas:
             yield (f"classical --kind {kind} --lambda={lam} --a1 {a1} --order {order} {units}"
                    f" --format {fmt}")
+    # the classical solver's orders above the quantum solver's, up to its cap
+    for kind, order, fmt in itertools.product(("x2", "x3"), ("2", "3", "4"), ("csv", "json")):
+        for lam in LAMBDAS:
+            yield f"classical --kind {kind} --lambda={lam} --a1 1 --order {order} --format {fmt}"
     # a negative number in exponent form after its flag
     for command in TABLE_COMMANDS:
         yield f"{command} --kind x3 --lambda -1e-3 --nmax 6"
